@@ -1,0 +1,197 @@
+"""Golden CLI corpus: exit code and ``--json`` stdout of every command,
+compared byte for byte.
+
+``CASES`` names each invocation; ``tests/golden/cli_corpus.json`` holds the
+argv, exit code and stdout recorded for it.  ``{golden}`` in an argv stands
+for the ``tests/golden`` directory, where the Reiter function files live.
+The ``_edge_`` cases sit on either side of the smallest budget that still
+gives an answer, so a change in what a budget step costs shows up there.
+
+Re-record only for an intended change of output, and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from folnerlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = GOLDEN / "cli_corpus.json"
+
+Z2_D = "(1,0),(0,1)"
+
+CASES = {
+    # folner-search: ball phase, certificates and the exact UNKNOWN edge
+    "search_z1": ["folner-search", "--group", "zd:1", "--d", "+1,-1", "--n", "3"],
+    "search_z1_edge_unknown": ["folner-search", "--group", "zd:1", "--d", "+1,-1",
+                               "--n", "3", "--budget", "10"],
+    "search_z1_edge_ok": ["folner-search", "--group", "zd:1", "--d", "+1,-1",
+                          "--n", "3", "--budget", "11"],
+    "search_z2": ["folner-search", "--group", "zd:2", "--d", Z2_D, "--n", "2"],
+    "search_z2_edge_unknown": ["folner-search", "--group", "zd:2", "--d", Z2_D,
+                               "--n", "2", "--budget", "62"],
+    "search_z2_edge_ok": ["folner-search", "--group", "zd:2", "--d", Z2_D,
+                          "--n", "2", "--budget", "63"],
+    "search_z3": ["folner-search", "--group", "zd:3", "--d", "(1,0,0),(0,0,1)",
+                  "--n", "2"],
+    "search_lamp": ["folner-search", "--group", "lamplighter", "--d", "s,t",
+                    "--n", "2"],
+    "search_lamp_edge_unknown": ["folner-search", "--group", "lamplighter",
+                                 "--d", "s,t", "--n", "2", "--budget", "13"],
+    "search_cyclic_whole": ["folner-search", "--group", "cyclic:12", "--d", "1",
+                            "--n", "100"],
+    "search_cyclic_edge_unknown": ["folner-search", "--group", "cyclic:12",
+                                   "--d", "1", "--n", "100", "--budget", "80"],
+    "search_identity": ["folner-search", "--group", "free:2", "--d", "e",
+                        "--n", "7"],
+    "search_free_unknown": ["folner-search", "--group", "free:2",
+                            "--d", "a,a^-1,b,b^-1", "--n", "4", "--budget", "2000"],
+    # folner-function: exact minima, the orbit bound, and UNKNOWN
+    "function_z1_n5": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "5"],
+    "function_z1_n4": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "4"],
+    "function_z1_small_unknown": ["folner-function", "--group", "zd:1", "--d", "+1",
+                                  "--n", "5", "--budget", "10"],
+    "function_cyclic_orbit": ["folner-function", "--group", "cyclic:12", "--d", "1",
+                              "--n", "100"],
+    "function_cyclic_small_unknown": ["folner-function", "--group", "cyclic:12",
+                                      "--d", "1", "--n", "100", "--budget", "12"],
+    "function_lamp_torsion": ["folner-function", "--group", "lamplighter", "--d", "s",
+                              "--n", "5"],
+    "function_lamp_small_unknown": ["folner-function", "--group", "lamplighter",
+                                    "--d", "s,t", "--n", "3", "--budget", "5"],
+    "function_identity": ["folner-function", "--group", "free:2", "--d", "e",
+                          "--n", "9", "--budget", "1"],
+    "function_z2_unknown": ["folner-function", "--group", "zd:2", "--d", Z2_D,
+                            "--n", "2"],
+    # folner-seq
+    "seq_z1": ["folner-seq", "--group", "zd:1", "--n", "3"],
+    "seq_lamp": ["folner-seq", "--group", "lamplighter", "--n", "2"],
+    "seq_lamp_unknown": ["folner-seq", "--group", "lamplighter", "--n", "2",
+                         "--budget", "7"],
+    # reiter-check
+    "reiter_interval": ["reiter-check", "--group", "zd:1", "--d", "+1,-1", "--n", "2",
+                        "--fn", "{golden}/fn_z_interval5.json"],
+    "reiter_tent": ["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "1",
+                    "--fn", "{golden}/fn_z_tent.json"],
+    # kappa: verdicts, the exact UNKNOWN edge, and a weighted function
+    "kappa_invariant": ["kappa", "--group", "redundant-z", "--d", "x", "--n", "3",
+                        "--fn", "{golden}/fn_rz_powers6.json"],
+    "kappa_not_invariant": ["kappa", "--group", "redundant-z", "--d", "x", "--n", "4",
+                            "--fn", "{golden}/fn_rz_powers6.json"],
+    "kappa_mixed_invariant": ["kappa", "--group", "redundant-z", "--d", "x",
+                              "--n", "4", "--fn", "{golden}/fn_rz_mixed10.json"],
+    "kappa_mixed_not_invariant": ["kappa", "--group", "redundant-z", "--d", "x",
+                                  "--n", "10", "--fn", "{golden}/fn_rz_mixed10.json"],
+    "kappa_mixed_small_unknown": ["kappa", "--group", "redundant-z", "--d", "x",
+                                  "--n", "4", "--budget", "3",
+                                  "--fn", "{golden}/fn_rz_mixed10.json"],
+    "kappa_mixed_edge_unknown": ["kappa", "--group", "redundant-z", "--d", "x",
+                                 "--n", "4", "--budget", "2258",
+                                 "--fn", "{golden}/fn_rz_mixed10.json"],
+    "kappa_mixed_edge_ok": ["kappa", "--group", "redundant-z", "--d", "x",
+                            "--n", "4", "--budget", "2259",
+                            "--fn", "{golden}/fn_rz_mixed10.json"],
+    "kappa_weighted": ["kappa", "--group", "redundant-z", "--d", "x,y^-1", "--n", "2",
+                       "--fn", "{golden}/fn_rz_weighted.json"],
+    # wp-from-folner
+    "wp_z2_true": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1),(1,1)"],
+    "wp_z2_false": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1),(2,2)"],
+    "wp_z2_identity": ["wp-from-folner", "--group", "zd:2", "--d", "(0,0),(0,0),(0,0)"],
+    "wp_z2_far": ["wp-from-folner", "--group", "zd:2", "--d", "(3,-2),(-1,4),(2,2)"],
+    "wp_z1_true": ["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,-3"],
+    "wp_z1_false": ["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,+3"],
+    # harem-demo, paradox, paradox-verify
+    "harem_free2": ["harem-demo", "--group", "free:2", "--k", "e,a,a^-1,b,b^-1",
+                    "--steps", "4"],
+    "paradox_bare": ["paradox", "--group", "free:2", "--k0", "a,a^-1,b,b^-1",
+                     "--n", "1"],
+    "paradox_verify3": ["paradox-verify", "--group", "free:2", "--k0",
+                        "a,a^-1,b,b^-1", "--n", "1", "--verify", "3"],
+    # witness and restrict-folner
+    "witness_free": ["witness", "--group", "free:2", "--k", "a,b"],
+    "witness_lamp": ["witness", "--group", "lamplighter", "--k", "s,t"],
+    "witness_z2_abelian": ["witness", "--group", "zd:2", "--k", Z2_D],
+    "witness_z1_refuted": ["witness", "--group", "zd:1", "--k", "+1", "--n", "5",
+                           "--size-bound", "5"],
+    "witness_z1_refute_budget": ["witness", "--group", "zd:1", "--k", "+1",
+                                 "--n", "5", "--size-bound", "5", "--budget", "20"],
+    "witness_free_none_found": ["witness", "--group", "free:2", "--k", "a,b",
+                                "--n", "4", "--size-bound", "2"],
+    "restrict_z2": ["restrict-folner", "--group", "zd:2", "--k", "(1,0)", "--n", "3"],
+    "restrict_z2_unknown": ["restrict-folner", "--group", "zd:2", "--k", "(1,0)",
+                            "--n", "3", "--budget", "6"],
+    "restrict_z2_two": ["restrict-folner", "--group", "zd:2", "--k", "(1,0),(0,2)",
+                        "--n", "1"],
+    # exit 3: precondition violations
+    "err3_kappa_computable": ["kappa", "--group", "zd:1", "--d", "+1", "--n", "2",
+                              "--fn", "{golden}/fn_z_interval5.json"],
+    "err3_wp_ce_group": ["wp-from-folner", "--group", "redundant-z", "--d", "x,y,xy"],
+    "err3_wp_free_search_exhausted": ["wp-from-folner", "--group", "free:2",
+                                      "--d", "a,b,ab", "--budget", "500"],
+    "err3_restrict_lamp": ["restrict-folner", "--group", "lamplighter", "--k", "t",
+                           "--n", "1"],
+    "err3_folner_ce_group": ["folner-search", "--group", "redundant-z", "--d", "x",
+                             "--n", "2"],
+    # exit 4: malformed input
+    "err4_spec": ["folner-search", "--group", "nope:3", "--d", "+1", "--n", "2"],
+    "err4_element": ["folner-search", "--group", "zd:1", "--d", "qq", "--n", "2"],
+    "err4_missing_k": ["witness", "--group", "zd:1"],
+    "err4_wp_arity": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1)"],
+    "err4_verify_zero": ["paradox-verify", "--group", "free:2", "--k0", "a,b",
+                         "--n", "1"],
+    "err4_budget_zero": ["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2",
+                         "--budget", "0"],
+    "err4_n_zero": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "0"],
+    "err4_missing_fn": ["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "2"],
+}
+
+
+def _argv(name):
+    return [a.replace("{golden}", str(GOLDEN)) for a in CASES[name]] + ["--json"]
+
+
+def _invoke(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(_argv(name))
+    return code, out.getvalue()
+
+
+def _recorded():
+    return json.loads(CORPUS.read_text())
+
+
+def test_corpus_covers_every_case():
+    recorded = _recorded()
+    assert sorted(recorded) == sorted(CASES)
+    for name, argv in CASES.items():
+        assert recorded[name]["argv"] == argv, name
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli(name):
+    expected = _recorded()[name]
+    code, stdout = _invoke(name)
+    assert code == expected["exit"]
+    assert stdout == expected["stdout"]
+
+
+def _record():
+    corpus = {}
+    for name in sorted(CASES):
+        code, stdout = _invoke(name)
+        corpus[name] = {"argv": CASES[name], "exit": code, "stdout": stdout}
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_cli_golden.py --record")
+    _record()
