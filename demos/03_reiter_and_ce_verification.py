@@ -11,7 +11,7 @@ makes an early success sound.
 from folnerlab import Budget, make_group
 from folnerlab.folner import (
     ReiterFunction,
-    SupportPartition,
+    UnionFind,
     partition_defect,
     reiter_defect,
     verify_invariance_ce,
@@ -29,16 +29,14 @@ rz = make_group("redundant-z")
 xw = parse_element(rz, "x")
 yx = parse_element(rz, "yx")
 f = ReiterFunction.characteristic((xw, yx))
-shifted = {rz.mult(xw, v) for v in f.support}
-fine = SupportPartition.finest(set(f.support) | shifted)
-merged = SupportPartition(
-    (frozenset([xw]), frozenset([yx, rz.mult(xw, xw)]),
-     frozenset([rz.mult(xw, yx)]))
-)
+# a union-find starts with every code in its own block and is itself the
+# code -> block map that partition_defect reads
+part = UnionFind()
 print("\npartition defects on redundant-z (support {x, yx}, shift x):")
-print("  finest partition:", partition_defect(f, fine, xw, rz.mult))
+print("  finest partition:", partition_defect(f, part, xw, rz.mult))
+part.union(yx, rz.mult(xw, xw))
 print("  after merging the value-2 fiber:",
-      partition_defect(f, merged, xw, rz.mult), "(halved)")
+      partition_defect(f, part, xw, rz.mult), "(halved)")
 
 words = ["", "y", "yx", "yxx", "x^4", "x^5", "x^6", "x^7", "x^8", "x^9"]
 codes = tuple(sorted(parse_element(rz, w) for w in words))

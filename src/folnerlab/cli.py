@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .budget import Budget, UNKNOWN
 from .folner import (
@@ -34,7 +35,9 @@ from .groups import (
     MalformedSpecError,
     PreconditionError,
     make_group,
+    parse_element,
     parse_elements,
+    split_element_list,
 )
 from .harem import (
     InternalInfeasibleError,
@@ -46,10 +49,10 @@ from .harem import (
 from .paradox import (
     KeyNotInKError,
     build_decomposition,
+    cayley_bipartite,
     verify_decomposition_prefix,
 )
 from .witness import (
-    NONE_FOUND,
     SubgroupRestrictionError,
     UnsupportedFamilyError,
     decide_witness_commutation,
@@ -180,8 +183,6 @@ def _run(args) -> tuple[int, dict]:
         D = _elements(g, args.d, "d")
         f = _load_reiter(args.fn)
         defects = reiter_defect(g, f, D)
-        from fractions import Fraction
-
         ok = all(d < Fraction(1, args.n) for d in defects.values())
         return EXIT_OK, {
             "invariant": ok,
@@ -203,8 +204,6 @@ def _run(args) -> tuple[int, dict]:
 
     if args.command == "wp-from-folner":
         # the three words keep their order; parse without sorting
-        from .groups import parse_element, split_element_list
-
         parts = split_element_list(args.d or "")
         if len(parts) != 3:
             raise _CliError(EXIT_MALFORMED, "wp-from-folner needs exactly 3 elements")
@@ -218,8 +217,6 @@ def _run(args) -> tuple[int, dict]:
         return EXIT_OK, {"equal": equal, "triple": codes}
 
     if args.command == "harem-demo":
-        from .paradox import cayley_bipartite
-
         K = _elements(g, args.k, "k")
         gamma = cayley_bipartite(g, K)
         st = harem_new(gamma, linear_witness(1), 1)
@@ -257,12 +254,8 @@ def _run(args) -> tuple[int, dict]:
         verdict = decide_witness_commutation(g, K)
         report = verdict.to_json_dict()
         if args.n > 0:
-            found = refute_witness_bounded(
-                g, K, args.n, getattr(args, "size_bound"), budget
-            )
-            report["refutation"] = (
-                None if found is NONE_FOUND else found.to_json_dict()
-            )
+            found = refute_witness_bounded(g, K, args.n, args.size_bound, budget)
+            report["refutation"] = None if found is UNKNOWN else found.to_json_dict()
         return EXIT_OK, report
 
     if args.command == "restrict-folner":
@@ -308,7 +301,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except (MalformedSpecError,) as exc:
+    except MalformedSpecError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MALFORMED
     except (

@@ -3,14 +3,18 @@ problem from a Folner oracle.
 
 All ratios are exact ``fractions.Fraction``; a set F is n-Folner with
 respect to D when every translate defect |F \\ xF| / |F| is at most 1/n
-(ties count, the inequality is non-strict).
+(ties count, the inequality is non-strict).  One function,
+:func:`translate_defects`, computes these defects; the searches use its
+early-exit integer form.  The searches draw their candidate sets from the
+balls of :func:`folnerlab.groups.ball_layers`.
 
 The invariance verifier for c.e. groups works on the signed transport
 measure of a finitely supported function: each support code v carries mass
-+f(v) and its shift x*v carries -f(v).  Grouping that measure by the code
-partition and summing block totals in absolute value is monotone under
-merging and equals the exact l1 shift defect once blocks are full fibers
-of the numbering, which is what makes the merge procedure sound.
++f(v) and its shift x*v carries -f(v).  Grouping that measure by a code
+partition (:func:`partition_defect`) and summing block totals in absolute
+value is monotone under merging and equals the exact l1 shift defect once
+blocks are full fibers of the numbering, which is what makes the merge
+procedure sound.  The verifier keeps its partition in a :class:`UnionFind`.
 """
 
 from __future__ import annotations
@@ -19,17 +23,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .budget import Budget, UNKNOWN
 from .groups import (
     CE,
     COMPUTABLE,
+    CEView,
     GroupOracle,
     PreconditionError,
     ZdOracle,
-    ball,
+    ball_layers,
     canonical_subset,
+    cantor_pair,
     subset_decode,
 )
 
@@ -114,79 +118,27 @@ class ReiterFunction:
         return cls(tuple(data["support"]), values)
 
 
-@dataclass(frozen=True)
-class SupportPartition:
-    """Partition of a finite code set into disjoint non-empty blocks."""
-
-    blocks: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty block in partition")
-            if seen & b:
-                raise ValueError("blocks are not disjoint")
-            seen |= b
-        object.__setattr__(self, "_domain", frozenset(seen))
-
-    @property
-    def domain(self) -> frozenset:
-        return self._domain
-
-    @classmethod
-    def finest(cls, codes) -> "SupportPartition":
-        return cls(tuple(frozenset([c]) for c in sorted(set(codes))))
-
-    @classmethod
-    def by_key(cls, codes, key) -> "SupportPartition":
-        groups: dict = {}
-        for c in sorted(set(codes)):
-            groups.setdefault(key(c), set()).add(c)
-        return cls(tuple(frozenset(g) for _, g in sorted(groups.items())))
-
-    def is_refinement_of(self, other: "SupportPartition") -> bool:
-        """True when every block here is contained in a block of ``other``."""
-        if self.domain != other.domain:
-            return False
-        where = {}
-        for i, b in enumerate(other.blocks):
-            for c in b:
-                where[c] = i
-        return all(len({where[c] for c in b}) == 1 for b in self.blocks)
-
-
 # ---------------------------------------------------------------------------
 # Folner verification
 
 
-def _translate_defect(g, F_set, size, x, meter=None):
-    if meter is not None and not meter.charge(size):
-        return None
-    xF = {g.mult(x, f) for f in F_set}
-    return Fraction(len(F_set - xF), size)
+def translate_defects(g: GroupOracle, F, D, n: int | None = None):
+    """Exact translate defects |F \\ xF| / |F| for every x in D, as a map.
 
-
-def _all_defects(g, F, D, meter=None):
+    With ``n``, the early-exit form the searches use instead: True when
+    every defect is at most 1/n, False at the first x with n |F \\ xF| > |F|,
+    comparing integers and building no Fraction.
+    """
     F_set = set(F)
-    out = {}
+    size = len(F_set)
+    defects = {}
     for x in D:
-        d = _translate_defect(g, F_set, len(F), x, meter)
-        if d is None:
-            return None
-        out[x] = d
-    return out
-
-
-def _check_candidate(g, F, D, n) -> bool:
-    """Defect check with early exit, no defect map materialised."""
-    F_set = set(F)
-    size = len(F)
-    for x in D:
-        xF = {g.mult(x, f) for f in F_set}
-        if n * len(F_set - xF) > size:
+        missing = len(F_set - {g.mult(x, f) for f in F_set})
+        if n is None:
+            defects[x] = Fraction(missing, size)
+        elif n * missing > size:
             return False
-    return True
+    return defects if n is None else True
 
 
 def is_n_folner(g: GroupOracle, F, D, n: int):
@@ -198,7 +150,7 @@ def is_n_folner(g: GroupOracle, F, D, n: int):
     F = canonical_subset(F)
     if not F:
         raise EmptySetError("F must be non-empty")
-    defects = _all_defects(g, F, D)
+    defects = translate_defects(g, F, D)
     bound = Fraction(1, n)
     return all(d <= bound for d in defects.values()), defects
 
@@ -206,23 +158,13 @@ def is_n_folner(g: GroupOracle, F, D, n: int):
 def is_n_folner_complement(g: GroupOracle, F, D, n: int) -> bool:
     """The intersection form |F & xF|/|F| > 1 - 1/n, strict as printed.
 
-    Agrees with :func:`is_n_folner` except on sets with a defect of exactly
-    1/n, where the two printed inequalities genuinely differ.
+    Since |F & xF| = |F| - |F \\ xF|, this says every defect is strictly
+    below 1/n.  It agrees with :func:`is_n_folner` except on sets with a
+    defect of exactly 1/n, where the two printed inequalities genuinely
+    differ.
     """
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("requires a COMPUTABLE-mode oracle")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    F = canonical_subset(F)
-    if not F:
-        raise EmptySetError("F must be non-empty")
-    F_set = set(F)
-    threshold = 1 - Fraction(1, n)
-    for x in D:
-        xF = {g.mult(x, f) for f in F_set}
-        if not Fraction(len(F_set & xF), len(F)) > threshold:
-            return False
-    return True
+    _, defects = is_n_folner(g, F, D, n)
+    return all(d < Fraction(1, n) for d in defects.values())
 
 
 def certificate(g: GroupOracle, F, D, n: int) -> FolnerCertificate:
@@ -236,32 +178,12 @@ def certificate(g: GroupOracle, F, D, n: int) -> FolnerCertificate:
 # search
 
 
-def _metered_ball_growth(g, D, max_radius, meter):
-    """Balls of growing radius with construction charged to the meter;
-    yields None once the budget cannot pay for the next expansion."""
-    if not D:
-        yield (g.identity,)
-        return
-    step = set(D) | {g.inv(x) for x in D} | {g.identity}
-    seen = {g.identity}
-    frontier = {g.identity}
-    yield (g.identity,)
-    for _ in range(max_radius):
-        if not meter.charge(len(step) * len(frontier)):
-            yield None
-            return
-        frontier = {g.mult(a, s) for a in step for s in frontier} - seen
-        if not frontier:
-            return
-        seen |= frontier
-        yield tuple(sorted(seen))
-
-
 def _subset_candidates(g, D, n, meter):
     """Fixed candidate order: balls of growing radius, then the Goedel
     enumeration of all finite subsets (bitmask coding).  Yields None when
     the meter cannot pay for the next candidate's construction."""
-    yield from _metered_ball_growth(g, D, n + len(D) + 16, meter)
+    # the balls of radius 0 .. n + |D| + 16
+    yield from itertools.islice(ball_layers(g, D, meter), n + len(D) + 17)
     limit = g.element_count
     for mask in itertools.count(1):
         F = subset_decode(mask)
@@ -275,8 +197,8 @@ def _subset_candidates(g, D, n, meter):
 def search_folner(g: GroupOracle, D, n: int, b: Budget):
     """First n-Folner certificate in the fixed candidate order, or UNKNOWN.
 
-    Budget counts multiplication-oracle calls, both for candidate-ball
-    construction and for the |F| x |D| translate checks.
+    Budget counts multiplication-oracle calls: each ball layer is paid for
+    before it is built, then each candidate F costs |F| x max(1, |D|).
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("search_folner requires a COMPUTABLE-mode oracle")
@@ -285,34 +207,11 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     for F in _subset_candidates(g, D, n, meter):
         if F is None:
             return UNKNOWN
-        if not F:
-            continue
         if not meter.charge(len(F) * max(1, len(D))):
             return UNKNOWN
-        if _check_candidate(g, F, D, n):
+        if translate_defects(g, F, D, n):
             return certificate(g, F, D, n)
     return UNKNOWN
-
-
-def _subgroup_size_capped(g, D_eff, cap, meter) -> int | None:
-    """|<D>| if it is < cap, else None (also None on budget exhaustion)."""
-    gens = set(D_eff) | {g.inv(x) for x in D_eff}
-    seen = {g.identity}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for a in gens:
-                if not meter.charge():
-                    return None
-                e = g.mult(a, s)
-                if e not in seen:
-                    seen.add(e)
-                    if len(seen) >= cap:
-                        return None
-                    nxt.append(e)
-        frontier = nxt
-    return len(seen)
 
 
 def folner_function(g: GroupOracle, D, n: int, b: Budget):
@@ -320,9 +219,12 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
 
     The lower bound comes from an orbit argument: a set smaller than n must
     have all defects zero, hence be a union of right cosets of <D>, so its
-    size is at least |<D>|.  When the size-ordered scan over subsets of
+    size is at least |<D>|; when the balls of <D> stop growing below n,
+    <D> itself is the answer.  When the size-ordered scan over subsets of
     growing balls finds a certificate matching the lower bound, minimality
     is proved; otherwise the search returns UNKNOWN on budget exhaustion.
+    Budget counts ``mult`` calls building the balls, s x |D| per candidate
+    of size s, and one step per size.
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("folner_function requires a COMPUTABLE-mode oracle")
@@ -333,37 +235,27 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     D_eff = tuple(x for x in D if g.canon(x) != g.identity)
     if not D_eff:
         return 1
-    h = _subgroup_size_capped(g, D_eff, n, meter)
-    if h is not None and h < n:
-        return h
-    lower = n
-    balls: list[tuple[int, ...]] = []
-
-    def ball_upto(r):
-        while len(balls) <= r:
-            nxt = ball(g, D_eff, len(balls))
-            if not meter.charge(len(nxt)):
-                return None
-            if balls and nxt == balls[-1]:
-                balls.append(balls[-1])
-            else:
-                balls.append(nxt)
-        return balls[r]
-
-    for s in itertools.count(lower):
+    layers = ball_layers(g, D_eff, meter)
+    balls = [next(layers)]
+    for s in itertools.count(n):
         for r in range(1, s + 1):
-            U = ball_upto(r)
-            if U is None:
-                return UNKNOWN
-            if r > 1 and U == balls[r - 1]:
-                break
+            if r == len(balls):
+                U = next(layers, ())
+                if U is None:
+                    return UNKNOWN
+                if not U:  # the balls stopped growing: they are <D>
+                    if len(balls[-1]) < n:
+                        return len(balls[-1])
+                    break
+                balls.append(U)
+            U = balls[r]
             if len(U) < s:
                 continue
             for F in itertools.combinations(U, s):
                 if not meter.charge(s * len(D)):
                     return UNKNOWN
-                if _check_candidate(g, F, D, n):
-                    return s if s == lower else UNKNOWN
+                if translate_defects(g, F, D, n):
+                    return s if s == n else UNKNOWN
         if not meter.charge(1):
             return UNKNOWN
 
@@ -405,54 +297,55 @@ def reiter_defect(g: GroupOracle, f: ReiterFunction, D) -> dict[int, Fraction]:
     return out
 
 
-def _transport_measure(f: ReiterFunction, x: int, star) -> dict[int, Fraction]:
-    sigma: dict[int, Fraction] = {}
-    for v, q in f.values.items():
-        sigma[v] = sigma.get(v, Fraction(0)) + q
-        w = star(x, v)
-        sigma[w] = sigma.get(w, Fraction(0)) - q
-    return sigma
+class UnionFind:
+    """Partition of integer codes into blocks, all singletons at first.
 
-
-def partition_defect(
-    f: ReiterFunction, partition: SupportPartition, x: int, star
-) -> Fraction:
-    """Blockwise l1 defect of f under a partition, exact rational.
-
-    The partition must cover the support together with its x-shifted image
-    (codes ``star(x, v)``); extra codes in blocks are harmless.  The value
-    is monotone non-increasing under coarsening and equals the true shift
-    defect of the pushforward once the blocks are full numbering fibers.
+    ``uf[c]`` is the block of code c, named by its smallest member, so the
+    structure is itself the code -> block map that :func:`partition_defect`
+    reads.
     """
-    sigma = _transport_measure(f, x, star)
-    missing = set(sigma) - partition.domain
-    if missing:
-        raise ValueError(
-            "partition must cover the shifted support; missing %r" % sorted(missing)
-        )
-    num = Fraction(0)
-    for block in partition.blocks:
-        num += abs(sum((sigma.get(w, Fraction(0)) for w in block), Fraction(0)))
-    return num / f.total()
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent.get(root, root) != root:
+            root = self.parent[root]
+        while self.parent.get(x, x) != x:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    __getitem__ = find
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the blocks of a and b; False when they were one block."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra > rb:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
 
 
-class _MergePartition:
-    """Union-find partition with block views, for the merge verifier."""
+def partition_defect(f: ReiterFunction, block_of, x: int, star) -> Fraction:
+    """Blockwise l1 defect of f under a partition of codes, exact rational.
 
-    def __init__(self, codes):
-        self.block_of = {c: i for i, c in enumerate(sorted(codes))}
-        self.blocks = {i: {c} for c, i in self.block_of.items()}
-
-    def merge(self, a: int, b: int):
-        ia, ib = self.block_of[a], self.block_of[b]
-        if len(self.blocks[ia]) < len(self.blocks[ib]):
-            ia, ib = ib, ia
-        for c in self.blocks[ib]:
-            self.block_of[c] = ia
-        self.blocks[ia] |= self.blocks.pop(ib)
-
-    def as_sets(self) -> frozenset:
-        return frozenset(frozenset(b) for b in self.blocks.values())
+    ``block_of[c]`` names the block of code c; it must cover the support
+    together with its x-shifted image (codes ``star(x, v)``).  Each support
+    code v carries mass +f(v) and star(x, v) carries -f(v); the value is the
+    sum over blocks of the absolute block totals, over the total mass.  It
+    is monotone non-increasing under merging blocks and equals the true
+    shift defect of the pushforward once the blocks are full numbering
+    fibers.
+    """
+    mass: dict[int, Fraction] = {}
+    for v, q in f.values.items():
+        for w, m in ((v, q), (star(x, v), -q)):
+            block = block_of[w]
+            mass[block] = mass.get(block, Fraction(0)) + m
+    return sum(map(abs, mass.values()), Fraction(0)) / f.total()
 
 
 def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget):
@@ -460,57 +353,40 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
 
     Starts from the finest partition of the support and its D-shifted
     image, consumes the equal-codes enumeration, and merges the two blocks
-    that split an enumerated pair.  After each merge the blockwise defects
+    that split an enumerated pair.  After each merge the partition defects
     are tested against 1/n for every x in D: success is INVARIANT (sound,
     since the blockwise value only shrinks toward the true defect), failure
     at the full fiber partition is NOT_INVARIANT, and budget exhaustion is
-    UNKNOWN.  Budget counts enumeration entries consumed.  The fiber
-    partition used as the stopping certificate comes from the oracle's
-    internal canonical forms.
+    UNKNOWN.  Budget counts enumeration entries consumed.  Merges only join
+    enumerated-equal codes, so the partition always refines the fiber
+    partition and reaches it exactly when it has as many blocks; the fiber
+    count comes from the oracle's internal canonical forms.
     """
     if g.mode != CE:
         raise PreconditionError("verify_invariance_ce requires a CE-mode oracle")
     D = canonical_subset(D)
-    sigmas = {x: _transport_measure(f, x, g.mult) for x in D}
-    codes = set()
-    for s in sigmas.values():
-        codes |= set(s)
-    codes |= set(f.support)
-    part = _MergePartition(codes)
-    canonical = frozenset(
-        frozenset(c for c in codes if g.canon(c) == key)
-        for key in {g.canon(c) for c in codes}
-    )
+    codes = set(f.support)
+    for x in D:
+        codes.update(g.mult(x, v) for v in f.support)
+    part = UnionFind()
+    blocks = len(codes)
+    fibers = len({g.canon(c) for c in codes})
     bound = Fraction(1, n)
-    total = f.total()
 
     def passes() -> bool:
-        for x in D:
-            sigma = sigmas[x]
-            acc: dict[int, Fraction] = {}
-            for w, q in sigma.items():
-                i = part.block_of[w]
-                acc[i] = acc.get(i, Fraction(0)) + q
-            if sum((abs(q) for q in acc.values()), Fraction(0)) > bound * total:
-                return False
-        return True
+        return all(partition_defect(f, part, x, g.mult) <= bound for x in D)
 
     if passes():
         return "INVARIANT"
-    if part.as_sets() == canonical:
+    if blocks == fibers:
         return "NOT_INVARIANT"
     for m in range(b.steps):
         n1, n2 = g.eq_enum(m)
-        if (
-            n1 != n2
-            and n1 in part.block_of
-            and n2 in part.block_of
-            and part.block_of[n1] != part.block_of[n2]
-        ):
-            part.merge(n1, n2)
+        if n1 in codes and n2 in codes and part.union(n1, n2):
+            blocks -= 1
             if passes():
                 return "INVARIANT"
-            if part.as_sets() == canonical:
+            if blocks == fibers:
                 return "NOT_INVARIANT"
     return UNKNOWN
 
@@ -535,7 +411,7 @@ def extract_folner_from_reiter(g: GroupOracle, h: ReiterFunction, D, n: int):
         F = tuple(sorted(v for v, q in p.items() if q > eps))
         if not F:
             continue
-        ds = _all_defects(g, F, D)
+        ds = translate_defects(g, F, D)
         if all(d < bound for d in ds.values()):
             return F
     raise NoLevelSetError("no level set met the bound; implementation bug")
@@ -561,7 +437,7 @@ def box_folner(g: ZdOracle, D, n: int) -> tuple[int, ...]:
 
 def folner_oracle(g: GroupOracle, budget: Budget | None = None):
     """(n, D) -> F oracle: analytic boxes for zd, otherwise search."""
-    base = g.base if hasattr(g, "base") else g
+    base = g.base if isinstance(g, CEView) else g
     if isinstance(base, ZdOracle):
         return lambda n, D: box_folner(base, D, n)
     budget = budget or Budget(10**6)
@@ -575,81 +451,50 @@ def folner_oracle(g: GroupOracle, budget: Budget | None = None):
     return from_search
 
 
-_BATCH_SAFE_LIMIT = 1 << 48  # float64 sqrt is exact to +-1 ulp well below this
-
-
-def _unpair_batch(start: int, stop: int):
-    ms = np.arange(start, stop, dtype=np.int64)
-    t = 8 * ms + 1
-    s = np.sqrt(t.astype(np.float64)).astype(np.int64)
-    s -= (s * s > t).astype(np.int64)
-    s += ((s + 1) * (s + 1) <= t).astype(np.int64)
-    w = (s - 1) // 2
-    y = ms - w * (w + 1) // 2
-    x = w - y
-    return x, y
-
-
 def decide_mult_from_folner(g: GroupOracle, folner, n1: int, n2: int, n3: int) -> bool:
-    """Decide whether the product of codes n1 and n2 equals n3, consuming
-    the multiplication-table enumeration of a CE oracle.
+    """Decide whether the product n1 * n2 of codes equals n3, reading the
+    multiplication-table enumeration of a CE oracle.
 
-    The Folner oracle supplies a 4-Folner set F for D = {n1, n2, n3}; the
-    enumeration is scanned for triples d * f_i = f_j with both sides in F,
-    growing one partial injection per element of D, until each injection
-    covers more than 3/4 of F.  The answer is whether some start index
-    chains consistently through the n1- and n2-graphs onto the n3-graph
-    (non-empty in the true case, empty in the false case).  Termination is
-    guaranteed by the density of the injections; no budget applies.
+    The Folner oracle supplies a 4-Folner set F for D = {n1, n2, n3}.  Each
+    entry (d, f, d * f) with d in D and f, d * f in F extends a partial
+    injection of F for d, until each injection covers more than 3/4 of F.
+    The answer is whether some f chains through the n2-graph, then the
+    n1-graph, onto the n3-graph: n1 * (n2 * f) = n3 * f.  The density bound
+    makes such a chain exist in the true case; in the false case none does.
+
+    A :class:`CEView` lists (i, j, i * j) at index cantor_pair(i, j), so
+    only the |D| x |F| entries with i in D and j in F are read, in
+    ascending index order; if they run out before the injections are dense
+    enough, F was not 4-Folner and PreconditionError is raised.  Any other
+    CE oracle's enumeration is scanned from index 0, with no budget.
     """
     if g.mode != CE:
         raise PreconditionError("decide_mult_from_folner consumes a CE oracle")
     D = canonical_subset({n1, n2, n3})
     F = canonical_subset(folner(4, D))
-    k = len(F)
     pos = {f: i for i, f in enumerate(F)}
     graphs: dict[int, dict[int, int]] = {d: {} for d in D}
-    threshold = Fraction(3 * k, 4)
 
     def done() -> bool:
-        return all(len(graphs[d]) > threshold for d in D)
+        return all(4 * len(graphs[d]) > 3 * len(F) for d in D)
 
-    def record(i: int, j: int):
-        if i in graphs and j in pos:
-            k3 = g.mult(i, j)
-            if k3 in pos:
-                graphs[i][pos[j]] = pos[k3]
-
-    if hasattr(g, "multt_enum_pair"):
-        maxF = F[-1]
-        lookup = np.zeros(maxF + 1, dtype=bool)
-        lookup[list(F)] = True
-        d_arr = np.array(sorted(graphs), dtype=np.int64)
-        start = 0
-        chunk = 1 << 16
-        while not done() and start < _BATCH_SAFE_LIMIT:
-            xs, ys = _unpair_batch(start, start + chunk)
-            mask = np.isin(xs, d_arr) & (ys <= maxF)
-            mask &= lookup[np.where(ys <= maxF, ys, 0)]
-            for idx in np.nonzero(mask)[0]:
-                record(int(xs[idx]), int(ys[idx]))
-            start += chunk
-        m = start
-        while not done():  # exact fallback past the vectorised range
-            i, j = g.multt_enum_pair(m)
-            record(i, j)
-            m += 1
+    if isinstance(g, CEView):
+        entries = sorted(cantor_pair(d, f) for d in D for f in F)
     else:
-        m = 0
-        while not done():
-            i, j, prod = g.multt_enum(m)
-            if i in graphs and j in pos and prod in pos:
-                graphs[i][pos[j]] = pos[prod]
-            m += 1
-
+        entries = itertools.count()
+    for m in entries:
+        if done():
+            break
+        i, j, prod = g.multt_enum(m)
+        if i in graphs and j in pos and prod in pos:
+            graphs[i][pos[j]] = pos[prod]
+    if not done():
+        raise PreconditionError(
+            "the Folner oracle's set is not 4-Folner for %r" % (D,)
+        )
     s1, s2, s3 = graphs[n1], graphs[n2], graphs[n3]
-    for i, j1 in s1.items():
-        j2 = s2.get(j1)
-        if j2 is not None and s3.get(i) == j2:
+    for i, j in s2.items():
+        k = s1.get(j)
+        if k is not None and s3.get(i) == k:
             return True
     return False

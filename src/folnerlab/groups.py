@@ -23,6 +23,7 @@ Codings are fixed so that certificates are reproducible:
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -464,10 +465,6 @@ class CEView(GroupOracle):
         i, j = cantor_unpair(m)
         return i, j, self.base.mult(i, j)
 
-    def multt_enum_pair(self, m: int) -> tuple[int, int]:
-        """First two components of the m-th entry, without evaluating the product."""
-        return cantor_unpair(m)
-
     def eq_enum(self, m: int) -> tuple[int, int]:
         return m, m
 
@@ -502,14 +499,6 @@ def make_group(spec: str) -> GroupOracle:
     return CyclicOracle(num)
 
 
-def mult(g: GroupOracle, x: int, y: int) -> int:
-    return g.mult(x, y)
-
-
-def inv(g: GroupOracle, x: int) -> int:
-    return g.inv(x)
-
-
 def eq_semidecide(g: GroupOracle, x: int, y: int, b: Budget):
     """Scan the equal-codes enumeration for (x, y); EQUAL or UNKNOWN.
 
@@ -528,21 +517,37 @@ def eq_semidecide(g: GroupOracle, x: int, y: int, b: Budget):
     return UNKNOWN
 
 
+def ball_layers(g: GroupOracle, gens, meter=None):
+    """Balls of radius 0, 1, 2, ... in the subgroup generated by gens, as
+    sorted code tuples, until they stop growing.
+
+    Each ball adds the products a * s of a step a (a generator, an inverse
+    or the identity) with a code s new in the previous ball.  With a meter,
+    each layer is charged one step per such ``mult`` call before it is
+    built; once the meter cannot pay, the generator yields None and stops.
+    """
+    step = {g.identity, *gens, *(g.inv(x) for x in gens)}
+    seen = {g.identity}
+    frontier = {g.identity} if gens else set()
+    yield (g.identity,)
+    while frontier:
+        if meter is not None and not meter.charge(len(step) * len(frontier)):
+            yield None
+            return
+        frontier = {g.mult(a, s) for a in step for s in frontier} - seen
+        if frontier:
+            seen |= frontier
+            yield tuple(sorted(seen))
+
+
 def ball(g: GroupOracle, gens, radius: int) -> tuple[int, ...]:
     """All products of at most ``radius`` factors from gens, their inverses
     and the identity, as a sorted code tuple."""
     if g.mode != COMPUTABLE:
         raise PreconditionError("ball requires a COMPUTABLE-mode oracle")
-    gens = canonical_subset(gens)
-    step = set(gens) | {g.inv(x) for x in gens} | {g.identity}
-    seen = {g.identity}
-    frontier = {g.identity}
-    for _ in range(radius):
-        frontier = {g.mult(a, s) for a in step for s in frontier} - seen
-        if not frontier:
-            break
-        seen |= frontier
-    return tuple(sorted(seen))
+    layers = ball_layers(g, canonical_subset(gens))
+    *_, last = itertools.islice(layers, max(radius, 0) + 1)
+    return last
 
 
 # ---------------------------------------------------------------------------

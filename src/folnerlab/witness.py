@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .budget import Budget
+from .budget import Budget, UNKNOWN
 from .groups import (
     COMPUTABLE,
     CyclicOracle,
@@ -30,29 +30,14 @@ from .groups import (
     ball,
     canonical_subset,
 )
-from .folner import FolnerCertificate, certificate, _check_candidate
+from .folner import FolnerCertificate, UnionFind, certificate, translate_defects
 
 
 class UnsupportedFamilyError(RuntimeError):
     """The requested decider has no correctness guarantee for this family."""
 
 
-class _NoneFound:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NONE_FOUND"
-
-    def __bool__(self):
-        return False
-
-
-NONE_FOUND = _NoneFound()
+NONE_FOUND = UNKNOWN  # what refute_witness_bounded returns when nothing is found
 
 
 @dataclass
@@ -100,7 +85,8 @@ def refute_witness_bounded(
 ):
     """Search subsets of the radius-r ball around K, by size then code
     order, for an n-Folner set with respect to K; such a set refutes the
-    witness property of (K, n).  Budget counts multiplication calls."""
+    witness property of (K, n).  Budget counts multiplication calls; UNKNOWN
+    when no such set turns up within the size bound or the budget."""
     if g.mode != COMPUTABLE:
         raise PreconditionError("refute_witness_bounded needs a COMPUTABLE oracle")
     K = canonical_subset(K)
@@ -109,35 +95,14 @@ def refute_witness_bounded(
     for size in range(1, size_bound + 1):
         for F in itertools.combinations(universe, size):
             if not meter.charge(size * max(1, len(K))):
-                return NONE_FOUND
-            if _check_candidate(g, F, K, n):
+                return UNKNOWN
+            if translate_defects(g, F, K, n):
                 return certificate(g, F, K, n)
-    return NONE_FOUND
+    return UNKNOWN
 
 
 # ---------------------------------------------------------------------------
 # subgroup membership
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-        return ra
 
 
 class _StallingsAutomaton:
@@ -149,7 +114,7 @@ class _StallingsAutomaton:
         states = itertools.count(1)
         self.root = 0
         edges: dict[tuple[int, int], int] = {}
-        uf = _UnionFind()
+        uf = UnionFind()
         for code in K:
             cur = self.root
             for letter in g.decode_word(code):
@@ -290,7 +255,7 @@ def restrict_folner_to_subgroup(g: GroupOracle, K, n: int, F_m) -> tuple[int, ..
             slices[f] = [g.identity]
     for t in reps:
         S = tuple(sorted(slices[t]))
-        if _check_candidate(g, S, K, n):
+        if translate_defects(g, S, K, n):
             return S
     raise SubgroupRestrictionError(
         "no coset slice was %d-Folner; input was not %d-Folner" % (n, n * len(K))

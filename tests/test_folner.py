@@ -1,5 +1,6 @@
 """Folner verification/search, Reiter machinery, CE invariance, word problem."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from folnerlab.folner import (
     EmptySetError,
     FolnerCertificate,
     ReiterFunction,
-    SupportPartition,
+    UnionFind,
     box_folner,
     decide_mult_from_folner,
     extract_folner_from_reiter,
@@ -23,9 +24,10 @@ from folnerlab.folner import (
     pushforward,
     reiter_defect,
     search_folner,
+    translate_defects,
     verify_invariance_ce,
 )
-from folnerlab.groups import parse_element, parse_elements
+from folnerlab.groups import PreconditionError, parse_element, parse_elements
 
 Z1 = make_group("zd:1")
 Z2 = make_group("zd:2")
@@ -84,6 +86,18 @@ def test_complement_agrees_off_boundary():
             assert ok == is_n_folner_complement(Z1, F, D, n)
 
 
+def test_translate_defects_early_exit_agrees_with_map():
+    rng = random.Random(29)
+    for _ in range(80):
+        F = tuple(sorted(rng.sample(range(30), rng.randint(1, 8))))
+        D = tuple(sorted(rng.sample(range(1, 10), rng.randint(1, 3))))
+        n = rng.randint(1, 6)
+        defects = translate_defects(Z1, F, D)
+        assert defects == is_n_folner(Z1, F, D, n)[1]
+        ok = all(d <= Fraction(1, n) for d in defects.values())
+        assert translate_defects(Z1, F, D, n) is ok
+
+
 def test_right_translation_preserves_defects():
     # Lemma-style invariance: defects of F and Fg agree exactly
     rng = random.Random(11)
@@ -133,6 +147,15 @@ def test_folner_function_cyclic():
 
 def test_folner_function_identity_D():
     assert folner_function(F2, (0,), 9, Budget(100)) == 1
+
+
+def test_folner_function_budget_counts_mult_calls():
+    # ball layers of <+1> cost 3 and 6 mult calls, the one 5-set 5 more
+    assert folner_function(Z1, zcodes(1), 5, Budget(14)) == 5
+    assert folner_function(Z1, zcodes(1), 5, Budget(13)) is UNKNOWN
+    # all seven layers of Z/12 cost 3 x 12, the last one finding nothing new
+    assert folner_function(C12, (1,), 100, Budget(36)) == 12
+    assert folner_function(C12, (1,), 100, Budget(35)) is UNKNOWN
 
 
 def test_folner_function_lamplighter_torsion():
@@ -190,11 +213,14 @@ def test_reiter_vs_folner_factor_two():
             assert rdef[x] == 2 * setdef[x]
 
 
+def finest(codes):
+    return {c: c for c in codes}
+
+
 def test_partition_defect_identity_zero():
     f = ReiterFunction.characteristic((0, 1, 3))
-    part = SupportPartition.finest((0, 1, 3))
     rz = make_group("redundant-z")
-    assert partition_defect(f, part, rz.identity, rz.mult) == 0
+    assert partition_defect(f, finest((0, 1, 3)), rz.identity, rz.mult) == 0
 
 
 def test_partition_defect_monotone_under_coarsening():
@@ -205,15 +231,9 @@ def test_partition_defect_monotone_under_coarsening():
         f = ReiterFunction(supp, {v: Fraction(rng.randint(1, 5)) for v in supp})
         x = rng.randrange(20)
         w = set(supp) | {rz.mult(x, v) for v in supp}
-        fine = SupportPartition.finest(w)
-        codes = sorted(w)
-        buckets = {}
-        for c in codes:
-            buckets.setdefault(rng.randrange(3), set()).add(c)
-        coarse = SupportPartition(tuple(frozenset(b) for b in buckets.values()))
-        assert fine.is_refinement_of(coarse)
+        coarse = {c: rng.randrange(3) for c in sorted(w)}
         assert partition_defect(f, coarse, x, rz.mult) <= partition_defect(
-            f, fine, x, rz.mult
+            f, finest(w), x, rz.mult
         )
 
 
@@ -226,9 +246,9 @@ def test_partition_defect_merge_halves_on_equal_spellings():
     xx = rz.mult(x, x)
     xyx = rz.mult(x, yx)
     f = ReiterFunction.characteristic((x, yx))
-    fine = SupportPartition.finest((x, yx, xx, xyx))
-    merged = SupportPartition((frozenset([x]), frozenset([yx, xx]), frozenset([xyx])))
-    m_fine = partition_defect(f, fine, x, rz.mult)
+    merged = UnionFind()
+    merged.union(yx, xx)
+    m_fine = partition_defect(f, finest((x, yx, xx, xyx)), x, rz.mult)
     m_merged = partition_defect(f, merged, x, rz.mult)
     assert m_fine == 2 * m_merged == Fraction(2)
 
@@ -368,3 +388,30 @@ def test_decide_mult_random_triples():
         truth = c == (a[0] + b[0], a[1] + b[1])
         codes = [Z2.encode_vector(v) for v in (a, b, c)]
         assert decide_mult_from_folner(g, oracle, *codes) == truth
+
+
+def test_decide_mult_argument_order_non_abelian():
+    lam = make_group("lamplighter")
+    s, t = lam.generator_names["s"], lam.generator_names["t"]
+    st, ts = lam.mult(s, t), lam.mult(t, s)
+    assert st != ts
+    # inverses of {(L, c) : L within {0..5}, c in {0..5}}: 384 codes, largest
+    # 946010, every left defect against {s, t, st, ts} at most 1/6
+    box = [
+        lam.encode_element(frozenset(L), c)
+        for k in range(7)
+        for L in itertools.combinations(range(6), k)
+        for c in range(6)
+    ]
+    F = tuple(sorted(lam.inv(x) for x in box))
+    assert len(F) == 384 and F[-1] == 946010
+    for d in (s, t, st, ts):
+        assert 6 * sum(lam.mult(d, f) not in F for f in F) <= len(F)
+    g = CEView(lam)
+    assert decide_mult_from_folner(g, lambda n, D: F, s, t, st) is True
+    assert decide_mult_from_folner(g, lambda n, D: F, s, t, ts) is False
+
+
+def test_decide_mult_rejects_oracle_set_that_is_not_folner():
+    with pytest.raises(PreconditionError):
+        decide_mult_from_folner(CEView(Z2), lambda n, D: (0,), 1, 2, 3)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from folnerlab import Budget, UNKNOWN, ball, eq_semidecide, make_group
 from folnerlab.groups import (
     CEView,
+    CyclicOracle,
     FreeGroupOracle,
     MalformedSpecError,
     PreconditionError,
     RedundantZOracle,
     ZdOracle,
+    ball_layers,
     cantor_pair,
     cantor_unpair,
     parse_element,
@@ -151,6 +153,31 @@ def test_ball_free_group_sizes():
 def test_ball_cyclic_saturates():
     g = make_group("cyclic:12")
     assert ball(g, (1,), 20) == tuple(range(12))
+
+
+class CountingCyclic(CyclicOracle):
+    calls = 0
+
+    def mult(self, x, y):
+        self.calls += 1
+        return super().mult(x, y)
+
+
+def test_ball_layers_stop_growing_and_charge_mult_calls():
+    g = make_group("cyclic:12")
+    layers = list(ball_layers(g, (1,)))
+    assert [len(B) for B in layers] == [1, 3, 5, 7, 9, 11, 12]
+    assert all(B == ball(g, (1,), r) for r, B in enumerate(layers))
+    assert list(ball_layers(g, ())) == [(0,)]
+    # one step per mult call, paid before the layer is built
+    counted = CountingCyclic(12)
+    meter = Budget(10**6).meter()
+    assert list(ball_layers(counted, (1,), meter)) == layers
+    assert meter.consumed == counted.calls == 3 * 12
+    # layers cost 3, 6, 6, ...: 14 steps pay for two, then None ends the run
+    meter = Budget(14).meter()
+    sizes = [B and len(B) for B in ball_layers(g, (1,), meter)]
+    assert sizes == [1, 3, 5, None] and meter.remaining == 0
 
 
 def test_ball_requires_computable_mode():
