@@ -40,7 +40,7 @@ print("\nexpansion spot check on 3 samples:",
       cehhc_spot_check(gamma, linear_witness(1), 1,
                        [(0,), (1, 3), (2, 4, 6)]) or "no violations")
 
-st = harem_new(gamma, linear_witness(1), 1)
+st = harem_new(gamma, 1)
 for _ in range(8):
     harem_step(st)
 print("\nmatching dump after 8 steps:")
@@ -48,4 +48,3 @@ print(matching_dump(st))
 
 partner = harem_query(st, 0, Budget(10))
 print("\nleft code 0 is matched to right code(s)", partner)
-print("witness after the steps taken: h(1) =", st.h_current(1))

@@ -39,13 +39,7 @@ from .groups import (
     parse_elements,
     split_element_list,
 )
-from .harem import (
-    InternalInfeasibleError,
-    harem_new,
-    harem_step,
-    linear_witness,
-    matching_dump,
-)
+from .harem import InternalInfeasibleError, harem_new, harem_step, matching_dump
 from .paradox import (
     KeyNotInKError,
     build_decomposition,
@@ -113,8 +107,7 @@ def _parser() -> argparse.ArgumentParser:
         "--d")
     cmd("harem-demo", "run matching steps on the doubling graph of a key",
         "--k", "--steps")
-    cmd("paradox", "build a paradoxical decomposition", "--k0", "--n", "--verify")
-    cmd("paradox-verify", "build and verify a decomposition prefix",
+    cmd("paradox", "build a paradoxical decomposition and verify a prefix",
         "--k0", "--n", "--verify")
     p = cmd("witness", "decide whether a key witnesses the paradox", "--k",
             "--size-bound")
@@ -218,8 +211,9 @@ def _run(args) -> tuple[int, dict]:
 
     if args.command == "harem-demo":
         K = _elements(g, args.k, "k")
-        gamma = cayley_bipartite(g, K)
-        st = harem_new(gamma, linear_witness(1), 1)
+        if args.steps > args.budget:
+            return EXIT_UNKNOWN, {"result": "UNKNOWN", "budget": args.budget}
+        st = harem_new(cayley_bipartite(g, K), 1)
         for _ in range(args.steps):
             harem_step(st)
         return EXIT_OK, {
@@ -227,23 +221,12 @@ def _run(args) -> tuple[int, dict]:
             "dump": matching_dump(st).splitlines(),
         }
 
-    if args.command in ("paradox", "paradox-verify"):
+    if args.command == "paradox":
         K0 = _elements(g, args.k0, "k0")
         if args.n < 1:
             raise _CliError(EXIT_MALFORMED, "n must be >= 1")
         d = build_decomposition(g, K0, args.n)
-        count = args.verify
-        if args.command == "paradox-verify" and count <= 0:
-            raise _CliError(EXIT_MALFORMED, "paradox-verify needs --verify > 0")
-        if count > 0:
-            report = verify_decomposition_prefix(d, count, budget)
-        else:
-            report = {
-                "n1": d.key.n1,
-                "K": list(d.key.K),
-                "resolved": [],
-                "violations": [],
-            }
+        report = verify_decomposition_prefix(d, args.verify, budget)
         code = EXIT_OK
         if any(v.get("check") == "unresolved" for v in report["violations"]):
             code = EXIT_UNKNOWN
@@ -321,3 +304,7 @@ def main(argv=None) -> int:
 
 def console_main():  # pragma: no cover - thin wrapper for the entry point
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -10,11 +10,13 @@ may stay free), commits only the star of the processed vertex, and deletes
 it from the residual graph.  Committed answers never change.
 
 Ball radii: the expansion-witness argument guarantees feasibility for
-radii max(2*h(k)+1, 3) on A-steps and max(2*h(k)+2, 4) on B-steps with h
-the current (shifted) witness, but those balls grow exponentially in
-graphs of free-group type.  The defaults here are the base radii 3 and 4;
-on the strongly expanding graphs this package builds they stay feasible,
-and any infeasibility aborts loudly instead of being retried.
+radii max(2*h(k)+1, 3) on A-steps and max(2*h(k)+2, 4) on B-steps, with h
+the witness shifted by the stars already removed, but those balls grow
+exponentially in graphs of free-group type.  The radii here are fixed at
+the base values 3 and 4; on the strongly expanding graphs this package
+builds they stay feasible, and any infeasibility aborts loudly instead of
+being retried.  The witness is therefore the caller's assertion and is not
+part of the matching state; ``cehhc_spot_check`` tests it on finite samples.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class InternalInfeasibleError(RuntimeError):
     assertion was false (or the radius bookkeeping is buggy)."""
 
 
-DEFAULT_RADIUS_A = 3
-DEFAULT_RADIUS_B = 4
+RADIUS_A = 3
+RADIUS_B = 4
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +45,6 @@ class HallWitness:
     """Monotone witness h with h(0) = 0: finite table plus an affine tail.
 
     ``h(n) = table[n]`` for n < len(table), else ``slope * n + intercept``.
-    ``shift(k)`` produces n -> h(n + k) for n > 0 (with h(0) = 0), the
-    witness valid after one star removal.
     """
 
     table: tuple[int, ...] = (0,)
@@ -61,14 +61,6 @@ class HallWitness:
         if n < len(self.table):
             return self.table[n]
         return self.slope * n + self.intercept
-
-    def shift(self, k: int) -> "HallWitness":
-        tail = tuple(self(n + k) for n in range(1, max(1, len(self.table) - k)))
-        return HallWitness((0,) + tail, self.slope, self.intercept + self.slope * k)
-
-
-def shift_witness(h: HallWitness, k: int) -> HallWitness:
-    return h.shift(k)
 
 
 def linear_witness(slope: int) -> HallWitness:
@@ -121,7 +113,7 @@ class FiniteBipartite:
 
 
 def induced_ball(
-    g: BipartiteGraphOracle, v: int, r: int, removed: frozenset = frozenset()
+    g: BipartiteGraphOracle, v: int, r: int, removed: set | frozenset = frozenset()
 ) -> FiniteBipartite:
     """Induced subgraph on the radius-r ball around v in the residual graph,
     with boundary_B the B-side vertices at distance exactly r."""
@@ -266,15 +258,12 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
 class HaremMatchingState:
     """Deterministic, resumable state of the back-and-forth (1,k)-matching.
 
-    The state after s steps is a pure function of (graph, k, h, radii, s);
-    committed pairs never change as more steps run.
+    The state after s steps is a pure function of (graph, k, s); committed
+    pairs never change as more steps run.
     """
 
     graph: BipartiteGraphOracle
     k: int
-    h_current: HallWitness
-    radius_a: int = DEFAULT_RADIUS_A
-    radius_b: int = DEFAULT_RADIUS_B
     step_count: int = 0
     removed: set = field(default_factory=set)
     left_pairs: dict = field(default_factory=dict)
@@ -283,19 +272,12 @@ class HaremMatchingState:
     _cursor_b: int = 0
 
 
-def harem_new(
-    g: BipartiteGraphOracle,
-    h: HallWitness,
-    k: int,
-    *,
-    radius_a: int = DEFAULT_RADIUS_A,
-    radius_b: int = DEFAULT_RADIUS_B,
-) -> HaremMatchingState:
+def harem_new(g: BipartiteGraphOracle, k: int) -> HaremMatchingState:
     """Fresh state at step 0.  The caller asserts that g satisfies the
-    expanding Hall condition for k with witness h (see cehhc_spot_check)."""
+    expanding Hall condition for k (see cehhc_spot_check)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return HaremMatchingState(g, k, h, radius_a, radius_b)
+    return HaremMatchingState(g, k)
 
 
 def _next_unremoved(st: HaremMatchingState, left: bool) -> int:
@@ -314,8 +296,8 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
     """One back-and-forth step: resolve the star of the next vertex."""
     a_side = st.step_count % 2 == 0
     v = _next_unremoved(st, left=a_side)
-    r = st.radius_a if a_side else st.radius_b
-    piece = induced_ball(st.graph, v, r, frozenset(st.removed))
+    r = RADIUS_A if a_side else RADIUS_B
+    piece = induced_ball(st.graph, v, r, st.removed)
     matching = finite_harem_match(piece, st.k)
     if matching is None:
         raise InternalInfeasibleError(
@@ -332,7 +314,6 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
         st.right_pair[b] = star_left
     st.removed.add(star_left)
     st.removed.update(partners)
-    st.h_current = st.h_current.shift(st.k)
     st.step_count += 1
     return st
 
@@ -340,16 +321,12 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
 def harem_query(st: HaremMatchingState, v: int, b: Budget):
     """Partners of v (k-tuple for a left vertex, single code for a right),
     running at most b.steps further matching steps; UNKNOWN if unresolved."""
-    left = st.graph.is_left(v)
-    for spent in range(b.steps + 1):
-        if left and v in st.left_pairs:
-            return st.left_pairs[v]
-        if not left and v in st.right_pair:
-            return st.right_pair[v]
-        if spent == b.steps:
-            return UNKNOWN
+    pairs = st.left_pairs if st.graph.is_left(v) else st.right_pair
+    for _ in range(b.steps):
+        if v in pairs:
+            break
         harem_step(st)
-    return UNKNOWN
+    return pairs.get(v, UNKNOWN)
 
 
 def matching_dump(st: HaremMatchingState) -> str:

@@ -17,15 +17,7 @@ from fractions import Fraction
 
 from .budget import Budget, UNKNOWN
 from .groups import COMPUTABLE, GroupOracle, PreconditionError, canonical_subset
-from .harem import (
-    DEFAULT_RADIUS_A,
-    DEFAULT_RADIUS_B,
-    BipartiteGraphOracle,
-    HaremMatchingState,
-    harem_new,
-    harem_query,
-    linear_witness,
-)
+from .harem import BipartiteGraphOracle, HaremMatchingState, harem_new, harem_query
 
 
 class KeyNotInKError(ValueError):
@@ -38,7 +30,6 @@ class ExpandedKey:
 
     K: tuple[int, ...]
     n1: int
-    expansion_bound: int = 3
 
 
 def expand_key(g: GroupOracle, K0, n: int) -> ExpandedKey:
@@ -89,9 +80,6 @@ class CayleyBipartite(BipartiteGraphOracle):
                 out = tuple(sorted({2 * g.mult(ki, base) for ki in self._K_inv}))
             self._cache[v] = out
         return out
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def left_enum(self, i: int) -> int:
         return 2 * i
@@ -145,24 +133,14 @@ class ParadoxicalDecomposition:
         return tuple(g.mult(p, m_inv) for p in pair)
 
 
-def build_decomposition(
-    g: GroupOracle,
-    K0,
-    n: int,
-    *,
-    radius_a: int = DEFAULT_RADIUS_A,
-    radius_b: int = DEFAULT_RADIUS_B,
-) -> ParadoxicalDecomposition:
+def build_decomposition(g: GroupOracle, K0, n: int) -> ParadoxicalDecomposition:
     """Wire key expansion, the doubling graph and the (1,2)-matching.
 
     The caller asserts the witness property of (K0, n); a false assertion
     surfaces as InternalInfeasibleError from the matching."""
     key = expand_key(g, K0, n)
     graph = cayley_bipartite(g, key.K)
-    state = harem_new(
-        graph, linear_witness(2), 2, radius_a=radius_a, radius_b=radius_b
-    )
-    return ParadoxicalDecomposition(g, key, state)
+    return ParadoxicalDecomposition(g, key, harem_new(graph, 2))
 
 
 def decomp_membership(

@@ -27,7 +27,6 @@ from folnerlab.harem import (
     finite_harem_match,
     harem_new,
     harem_step,
-    linear_witness,
     matching_dump,
 )
 from folnerlab.paradox import (
@@ -400,7 +399,7 @@ def test_criterion_06_matching_determinism():
     states = []
     for _ in range(2):
         gamma = cayley_bipartite(F2, K)  # fresh oracle: truly independent runs
-        st = harem_new(gamma, linear_witness(1), 1)
+        st = harem_new(gamma, 1)
         for _ in range(10):
             harem_step(st)
         dumps.append(matching_dump(st))

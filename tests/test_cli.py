@@ -1,7 +1,12 @@
 """CLI surface: commands, exit codes, deterministic JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import folnerlab
 from folnerlab.cli import main
 
 
@@ -140,7 +145,7 @@ def test_harem_demo(capsys):
 def test_paradox_verify_small(capsys):
     code, report = run_json(
         capsys,
-        "paradox-verify", "--group", "free:2", "--k0", "a,a^-1,b,b^-1",
+        "paradox", "--group", "free:2", "--k0", "a,a^-1,b,b^-1",
         "--n", "1", "--verify", "3",
     )
     assert code == 0
@@ -174,3 +179,21 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["certificate"]["n"] == 2
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    argv = ["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2", "--json"]
+    src = str(Path(folnerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "folnerlab.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    code, out = run(capsys, *argv)
+    done = module(*argv)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert code == 0 and json.loads(out)["certificate"]["n"] == 2
+    bad = module("folner-search", "--group", "nope:3", "--d", "+1", "--n", "2")
+    assert bad.returncode == 4 and bad.stdout == ""

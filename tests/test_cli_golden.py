@@ -107,13 +107,23 @@ CASES = {
     "wp_z2_far": ["wp-from-folner", "--group", "zd:2", "--d", "(3,-2),(-1,4),(2,2)"],
     "wp_z1_true": ["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,-3"],
     "wp_z1_false": ["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,+3"],
-    # harem-demo, paradox, paradox-verify
+    # harem-demo and paradox: the 50-step and 12-code matchings are pinned
     "harem_free2": ["harem-demo", "--group", "free:2", "--k", "e,a,a^-1,b,b^-1",
                     "--steps", "4"],
+    "harem_free2_50": ["harem-demo", "--group", "free:2", "--k", "e,a,a^-1,b,b^-1",
+                       "--steps", "50"],
+    "harem_budget_unknown": ["harem-demo", "--group", "free:2",
+                             "--k", "e,a,a^-1,b,b^-1", "--steps", "30",
+                             "--budget", "1"],
+    "harem_budget_edge_ok": ["harem-demo", "--group", "free:2",
+                             "--k", "e,a,a^-1,b,b^-1", "--steps", "4",
+                             "--budget", "4"],
     "paradox_bare": ["paradox", "--group", "free:2", "--k0", "a,a^-1,b,b^-1",
                      "--n", "1"],
-    "paradox_verify3": ["paradox-verify", "--group", "free:2", "--k0",
+    "paradox_verify3": ["paradox", "--group", "free:2", "--k0",
                         "a,a^-1,b,b^-1", "--n", "1", "--verify", "3"],
+    "paradox_verify12": ["paradox", "--group", "free:2", "--k0", "a,a^-1,b,b^-1",
+                         "--n", "1", "--verify", "12"],
     # witness and restrict-folner
     "witness_free": ["witness", "--group", "free:2", "--k", "a,b"],
     "witness_lamp": ["witness", "--group", "lamplighter", "--k", "s,t"],
@@ -144,6 +154,7 @@ CASES = {
     "err4_element": ["folner-search", "--group", "zd:1", "--d", "qq", "--n", "2"],
     "err4_missing_k": ["witness", "--group", "zd:1"],
     "err4_wp_arity": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1)"],
+    # paradox-verify was merged into paradox; argparse rejects it
     "err4_verify_zero": ["paradox-verify", "--group", "free:2", "--k0", "a,b",
                          "--n", "1"],
     "err4_budget_zero": ["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2",

@@ -19,7 +19,6 @@ from folnerlab.harem import (
     induced_ball,
     linear_witness,
     matching_dump,
-    shift_witness,
 )
 from folnerlab.paradox import cayley_bipartite
 
@@ -28,23 +27,12 @@ from folnerlab.paradox import cayley_bipartite
 # witness functions
 
 
-def test_shift_witness_linear():
-    h = linear_witness(2)
-    assert [h(n) for n in range(4)] == [0, 2, 4, 6]
-    h1 = shift_witness(h, 2)
-    assert h1(0) == 0
-    assert [h1(n) for n in (1, 2, 3)] == [6, 8, 10]  # 2n + 4
-    h2 = shift_witness(h1, 2)
-    assert [h2(n) for n in (1, 2)] == [10, 12]  # 2n + 8
-
-
-def test_shift_witness_zero_and_table():
-    z = HallWitness()
-    assert shift_witness(z, 1)(5) == 0
-    t = HallWitness((0, 1, 3, 9), slope=3, intercept=0)
-    s = shift_witness(t, 2)
-    assert s(0) == 0 and s(1) == t(3)
-    assert s(5) == 3 * 5 + 6
+def test_witness_evaluation_table_and_affine_tail():
+    assert [linear_witness(2)(n) for n in range(4)] == [0, 2, 4, 6]
+    assert HallWitness()(5) == 0
+    t = HallWitness((0, 1, 3, 9), slope=3, intercept=2)
+    assert [t(n) for n in range(4)] == [0, 1, 3, 9]  # the table
+    assert [t(n) for n in (4, 5)] == [14, 17]  # then 3n + 2
 
 
 def test_witness_table_must_anchor_zero():
@@ -54,7 +42,7 @@ def test_witness_table_must_anchor_zero():
 
 def test_harem_rejects_k_zero(gamma_ball1):
     with pytest.raises(ValueError):
-        harem_new(gamma_ball1, linear_witness(1), 0)
+        harem_new(gamma_ball1, 0)
     with pytest.raises(ValueError):
         finite_harem_match(
             FiniteBipartite((0,), (1,), {0: (1,)}, frozenset()), 0
@@ -191,14 +179,12 @@ def test_induced_ball_respects_removals(gamma_ball1):
 
 
 def test_steps_commit_stars_and_alternate(gamma_ball1):
-    st = harem_new(gamma_ball1, linear_witness(1), 1)
+    st = harem_new(gamma_ball1, 1)
     harem_step(st)
     assert 0 in st.left_pairs and len(st.left_pairs[0]) == 1
     partner = st.left_pairs[0][0]
     assert st.removed == {0, partner}
-    # two shifts of h(n)=n with k=1: n + 2 for n > 0
     harem_step(st)
-    assert st.h_current(5) == 7
     assert st.step_count == 2
 
 
@@ -207,7 +193,7 @@ def test_determinism_and_soundness(gamma_ball1):
     K = set(ball(g, parse_elements(g, "a,b"), 1))
     runs = []
     for _ in range(2):
-        st = harem_new(gamma_ball1, linear_witness(1), 1)
+        st = harem_new(gamma_ball1, 1)
         for _ in range(10):
             harem_step(st)
         runs.append(st)
@@ -223,7 +209,7 @@ def test_determinism_and_soundness(gamma_ball1):
 
 
 def test_progress_first_vertices_resolved(gamma_ball1):
-    st = harem_new(gamma_ball1, linear_witness(1), 1)
+    st = harem_new(gamma_ball1, 1)
     for _ in range(14):
         harem_step(st)
     resolved = st.removed
@@ -232,7 +218,7 @@ def test_progress_first_vertices_resolved(gamma_ball1):
             i
         ) in resolved
     # first six of each side resolved within an explicit bound
-    st2 = harem_new(gamma_ball1, linear_witness(1), 1)
+    st2 = harem_new(gamma_ball1, 1)
     for _ in range(24):
         harem_step(st2)
     for i in range(6):
@@ -241,7 +227,7 @@ def test_progress_first_vertices_resolved(gamma_ball1):
 
 
 def test_query_stability(gamma_ball1):
-    st = harem_new(gamma_ball1, linear_witness(1), 1)
+    st = harem_new(gamma_ball1, 1)
     far = gamma_ball1.left_enum(40)
     assert harem_query(st, far, Budget(1)) is UNKNOWN
     first = harem_query(st, 0, Budget(5))

@@ -1,5 +1,7 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and the names the
+benchmark tracer hooks stay importable."""
 
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -7,6 +9,9 @@ import sys
 from pathlib import Path
 
 import folnerlab
+from folnerlab import make_group
+from folnerlab.groups import parse_elements
+from folnerlab.paradox import build_decomposition
 
 
 def test_no_module_imports_numpy():
@@ -24,3 +29,23 @@ def test_no_module_imports_numpy():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+def _benchmark_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_hooks_resolve():
+    """Every library name the benchmark tracer wraps still exists."""
+    tracer = _benchmark_tracer()
+    for module, name, _span, _family in tracer.RECORDED_FUNCTIONS:
+        mod = importlib.import_module("folnerlab." + module)
+        assert callable(getattr(mod, name, None)), (module, name)
+    g = make_group("free:2")
+    d = build_decomposition(g, parse_elements(g, "a,a^-1,b,b^-1"), 1)
+    for method in tracer.DECOMPOSITION_METHODS:
+        assert callable(getattr(d, method, None)), method
