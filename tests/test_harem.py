@@ -27,8 +27,12 @@ from folnerlab.paradox import cayley_bipartite
 # witness functions
 
 
-def test_witness_evaluation_table_and_affine_tail():
+def test_linear_witness_evaluation():
     assert [linear_witness(2)(n) for n in range(4)] == [0, 2, 4, 6]
+    assert [linear_witness(1)(n) for n in (1, 5, 9)] == [1, 5, 9]
+
+
+def test_witness_zero_and_table_evaluation():
     assert HallWitness()(5) == 0
     t = HallWitness((0, 1, 3, 9), slope=3, intercept=2)
     assert [t(n) for n in range(4)] == [0, 1, 3, 9]  # the table
