@@ -1,7 +1,7 @@
 """Numbered-group oracles over concrete group families.
 
 Every group element is addressed by a natural number code.  A family in
-COMPUTABLE mode exposes total ``mult``/``inv``/``eq`` on codes with a
+COMPUTABLE mode exposes total ``mult``/``inv``/``canon`` on codes with a
 bijective numbering (code 0 is always the identity); a family in CE mode
 only promises enumerations of the multiplication table and of the
 equal-codes relation, while ``mult``/``inv`` stay total and deterministic
@@ -138,11 +138,6 @@ class GroupOracle:
 
     def canon(self, x: int) -> int:
         return x
-
-    def eq(self, x: int, y: int) -> bool:
-        if self.mode != COMPUTABLE:
-            raise PreconditionError("eq is only decidable in COMPUTABLE mode")
-        return self.canon(x) == self.canon(y)
 
     # CE-mode surface; COMPUTABLE families leave these unimplemented.
     def multt_enum(self, m: int) -> tuple[int, int, int]:
@@ -457,9 +452,6 @@ class CEView(GroupOracle):
 
     def inv(self, x: int) -> int:
         return self.base.inv(x)
-
-    def canon(self, x: int) -> int:
-        return x
 
     def multt_enum(self, m: int) -> tuple[int, int, int]:
         i, j = cantor_unpair(m)

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .budget import Budget, UNKNOWN
+from .groups import PreconditionError
 
 
-class InternalInfeasibleError(RuntimeError):
+class InternalInfeasibleError(PreconditionError):
     """The finite solver failed mid-construction: the caller's expansion
     assertion was false (or the radius bookkeeping is buggy)."""
 

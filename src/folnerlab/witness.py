@@ -33,7 +33,7 @@ from .groups import (
 from .folner import FolnerCertificate, UnionFind, certificate, translate_defects
 
 
-class UnsupportedFamilyError(RuntimeError):
+class UnsupportedFamilyError(PreconditionError):
     """The requested decider has no correctness guarantee for this family."""
 
 
@@ -143,7 +143,7 @@ class _StallingsAutomaton:
         self.edges = edges
         self.root = uf.find(self.root)
 
-    def accepts(self, code: int) -> bool:
+    def membership(self, code: int) -> bool:
         cur = self.root
         for letter in self.group.decode_word(code):
             cur = self.edges.get((cur, letter))
@@ -153,14 +153,15 @@ class _StallingsAutomaton:
 
 
 class _IntegerLattice:
-    """Echelon integer lattice basis (Hermite-style xgcd pivoting) with
-    exact membership by successive divisibility reduction."""
+    """Echelon integer lattice basis of <K> in Z^d (Hermite-style xgcd
+    pivoting) with exact membership by successive divisibility reduction."""
 
-    def __init__(self, dim: int, vectors):
-        self.dim = dim
-        rows = [list(v) for v in vectors if any(v)]
+    def __init__(self, g: ZdOracle, K):
+        self.group = g
+        self.dim = g.dim
+        rows = [list(v) for v in map(g.decode_vector, K) if any(v)]
         self.rows: list[list[int]] = []
-        for col in range(dim):
+        for col in range(self.dim):
             pivot = None
             for r in rows:
                 if r[col] == 0:
@@ -178,8 +179,8 @@ class _IntegerLattice:
                 self.rows.append(pivot)
                 rows = [r for r in rows if r is not pivot]
 
-    def contains(self, vec) -> bool:
-        vec = list(vec)
+    def membership(self, code: int) -> bool:
+        vec = list(self.group.decode_vector(code))
         for row in self.rows:
             j = next(i for i, x in enumerate(row) if x)
             if vec[j] == 0:
@@ -202,35 +203,20 @@ def _xgcd(a: int, b: int):
     return x, y, g
 
 
-@dataclass
-class SubgroupOracle:
-    """Decidable membership in <K> for free (folding) and free abelian
-    (lattice) families."""
-
-    group: GroupOracle
-    generators: tuple[int, ...]
-    method: str  # "stallings" | "hnf"
-    _engine: object
-
-    def membership(self, code: int) -> bool:
-        if self.method == "stallings":
-            return self._engine.accepts(code)
-        return self._engine.contains(self.group.decode_vector(code))
-
-
-def subgroup_membership(g: GroupOracle, K) -> SubgroupOracle:
+def subgroup_membership(g: GroupOracle, K):
+    """Decidable membership in <K>: an engine whose ``membership(code)``
+    folds (free groups) or reduces against a lattice basis (Z^d)."""
     K = canonical_subset(K)
     if isinstance(g, FreeGroupOracle):
-        return SubgroupOracle(g, K, "stallings", _StallingsAutomaton(g, K))
+        return _StallingsAutomaton(g, K)
     if isinstance(g, ZdOracle):
-        lattice = _IntegerLattice(g.dim, [g.decode_vector(c) for c in K])
-        return SubgroupOracle(g, K, "hnf", lattice)
+        return _IntegerLattice(g, K)
     raise UnsupportedFamilyError(
         "subgroup membership implemented for free:k and zd:d only"
     )
 
 
-class SubgroupRestrictionError(RuntimeError):
+class SubgroupRestrictionError(PreconditionError):
     """No coset slice of the supplied set was n-Folner: the input cannot
     have been m-Folner for m = n|K| (PRECONDITION_FAILED)."""
 

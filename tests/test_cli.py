@@ -1,13 +1,20 @@
 """CLI surface: commands, exit codes, deterministic JSON."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import folnerlab
-from folnerlab.cli import main
+from folnerlab.cli import COMMANDS, FLAGS, _parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -197,3 +204,66 @@ def test_module_entry_point_runs_the_cli(capsys):
     assert code == 0 and json.loads(out)["certificate"]["n"] == 2
     bad = module("folner-search", "--group", "nope:3", "--d", "+1", "--n", "2")
     assert bad.returncode == 4 and bad.stdout == ""
+
+
+MALFORMED_REITER = {
+    "top_level_list": "[1, 2]",
+    "support_not_a_list": '{"support": 5, "values": {"0": "1"}}',
+    "null_value": '{"support": [0], "values": {"0": null}}',
+    "zero_denominator": '{"support": [0], "values": {"0": "1/0"}}',
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_REITER))
+def test_malformed_reiter_file_exits_4(tmp_path, capsys, shape):
+    fn = tmp_path / "f.json"
+    fn.write_text(MALFORMED_REITER[shape])
+    for argv in (["reiter-check", "--group", "zd:1", "--d", "+1"],
+                 ["kappa", "--group", "redundant-z", "--d", "x"]):
+        assert run(capsys, *argv, "--n", "2", "--fn", str(fn), "--json") == (4, "")
+
+
+# one otherwise valid invocation per command, so that exit 4 below comes
+# from the number under test
+VALID_ARGV = {
+    "folner-search": ["--group", "zd:1", "--d", "+1", "--n", "2"],
+    "folner-function": ["--group", "zd:1", "--d", "+1", "--n", "2"],
+    "folner-seq": ["--group", "zd:1", "--n", "2"],
+    "reiter-check": ["--group", "zd:1", "--d", "+1", "--n", "2",
+                     "--fn", str(GOLDEN / "fn_z_tent.json")],
+    "kappa": ["--group", "redundant-z", "--d", "x", "--n", "3",
+              "--fn", str(GOLDEN / "fn_rz_powers6.json")],
+    "wp-from-folner": ["--group", "zd:1", "--d", "+2,-5,-3"],
+    "harem-demo": ["--group", "free:2", "--k", "e,a,a^-1,b,b^-1", "--steps", "1"],
+    "paradox": ["--group", "free:2", "--k0", "a,a^-1,b,b^-1", "--n", "1"],
+    "witness": ["--group", "zd:1", "--k", "+1"],
+    "restrict-folner": ["--group", "zd:2", "--k", "(1,0)", "--n", "1"],
+}
+
+
+def _with(argv, flag, value):
+    if flag in argv:
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = value
+        return argv
+    return argv + [flag, value]
+
+
+def test_every_command_rejects_counts_below_one(capsys):
+    assert sorted(VALID_ARGV) == sorted(COMMANDS)
+    for name, (_help, flags) in COMMANDS.items():
+        argv = [name] + VALID_ARGV[name] + ["--json"]
+        assert run(capsys, *argv)[0] in (0, 2), name
+        bad = [_with(argv, "--budget", "0")]
+        if "--n" in flags and FLAGS["--n"].get("required"):
+            bad += [_with(argv, "--n", "0"), _with(argv, "--n", "-1")]
+        for case in bad:
+            assert run(capsys, *case) == (4, ""), case
+
+
+def test_readme_examples_name_exactly_the_parser_commands():
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"^folnerlab ([a-z-]+)", readme, re.MULTILINE))
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices) == set(COMMANDS)

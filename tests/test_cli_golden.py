@@ -161,6 +161,13 @@ CASES = {
                          "--budget", "0"],
     "err4_n_zero": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "0"],
     "err4_missing_fn": ["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "2"],
+    # argparse rejects counts below 1 on every command
+    "err4_reiter_n_zero": ["reiter-check", "--group", "zd:1", "--d", "+1",
+                           "--n", "0", "--fn", "{golden}/fn_z_tent.json"],
+    "err4_kappa_n_zero": ["kappa", "--group", "redundant-z", "--d", "x", "--n", "0",
+                          "--fn", "{golden}/fn_rz_powers6.json"],
+    "err4_steps_zero": ["harem-demo", "--group", "free:2", "--k", "e,a,a^-1,b,b^-1",
+                        "--steps", "0"],
 }
 
 

@@ -49,3 +49,20 @@ def test_benchmark_tracer_hooks_resolve():
     d = build_decomposition(g, parse_elements(g, "a,a^-1,b,b^-1"), 1)
     for method in tracer.DECOMPOSITION_METHODS:
         assert callable(getattr(d, method, None)), method
+
+
+def test_cli_resolves_ceview_at_call_time(monkeypatch, capsys):
+    """The tracer rebinds ``cli.CEView``; wp-from-folner must look it up
+    when it runs, or the traced run misses the view's enumeration calls."""
+    from folnerlab import cli, groups
+
+    assert cli.CEView is groups.CEView
+    views = []
+
+    def ceview(base):
+        views.append(groups.CEView(base))
+        return views[-1]
+
+    monkeypatch.setattr(cli, "CEView", ceview)
+    assert cli.main(["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,-3"]) == 0
+    assert len(views) == 1
