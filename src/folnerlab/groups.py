@@ -165,8 +165,10 @@ class FreeGroupOracle(GroupOracle):
         self.rank = rank
         self.spec = "free:%d" % rank
         self._alphabet = 2 * rank
-        # cumulative counts of reduced words of length < L
+        # cumulative counts of reduced words of length < L, and the powers
+        # (2k-1)^L, grown together
         self._offsets = [0, 1]
+        self._powers = [1, self._alphabet - 1]
         self._decode_cache: dict[int, tuple[int, ...]] = {}
         names = "abcdefghijklmnopqrstuvwxyz"
         self.generator_names = {
@@ -174,12 +176,12 @@ class FreeGroupOracle(GroupOracle):
         }
 
     def _offset(self, length: int) -> int:
-        while len(self._offsets) <= length:
-            n = len(self._offsets) - 1
-            self._offsets.append(
-                self._offsets[-1] + self._alphabet * (self._alphabet - 1) ** (n - 1)
-            )
-        return self._offsets[length]
+        offsets, powers = self._offsets, self._powers
+        while len(offsets) <= length:
+            n = len(offsets) - 1
+            offsets.append(offsets[-1] + self._alphabet * powers[n - 1])
+            powers.append(powers[-1] * (self._alphabet - 1))
+        return offsets[length]
 
     def encode_word(self, word: tuple[int, ...]) -> int:
         if not word:
@@ -226,7 +228,49 @@ class FreeGroupOracle(GroupOracle):
         return tuple(out)
 
     def mult(self, x: int, y: int) -> int:
-        return self.encode_word(self.reduce(self.decode_word(x) + self.decode_word(y)))
+        """Code of the reduced product, computed from the two codes.
+
+        A word of length L >= 1 has code offset(L) + index, and its index
+        has the first letter as its top digit, in base 2k, and then one
+        digit in base 2k-1 per further letter: the letter's rank among the
+        2k-1 letters that do not cancel the one before it.  With c letters
+        cancelling where x meets y, the product keeps the top len(x) - c
+        digits of x's index (x's index divided by (2k-1)^c) and the low
+        len(y) - c - 1 digits of y's index (y's index modulo (2k-1) to that
+        power).  The one digit between them, for y's first surviving letter,
+        is recomputed against x's last surviving letter, or is the letter
+        itself when nothing of x survives.  Equal to
+        ``encode_word(reduce(decode_word(x) + decode_word(y)))``.
+        """
+        if not x:
+            return y
+        if not y:
+            return x
+        cache = self._decode_cache
+        wx = cache.get(x) or self.decode_word(x)
+        wy = cache.get(y) or self.decode_word(y)
+        lx, ly = len(wx), len(wy)
+        c = 0
+        while c < lx and c < ly and wx[lx - 1 - c] == wy[c] ^ 1:
+            c += 1
+        keep_x, keep_y = lx - c, ly - c
+        offsets, powers = self._offsets, self._powers
+        if not keep_y:
+            if not keep_x:
+                return 0
+            return offsets[keep_x] + (x - offsets[lx]) // powers[c]
+        low = (y - offsets[ly]) % powers[keep_y - 1]
+        letter = wy[c]
+        if keep_x:
+            bad = wx[keep_x - 1] ^ 1
+            digit = letter if letter < bad else letter - 1
+            high = (x - offsets[lx]) // powers[c] * (self._alphabet - 1) + digit
+        else:
+            high = letter
+        length = keep_x + keep_y
+        if length >= len(offsets):
+            self._offset(length)
+        return offsets[length] + high * powers[keep_y - 1] + low
 
     def inv(self, x: int) -> int:
         return self.encode_word(tuple(l ^ 1 for l in reversed(self.decode_word(x))))
@@ -597,6 +641,8 @@ def parse_element(g: GroupOracle, text: str) -> int:
     base = g.base if isinstance(g, CEView) else g
     if isinstance(g, RedundantZOracle):
         # literal words are kept unreduced: "x^2" is the word xx, code-level
+        if text in ("1", "e"):
+            return g.identity
         word = []
         pos = 0
         while pos < len(text):

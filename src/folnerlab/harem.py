@@ -143,62 +143,84 @@ def induced_ball(
 
 
 # ---------------------------------------------------------------------------
-# finite solver: feasible flow with lower bounds, deterministic
+# finite solver: feasible flow with lower bounds, by an iterative Dinic over
+# flat arc arrays.  Forward arcs are numbered 0, 1, ... in the order they are
+# added, and the reverse of arc e is arc ~e, so ``to[~e]`` and ``cap[~e]``
+# index the same lists from the end.  ``head[u]`` lists u's arcs in the
+# order they were added, and that order alone fixes which maximum flow, and
+# so which matching, is found.
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
+def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
+    """Dinic's maximum flow from s to t; leaves the residual capacities in cap.
 
-    def add(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.head[v].append(idx + 1)
-        return idx
-
-    def maxflow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
+    Each phase labels nodes by breadth-first distance over arcs with spare
+    capacity, stopping once t is labelled: a node still unlabelled then lies
+    at distance at least t's, so it is a dead end of the phase.  The
+    depth-first search keeps a current-arc pointer per node and the path as
+    two stacks, its nodes and its arcs.  After an augmentation it resumes at
+    the tail of the first arc the augmentation saturated, which is where a
+    restart from s would arrive again, and a node found to be a dead end is
+    unlabelled so it is never entered again.  The flow found is the one the
+    recursive textbook search finds with the same arc order.
+    """
+    n = len(head)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            nxt = level[u] + 1
+            for e in head[u]:
+                if cap[e]:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = nxt
                         queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
+            if level[t] >= 0:
+                break
+        else:
+            return flow
+        ptr = [0] * n
+        nodes = [s]
+        arcs: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min(map(cap.__getitem__, arcs))
                 flow += pushed
+                cut = -1
+                for i, e in enumerate(arcs):
+                    cap[e] -= pushed
+                    cap[~e] += pushed
+                    if cut < 0 and not cap[e]:
+                        cut = i
+                del arcs[cut:]
+                del nodes[cut + 1 :]
+                u = nodes[-1]
+                continue
+            hu = head[u]
+            i = ptr[u]
+            end = len(hu)
+            nxt = level[u] + 1
+            while i < end:
+                e = hu[i]
+                if cap[e] and level[to[e]] == nxt:
+                    ptr[u] = i
+                    arcs.append(e)
+                    u = to[e]
+                    nodes.append(u)
+                    break
+                i += 1
+            else:
+                if u == s:
+                    break
+                level[u] = -1
+                nodes.pop()
+                arcs.pop()
+                u = nodes[-1]
+                ptr[u] += 1
 
 
 def finite_harem_match(fg: FiniteBipartite, k: int):
@@ -207,48 +229,60 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
     when no such matching exists.
 
     Solved as a feasible flow with lower bounds (left supply exactly k,
-    interior-right demand exactly 1); arcs are added in ascending code
-    order, so the matching is reproducible.
+    interior-right demand exactly 1) by the iterative Dinic ``_maxflow``.
+    The network is built in one pass, its arcs numbered in a fixed order:
+    the edges (A in the given order, each vertex's partners in adjacency
+    order), the boundary arcs in B order, then the arcs that carry the
+    bounds.  The matching is therefore reproducible, and equal to the one
+    the recursive Dinic finds on the same arc order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a_index = {a: 2 + i for i, a in enumerate(fg.A)}
-    b_index = {b: 2 + len(fg.A) + i for i, b in enumerate(fg.B)}
-    n = 2 + len(fg.A) + len(fg.B) + 2
-    ss, tt = n - 2, n - 1
-    net = _Dinic(n)
-    excess = [0] * (2 + len(fg.A) + len(fg.B))
+    # nodes: source S, sink T, the A side, the B side, then the super
+    # source ss and super sink tt that carry the lower bounds
     S, T = 0, 1
-    # S -> a with bounds [k, k]
-    for a in fg.A:
-        excess[a_index[a]] += k
-        excess[S] -= k
-    edge_arcs: list[tuple[int, int, int]] = []
-    for a in fg.A:
-        for b in fg.adj[a]:
-            edge_arcs.append((a, b, net.add(a_index[a], b_index[b], 1)))
-    for b in fg.B:
-        if b in fg.boundary_B:
-            net.add(b_index[b], T, 1)
-        else:
-            # bounds [1, 1]
-            excess[T] += 1
-            excess[b_index[b]] -= 1
-    net.add(T, S, 1 << 60)
-    need = 0
-    for v, ex in enumerate(excess):
-        if ex > 0:
-            net.add(ss, v, ex)
-            need += ex
-        elif ex < 0:
-            net.add(v, tt, -ex)
-    if net.maxflow(ss, tt) != need:
+    n_a, n_b = len(fg.A), len(fg.B)
+    ss, tt = 2 + n_a + n_b, 3 + n_a + n_b
+    a_nodes = range(2, 2 + n_a)
+    b_index = {b: v for v, b in enumerate(fg.B, 2 + n_a)}
+    boundary = [b_index[b] for b in fg.B if b in fg.boundary_B]
+    interior = [b_index[b] for b in fg.B if b not in fg.boundary_B]
+    # blocks of forward arcs (tails, heads, capacity), in the order they are
+    # numbered.  S -> tt (no A side) and ss -> T (no interior) may get
+    # capacity 0; such an arc is never traversed in either direction.
+    blocks = (
+        (
+            [u for u, a in zip(a_nodes, fg.A) for _ in fg.adj[a]],
+            [b_index[b] for a in fg.A for b in fg.adj[a]],
+            1,
+        ),
+        (boundary, [T] * len(boundary), 1),
+        ((T,), (S,), 1 << 60),
+        # S -> a has bounds [k, k] and interior b -> T has bounds [1, 1]
+        ((S,), (tt,), k * n_a),
+        ((ss,), (T,), len(interior)),
+        ([ss] * n_a, a_nodes, k),
+        (interior, [tt] * len(interior), 1),
+    )
+    tail: list[int] = []
+    to: list[int] = []
+    cap: list[int] = []
+    for us, vs, c in blocks:
+        tail += us
+        to += vs
+        cap += [c] * len(vs)
+    head: list[list[int]] = [[] for _ in range(4 + n_a + n_b)]
+    for e, (u, v) in enumerate(zip(tail, to)):
+        head[u].append(e)
+        head[v].append(~e)
+    to += reversed(tail)
+    cap += [0] * len(tail)
+    if _maxflow(head, to, cap, ss, tt) != k * n_a + len(interior):
         return None
-    matching: dict[int, list[int]] = {a: [] for a in fg.A}
-    for a, b, arc in edge_arcs:
-        if net.cap[arc] == 0:  # saturated
-            matching[a].append(b)
-    return {a: tuple(sorted(bs)) for a, bs in matching.items()}
+    return {
+        a: tuple(sorted(b for e, b in zip(head[u], fg.adj[a]) if not cap[e]))
+        for u, a in zip(a_nodes, fg.A)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,8 @@ CASES = {
     "kappa_mixed_edge_ok": ["kappa", "--group", "redundant-z", "--d", "x",
                             "--n", "4", "--budget", "2259",
                             "--fn", "{golden}/fn_rz_mixed10.json"],
+    "kappa_identity_invariant": ["kappa", "--group", "redundant-z", "--d", "e",
+                                 "--n", "2", "--fn", "{golden}/fn_rz_powers6.json"],
     "kappa_weighted": ["kappa", "--group", "redundant-z", "--d", "x,y^-1", "--n", "2",
                        "--fn", "{golden}/fn_rz_weighted.json"],
     # wp-from-folner

@@ -118,6 +118,31 @@ def test_free_examples():
     assert g.inv(code_of(g, "ab")) == code_of(g, "b^-1a^-1")
 
 
+# free:1 codes grow linearly with word length, so its bound stays small
+FREE_CODE_BOUNDS = {1: 4000, 2: 10**12, 3: 10**12}
+
+
+@given(st.data())
+def test_free_mult_is_reduced_concatenation(data):
+    rank = data.draw(st.sampled_from(sorted(FREE_CODE_BOUNDS)))
+    g = FreeGroupOracle(rank)
+    codes = st.integers(min_value=0, max_value=FREE_CODE_BOUNDS[rank])
+    x, z = data.draw(codes), data.draw(codes)
+    wx = g.decode_word(x)
+    # y cancels a drawn suffix of x's word, then continues with z's
+    cut = data.draw(st.integers(min_value=0, max_value=len(wx)))
+    y = g.encode_word(
+        g.reduce(tuple(l ^ 1 for l in reversed(wx[cut:])) + g.decode_word(z))
+    )
+
+    def reference(u, v):
+        return g.encode_word(g.reduce(g.decode_word(u) + g.decode_word(v)))
+
+    for u, v in ((x, y), (y, x), (x, z), (0, x), (x, 0), (x, g.inv(x))):
+        assert g.mult(u, v) == reference(u, v)
+    assert g.mult(x, g.inv(x)) == 0
+
+
 def test_zd_examples():
     g1 = make_group("zd:1")
     assert g1.mult(code_of(g1, "+1"), code_of(g1, "+1")) == code_of(g1, "+2")
@@ -317,3 +342,9 @@ def test_parse_redundant_z_words_stay_unreduced():
     assert parse_element(g, "y") == 3
     xy = parse_element(g, "xy")
     assert g.decode_word(xy) == (0, 2)
+
+
+@pytest.mark.parametrize("spec", ["free:2", "lamplighter", "redundant-z"])
+def test_identity_literal_on_word_families(spec):
+    g = make_group(spec)
+    assert parse_element(g, "e") == parse_element(g, "1") == g.identity == 0

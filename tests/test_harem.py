@@ -134,6 +134,139 @@ def test_solver_matches_brute_force_randomised():
             assert all(b in covered for b in B if b not in boundary)
 
 
+class _RecursiveDinic:
+    """The textbook Dinic with a recursive depth-first search: the reference
+    the iterative solver must reproduce, arc for arc."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.head: list[list[int]] = [[] for _ in range(n)]
+
+    def add(self, u: int, v: int, cap: int) -> int:
+        idx = len(self.to)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.head[u].append(idx)
+        self.to.append(u)
+        self.cap.append(0)
+        self.head[v].append(idx + 1)
+        return idx
+
+    def maxflow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for e in self.head[u]:
+                    v = self.to[e]
+                    if self.cap[e] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+
+            def dfs(u: int, pushed: int) -> int:
+                if u == t:
+                    return pushed
+                while it[u] < len(self.head[u]):
+                    e = self.head[u][it[u]]
+                    v = self.to[e]
+                    if self.cap[e] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, self.cap[e]))
+                        if got:
+                            self.cap[e] -= got
+                            self.cap[e ^ 1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 60)
+                if not pushed:
+                    break
+                flow += pushed
+
+
+def reference_harem_match(fg: FiniteBipartite, k: int):
+    """The lower-bound flow network built arc by arc, solved recursively."""
+    a_index = {a: 2 + i for i, a in enumerate(fg.A)}
+    b_index = {b: 2 + len(fg.A) + i for i, b in enumerate(fg.B)}
+    n = 2 + len(fg.A) + len(fg.B) + 2
+    ss, tt = n - 2, n - 1
+    net = _RecursiveDinic(n)
+    excess = [0] * (2 + len(fg.A) + len(fg.B))
+    S, T = 0, 1
+    for a in fg.A:
+        excess[a_index[a]] += k
+        excess[S] -= k
+    edge_arcs = []
+    for a in fg.A:
+        for b in fg.adj[a]:
+            edge_arcs.append((a, b, net.add(a_index[a], b_index[b], 1)))
+    for b in fg.B:
+        if b in fg.boundary_B:
+            net.add(b_index[b], T, 1)
+        else:
+            excess[T] += 1
+            excess[b_index[b]] -= 1
+    net.add(T, S, 1 << 60)
+    need = 0
+    for v, ex in enumerate(excess):
+        if ex > 0:
+            net.add(ss, v, ex)
+            need += ex
+        elif ex < 0:
+            net.add(v, tt, -ex)
+    if net.maxflow(ss, tt) != need:
+        return None
+    matching = {a: [] for a in fg.A}
+    for a, b, arc in edge_arcs:
+        if net.cap[arc] == 0:
+            matching[a].append(b)
+    return {a: tuple(sorted(bs)) for a, bs in matching.items()}
+
+
+def test_solver_reproduces_recursive_reference():
+    rng = random.Random(20260418)
+    outcomes = {True: 0, False: 0}
+    for _ in range(5000):
+        A = [2 * i for i in range(rng.randint(0, 6))]
+        B = [2 * j + 1 for j in range(rng.randint(0, 14))]
+        density = rng.uniform(0.3, 1.0)
+        adj = {}
+        for a in A:
+            nbs = [] if rng.random() < 0.04 else [b for b in B if rng.random() < density]
+            rng.shuffle(nbs)
+            adj[a] = tuple(nbs)
+        relaxed = rng.random()
+        boundary = frozenset(b for b in B if rng.random() < relaxed)
+        fg = FiniteBipartite(tuple(A), tuple(B), adj, boundary)
+        k = rng.randint(1, 3)
+        want = reference_harem_match(fg, k)
+        assert finite_harem_match(fg, k) == want
+        outcomes[want is None] += 1
+    assert min(outcomes.values()) > 500  # both verdicts are exercised
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    # the only feasible matching pairs 2i with 2i+1, but each 2i lists 2i+3
+    # first, so the last augmenting path runs the whole chain
+    n = 2000
+    adj = {2 * i: (2 * i + 3, 2 * i + 1) for i in range(n)}
+    fg = FiniteBipartite(
+        tuple(range(0, 2 * n, 2)),
+        tuple(range(1, 2 * n + 2, 2)),
+        adj,
+        frozenset([2 * n + 1]),
+    )
+    assert finite_harem_match(fg, 1) == {2 * i: (2 * i + 1,) for i in range(n)}
+
+
 # ---------------------------------------------------------------------------
 # induced balls
 
