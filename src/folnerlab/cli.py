@@ -16,6 +16,7 @@ internally.  Reports go to stdout as human text, or as canonical JSON with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -105,7 +106,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once at first use."""
     top = argparse.ArgumentParser(prog="folnerlab", add_help=True)
     sub = top.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in COMMANDS.items():

@@ -17,12 +17,27 @@ the base values 3 and 4; on the strongly expanding graphs this package
 builds they stay feasible, and any infeasibility aborts loudly instead of
 being retried.  The witness is therefore the caller's assertion and is not
 part of the matching state; ``cehhc_spot_check`` tests it on finite samples.
+
+The back-and-forth requires a group acting on the graph by right
+translations that are automorphisms: u ~ w exactly when u*h ~ w*h.  The
+doubling graph of a key K is such a graph, since left x is joined to right
+kx for k in K and right multiplication keeps that relation.  Each step is
+therefore solved in the frame of the identity.  With the centre v = o*c,
+for o the identity's vertex of v's side, the residual ball around v is the
+translate by c of the residual ball around o in which the removed vertices
+are moved by c^-1.  The full ball around o, and its flow network, is built
+once per side and per matching state: the template.  A step maps only the
+removed vertices into the frame, marks them dead in the template, repairs
+the distances they lengthen, solves, and maps only the committed star back.
+For the paradoxical decomposition of free:2 (17-element key, k = 2) the
+templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .budget import Budget, UNKNOWN
 from .groups import PreconditionError
@@ -76,7 +91,10 @@ class BipartiteGraphOracle:
     """Locally finite bipartite graph addressed by integer codes.
 
     ``left_enum``/``right_enum`` are the fixed computable enumerations of
-    the two sides used by the back-and-forth.
+    the two sides used by the back-and-forth.  A group, coded like its
+    oracle with 0 the identity, acts on the graph on the right: index h of
+    either enumeration is the vertex of group element h on that side, and
+    ``translate`` is an automorphism for every h.
     """
 
     def is_left(self, v: int) -> bool:
@@ -92,6 +110,15 @@ class BipartiteGraphOracle:
         raise NotImplementedError
 
     def right_enum(self, i: int) -> int:
+        raise NotImplementedError
+
+    def translate(self, u: int, h: int) -> int:
+        """u moved by right multiplication by the group element h, its side
+        kept."""
+        raise NotImplementedError
+
+    def inv(self, h: int) -> int:
+        """The inverse of the group element h."""
         raise NotImplementedError
 
 
@@ -286,7 +313,134 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
 
 
 # ---------------------------------------------------------------------------
-# the infinite back-and-forth
+# the infinite back-and-forth, solved in the frame of the identity
+
+
+class _Template(NamedTuple):
+    """The full radius-r ball around one side's origin, the identity's
+    vertex, with its flow network.
+
+    Nodes are numbered as in ``finite_harem_match``: S = 0, T = 1, the A
+    side, the B side, then ss and tt, each side in code order, and the arcs
+    come in the same blocks.  Every B node has both its boundary arc
+    b -> T and its interior arc b -> tt, with the capacities of the full
+    ball.  A step copies ``cap``, zeroes every arc of a dead node, and sets
+    the two arcs of each B node whose distance grew.  An arc of capacity 0
+    is never traversed, so the flow found is the one ``finite_harem_match``
+    finds on the residual ball in frame codes.
+    """
+
+    radius: int
+    origin: int  # the origin's node
+    codes: list  # node -> frame code (A and B nodes)
+    index: dict  # frame code -> node
+    dist: list  # node -> distance from the origin in the full graph
+    parents: list  # node -> its neighbours one step closer to the origin
+    children: list  # node -> its neighbours one step further out
+    head: list
+    to: list
+    cap: list
+    b0: int  # the first B node
+    to_t: int  # the arc b -> T is b + to_t
+    to_tt: int  # the arc b -> tt is b + to_tt
+    s_tt: int  # the arc S -> tt
+    ss_t: int  # the arc ss -> T
+    interior: int  # B nodes closer to the origin than the radius
+
+
+def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template:
+    ball = induced_ball(g, origin, r)
+    S, T = 0, 1
+    n_a, n_b = len(ball.A), len(ball.B)
+    b0, ss, tt = 2 + n_a, 2 + n_a + n_b, 3 + n_a + n_b
+    codes = [None, None, *ball.A, *ball.B]
+    index = {c: u for u, c in enumerate(codes) if c is not None}
+    a_nodes, b_nodes = range(2, b0), range(b0, ss)
+    edge_tail = [u for u, a in zip(a_nodes, ball.A) for _ in ball.adj[a]]
+    edge_head = [index[b] for a in ball.A for b in ball.adj[a]]
+    nbrs: list[list[int]] = [[] for _ in range(tt + 1)]
+    for u, w in zip(edge_tail, edge_head):
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    dist = [-1] * (tt + 1)
+    dist[index[origin]] = 0
+    queue = [index[origin]]
+    for u in queue:
+        for w in nbrs[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    parents = [[w for w in ws if dist[w] < dist[u]] for u, ws in enumerate(nbrs)]
+    children = [[w for w in ws if dist[w] > dist[u]] for u, ws in enumerate(nbrs)]
+    on_boundary = [int(dist[b] == r) for b in b_nodes]
+    interior = n_b - sum(on_boundary)
+    e = len(edge_tail)
+    blocks = (
+        (edge_tail, edge_head, [1] * e),
+        (b_nodes, [T] * n_b, on_boundary),
+        ((T,), (S,), (1 << 60,)),
+        ((S,), (tt,), (k * n_a,)),
+        ((ss,), (T,), (interior,)),
+        ([ss] * n_a, a_nodes, [k] * n_a),
+        (b_nodes, [tt] * n_b, [1 - x for x in on_boundary]),
+    )
+    tail: list[int] = []
+    to: list[int] = []
+    cap: list[int] = []
+    for us, vs, cs in blocks:
+        tail += us
+        to += vs
+        cap += cs
+    head: list[list[int]] = [[] for _ in range(tt + 1)]
+    for arc, (u, v) in enumerate(zip(tail, to)):
+        head[u].append(arc)
+        head[v].append(~arc)
+    to += reversed(tail)
+    cap += [0] * len(tail)
+    return _Template(
+        radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
+        parents=parents, children=children, head=head, to=to, cap=cap, b0=b0,
+        to_t=e - b0, to_tt=e + n_b + 3 + n_a - b0,
+        s_tt=e + n_b + 1, ss_t=e + n_b + 2, interior=interior,
+    )
+
+
+def _lengthened(tpl: _Template, dead: set) -> dict:
+    """Live nodes whose distance from the origin grows once the dead nodes
+    are removed: node -> new distance, or None beyond the radius.
+
+    A node keeps its distance exactly when a live parent (a neighbour one
+    step closer to the origin) keeps its own, so only the children of dead
+    or lengthened nodes are examined, layer by layer.  A lengthened node's
+    new distance is at least two more than before, so only the nodes that
+    much inside the radius are settled again, by increasing distance."""
+    dist, parents, children, r = tpl.dist, tpl.parents, tpl.children, tpl.radius
+    lost = set(dead)
+    layer: list[int] = []
+    moved: list[int] = []
+    for d in range(1, r + 1):
+        below = layer + [u for u in dead if dist[u] == d - 1]
+        layer = []
+        for u in below:
+            for w in children[u]:
+                if w not in lost and all(p in lost for p in parents[w]):
+                    lost.add(w)
+                    layer.append(w)
+        moved += layer
+    new: dict = {}
+
+    def level(p):
+        return new.get(p) if p in lost else dist[p]
+
+    pending = [w for w in moved if dist[w] + 2 <= r]
+    for d in range(1, r + 1):
+        settled = [
+            w for w in pending
+            if any(level(p) == d - 1 for p in parents[w] + children[w])
+        ]
+        new.update(dict.fromkeys(settled, d))
+        pending = [w for w in pending if w not in new]
+    return {w: new.get(w) for w in moved}
 
 
 @dataclass
@@ -295,6 +449,16 @@ class HaremMatchingState:
 
     The state after s steps is a pure function of (graph, k, s); committed
     pairs never change as more steps run.
+
+    Each step is solved in the frame of the identity.  Right translation by
+    a group element is a graph automorphism, so the residual ball around
+    the centre o*c (o the identity's vertex of its side) is the residual
+    ball around o, with the removed vertices moved by c^-1, translated by
+    c.  ``_templates`` holds each side's full ball around o with its flow
+    network, keyed by whether the side is A and built at the side's first
+    step.  It is owned by this state alone, so a fresh state builds its
+    own.  For the free:2 decomposition (17-element key, k = 2) the
+    templates have 1,618 vertices (radius 3) and 14,578 (radius 4).
     """
 
     graph: BipartiteGraphOracle
@@ -305,6 +469,7 @@ class HaremMatchingState:
     right_pair: dict = field(default_factory=dict)
     _cursor_a: int = 0
     _cursor_b: int = 0
+    _templates: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def harem_new(g: BipartiteGraphOracle, k: int) -> HaremMatchingState:
@@ -315,7 +480,9 @@ def harem_new(g: BipartiteGraphOracle, k: int) -> HaremMatchingState:
     return HaremMatchingState(g, k)
 
 
-def _next_unremoved(st: HaremMatchingState, left: bool) -> int:
+def _next_unremoved(st: HaremMatchingState, left: bool) -> tuple[int, int]:
+    """The due side's lowest unremoved vertex and its enumeration index,
+    that is its group element: (index, vertex)."""
     enum = st.graph.left_enum if left else st.graph.right_enum
     idx = st._cursor_a if left else st._cursor_b
     while enum(idx) in st.removed:
@@ -324,26 +491,75 @@ def _next_unremoved(st: HaremMatchingState, left: bool) -> int:
         st._cursor_a = idx
     else:
         st._cursor_b = idx
-    return enum(idx)
+    return idx, enum(idx)
+
+
+def _frame(st: HaremMatchingState, a_side: bool, c: int):
+    """The due side's template, the dead nodes (the removed vertices moved
+    into the frame by c^-1 that lie in it) and the nodes they lengthen
+    (see ``_lengthened``)."""
+    g = st.graph
+    tpl = st._templates.get(a_side)
+    if tpl is None:
+        origin = g.left_enum(0) if a_side else g.right_enum(0)
+        r = RADIUS_A if a_side else RADIUS_B
+        tpl = st._templates[a_side] = _template(g, origin, r, st.k)
+    c_inv = g.inv(c)
+    index = tpl.index
+    dead = {index[f] for f in (g.translate(u, c_inv) for u in st.removed) if f in index}
+    return tpl, dead, _lengthened(tpl, dead)
+
+
+def _capacities(tpl: _Template, dead: set, moved: dict, k: int):
+    """The template's capacities for the residual ball, and the flow value
+    that saturates its lower bounds.  Every arc of a dead node, or of one
+    moved beyond the radius, is zeroed; a B node moved out to the radius
+    trades its interior arc for its boundary arc."""
+    cap = tpl.cap[:]
+    n_a, interior = tpl.b0 - 2, tpl.interior
+    for u in dead.union(w for w, d in moved.items() if d is None):
+        for e in tpl.head[u]:
+            cap[e if e >= 0 else ~e] = 0
+        if u < tpl.b0:
+            n_a -= 1
+        elif tpl.dist[u] < tpl.radius:
+            interior -= 1
+    for w, d in moved.items():
+        if d == tpl.radius:  # only B nodes lie at the radius; w was interior
+            cap[w + tpl.to_t] = 1
+            cap[w + tpl.to_tt] = 0
+            interior -= 1
+    cap[tpl.s_tt] = k * n_a
+    cap[tpl.ss_t] = interior
+    return cap, k * n_a + interior
 
 
 def harem_step(st: HaremMatchingState) -> HaremMatchingState:
     """One back-and-forth step: resolve the star of the next vertex."""
     a_side = st.step_count % 2 == 0
-    v = _next_unremoved(st, left=a_side)
-    r = RADIUS_A if a_side else RADIUS_B
-    piece = induced_ball(st.graph, v, r, st.removed)
-    matching = finite_harem_match(piece, st.k)
-    if matching is None:
+    c, v = _next_unremoved(st, left=a_side)
+    tpl, dead, moved = _frame(st, a_side, c)
+    head, to = tpl.head, tpl.to
+    translate = st.graph.translate
+    cap, demand = _capacities(tpl, dead, moved, st.k)
+    # past the end of a finite group's codes v is no vertex of the graph,
+    # and the translate of the origin by c is not v
+    ss = len(head) - 2
+    if translate(tpl.codes[tpl.origin], c) != v or (
+        _maxflow(head, to, cap, ss, ss + 1) != demand
+    ):
         raise InternalInfeasibleError(
             "finite matching infeasible at step %d around code %d"
             % (st.step_count, v)
         )
-    if a_side:
-        star_left = v
-    else:
-        star_left = next(a for a, bs in sorted(matching.items()) if v in bs)
-    partners = matching[star_left]
+    # the flow on the edge arc e is the residual capacity of its reverse ~e
+    a = tpl.origin
+    if not a_side:
+        a = next(to[e] for e in head[a] if e < 0 and cap[e])
+    star_left = translate(tpl.codes[a], c)
+    partners = tuple(
+        sorted(translate(tpl.codes[to[e]], c) for e in head[a] if e >= 0 and cap[~e])
+    )
     st.left_pairs[star_left] = partners
     for b in partners:
         st.right_pair[b] = star_left

@@ -87,6 +87,12 @@ class CayleyBipartite(BipartiteGraphOracle):
     def right_enum(self, i: int) -> int:
         return 2 * i + 1
 
+    def translate(self, u: int, h: int) -> int:
+        return 2 * self.group.mult(u // 2, h) + u % 2
+
+    def inv(self, h: int) -> int:
+        return self.group.inv(h)
+
 
 def cayley_bipartite(g: GroupOracle, K) -> CayleyBipartite:
     return CayleyBipartite(g, K)

@@ -37,9 +37,6 @@ class UnsupportedFamilyError(PreconditionError):
     """The requested decider has no correctness guarantee for this family."""
 
 
-NONE_FOUND = UNKNOWN  # what refute_witness_bounded returns when nothing is found
-
-
 @dataclass
 class WitnessVerdict:
     verdict: str  # WITNESS | NOT_WITNESS | UNKNOWN

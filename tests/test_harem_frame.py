@@ -1,0 +1,222 @@
+"""The back-and-forth solved in the identity's frame.
+
+At every step of a paradox prefix, the residual piece read off the side's
+template and moved back by the centre's group element is the residual ball
+that ``induced_ball`` builds around the centre, and the committed star is
+the star that ``finite_harem_match`` finds on that piece in frame codes.
+"""
+
+import random
+
+import pytest
+
+from folnerlab import Budget, make_group
+from folnerlab.groups import ball, parse_elements
+from folnerlab.harem import (
+    RADIUS_A,
+    RADIUS_B,
+    FiniteBipartite,
+    InternalInfeasibleError,
+    _capacities,
+    _frame,
+    _next_unremoved,
+    finite_harem_match,
+    harem_new,
+    harem_step,
+    induced_ball,
+)
+from folnerlab.paradox import (
+    build_decomposition,
+    cayley_bipartite,
+    verify_decomposition_prefix,
+)
+
+
+def paradox_free2():
+    g = make_group("free:2")
+    return build_decomposition(g, parse_elements(g, "a,a^-1,b,b^-1"), 1)
+
+
+def frame_piece(graph, tpl, dead, moved):
+    """The residual piece of the template in frame codes, with its
+    adjacency read from the graph oracle."""
+    dist = {
+        tpl.codes[u]: moved.get(u, d)
+        for u, d in enumerate(tpl.dist)
+        if d >= 0 and u not in dead
+    }
+    dist = {f: d for f, d in dist.items() if d is not None}
+    A = tuple(sorted(f for f in dist if graph.is_left(f)))
+    B = tuple(sorted(f for f in dist if not graph.is_left(f)))
+    adj = {a: tuple(w for w in graph.neighbors(a) if w in dist) for a in A}
+    boundary = frozenset(b for b in B if dist[b] == tpl.radius)
+    return FiniteBipartite(A, B, adj, boundary)
+
+
+def check_capacities(tpl, dead, moved, local, k):
+    """The step's network carries exactly the bounds of the piece."""
+    cap, demand = _capacities(tpl, dead, moved, k)
+    live = {tpl.index[f] for f in local.A + local.B}
+    boundary = {tpl.index[f] for f in local.boundary_B}
+    for u in range(2, tpl.b0):
+        # the last arc at an A node is the reverse of its arc ss -> a
+        assert cap[~tpl.head[u][-1]] == (k if u in live else 0)
+    for b in range(tpl.b0, len(tpl.head) - 2):
+        assert cap[b + tpl.to_t] == (b in boundary)
+        assert cap[b + tpl.to_tt] == (b in live and b not in boundary)
+    for e, w in enumerate(tpl.to[: len(tpl.to) // 2]):
+        u = tpl.to[~e]
+        if 2 <= u < tpl.b0 and w >= tpl.b0:  # an edge arc
+            assert cap[e] == (u in live and w in live)
+    n_a, interior = len(local.A), len(local.B) - len(local.boundary_B)
+    assert cap[tpl.s_tt] == k * n_a and cap[tpl.ss_t] == interior
+    assert demand == k * n_a + interior
+
+
+def checked_step(st, ref):
+    """One harem step, checked against the references on the oracle ref.
+
+    The step's residual piece, read off the template and moved back by the
+    centre's group element, must be ``induced_ball`` around the centre, and
+    the committed star must be the star of ``finite_harem_match`` on that
+    piece in frame codes."""
+    graph = st.graph
+    a_side = st.step_count % 2 == 0
+    cursor = (st._cursor_a, st._cursor_b)
+    c, v = _next_unremoved(st, left=a_side)
+    st._cursor_a, st._cursor_b = cursor
+    r = RADIUS_A if a_side else RADIUS_B
+    tpl, dead, moved = _frame(st, a_side, c)
+    local = frame_piece(ref, tpl, dead, moved)
+    check_capacities(tpl, dead, moved, local, st.k)
+
+    def back(f):
+        return graph.translate(f, c)
+
+    want = induced_ball(ref, v, r, st.removed)
+    assert set(map(back, local.A)) == set(want.A)
+    assert set(map(back, local.B)) == set(want.B)
+    assert {back(a): set(map(back, bs)) for a, bs in local.adj.items()} == {
+        a: set(bs) for a, bs in want.adj.items()
+    }
+    assert set(map(back, local.boundary_B)) == set(want.boundary_B)
+
+    matching = finite_harem_match(local, st.k)
+    assert matching is not None
+    origin = tpl.codes[tpl.origin]
+    if a_side:
+        star = origin
+    else:
+        star = next(a for a, bs in sorted(matching.items()) if origin in bs)
+    before = set(st.left_pairs)
+    harem_step(st)
+    (a,) = set(st.left_pairs) - before
+    partners = st.left_pairs[a]
+    assert a == back(star)
+    assert partners == tuple(sorted(map(back, matching[star])))
+    assert len(set(partners)) == len(partners) == st.k
+    assert set(partners) <= set(want.adj[a])  # edges to live B vertices
+    assert v == a if a_side else v in partners
+    return moved
+
+
+def test_frame_piece_is_the_residual_ball_at_every_step():
+    d = paradox_free2()
+    st = d.state
+    # a second oracle for the references, so the state's own stays untouched
+    ref = cayley_bipartite(d.group, d.key.K)
+    for m in range(48):
+        while 2 * m not in st.left_pairs:
+            checked_step(st, ref)
+    assert st.step_count == 51
+
+
+def test_frame_piece_where_distances_grow_back_inside_the_ball():
+    # on Z^2 some right vertices at distance 2 from a B-step's centre fall
+    # to distance 4 and turn from interior into boundary vertices
+    g = make_group("zd:2")
+    K = ball(g, parse_elements(g, "(1,0),(0,1)"), 1)
+    st = harem_new(cayley_bipartite(g, K), 1)
+    ref = cayley_bipartite(g, K)
+    regrown = 0
+    for _ in range(60):
+        moved = checked_step(st, ref)
+        regrown += sum(d is not None for d in moved.values())
+    assert regrown > 0
+
+
+def test_frame_steps_on_a_key_without_the_identity():
+    # B-step centres are then matched to left vertices other than their
+    # own element's
+    g = make_group("free:2")
+    K = parse_elements(g, "a,b,a^-1")
+    st = harem_new(cayley_bipartite(g, K), 1)
+    ref = cayley_bipartite(g, K)
+    for _ in range(40):
+        checked_step(st, ref)
+    assert any(st.right_pair[2 * c + 1] != 2 * c for c in range(10))
+
+
+def test_hundred_code_prefix_keeps_the_neighbour_cache():
+    d = paradox_free2()
+    st = d.state
+    harem_step(st)
+    harem_step(st)
+    assert set(st._templates) == {True, False}
+    size = len(st.graph._cache)
+    report = verify_decomposition_prefix(d, 100, Budget(10**4))
+    assert report["violations"] == []
+    assert [r["m"] for r in report["resolved"]] == list(range(100))
+    assert len(st.graph._cache) == size == 1618
+
+
+def test_template_sizes():
+    st = paradox_free2().state
+    harem_step(st)
+    harem_step(st)
+    sizes = {side: sum(d >= 0 for d in tpl.dist) for side, tpl in st._templates.items()}
+    assert sizes == {True: 1618, False: 14578}
+
+
+def test_each_state_builds_its_own_templates():
+    d = paradox_free2()
+    other = harem_new(d.state.graph, 2)
+    harem_step(d.state)
+    harem_step(other)
+    assert d.state._templates[True] is not other._templates[True]
+    assert d.state.left_pairs == other.left_pairs
+
+
+@pytest.mark.parametrize("spec,key", [("free:2", "a,b"), ("zd:2", "(1,0),(0,1)")])
+def test_translate_is_an_automorphism(spec, key):
+    g = make_group(spec)
+    graph = cayley_bipartite(g, ball(g, parse_elements(g, key), 1))
+    rng = random.Random(5)
+    for _ in range(40):
+        u, h = rng.randrange(200), rng.randrange(60)
+        moved = graph.translate(u, h)
+        assert graph.is_left(moved) == graph.is_left(u)
+        assert graph.translate(moved, graph.inv(h)) == u
+        assert set(graph.neighbors(moved)) == {
+            graph.translate(w, h) for w in graph.neighbors(u)
+        }
+    assert graph.translate(graph.left_enum(0), 7) == graph.left_enum(7)
+    assert graph.translate(graph.right_enum(0), 7) == graph.right_enum(7)
+
+
+def test_steps_past_a_finite_group_raise():
+    # six steps match all of cyclic:6; the next A-step's code 12 is no vertex
+    g = make_group("cyclic:6")
+    st = harem_new(cayley_bipartite(g, ball(g, parse_elements(g, "1"), 1)), 1)
+    for _ in range(6):
+        harem_step(st)
+    assert len(st.left_pairs) == len(st.right_pair) == 6
+    with pytest.raises(InternalInfeasibleError, match="step 6 around code 12"):
+        harem_step(st)
+
+
+def test_infeasible_step_raises():
+    g = make_group("free:2")
+    st = harem_new(cayley_bipartite(g, parse_elements(g, "a")), 2)
+    with pytest.raises(InternalInfeasibleError, match="step 0 around code 0"):
+        harem_step(st)
