@@ -7,12 +7,13 @@ partial translation graphs on F, stop once each graph covers more than
 3/4 of F, and check whether any start index chains consistently.
 """
 
-from folnerlab import CEView, make_group
+from folnerlab import Budget, CEView, make_group
 from folnerlab.folner import box_folner, decide_mult_from_folner, folner_oracle
 
 z2 = make_group("zd:2")
 ce = CEView(z2)  # the same group, exposed through enumerations only
-oracle = folner_oracle(ce)
+budget = Budget(10**6)  # each decision scans at most this many table entries
+oracle = folner_oracle(ce, budget)
 
 triples = [
     ((1, 0), (0, 1), (1, 1)),
@@ -23,7 +24,7 @@ triples = [
 ]
 for a, b, c in triples:
     codes = [z2.encode_vector(v) for v in (a, b, c)]
-    got = decide_mult_from_folner(ce, oracle, *codes)
+    got = decide_mult_from_folner(ce, oracle, *codes, budget)
     truth = (a[0] + b[0], a[1] + b[1]) == c
     print("%s + %s = %s ?  decided %-5s  (truth %s)" % (a, b, c, got, truth))
 

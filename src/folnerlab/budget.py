@@ -45,13 +45,17 @@ class Budget:
 
 
 class Meter:
-    """Mutable countdown used internally while a budget is consumed."""
+    """Mutable countdown of one run's budget, made once by ``Budget.meter``."""
 
     __slots__ = ("remaining", "limit")
 
     def __init__(self, steps: int):
         self.remaining = steps
         self.limit = steps
+
+    def meter(self) -> "Meter":
+        """Itself: passed wherever a budget goes, the run's one meter is shared."""
+        return self
 
     def charge(self, amount: int = 1) -> bool:
         """Deduct ``amount`` steps; False once the budget is exhausted."""

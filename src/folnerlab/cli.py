@@ -7,8 +7,9 @@ internally.  Reports go to stdout as human text, or as canonical JSON with
 
 ``COMMANDS`` lists every command with its help text and flags, and
 ``FLAGS`` gives each flag's ``add_argument`` arguments; argparse rejects
-``--n``, ``--budget`` or ``--steps`` below 1.  ``_run`` answers a report or
-``UNKNOWN``, and ``main`` alone turns the outcome into an exit code:
+``--n``, ``--budget`` or ``--steps`` below 1.  ``_run`` charges the run's
+one meter, made from ``--budget``, and answers a report or ``UNKNOWN``;
+``main`` alone turns the outcome into an exit code:
 0 definite answer, 2 UNKNOWN (budget exhausted), 3 precondition violation,
 4 malformed input.
 """
@@ -21,7 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .budget import Budget, UNKNOWN
+from .budget import Budget, Meter, UNKNOWN
 from .folner import (
     ReiterFunction,
     decide_mult_from_folner,
@@ -146,18 +147,18 @@ def _certified(cert):
     return cert if cert is UNKNOWN else {"certificate": cert.to_json_dict()}
 
 
-def _run(args, g, budget: Budget):
-    """The report of one command, or UNKNOWN when the budget ran out."""
+def _run(args, g, meter: Meter):
+    """The report of one command, or UNKNOWN when the run's meter ran out."""
     command = args.command
     if command == "folner-search":
-        return _certified(search_folner(g, _elements(g, args.d, "d"), args.n, budget))
+        return _certified(search_folner(g, _elements(g, args.d, "d"), args.n, meter))
 
     if command == "folner-function":
-        size = folner_function(g, _elements(g, args.d, "d"), args.n, budget)
+        size = folner_function(g, _elements(g, args.d, "d"), args.n, meter)
         return size if size is UNKNOWN else {"min_size": size}
 
     if command == "folner-seq":
-        return _certified(folner_sequence(g, args.n, budget))
+        return _certified(folner_sequence(g, args.n, meter))
 
     if command == "reiter-check":
         D = _elements(g, args.d, "d")
@@ -172,7 +173,7 @@ def _run(args, g, budget: Budget):
         if g.mode != CE:
             raise PreconditionError("kappa requires a CE-mode group (redundant-z)")
         D = _elements(g, args.d, "d")
-        verdict = verify_invariance_ce(g, args.n, D, _load_reiter(args.fn), budget)
+        verdict = verify_invariance_ce(g, args.n, D, _load_reiter(args.fn), meter)
         return verdict if verdict is UNKNOWN else {"result": verdict}
 
     if command == "wp-from-folner":
@@ -185,12 +186,12 @@ def _run(args, g, budget: Budget):
         except ValueError as exc:
             raise _MalformedInput(str(exc))
         ce = g if g.mode == CE else CEView(g)
-        equal = decide_mult_from_folner(ce, folner_oracle(ce, budget), *codes)
-        return {"equal": equal, "triple": codes}
+        equal = decide_mult_from_folner(ce, folner_oracle(ce, meter), *codes, meter)
+        return equal if equal is UNKNOWN else {"equal": equal, "triple": codes}
 
     if command == "harem-demo":
         K = _elements(g, args.k, "k")
-        if args.steps > budget.steps:
+        if not meter.charge(args.steps):
             return UNKNOWN
         st = harem_new(cayley_bipartite(g, K), 1)
         for _ in range(args.steps):
@@ -199,19 +200,19 @@ def _run(args, g, budget: Budget):
 
     if command == "paradox":
         d = build_decomposition(g, _elements(g, args.k0, "k0"), args.n)
-        return verify_decomposition_prefix(d, args.verify, budget)
+        return verify_decomposition_prefix(d, args.verify, meter)
 
     if command == "witness":
         K = _elements(g, args.k, "k")
         report = decide_witness_commutation(g, K).to_json_dict()
         if args.n > 0:
-            found = refute_witness_bounded(g, K, args.n, args.size_bound, budget)
+            found = refute_witness_bounded(g, K, args.n, args.size_bound, meter)
             report["refutation"] = None if found is UNKNOWN else found.to_json_dict()
         return report
 
     if command == "restrict-folner":
         K = _elements(g, args.k, "k")
-        cert = search_folner(g, K, args.n * len(K), budget)
+        cert = search_folner(g, K, args.n * len(K), meter)
         if cert is UNKNOWN:
             return UNKNOWN
         S = restrict_folner_to_subgroup(g, K, args.n, cert.F)
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_MALFORMED
     try:
-        report = _run(args, make_group(args.group), Budget(args.budget))
+        report = _run(args, make_group(args.group), Budget(args.budget).meter())
     except (MalformedSpecError, _MalformedInput) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MALFORMED

@@ -364,6 +364,7 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     """
     if g.mode != CE:
         raise PreconditionError("verify_invariance_ce requires a CE-mode oracle")
+    meter = b.meter()
     D = canonical_subset(D)
     codes = set(f.support)
     for x in D:
@@ -380,7 +381,9 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
         return "INVARIANT"
     if blocks == fibers:
         return "NOT_INVARIANT"
-    for m in range(b.steps):
+    for m in itertools.count():
+        if not meter.charge():
+            return UNKNOWN
         n1, n2 = g.eq_enum(m)
         if n1 in codes and n2 in codes and part.union(n1, n2):
             blocks -= 1
@@ -388,7 +391,6 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
                 return "INVARIANT"
             if blocks == fibers:
                 return "NOT_INVARIANT"
-    return UNKNOWN
 
 
 def extract_folner_from_reiter(g: GroupOracle, h: ReiterFunction, D, n: int):
@@ -435,15 +437,16 @@ def box_folner(g: ZdOracle, D, n: int) -> tuple[int, ...]:
     return tuple(sorted(g.encode_vector(c) for c in itertools.product(*ranges)))
 
 
-def folner_oracle(g: GroupOracle, budget: Budget | None = None):
-    """(n, D) -> F oracle: analytic boxes for zd, otherwise search."""
+def folner_oracle(g: GroupOracle, b: Budget):
+    """(n, D) -> F oracle: analytic boxes for zd, otherwise search.  The
+    searches share one meter made from b; PreconditionError ends an exhausted one."""
+    meter = b.meter()
     base = g.base if isinstance(g, CEView) else g
     if isinstance(base, ZdOracle):
         return lambda n, D: box_folner(base, D, n)
-    budget = budget or Budget(10**6)
 
     def from_search(n, D):
-        cert = search_folner(base, D, n, budget)
+        cert = search_folner(base, D, n, meter)
         if cert is UNKNOWN:
             raise PreconditionError("Folner search exhausted its budget")
         return cert.F
@@ -451,9 +454,12 @@ def folner_oracle(g: GroupOracle, budget: Budget | None = None):
     return from_search
 
 
-def decide_mult_from_folner(g: GroupOracle, folner, n1: int, n2: int, n3: int) -> bool:
+def decide_mult_from_folner(
+    g: GroupOracle, folner, n1: int, n2: int, n3: int, b: Budget
+):
     """Decide whether the product n1 * n2 of codes equals n3, reading the
-    multiplication-table enumeration of a CE oracle.
+    multiplication-table enumeration of a CE oracle; UNKNOWN when the
+    budget, one step per entry read, runs out first.
 
     The Folner oracle supplies a 4-Folner set F for D = {n1, n2, n3}.  Each
     entry (d, f, d * f) with d in D and f, d * f in F extends a partial
@@ -466,10 +472,11 @@ def decide_mult_from_folner(g: GroupOracle, folner, n1: int, n2: int, n3: int) -
     only the |D| x |F| entries with i in D and j in F are read, in
     ascending index order; if they run out before the injections are dense
     enough, F was not 4-Folner and PreconditionError is raised.  Any other
-    CE oracle's enumeration is scanned from index 0, with no budget.
+    CE oracle's enumeration is scanned from index 0.
     """
     if g.mode != CE:
         raise PreconditionError("decide_mult_from_folner consumes a CE oracle")
+    meter = b.meter()
     D = canonical_subset({n1, n2, n3})
     F = canonical_subset(folner(4, D))
     pos = {f: i for i, f in enumerate(F)}
@@ -485,6 +492,8 @@ def decide_mult_from_folner(g: GroupOracle, folner, n1: int, n2: int, n3: int) -
     for m in entries:
         if done():
             break
+        if not meter.charge():
+            return UNKNOWN
         i, j, prod = g.multt_enum(m)
         if i in graphs and j in pos and prod in pos:
             graphs[i][pos[j]] = pos[prod]

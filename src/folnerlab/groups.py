@@ -544,13 +544,15 @@ def eq_semidecide(g: GroupOracle, x: int, y: int, b: Budget):
     """
     if g.mode != CE:
         raise PreconditionError("eq_semidecide requires a CE-mode oracle")
+    meter = b.meter()
     if x == y:
         return "EQUAL"
-    for m in range(b.steps):
+    for m in itertools.count():
+        if not meter.charge():
+            return UNKNOWN
         pair = g.eq_enum(m)
         if pair == (x, y) or pair == (y, x):
             return "EQUAL"
-    return UNKNOWN
 
 
 def ball_layers(g: GroupOracle, gens, meter=None):

@@ -542,16 +542,13 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
     head, to = tpl.head, tpl.to
     translate = st.graph.translate
     cap, demand = _capacities(tpl, dead, moved, st.k)
-    # past the end of a finite group's codes v is no vertex of the graph,
-    # and the translate of the origin by c is not v
+    where = "at step %d around code %d" % (st.step_count, v)
+    # past a finite group's last code, v is no vertex: c moves the origin elsewhere
+    if translate(tpl.codes[tpl.origin], c) != v:
+        raise InternalInfeasibleError("finite graph's side has no vertex left " + where)
     ss = len(head) - 2
-    if translate(tpl.codes[tpl.origin], c) != v or (
-        _maxflow(head, to, cap, ss, ss + 1) != demand
-    ):
-        raise InternalInfeasibleError(
-            "finite matching infeasible at step %d around code %d"
-            % (st.step_count, v)
-        )
+    if _maxflow(head, to, cap, ss, ss + 1) != demand:
+        raise InternalInfeasibleError("finite matching infeasible " + where)
     # the flow on the edge arc e is the residual capacity of its reverse ~e
     a = tpl.origin
     if not a_side:
@@ -571,11 +568,10 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
 
 def harem_query(st: HaremMatchingState, v: int, b: Budget):
     """Partners of v (k-tuple for a left vertex, single code for a right),
-    running at most b.steps further matching steps; UNKNOWN if unresolved."""
+    one budget step per further matching step; UNKNOWN if unresolved."""
+    meter = b.meter()
     pairs = st.left_pairs if st.graph.is_left(v) else st.right_pair
-    for _ in range(b.steps):
-        if v in pairs:
-            break
+    while v not in pairs and meter.charge():
         harem_step(st)
     return pairs.get(v, UNKNOWN)
 

@@ -209,21 +209,17 @@ def verify_decomposition_prefix(
     Returns a report dict with the resolved records and a violation list
     (empty for a correct build).  On top of the record checks this
     verifies that phi inverts both psi maps and that the matching
-    bookkeeping is consistent (every committed right code hit once)."""
+    bookkeeping is consistent (every committed right code hit once).
+    Every code the matching has resolved is reported, even once the budget is spent."""
     meter = b.meter()
     records = []
     violations = []
     for m in range(count):
-        if meter.remaining == 0:
-            violations.append({"check": "unresolved", "m": m})
-            continue
-        before = d.state.step_count
-        pair = d.psi_pair(m, Budget(meter.remaining))
-        meter.charge(d.state.step_count - before)
+        pair = d.psi_pair(m, meter)
         if pair is UNKNOWN:
             violations.append({"check": "unresolved", "m": m})
             continue
-        thetas = d.theta_pair(m, Budget(1))
+        thetas = d.theta_pair(m, meter)
         records.append(
             {
                 "m": m,
@@ -234,7 +230,7 @@ def verify_decomposition_prefix(
             }
         )
         for p in pair:
-            back = d.phi(p, Budget(1))
+            back = d.phi(p, meter)
             if back != m:
                 violations.append({"check": "phi_inverts_psi", "m": m, "psi": p})
     violations.extend(check_decomposition_records(d.group, d.key.K, records))

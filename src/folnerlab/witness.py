@@ -27,7 +27,7 @@ from .groups import (
     PreconditionError,
     RedundantZOracle,
     ZdOracle,
-    ball,
+    ball_layers,
     canonical_subset,
 )
 from .folner import FolnerCertificate, UnionFind, certificate, translate_defects
@@ -88,7 +88,9 @@ def refute_witness_bounded(
         raise PreconditionError("refute_witness_bounded needs a COMPUTABLE oracle")
     K = canonical_subset(K)
     meter = b.meter()
-    universe = ball(g, K, radius)
+    *_, universe = itertools.islice(ball_layers(g, K, meter), radius + 1)
+    if universe is None:
+        return UNKNOWN
     for size in range(1, size_bound + 1):
         for F in itertools.combinations(universe, size):
             if not meter.charge(size * max(1, len(K))):

@@ -289,7 +289,8 @@ def test_criterion_03_ce_invariance_agrees():
 def test_criterion_04_word_problem_from_folner():
     start = time.monotonic()
     g = CEView(Z2)
-    oracle = folner_oracle(g)
+    budget = Budget(10**6)
+    oracle = folner_oracle(g, budget)
     rng = random.Random(404)
     checked = 0
     for trial in range(100):
@@ -305,7 +306,7 @@ def test_criterion_04_word_problem_from_folner():
         F = oracle(4, tuple(sorted(set(codes))))
         ok, _ = is_n_folner(Z2, F, tuple(sorted(set(codes))), 4)
         assert ok
-        assert decide_mult_from_folner(g, oracle, *codes) == truth
+        assert decide_mult_from_folner(g, oracle, *codes, budget) == truth
         checked += 1
     assert checked == 100
     assert time.monotonic() - start < 60

@@ -107,6 +107,11 @@ CASES = {
     "wp_z2_false": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1),(2,2)"],
     "wp_z2_identity": ["wp-from-folner", "--group", "zd:2", "--d", "(0,0),(0,0),(0,0)"],
     "wp_z2_far": ["wp-from-folner", "--group", "zd:2", "--d", "(3,-2),(-1,4),(2,2)"],
+    # the scan pays one step per multiplication-table entry read
+    "wp_z2_scan_edge_unknown": ["wp-from-folner", "--group", "zd:2",
+                                "--d", "(3,-2),(-1,4),(2,2)", "--budget", "2105"],
+    "wp_z2_scan_edge_ok": ["wp-from-folner", "--group", "zd:2",
+                           "--d", "(3,-2),(-1,4),(2,2)", "--budget", "2106"],
     "wp_z1_true": ["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,-3"],
     "wp_z1_false": ["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,+3"],
     # harem-demo and paradox: the 50-step and 12-code matchings are pinned
@@ -120,12 +125,24 @@ CASES = {
     "harem_budget_edge_ok": ["harem-demo", "--group", "free:2",
                              "--k", "e,a,a^-1,b,b^-1", "--steps", "4",
                              "--budget", "4"],
+    "harem_cyclic_exhausted": ["harem-demo", "--group", "cyclic:6", "--k", "0,1,5",
+                               "--steps", "7"],
     "paradox_bare": ["paradox", "--group", "free:2", "--k0", "a,a^-1,b,b^-1",
                      "--n", "1"],
     "paradox_verify3": ["paradox", "--group", "free:2", "--k0",
                         "a,a^-1,b,b^-1", "--n", "1", "--verify", "3"],
+    # the budget runs out on the third code, which the matching already resolved
+    "paradox_verify3_budget3": ["paradox", "--group", "free:2", "--k0",
+                                "a,a^-1,b,b^-1", "--n", "1", "--verify", "3",
+                                "--budget", "3"],
     "paradox_verify12": ["paradox", "--group", "free:2", "--k0", "a,a^-1,b,b^-1",
                          "--n", "1", "--verify", "12"],
+    "paradox_verify12_budget_edge_unknown": ["paradox", "--group", "free:2",
+                                             "--k0", "a,a^-1,b,b^-1", "--n", "1",
+                                             "--verify", "12", "--budget", "14"],
+    "paradox_verify12_budget_edge_ok": ["paradox", "--group", "free:2",
+                                        "--k0", "a,a^-1,b,b^-1", "--n", "1",
+                                        "--verify", "12", "--budget", "15"],
     # witness and restrict-folner
     "witness_free": ["witness", "--group", "free:2", "--k", "a,b"],
     "witness_lamp": ["witness", "--group", "lamplighter", "--k", "s,t"],

@@ -27,7 +27,12 @@ from folnerlab.folner import (
     translate_defects,
     verify_invariance_ce,
 )
-from folnerlab.groups import PreconditionError, parse_element, parse_elements
+from folnerlab.groups import (
+    PreconditionError,
+    RedundantZOracle,
+    parse_element,
+    parse_elements,
+)
 
 Z1 = make_group("zd:1")
 Z2 = make_group("zd:2")
@@ -367,16 +372,18 @@ def test_box_folner_strict():
 
 def test_decide_mult_examples():
     g = CEView(Z2)
-    oracle = folner_oracle(g)
+    b = Budget(10**6)
+    oracle = folner_oracle(g, b)
     c = lambda t: parse_element(Z2, t)
-    assert decide_mult_from_folner(g, oracle, c("(1,0)"), c("(0,1)"), c("(1,1)"))
-    assert not decide_mult_from_folner(g, oracle, c("(1,0)"), c("(0,1)"), c("(2,2)"))
-    assert decide_mult_from_folner(g, oracle, 0, 0, 0)
+    assert decide_mult_from_folner(g, oracle, c("(1,0)"), c("(0,1)"), c("(1,1)"), b)
+    assert not decide_mult_from_folner(g, oracle, c("(1,0)"), c("(0,1)"), c("(2,2)"), b)
+    assert decide_mult_from_folner(g, oracle, 0, 0, 0, b)
 
 
 def test_decide_mult_random_triples():
     g = CEView(Z2)
-    oracle = folner_oracle(g)
+    budget = Budget(10**6)
+    oracle = folner_oracle(g, budget)
     rng = random.Random(23)
     for trial in range(12):
         a = (rng.randint(-2, 2), rng.randint(-2, 2))
@@ -387,7 +394,7 @@ def test_decide_mult_random_triples():
             c = (rng.randint(-3, 3), rng.randint(-3, 3))
         truth = c == (a[0] + b[0], a[1] + b[1])
         codes = [Z2.encode_vector(v) for v in (a, b, c)]
-        assert decide_mult_from_folner(g, oracle, *codes) == truth
+        assert decide_mult_from_folner(g, oracle, *codes, budget) == truth
 
 
 def test_decide_mult_argument_order_non_abelian():
@@ -407,11 +414,31 @@ def test_decide_mult_argument_order_non_abelian():
     assert len(F) == 384 and F[-1] == 946010
     for d in (s, t, st, ts):
         assert 6 * sum(lam.mult(d, f) not in F for f in F) <= len(F)
-    g = CEView(lam)
-    assert decide_mult_from_folner(g, lambda n, D: F, s, t, st) is True
-    assert decide_mult_from_folner(g, lambda n, D: F, s, t, ts) is False
+    g, b = CEView(lam), Budget(10**6)
+    assert decide_mult_from_folner(g, lambda n, D: F, s, t, st, b) is True
+    assert decide_mult_from_folner(g, lambda n, D: F, s, t, ts, b) is False
 
 
 def test_decide_mult_rejects_oracle_set_that_is_not_folner():
     with pytest.raises(PreconditionError):
-        decide_mult_from_folner(CEView(Z2), lambda n, D: (0,), 1, 2, 3)
+        decide_mult_from_folner(CEView(Z2), lambda n, D: (0,), 1, 2, 3, Budget(10**6))
+
+
+class _ReadCountingRZ(RedundantZOracle):
+    """redundant-z that fails any scan reading past 10**4 table entries."""
+
+    reads = 0
+
+    def multt_enum(self, m):
+        self.reads += 1
+        assert self.reads <= 10**4, "the scan read past its budget"
+        return super().multt_enum(m)
+
+
+def test_decide_mult_scan_of_a_ce_oracle_stops_at_its_budget():
+    # a one-element set is never 4-Folner, so the injections never fill up;
+    # the scan of a non-CEView enumeration ends only when the budget does
+    g = _ReadCountingRZ()
+    verdict = decide_mult_from_folner(g, lambda n, D: (0,), 1, 3, 5, Budget(10**4))
+    assert verdict is UNKNOWN
+    assert g.reads == 10**4

@@ -1,5 +1,5 @@
-"""The package runs on the standard library alone, and the names the
-benchmark tracer hooks stay importable."""
+"""The package runs on the standard library alone, only the CLI makes a
+budget, and the names the benchmark tracer hooks stay importable."""
 
 import importlib.util
 import os
@@ -29,6 +29,17 @@ def test_no_module_imports_numpy():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+def test_only_the_cli_makes_a_budget():
+    """A budget is the caller's spec: ``cli.main`` makes the one ``Budget``
+    of a run, and every pipeline charges the meter it is handed instead of
+    reading the allowance or minting a second budget."""
+    for path in sorted(Path(folnerlab.__file__).resolve().parent.glob("*.py")):
+        text = path.read_text()
+        if path.name != "cli.py":
+            assert "Budget(" not in text, path.name
+        assert "b.steps" not in text and "budget.steps" not in text, path.name
 
 
 def _benchmark_tracer():
