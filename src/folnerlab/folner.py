@@ -282,19 +282,12 @@ def pushforward(g: GroupOracle, f: ReiterFunction) -> dict[int, Fraction]:
 
 
 def reiter_defect(g: GroupOracle, f: ReiterFunction, D) -> dict[int, Fraction]:
-    """Exact normalised l1 shift defect of the pushforward, per element of D."""
+    """Exact normalised l1 shift defect of the pushforward, per element of D:
+    the partition defect over the fibers of the numbering."""
     if g.mode != COMPUTABLE:
         raise PreconditionError("reiter_defect requires a COMPUTABLE-mode oracle")
-    h = pushforward(g, f)
-    total = sum(h.values(), Fraction(0))
-    out = {}
-    for x in D:
-        shifted = {g.mult(x, v): q for v, q in h.items()}
-        num = Fraction(0)
-        for v in set(h) | set(shifted):
-            num += abs(h.get(v, Fraction(0)) - shifted.get(v, Fraction(0)))
-        out[x] = num / total
-    return out
+    fiber = {c: g.canon(c) for v in f.support for c in (v, *(g.mult(x, v) for x in D))}
+    return {x: partition_defect(f, fiber, x, g.mult) for x in D}
 
 
 class UnionFind:

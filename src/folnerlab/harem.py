@@ -27,8 +27,9 @@ for o the identity's vertex of v's side, the residual ball around v is the
 translate by c of the residual ball around o in which the removed vertices
 are moved by c^-1.  The full ball around o, and its flow network, is built
 once per side and per matching state: the template.  A step maps only the
-removed vertices into the frame, marks them dead in the template, repairs
-the distances they lengthen, solves, and maps only the committed star back.
+removed vertices into the frame, marks them dead and recomputes the
+distances by breadth-first search on the template, solves, and maps only
+the committed star back.
 For the paradoxical decomposition of free:2 (17-element key, k = 2) the
 templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4).
 """
@@ -335,8 +336,7 @@ class _Template(NamedTuple):
     codes: list  # node -> frame code (A and B nodes)
     index: dict  # frame code -> node
     dist: list  # node -> distance from the origin in the full graph
-    parents: list  # node -> its neighbours one step closer to the origin
-    children: list  # node -> its neighbours one step further out
+    nbrs: list  # node -> its neighbours in the ball
     head: list
     to: list
     cap: list
@@ -346,6 +346,26 @@ class _Template(NamedTuple):
     s_tt: int  # the arc S -> tt
     ss_t: int  # the arc ss -> T
     interior: int  # B nodes closer to the origin than the radius
+
+
+def _distances(nbrs: list, origin: int, r: int, dead) -> list:
+    """Node -> distance from the origin node by breadth-first search over
+    ``nbrs``, entering no node beyond distance r: -1 for a node not
+    reached.  The dead nodes are pre-marked None, so the search never
+    enters them."""
+    dist = [-1] * len(nbrs)
+    for u in dead:
+        dist[u] = None
+    dist[origin] = 0
+    queue = [origin]
+    for u in queue:
+        d = dist[u] + 1
+        if d <= r:
+            for w in nbrs[u]:
+                if dist[w] == -1:
+                    dist[w] = d
+                    queue.append(w)
+    return dist
 
 
 def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template:
@@ -362,16 +382,7 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     for u, w in zip(edge_tail, edge_head):
         nbrs[u].append(w)
         nbrs[w].append(u)
-    dist = [-1] * (tt + 1)
-    dist[index[origin]] = 0
-    queue = [index[origin]]
-    for u in queue:
-        for w in nbrs[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    parents = [[w for w in ws if dist[w] < dist[u]] for u, ws in enumerate(nbrs)]
-    children = [[w for w in ws if dist[w] > dist[u]] for u, ws in enumerate(nbrs)]
+    dist = _distances(nbrs, index[origin], r, ())
     on_boundary = [int(dist[b] == r) for b in b_nodes]
     interior = n_b - sum(on_boundary)
     e = len(edge_tail)
@@ -399,48 +410,10 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     cap += [0] * len(tail)
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
-        parents=parents, children=children, head=head, to=to, cap=cap, b0=b0,
+        nbrs=nbrs, head=head, to=to, cap=cap, b0=b0,
         to_t=e - b0, to_tt=e + n_b + 3 + n_a - b0,
         s_tt=e + n_b + 1, ss_t=e + n_b + 2, interior=interior,
     )
-
-
-def _lengthened(tpl: _Template, dead: set) -> dict:
-    """Live nodes whose distance from the origin grows once the dead nodes
-    are removed: node -> new distance, or None beyond the radius.
-
-    A node keeps its distance exactly when a live parent (a neighbour one
-    step closer to the origin) keeps its own, so only the children of dead
-    or lengthened nodes are examined, layer by layer.  A lengthened node's
-    new distance is at least two more than before, so only the nodes that
-    much inside the radius are settled again, by increasing distance."""
-    dist, parents, children, r = tpl.dist, tpl.parents, tpl.children, tpl.radius
-    lost = set(dead)
-    layer: list[int] = []
-    moved: list[int] = []
-    for d in range(1, r + 1):
-        below = layer + [u for u in dead if dist[u] == d - 1]
-        layer = []
-        for u in below:
-            for w in children[u]:
-                if w not in lost and all(p in lost for p in parents[w]):
-                    lost.add(w)
-                    layer.append(w)
-        moved += layer
-    new: dict = {}
-
-    def level(p):
-        return new.get(p) if p in lost else dist[p]
-
-    pending = [w for w in moved if dist[w] + 2 <= r]
-    for d in range(1, r + 1):
-        settled = [
-            w for w in pending
-            if any(level(p) == d - 1 for p in parents[w] + children[w])
-        ]
-        new.update(dict.fromkeys(settled, d))
-        pending = [w for w in pending if w not in new]
-    return {w: new.get(w) for w in moved}
 
 
 @dataclass
@@ -496,8 +469,10 @@ def _next_unremoved(st: HaremMatchingState, left: bool) -> tuple[int, int]:
 
 def _frame(st: HaremMatchingState, a_side: bool, c: int):
     """The due side's template, the dead nodes (the removed vertices moved
-    into the frame by c^-1 that lie in it) and the nodes they lengthen
-    (see ``_lengthened``)."""
+    into the frame by c^-1 that lie in it) and ``moved``: each live node
+    whose distance from the origin differs once the dead nodes are removed,
+    mapped to its new distance, or None when it now lies beyond the
+    radius."""
     g = st.graph
     tpl = st._templates.get(a_side)
     if tpl is None:
@@ -507,7 +482,13 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
     c_inv = g.inv(c)
     index = tpl.index
     dead = {index[f] for f in (g.translate(u, c_inv) for u in st.removed) if f in index}
-    return tpl, dead, _lengthened(tpl, dead)
+    dist = _distances(tpl.nbrs, tpl.origin, tpl.radius, dead)
+    moved = {
+        u: d if d >= 0 else None
+        for u, d in enumerate(dist)
+        if d != tpl.dist[u] and u not in dead
+    }
+    return tpl, dead, moved
 
 
 def _capacities(tpl: _Template, dead: set, moved: dict, k: int):

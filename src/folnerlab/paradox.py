@@ -69,17 +69,11 @@ class CayleyBipartite(BipartiteGraphOracle):
         return v % 2 == 0
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = self._cache.get(v)
-        if out is None:
-            g = self.group
-            if v % 2 == 0:
-                base = v // 2
-                out = tuple(sorted({2 * g.mult(k, base) + 1 for k in self.K}))
-            else:
-                base = v // 2
-                out = tuple(sorted({2 * g.mult(ki, base) for ki in self._K_inv}))
-            self._cache[v] = out
-        return out
+        if v not in self._cache:
+            keys, side = (self.K, 1) if v % 2 == 0 else (self._K_inv, 0)
+            out = {2 * self.group.mult(k, v // 2) + side for k in keys}
+            self._cache[v] = tuple(sorted(out))
+        return self._cache[v]
 
     def left_enum(self, i: int) -> int:
         return 2 * i

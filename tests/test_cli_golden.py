@@ -80,6 +80,9 @@ CASES = {
                         "--fn", "{golden}/fn_z_interval5.json"],
     "reiter_tent": ["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "1",
                     "--fn", "{golden}/fn_z_tent.json"],
+    # codes past the modulus: each fiber of cyclic:6 holds several support codes
+    "reiter_cyclic_fibers": ["reiter-check", "--group", "cyclic:6", "--d", "1,2",
+                             "--n", "2", "--fn", "{golden}/fn_c6_fibers.json"],
     # kappa: verdicts, the exact UNKNOWN edge, and a weighted function
     "kappa_invariant": ["kappa", "--group", "redundant-z", "--d", "x", "--n", "3",
                         "--fn", "{golden}/fn_rz_powers6.json"],
