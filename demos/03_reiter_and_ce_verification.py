@@ -1,7 +1,7 @@
 """Reiter functions and invariance verification over a c.e. group.
 
 A finitely supported positive function is n-invariant when the normalised
-l1 defect of its pushforward under every shift from D stays below 1/n.
+l1 defect of its pushforward under every shift from D is at most 1/n.
 Over a c.e. group equality of codes is only enumerable, so the verifier
 starts from the finest partition of the relevant codes and merges blocks
 as equalities are enumerated; the blockwise defect only shrinks, which

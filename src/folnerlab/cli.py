@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .budget import Budget, Meter, UNKNOWN
 from .folner import (
@@ -33,6 +32,7 @@ from .folner import (
     reiter_defect,
     search_folner,
     verify_invariance_ce,
+    within,
 )
 from .groups import (
     CE,
@@ -164,7 +164,7 @@ def _run(args, g, meter: Meter):
         D = _elements(g, args.d, "d")
         defects = reiter_defect(g, _load_reiter(args.fn), D)
         return {
-            "invariant": all(d < Fraction(1, args.n) for d in defects.values()),
+            "invariant": all(within(d, args.n) for d in defects.values()),
             "n": args.n,
             "defects": {str(x): str(d) for x, d in sorted(defects.items())},
         }
@@ -257,7 +257,11 @@ def main(argv=None) -> int:
         report, code = {"result": "UNKNOWN", "budget": args.budget}, EXIT_UNKNOWN
     elif any(v.get("check") == "unresolved" for v in report.get("violations", ())):
         code = EXIT_UNKNOWN  # a paradox --verify prefix the budget left open
-    _emit(report, args.json, args.out)
+    try:
+        _emit(report, args.json, args.out)
+    except OSError as exc:
+        print("error: cannot write --out: %s" % exc, file=sys.stderr)
+        return EXIT_MALFORMED
     return code
 
 

@@ -1,12 +1,14 @@
 """Folner set verification and search, Reiter functions, and the word
 problem from a Folner oracle.
 
-All ratios are exact ``fractions.Fraction``; a set F is n-Folner with
-respect to D when every translate defect |F \\ xF| / |F| is at most 1/n
-(ties count, the inequality is non-strict).  One function,
-:func:`translate_defects`, computes these defects; the searches use its
-early-exit integer form.  The searches draw their candidate sets from the
-balls of :func:`folnerlab.groups.ball_layers`.
+All ratios are exact ``fractions.Fraction``.  Every level-n verdict has
+one convention, a defect at most 1/n (ties count), and one predicate,
+:func:`within`, decides it: a set F is n-Folner with respect to D when
+every translate defect |F \\ xF| / |F| is within 1/n, and a Reiter
+function is n-invariant when every l1 shift defect is.  One function,
+:func:`translate_defects`, computes the set defects; the searches use its
+early-exit integer form of the same inequality.  The searches draw their
+candidate sets from the balls of :func:`folnerlab.groups.ball_layers`.
 
 The invariance verifier for c.e. groups works on the signed transport
 measure of a finitely supported function: each support code v carries mass
@@ -122,12 +124,18 @@ class ReiterFunction:
 # Folner verification
 
 
+def within(defect: Fraction, n: int) -> bool:
+    """Whether a rational defect is at most 1/n: the one level-n test."""
+    return defect * n <= 1
+
+
 def translate_defects(g: GroupOracle, F, D, n: int | None = None):
     """Exact translate defects |F \\ xF| / |F| for every x in D, as a map.
 
     With ``n``, the early-exit form the searches use instead: True when
-    every defect is at most 1/n, False at the first x with n |F \\ xF| > |F|,
-    comparing integers and building no Fraction.
+    every defect is at most 1/n, False at the first x with n |F \\ xF| > |F|.
+    That is the negation of :func:`within` cleared of denominators, so it
+    compares integers and builds no Fraction.
     """
     F_set = set(F)
     size = len(F_set)
@@ -151,20 +159,16 @@ def is_n_folner(g: GroupOracle, F, D, n: int):
     if not F:
         raise EmptySetError("F must be non-empty")
     defects = translate_defects(g, F, D)
-    bound = Fraction(1, n)
-    return all(d <= bound for d in defects.values()), defects
+    return all(within(d, n) for d in defects.values()), defects
 
 
 def is_n_folner_complement(g: GroupOracle, F, D, n: int) -> bool:
-    """The intersection form |F & xF|/|F| > 1 - 1/n, strict as printed.
+    """The intersection form |F & xF| >= (1 - 1/n)|F| for every x in D.
 
-    Since |F & xF| = |F| - |F \\ xF|, this says every defect is strictly
-    below 1/n.  It agrees with :func:`is_n_folner` except on sets with a
-    defect of exactly 1/n, where the two printed inequalities genuinely
-    differ.
+    Since |F & xF| = |F| - |F \\ xF|, it is the check of
+    :func:`is_n_folner`, whose verdict it returns.
     """
-    _, defects = is_n_folner(g, F, D, n)
-    return all(d < Fraction(1, n) for d in defects.values())
+    return is_n_folner(g, F, D, n)[0]
 
 
 def certificate(g: GroupOracle, F, D, n: int) -> FolnerCertificate:
@@ -346,9 +350,9 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
 
     Starts from the finest partition of the support and its D-shifted
     image, consumes the equal-codes enumeration, and merges the two blocks
-    that split an enumerated pair.  After each merge the partition defects
-    are tested against 1/n for every x in D: success is INVARIANT (sound,
-    since the blockwise value only shrinks toward the true defect), failure
+    that split an enumerated pair.  After each merge every partition defect
+    is tested with :func:`within`: success is INVARIANT (sound, since the
+    blockwise value only shrinks toward the true defect), failure
     at the full fiber partition is NOT_INVARIANT, and budget exhaustion is
     UNKNOWN.  Budget counts enumeration entries consumed.  Merges only join
     enumerated-equal codes, so the partition always refines the fiber
@@ -365,10 +369,9 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     part = UnionFind()
     blocks = len(codes)
     fibers = len({g.canon(c) for c in codes})
-    bound = Fraction(1, n)
 
     def passes() -> bool:
-        return all(partition_defect(f, part, x, g.mult) <= bound for x in D)
+        return all(within(partition_defect(f, part, x, g.mult), n) for x in D)
 
     if passes():
         return "INVARIANT"
@@ -387,17 +390,23 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
 
 
 def extract_folner_from_reiter(g: GroupOracle, h: ReiterFunction, D, n: int):
-    """Level set of the pushforward with all defects below |D|/(2n), strict.
+    """Level set of the pushforward with every defect at most |D|/(2n).
 
-    Scans thresholds from zero upward through the finitely many pushforward
-    values and returns the first qualifying level set; existence is
-    guaranteed whenever the shift defects of h are all below 1/n.
+    Requires every shift defect of h within 1/n.  Scans thresholds from
+    zero upward through the finitely many pushforward values and returns
+    the first qualifying level set.  One exists, by the layer-cake
+    formula: for p the pushforward and E_t = {p > t},
+    ||p - xp||_1 = 2 * integral of |E_t \\ xE_t| dt and ||p||_1 = integral
+    of |E_t| dt.  Summed over D, the precondition gives
+    integral of sum_x |E_t \\ xE_t| dt <= (|D|/(2n)) * integral of |E_t| dt,
+    so some non-empty level set E has sum_x |E \\ xE| <= |D||E|/(2n), and
+    each of its defects is at most |D|/(2n).
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("requires a COMPUTABLE-mode oracle")
     D = canonical_subset(D)
     defects = reiter_defect(g, h, D)
-    if any(d >= Fraction(1, n) for d in defects.values()):
+    if not all(within(d, n) for d in defects.values()):
         raise PreconditionError("input is not n-invariant; extraction unsound")
     p = pushforward(g, h)
     bound = Fraction(len(D), 2 * n)
@@ -407,7 +416,7 @@ def extract_folner_from_reiter(g: GroupOracle, h: ReiterFunction, D, n: int):
         if not F:
             continue
         ds = translate_defects(g, F, D)
-        if all(d < bound for d in ds.values()):
+        if all(d <= bound for d in ds.values()):
             return F
     raise NoLevelSetError("no level set met the bound; implementation bug")
 
@@ -417,7 +426,8 @@ def extract_folner_from_reiter(g: GroupOracle, h: ReiterFunction, D, n: int):
 
 
 def box_folner(g: ZdOracle, D, n: int) -> tuple[int, ...]:
-    """Centered box in Z^d whose defects against D are strictly below 1/n."""
+    """Centered box in Z^d whose defects against D are strictly below 1/n,
+    so :func:`within` holds for each."""
     if not isinstance(g, ZdOracle):
         raise PreconditionError("box_folner only applies to zd families")
     vectors = [g.decode_vector(x) for x in D]
@@ -456,10 +466,14 @@ def decide_mult_from_folner(
 
     The Folner oracle supplies a 4-Folner set F for D = {n1, n2, n3}.  Each
     entry (d, f, d * f) with d in D and f, d * f in F extends a partial
-    injection of F for d, until each injection covers more than 3/4 of F.
-    The answer is whether some f chains through the n2-graph, then the
-    n1-graph, onto the n3-graph: n1 * (n2 * f) = n3 * f.  The density bound
-    makes such a chain exist in the true case; in the false case none does.
+    injection of F for d, until each injection covers at least 3/4 of F:
+    4 |graph| >= 3 |F|, the test of :func:`within` at n = 4 in integers, as
+    a 4-Folner F has |F & dF| >= 3/4 |F|.  The answer is whether some f
+    chains through the n2-graph, then the n1-graph, onto the n3-graph:
+    n1 * (n2 * f) = n3 * f.  Each of the three links fails for at most |F|/4
+    points f (the n2-graph is injective), so together they exclude at most
+    3|F|/4 < |F| points and a chain exists in the true case; in the false
+    case none does.
 
     A :class:`CEView` lists (i, j, i * j) at index cantor_pair(i, j), so
     only the |D| x |F| entries with i in D and j in F are read, in
@@ -476,7 +490,7 @@ def decide_mult_from_folner(
     graphs: dict[int, dict[int, int]] = {d: {} for d in D}
 
     def done() -> bool:
-        return all(4 * len(graphs[d]) > 3 * len(F) for d in D)
+        return all(4 * len(graphs[d]) >= 3 * len(F) for d in D)
 
     if isinstance(g, CEView):
         entries = sorted(cantor_pair(d, f) for d in D for f in F)

@@ -103,8 +103,10 @@ def subset_decode(mask: int) -> tuple[int, ...]:
 
 
 def canonical_subset(codes) -> tuple[int, ...]:
-    """Strictly increasing code tuple; rejects duplicates."""
+    """Strictly increasing code tuple; rejects negative and duplicate codes."""
     out = tuple(sorted(codes))
+    if out and out[0] < 0:
+        raise ValueError("negative code %d in finite subset" % out[0])
     for a, b in zip(out, out[1:]):
         if a == b:
             raise ValueError("duplicate code %d in finite subset" % a)

@@ -142,16 +142,22 @@ def test_criterion_02_complement_form():
     for g in ALL_FAMILIES:
         for F, D, n in _family_instances(g, rng, 30):
             ok, defects = is_n_folner(g, F, D, n)
-            comp = is_n_folner_complement(g, F, D, n)
+            # the strict printed form n |F & xF| > (n - 1) |F|, counted directly
+            strict = all(
+                n * len(set(F) & {g.mult(x, f) for f in F}) > (n - 1) * len(F)
+                for x in D
+            )
             assert ok == all(d <= Fraction(1, n) for d in defects.values())
-            assert comp == all(d < Fraction(1, n) for d in defects.values())
+            assert strict == all(d < Fraction(1, n) for d in defects.values())
+            assert is_n_folner_complement(g, F, D, n) == ok
             if all(d != Fraction(1, n) for d in defects.values()):
-                assert ok == comp
+                assert ok == strict
             else:
                 boundary_seen += 1
-                assert not comp  # the strict printed form fails on the boundary
+                assert not strict  # the strict printed form fails on the boundary
     assert boundary_seen > 0
-    _passed("criterion 2(ii): complement form agrees off the 1/n boundary")
+    _passed("criterion 2(ii): complement form is the same check; "
+            "the strict printed form differs only on the 1/n boundary")
 
 
 def test_criterion_02_characteristic_reiter_defect():

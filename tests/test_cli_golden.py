@@ -80,6 +80,9 @@ CASES = {
                         "--fn", "{golden}/fn_z_interval5.json"],
     "reiter_tent": ["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "1",
                     "--fn", "{golden}/fn_z_tent.json"],
+    # f = 1 on {0, 1}: the defect under +1 is exactly 1 = 1/n, and ties count
+    "reiter_tie_pair": ["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "1",
+                        "--fn", "{golden}/fn_rz_pair.json"],
     # codes past the modulus: each fiber of cyclic:6 holds several support codes
     "reiter_cyclic_fibers": ["reiter-check", "--group", "cyclic:6", "--d", "1,2",
                              "--n", "2", "--fn", "{golden}/fn_c6_fibers.json"],
@@ -105,6 +108,9 @@ CASES = {
                                  "--n", "2", "--fn", "{golden}/fn_rz_powers6.json"],
     "kappa_weighted": ["kappa", "--group", "redundant-z", "--d", "x,y^-1", "--n", "2",
                        "--fn", "{golden}/fn_rz_weighted.json"],
+    # f = 1 on {e, x}: the l1 defect under x is exactly 1 = 1/n, a tie
+    "kappa_tie_pair": ["kappa", "--group", "redundant-z", "--d", "x", "--n", "1",
+                       "--fn", "{golden}/fn_rz_pair.json"],
     # wp-from-folner
     "wp_z2_true": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1),(1,1)"],
     "wp_z2_false": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1),(2,2)"],
@@ -183,6 +189,10 @@ CASES = {
                          "--budget", "0"],
     "err4_n_zero": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "0"],
     "err4_missing_fn": ["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "2"],
+    "err4_fn_negative_code": ["reiter-check", "--group", "zd:1", "--d", "+1",
+                              "--n", "2", "--fn", "{golden}/fn_negative.json"],
+    "err4_out_unwritable": ["folner-search", "--group", "zd:1", "--d", "+1",
+                            "--n", "2", "--out", "{golden}/no-such-dir/r.json"],
     # argparse rejects counts below 1 on every command
     "err4_reiter_n_zero": ["reiter-check", "--group", "zd:1", "--d", "+1",
                            "--n", "0", "--fn", "{golden}/fn_z_tent.json"],
