@@ -103,8 +103,11 @@ def subset_decode(mask: int) -> tuple[int, ...]:
 
 
 def canonical_subset(codes) -> tuple[int, ...]:
-    """Strictly increasing code tuple; rejects negative and duplicate codes."""
+    """Strictly increasing code tuple; rejects non-integer, negative and
+    duplicate codes.  A bool is not a code."""
     out = tuple(sorted(codes))
+    if out and set(map(type, out)) != {int}:
+        raise ValueError("non-integer code in finite subset")
     if out and out[0] < 0:
         raise ValueError("negative code %d in finite subset" % out[0])
     for a, b in zip(out, out[1:]):

@@ -27,9 +27,13 @@ for o the identity's vertex of v's side, the residual ball around v is the
 translate by c of the residual ball around o in which the removed vertices
 are moved by c^-1.  The full ball around o, and its flow network, is built
 once per side and per matching state: the template.  A step maps only the
-removed vertices into the frame, marks them dead and recomputes the
-distances by breadth-first search on the template, solves, and maps only
-the committed star back.
+removed vertices into the frame and describes its residual ball by one
+distance list, recomputed by breadth-first search on the template with
+those vertices dead.  It patches the template's capacities where that list
+differs from the template's own, solves, and maps only the committed star
+back.  Both networks, the template's and the one ``finite_harem_match``
+builds, share one flat arc format (``_arcs``) and one flow readout
+(``_flow_partners``).
 For the paradoxical decomposition of free:2 (17-element key, k = 2) the
 templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4).
 """
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .budget import Budget, UNKNOWN
@@ -172,11 +177,38 @@ def induced_ball(
 
 # ---------------------------------------------------------------------------
 # finite solver: feasible flow with lower bounds, by an iterative Dinic over
-# flat arc arrays.  Forward arcs are numbered 0, 1, ... in the order they are
-# added, and the reverse of arc e is arc ~e, so ``to[~e]`` and ``cap[~e]``
-# index the same lists from the end.  ``head[u]`` lists u's arcs in the
-# order they were added, and that order alone fixes which maximum flow, and
-# so which matching, is found.
+# flat arc arrays
+
+
+def _arcs(blocks, nodes: int):
+    """The flat arc arrays of a network on nodes 0 .. nodes-1: ``head``,
+    ``to``, ``cap`` and the first arc number of each block.
+
+    A block is ``(tails, heads, capacities)`` of forward arcs.  Forward arcs
+    are numbered 0, 1, ... in block order, and the reverse of arc e is arc
+    ~e, so ``to[~e]`` and ``cap[~e]`` index the same lists from the end.
+    ``head[u]`` lists u's arcs in the order they were numbered, and that
+    order alone fixes which maximum flow, and so which matching, is found.
+    """
+    tail, to, cap, starts = [], [], [], []
+    for us, vs, cs in blocks:
+        starts.append(len(tail))
+        tail += us
+        to += vs
+        cap += cs
+    head: list[list[int]] = [[] for _ in range(nodes)]
+    for e, (u, v) in enumerate(zip(tail, to)):
+        head[u].append(e)
+        head[v].append(~e)
+    to += reversed(tail)
+    cap += [0] * len(tail)
+    return head, to, cap, starts
+
+
+def _flow_partners(head: list, to: list, cap: list, u: int) -> list:
+    """The heads of u's forward arcs that carry flow: the flow on arc e is
+    the residual capacity of its reverse ~e."""
+    return [to[e] for e in head[u] if e >= 0 and cap[~e]]
 
 
 def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
@@ -270,45 +302,30 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
     # source ss and super sink tt that carry the lower bounds
     S, T = 0, 1
     n_a, n_b = len(fg.A), len(fg.B)
-    ss, tt = 2 + n_a + n_b, 3 + n_a + n_b
-    a_nodes = range(2, 2 + n_a)
-    b_index = {b: v for v, b in enumerate(fg.B, 2 + n_a)}
+    b0, ss, tt = 2 + n_a, 2 + n_a + n_b, 3 + n_a + n_b
+    a_nodes = range(2, b0)
+    b_index = {b: v for v, b in enumerate(fg.B, b0)}
     boundary = [b_index[b] for b in fg.B if b in fg.boundary_B]
     interior = [b_index[b] for b in fg.B if b not in fg.boundary_B]
-    # blocks of forward arcs (tails, heads, capacity), in the order they are
-    # numbered.  S -> tt (no A side) and ss -> T (no interior) may get
-    # capacity 0; such an arc is never traversed in either direction.
+    edge_tail = [u for u, a in zip(a_nodes, fg.A) for _ in fg.adj[a]]
+    edge_head = [b_index[b] for a in fg.A for b in fg.adj[a]]
+    # S -> tt (no A side) and ss -> T (no interior) may get capacity 0; such
+    # an arc is never traversed in either direction
     blocks = (
-        (
-            [u for u, a in zip(a_nodes, fg.A) for _ in fg.adj[a]],
-            [b_index[b] for a in fg.A for b in fg.adj[a]],
-            1,
-        ),
-        (boundary, [T] * len(boundary), 1),
-        ((T,), (S,), 1 << 60),
+        (edge_tail, edge_head, [1] * len(edge_tail)),
+        (boundary, [T] * len(boundary), [1] * len(boundary)),
+        ((T,), (S,), (1 << 60,)),
         # S -> a has bounds [k, k] and interior b -> T has bounds [1, 1]
-        ((S,), (tt,), k * n_a),
-        ((ss,), (T,), len(interior)),
-        ([ss] * n_a, a_nodes, k),
-        (interior, [tt] * len(interior), 1),
+        ((S,), (tt,), (k * n_a,)),
+        ((ss,), (T,), (len(interior),)),
+        ([ss] * n_a, a_nodes, [k] * n_a),
+        (interior, [tt] * len(interior), [1] * len(interior)),
     )
-    tail: list[int] = []
-    to: list[int] = []
-    cap: list[int] = []
-    for us, vs, c in blocks:
-        tail += us
-        to += vs
-        cap += [c] * len(vs)
-    head: list[list[int]] = [[] for _ in range(4 + n_a + n_b)]
-    for e, (u, v) in enumerate(zip(tail, to)):
-        head[u].append(e)
-        head[v].append(~e)
-    to += reversed(tail)
-    cap += [0] * len(tail)
+    head, to, cap, _ = _arcs(blocks, tt + 1)
     if _maxflow(head, to, cap, ss, tt) != k * n_a + len(interior):
         return None
     return {
-        a: tuple(sorted(b for e, b in zip(head[u], fg.adj[a]) if not cap[e]))
+        a: tuple(sorted(fg.B[v - b0] for v in _flow_partners(head, to, cap, u)))
         for u, a in zip(a_nodes, fg.A)
     }
 
@@ -321,14 +338,14 @@ class _Template(NamedTuple):
     """The full radius-r ball around one side's origin, the identity's
     vertex, with its flow network.
 
-    Nodes are numbered as in ``finite_harem_match``: S = 0, T = 1, the A
-    side, the B side, then ss and tt, each side in code order, and the arcs
-    come in the same blocks.  Every B node has both its boundary arc
-    b -> T and its interior arc b -> tt, with the capacities of the full
-    ball.  A step copies ``cap``, zeroes every arc of a dead node, and sets
-    the two arcs of each B node whose distance grew.  An arc of capacity 0
-    is never traversed, so the flow found is the one ``finite_harem_match``
-    finds on the residual ball in frame codes.
+    Nodes and arc blocks are those of ``finite_harem_match``, each side in
+    code order, except that every B node has both its boundary arc and its
+    interior arc, with the capacities of the full ball.  ``dist`` is the
+    ball's distance list; a step's list from ``_frame`` differs from it only
+    where the removed vertices lengthened a path, and ``_capacities`` patches
+    those nodes alone.  An arc of capacity 0 is never traversed, so the
+    flow found is the one ``finite_harem_match`` finds on the residual ball
+    in frame codes.
     """
 
     radius: int
@@ -385,9 +402,9 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     dist = _distances(nbrs, index[origin], r, ())
     on_boundary = [int(dist[b] == r) for b in b_nodes]
     interior = n_b - sum(on_boundary)
-    e = len(edge_tail)
+    # the blocks of finite_harem_match, with both arcs at every B node
     blocks = (
-        (edge_tail, edge_head, [1] * e),
+        (edge_tail, edge_head, [1] * len(edge_tail)),
         (b_nodes, [T] * n_b, on_boundary),
         ((T,), (S,), (1 << 60,)),
         ((S,), (tt,), (k * n_a,)),
@@ -395,24 +412,12 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
         ([ss] * n_a, a_nodes, [k] * n_a),
         (b_nodes, [tt] * n_b, [1 - x for x in on_boundary]),
     )
-    tail: list[int] = []
-    to: list[int] = []
-    cap: list[int] = []
-    for us, vs, cs in blocks:
-        tail += us
-        to += vs
-        cap += cs
-    head: list[list[int]] = [[] for _ in range(tt + 1)]
-    for arc, (u, v) in enumerate(zip(tail, to)):
-        head[u].append(arc)
-        head[v].append(~arc)
-    to += reversed(tail)
-    cap += [0] * len(tail)
+    head, to, cap, starts = _arcs(blocks, tt + 1)
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
         nbrs=nbrs, head=head, to=to, cap=cap, b0=b0,
-        to_t=e - b0, to_tt=e + n_b + 3 + n_a - b0,
-        s_tt=e + n_b + 1, ss_t=e + n_b + 2, interior=interior,
+        to_t=starts[1] - b0, to_tt=starts[6] - b0,
+        s_tt=starts[3], ss_t=starts[4], interior=interior,
     )
 
 
@@ -421,7 +426,9 @@ class HaremMatchingState:
     """Deterministic, resumable state of the back-and-forth (1,k)-matching.
 
     The state after s steps is a pure function of (graph, k, s); committed
-    pairs never change as more steps run.
+    pairs never change as more steps run.  The state holds only the
+    matching: the removed vertices are the keys of ``left_pairs`` and
+    ``right_pair``.
 
     Each step is solved in the frame of the identity.  Right translation by
     a group element is a graph automorphism, so the residual ball around
@@ -437,7 +444,6 @@ class HaremMatchingState:
     graph: BipartiteGraphOracle
     k: int
     step_count: int = 0
-    removed: set = field(default_factory=set)
     left_pairs: dict = field(default_factory=dict)
     right_pair: dict = field(default_factory=dict)
     _cursor_a: int = 0
@@ -457,8 +463,9 @@ def _next_unremoved(st: HaremMatchingState, left: bool) -> tuple[int, int]:
     """The due side's lowest unremoved vertex and its enumeration index,
     that is its group element: (index, vertex)."""
     enum = st.graph.left_enum if left else st.graph.right_enum
+    pairs = st.left_pairs if left else st.right_pair
     idx = st._cursor_a if left else st._cursor_b
-    while enum(idx) in st.removed:
+    while enum(idx) in pairs:
         idx += 1
     if left:
         st._cursor_a = idx
@@ -468,11 +475,10 @@ def _next_unremoved(st: HaremMatchingState, left: bool) -> tuple[int, int]:
 
 
 def _frame(st: HaremMatchingState, a_side: bool, c: int):
-    """The due side's template, the dead nodes (the removed vertices moved
-    into the frame by c^-1 that lie in it) and ``moved``: each live node
-    whose distance from the origin differs once the dead nodes are removed,
-    mapped to its new distance, or None when it now lies beyond the
-    radius."""
+    """The due side's template and the step's distance list: node ->
+    distance from the origin in the residual ball, None for a dead node (a
+    removed vertex taken into the frame by c^-1) and -1 for a node that now
+    lies beyond the radius."""
     g = st.graph
     tpl = st._templates.get(a_side)
     if tpl is None:
@@ -480,36 +486,37 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
         r = RADIUS_A if a_side else RADIUS_B
         tpl = st._templates[a_side] = _template(g, origin, r, st.k)
     c_inv = g.inv(c)
-    index = tpl.index
-    dead = {index[f] for f in (g.translate(u, c_inv) for u in st.removed) if f in index}
-    dist = _distances(tpl.nbrs, tpl.origin, tpl.radius, dead)
-    moved = {
-        u: d if d >= 0 else None
-        for u, d in enumerate(dist)
-        if d != tpl.dist[u] and u not in dead
-    }
-    return tpl, dead, moved
+    frame = (g.translate(u, c_inv) for u in chain(st.left_pairs, st.right_pair))
+    dead = [tpl.index[f] for f in frame if f in tpl.index]
+    return tpl, _distances(tpl.nbrs, tpl.origin, tpl.radius, dead)
 
 
-def _capacities(tpl: _Template, dead: set, moved: dict, k: int):
-    """The template's capacities for the residual ball, and the flow value
-    that saturates its lower bounds.  Every arc of a dead node, or of one
-    moved beyond the radius, is zeroed; a B node moved out to the radius
-    trades its interior arc for its boundary arc."""
+def _capacities(tpl: _Template, dist: list, k: int):
+    """The template's capacities for the residual ball with distance list
+    ``dist``, and the flow value that saturates its lower bounds.
+
+    Only the nodes whose distance differs from the template's change.  A
+    node that has left the ball (dead, or beyond the radius) has every arc
+    zeroed and leaves the A or interior count; a B node pushed out to the
+    radius trades its interior arc for its boundary arc.
+    """
     cap = tpl.cap[:]
+    r, was = tpl.radius, tpl.dist
     n_a, interior = tpl.b0 - 2, tpl.interior
-    for u in dead.union(w for w, d in moved.items() if d is None):
-        for e in tpl.head[u]:
-            cap[e if e >= 0 else ~e] = 0
-        if u < tpl.b0:
-            n_a -= 1
-        elif tpl.dist[u] < tpl.radius:
+    for u, d in enumerate(dist):
+        if d == was[u]:
+            continue
+        if d == r:  # only B nodes lie at the radius; u was interior
+            cap[u + tpl.to_t] = 1
+            cap[u + tpl.to_tt] = 0
             interior -= 1
-    for w, d in moved.items():
-        if d == tpl.radius:  # only B nodes lie at the radius; w was interior
-            cap[w + tpl.to_t] = 1
-            cap[w + tpl.to_tt] = 0
-            interior -= 1
+        elif d is None or d < 0:
+            for e in tpl.head[u]:
+                cap[e if e >= 0 else ~e] = 0
+            if u < tpl.b0:
+                n_a -= 1
+            elif was[u] < r:
+                interior -= 1
     cap[tpl.s_tt] = k * n_a
     cap[tpl.ss_t] = interior
     return cap, k * n_a + interior
@@ -519,10 +526,10 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
     """One back-and-forth step: resolve the star of the next vertex."""
     a_side = st.step_count % 2 == 0
     c, v = _next_unremoved(st, left=a_side)
-    tpl, dead, moved = _frame(st, a_side, c)
+    tpl, dist = _frame(st, a_side, c)
     head, to = tpl.head, tpl.to
     translate = st.graph.translate
-    cap, demand = _capacities(tpl, dead, moved, st.k)
+    cap, demand = _capacities(tpl, dist, st.k)
     where = "at step %d around code %d" % (st.step_count, v)
     # past a finite group's last code, v is no vertex: c moves the origin elsewhere
     if translate(tpl.codes[tpl.origin], c) != v:
@@ -530,19 +537,16 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
     ss = len(head) - 2
     if _maxflow(head, to, cap, ss, ss + 1) != demand:
         raise InternalInfeasibleError("finite matching infeasible " + where)
-    # the flow on the edge arc e is the residual capacity of its reverse ~e
     a = tpl.origin
-    if not a_side:
+    if not a_side:  # the A node whose edge arc into the origin carries flow
         a = next(to[e] for e in head[a] if e < 0 and cap[e])
     star_left = translate(tpl.codes[a], c)
     partners = tuple(
-        sorted(translate(tpl.codes[to[e]], c) for e in head[a] if e >= 0 and cap[~e])
+        sorted(translate(tpl.codes[w], c) for w in _flow_partners(head, to, cap, a))
     )
     st.left_pairs[star_left] = partners
     for b in partners:
         st.right_pair[b] = star_left
-    st.removed.add(star_left)
-    st.removed.update(partners)
     st.step_count += 1
     return st
 

@@ -191,6 +191,8 @@ CASES = {
     "err4_missing_fn": ["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "2"],
     "err4_fn_negative_code": ["reiter-check", "--group", "zd:1", "--d", "+1",
                               "--n", "2", "--fn", "{golden}/fn_negative.json"],
+    "err4_fn_float_code": ["kappa", "--group", "redundant-z", "--d", "x", "--n", "2",
+                           "--fn", "{golden}/fn_float.json"],
     "err4_out_unwritable": ["folner-search", "--group", "zd:1", "--d", "+1",
                             "--n", "2", "--out", "{golden}/no-such-dir/r.json"],
     # argparse rejects counts below 1 on every command

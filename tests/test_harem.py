@@ -320,7 +320,7 @@ def test_steps_commit_stars_and_alternate(gamma_ball1):
     harem_step(st)
     assert 0 in st.left_pairs and len(st.left_pairs[0]) == 1
     partner = st.left_pairs[0][0]
-    assert st.removed == {0, partner}
+    assert {*st.left_pairs, *st.right_pair} == {0, partner}
     harem_step(st)
     assert st.step_count == 2
 
@@ -349,7 +349,7 @@ def test_progress_first_vertices_resolved(gamma_ball1):
     st = harem_new(gamma_ball1, 1)
     for _ in range(14):
         harem_step(st)
-    resolved = st.removed
+    resolved = {*st.left_pairs, *st.right_pair}
     for i in range(6):
         assert gamma_ball1.left_enum(i) in resolved or gamma_ball1.right_enum(
             i
@@ -359,8 +359,8 @@ def test_progress_first_vertices_resolved(gamma_ball1):
     for _ in range(24):
         harem_step(st2)
     for i in range(6):
-        assert gamma_ball1.left_enum(i) in st2.removed
-        assert gamma_ball1.right_enum(i) in st2.removed
+        assert gamma_ball1.left_enum(i) in st2.left_pairs
+        assert gamma_ball1.right_enum(i) in st2.right_pair
 
 
 def test_query_stability(gamma_ball1):

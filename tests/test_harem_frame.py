@@ -20,6 +20,7 @@ from folnerlab.harem import (
     _capacities,
     _frame,
     _next_unremoved,
+    _template,
     finite_harem_match,
     harem_new,
     harem_step,
@@ -37,15 +38,10 @@ def paradox_free2():
     return build_decomposition(g, parse_elements(g, "a,a^-1,b,b^-1"), 1)
 
 
-def frame_piece(graph, tpl, dead, moved):
+def frame_piece(graph, tpl, dist):
     """The residual piece of the template in frame codes, with its
     adjacency read from the graph oracle."""
-    dist = {
-        tpl.codes[u]: moved.get(u, d)
-        for u, d in enumerate(tpl.dist)
-        if d >= 0 and u not in dead
-    }
-    dist = {f: d for f, d in dist.items() if d is not None}
+    dist = {tpl.codes[u]: d for u, d in enumerate(dist) if d is not None and d >= 0}
     A = tuple(sorted(f for f in dist if graph.is_left(f)))
     B = tuple(sorted(f for f in dist if not graph.is_left(f)))
     adj = {a: tuple(w for w in graph.neighbors(a) if w in dist) for a in A}
@@ -53,9 +49,9 @@ def frame_piece(graph, tpl, dead, moved):
     return FiniteBipartite(A, B, adj, boundary)
 
 
-def check_capacities(tpl, dead, moved, local, k):
+def check_capacities(tpl, dist, local, k):
     """The step's network carries exactly the bounds of the piece."""
-    cap, demand = _capacities(tpl, dead, moved, k)
+    cap, demand = _capacities(tpl, dist, k)
     live = {tpl.index[f] for f in local.A + local.B}
     boundary = {tpl.index[f] for f in local.boundary_B}
     for u in range(2, tpl.b0):
@@ -86,14 +82,14 @@ def checked_step(st, ref):
     c, v = _next_unremoved(st, left=a_side)
     st._cursor_a, st._cursor_b = cursor
     r = RADIUS_A if a_side else RADIUS_B
-    tpl, dead, moved = _frame(st, a_side, c)
-    local = frame_piece(ref, tpl, dead, moved)
-    check_capacities(tpl, dead, moved, local, st.k)
+    tpl, dist = _frame(st, a_side, c)
+    local = frame_piece(ref, tpl, dist)
+    check_capacities(tpl, dist, local, st.k)
 
     def back(f):
         return graph.translate(f, c)
 
-    want = induced_ball(ref, v, r, st.removed)
+    want = induced_ball(ref, v, r, {*st.left_pairs, *st.right_pair})
     assert set(map(back, local.A)) == set(want.A)
     assert set(map(back, local.B)) == set(want.B)
     assert {back(a): set(map(back, bs)) for a, bs in local.adj.items()} == {
@@ -117,7 +113,7 @@ def checked_step(st, ref):
     assert len(set(partners)) == len(partners) == st.k
     assert set(partners) <= set(want.adj[a])  # edges to live B vertices
     assert v == a if a_side else v in partners
-    return moved
+    return tpl, dist
 
 
 def test_frame_piece_is_the_residual_ball_at_every_step():
@@ -140,8 +136,8 @@ def test_frame_piece_where_distances_grow_back_inside_the_ball():
     ref = cayley_bipartite(g, K)
     regrown = 0
     for _ in range(60):
-        moved = checked_step(st, ref)
-        regrown += sum(d is not None for d in moved.values())
+        tpl, dist = checked_step(st, ref)
+        regrown += sum(d is not None and d > w for d, w in zip(dist, tpl.dist))
     assert regrown > 0
 
 
@@ -176,6 +172,29 @@ def test_template_sizes():
     harem_step(st)
     sizes = {side: sum(d >= 0 for d in tpl.dist) for side, tpl in st._templates.items()}
     assert sizes == {True: 1618, False: 14578}
+
+
+def check_arc_numbers(tpl):
+    """The template's arc offsets name the arcs they claim: b -> T and
+    b -> tt at every B node, S -> tt and ss -> T."""
+    S, T, ss, tt = 0, 1, len(tpl.head) - 2, len(tpl.head) - 1
+    to = tpl.to
+    for b in range(tpl.b0, ss):
+        assert (to[~(b + tpl.to_t)], to[b + tpl.to_t]) == (b, T)
+        assert (to[~(b + tpl.to_tt)], to[b + tpl.to_tt]) == (b, tt)
+    assert (to[~tpl.s_tt], to[tpl.s_tt]) == (S, tt)
+    assert (to[~tpl.ss_t], to[tpl.ss_t]) == (ss, T)
+
+
+def test_template_arc_numbers():
+    st = paradox_free2().state
+    harem_step(st)
+    harem_step(st)
+    check_arc_numbers(st._templates[True])
+    check_arc_numbers(st._templates[False])
+    g = make_group("zd:2")
+    graph = cayley_bipartite(g, ball(g, parse_elements(g, "(1,0),(0,1)"), 1))
+    check_arc_numbers(_template(graph, graph.right_enum(0), RADIUS_B, 1))
 
 
 def test_each_state_builds_its_own_templates():

@@ -1,8 +1,9 @@
 """One convention, every presentation: a level-n verdict is "defect at most
 1/n", and the same question about the same group gets the same answer
-whether Z is ``zd:1``, ``CEView(zd:1)`` or ``redundant-z``, and Z^2 is
-``zd:2`` or ``CEView(zd:2)``.  The examples sit on the tie, where the
-defect is exactly 1/n."""
+whether Z is ``zd:1``, ``free:1``, ``CEView(zd:1)`` or ``redundant-z``
+(with its elements spelled as powers of x or of y), and Z^2 is ``zd:2`` or
+``CEView(zd:2)``.  The examples sit on the tie, where the defect is
+exactly 1/n."""
 
 import contextlib
 import io
@@ -11,6 +12,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +22,15 @@ from folnerlab.folner import (
     ReiterFunction,
     decide_mult_from_folner,
     extract_folner_from_reiter,
+    folner_function,
+    is_n_folner,
+    search_folner,
     verify_invariance_ce,
 )
 from folnerlab.groups import CEView
 
 Z1 = make_group("zd:1")
+F1 = make_group("free:1")
 Z2 = make_group("zd:2")
 RZ = make_group("redundant-z")
 
@@ -47,9 +53,25 @@ def _ce_verdict(g, f, D, n):
     return verdict == "INVARIANT"
 
 
+def _power(g, letter, k):
+    """The code of the word l^k, for l the given letter and letter + 1 its
+    inverse."""
+    return g.encode_word((letter,) * k if k >= 0 else (letter + 1,) * -k)
+
+
 def _x_power(k):
     """The redundant-z code of the word x^k (letter 0 is x, 1 is x^-1)."""
     return RZ.encode_word((0,) * k if k >= 0 else (1,) * -k)
+
+
+def _y_power(k):
+    """The redundant-z code of the word y^k (letter 2 is y, 3 is y^-1)."""
+    return _power(RZ, 2, k)
+
+
+def _a_power(k):
+    """The free:1 code of the word a^k (letter 0 is a, 1 is a^-1)."""
+    return _power(F1, 0, k)
 
 
 def _function(encode, values):
@@ -68,6 +90,42 @@ def test_z_presentations_agree(values, d, n):
     on_view = _ce_verdict(CEView(Z1), f, (z(d),), n)
     on_rz = _ce_verdict(RZ, _function(_x_power, values), (_x_power(d),), n)
     assert on_zd == on_view == on_rz
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.dictionaries(st.integers(-3, 3), st.integers(1, 3), min_size=1),
+       d=st.integers(-2, 2), n=st.integers(1, 6))
+@example(values={0: 1, 1: 1}, d=1, n=1)
+def test_kappa_x_and_y_spellings_agree(values, d, n):
+    on_x = _ce_verdict(RZ, _function(_x_power, values), (_x_power(d),), n)
+    f_y = _function(_y_power, values)
+    assert _ce_verdict(RZ, f_y, (_x_power(d),), n) == on_x
+    assert _ce_verdict(RZ, f_y, (_y_power(d),), n) == on_x
+
+
+@pytest.mark.parametrize("shifts", [(1,), (1, -1), (2,)])
+def test_zd1_and_free1_agree(shifts):
+    """Z as ``zd:1`` and as ``free:1``: the same minimum Folner sizes, the
+    same sizes of the first certificate found, and the same verdicts and
+    defects on intervals."""
+    z = lambda k: Z1.encode_vector((k,))
+    D_zd = [z(d) for d in shifts]
+    D_free = [_a_power(d) for d in shifts]
+    for n in range(1, 7):
+        assert folner_function(Z1, D_zd, n, Budget(10**6)) == folner_function(
+            F1, D_free, n, Budget(10**6))
+        cert_zd = search_folner(Z1, D_zd, n, Budget(10**6))
+        cert_free = search_folner(F1, D_free, n, Budget(10**6))
+        assert len(cert_zd.F) == len(cert_free.F)
+        for start in range(-3, 3):
+            for size in range(1, 9):
+                interval = range(start, start + size)
+                ok_zd, defects_zd = is_n_folner(Z1, map(z, interval), D_zd, n)
+                ok_free, defects_free = is_n_folner(
+                    F1, map(_a_power, interval), D_free, n)
+                assert ok_zd == ok_free
+                assert [defects_zd[x] for x in D_zd] == [
+                    defects_free[x] for x in D_free]
 
 
 @settings(max_examples=100, deadline=None)
