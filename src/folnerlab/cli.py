@@ -10,8 +10,8 @@ internally.  Reports go to stdout as human text, or as canonical JSON with
 ``--n``, ``--budget`` or ``--steps`` below 1.  ``_run`` charges the run's
 one meter, made from ``--budget``, and answers a report or ``UNKNOWN``;
 ``main`` alone turns the outcome into an exit code:
-0 definite answer, 2 UNKNOWN (budget exhausted), 3 precondition violation,
-4 malformed input.
+0 definite answer, 2 UNKNOWN (no definite answer within the budget),
+3 precondition violation, 4 malformed input.
 """
 
 from __future__ import annotations

@@ -189,13 +189,8 @@ def _subset_candidates(g, D, n, meter):
     # the balls of radius 0 .. n + |D| + 16
     yield from itertools.islice(ball_layers(g, D, meter), n + len(D) + 17)
     limit = g.element_count
-    for mask in itertools.count(1):
-        F = subset_decode(mask)
-        if limit is not None and F[-1] >= limit:
-            if mask >= (1 << limit):
-                return
-            continue
-        yield F
+    masks = itertools.count(1) if limit is None else range(1, 1 << limit)
+    yield from map(subset_decode, masks)
 
 
 def search_folner(g: GroupOracle, D, n: int, b: Budget):
@@ -224,11 +219,13 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     The lower bound comes from an orbit argument: a set smaller than n must
     have all defects zero, hence be a union of right cosets of <D>, so its
     size is at least |<D>|; when the balls of <D> stop growing below n,
-    <D> itself is the answer.  When the size-ordered scan over subsets of
-    growing balls finds a certificate matching the lower bound, minimality
-    is proved; otherwise the search returns UNKNOWN on budget exhaustion.
-    Budget counts ``mult`` calls building the balls, s x |D| per candidate
-    of size s, and one step per size.
+    <D> itself is the answer.  Otherwise n is the only size the search can
+    certify: it scans the n-element subsets of the balls of radius 1..n and
+    answers n on the first n-Folner one, or UNKNOWN once those candidates
+    are exhausted.  Each growing ball has at least one element more than the
+    last, so balls that stop growing below n stop by radius n - 1.
+    Budget counts ``mult`` calls building the balls and n x |D| per
+    candidate.
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("folner_function requires a COMPUTABLE-mode oracle")
@@ -239,29 +236,15 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     D_eff = tuple(x for x in D if g.canon(x) != g.identity)
     if not D_eff:
         return 1
-    layers = ball_layers(g, D_eff, meter)
-    balls = [next(layers)]
-    for s in itertools.count(n):
-        for r in range(1, s + 1):
-            if r == len(balls):
-                U = next(layers, ())
-                if U is None:
-                    return UNKNOWN
-                if not U:  # the balls stopped growing: they are <D>
-                    if len(balls[-1]) < n:
-                        return len(balls[-1])
-                    break
-                balls.append(U)
-            U = balls[r]
-            if len(U) < s:
-                continue
-            for F in itertools.combinations(U, s):
-                if not meter.charge(s * len(D)):
-                    return UNKNOWN
-                if translate_defects(g, F, D, n):
-                    return s if s == n else UNKNOWN
-        if not meter.charge(1):
+    for U in itertools.islice(ball_layers(g, D_eff, meter), 1, n + 1):
+        if U is None:
             return UNKNOWN
+        for F in itertools.combinations(U, n):
+            if not meter.charge(n * len(D)):
+                return UNKNOWN
+            if translate_defects(g, F, D, n):
+                return n
+    return len(U) if len(U) < n else UNKNOWN
 
 
 def folner_sequence(g: GroupOracle, j: int, b: Budget):

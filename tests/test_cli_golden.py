@@ -70,6 +70,9 @@ CASES = {
                           "--n", "9", "--budget", "1"],
     "function_z2_unknown": ["folner-function", "--group", "zd:2", "--d", Z2_D,
                             "--n", "2"],
+    # no 3-element set is 3-Folner, so the scan of level 3 ends in UNKNOWN
+    "function_z2_n3_unknown": ["folner-function", "--group", "zd:2", "--d", Z2_D,
+                               "--n", "3"],
     # folner-seq
     "seq_z1": ["folner-seq", "--group", "zd:1", "--n", "3"],
     "seq_lamp": ["folner-seq", "--group", "lamplighter", "--n", "2"],

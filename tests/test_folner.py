@@ -12,6 +12,7 @@ from folnerlab.folner import (
     FolnerCertificate,
     ReiterFunction,
     UnionFind,
+    _subset_candidates,
     box_folner,
     decide_mult_from_folner,
     extract_folner_from_reiter,
@@ -140,6 +141,14 @@ def test_search_folner_free_group_unknown():
     assert search_folner(F2, D, 4, Budget(3000)) is UNKNOWN
 
 
+def test_subset_candidates_end_on_a_finite_group():
+    # the balls of <1> in Z/5, then the 31 non-empty subsets in mask order
+    C5 = make_group("cyclic:5")
+    stream = list(_subset_candidates(C5, (1,), 1, Budget(10**6).meter()))
+    masks = [tuple(i for i in range(5) if mask >> i & 1) for mask in range(1, 32)]
+    assert stream == [(0,), (0, 1, 4), (0, 1, 2, 3, 4), *masks]
+
+
 def test_folner_function_z():
     for n in range(1, 7):
         assert folner_function(Z1, zcodes(1), n, Budget(10**6)) == n
@@ -161,6 +170,15 @@ def test_folner_function_budget_counts_mult_calls():
     # all seven layers of Z/12 cost 3 x 12, the last one finding nothing new
     assert folner_function(C12, (1,), 100, Budget(36)) == 12
     assert folner_function(C12, (1,), 100, Budget(35)) is UNKNOWN
+
+
+def test_folner_function_stops_after_level_n():
+    # no 3-subset of the radius-3 ball of Z^2 is 3-Folner; n is the only
+    # size that can be certified, so the scan ends there with budget left
+    D = parse_elements(Z2, "(1,0),(0,1)")
+    meter = Budget(10**6).meter()
+    assert folner_function(Z2, D, 3, meter) is UNKNOWN
+    assert meter.consumed == 15_641
 
 
 def test_folner_function_lamplighter_torsion():
