@@ -29,10 +29,14 @@ are moved by c^-1.  The full ball around o, and its flow network, is built
 once per side and per matching state: the template.  A step maps only the
 removed vertices into the frame and describes its residual ball by one
 distance list, recomputed by breadth-first search on the template with
-those vertices dead.  It patches the template's capacities where that list
-differs from the template's own, solves, and maps only the committed star
-back.  Both networks, the template's and the one ``finite_harem_match``
-builds, share one flat arc format (``_arcs``) and one flow readout
+those vertices dead.  The template also holds its network's maximum flow,
+and every step starts from that flow: where the step's list differs from
+the template's own, it cancels the flow through those nodes and patches
+their capacities, then augments to a maximum flow and maps only the
+committed star back.  A step never starts from the previous step's flow,
+so the state stays a pure function of (graph, k, steps).  Both networks,
+the template's and the one ``finite_harem_match`` builds from zero flow,
+share one flat arc format (``_arcs``) and one flow readout
 (``_flow_partners``).
 For the paradoxical decomposition of free:2 (17-element key, k = 2) the
 templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4).
@@ -336,16 +340,17 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
 
 class _Template(NamedTuple):
     """The full radius-r ball around one side's origin, the identity's
-    vertex, with its flow network.
+    vertex, with its flow network solved.
 
     Nodes and arc blocks are those of ``finite_harem_match``, each side in
     code order, except that every B node has both its boundary arc and its
-    interior arc, with the capacities of the full ball.  ``dist`` is the
-    ball's distance list; a step's list from ``_frame`` differs from it only
-    where the removed vertices lengthened a path, and ``_capacities`` patches
-    those nodes alone.  An arc of capacity 0 is never traversed, so the
-    flow found is the one ``finite_harem_match`` finds on the residual ball
-    in frame codes.
+    interior arc, with the capacities of the full ball.  ``cap`` is the
+    residual network of the ball's maximum flow: the capacity of arc e is
+    ``cap[e] + cap[~e]`` and its flow ``cap[~e]``.
+    ``dist`` is the ball's distance list; a step's list from ``_frame``
+    differs from it only where the removed vertices lengthened a path, and
+    ``_capacities`` patches those nodes alone, cancelling the flow through
+    them, so every step starts from this flow.
     """
 
     radius: int
@@ -360,6 +365,7 @@ class _Template(NamedTuple):
     b0: int  # the first B node
     to_t: int  # the arc b -> T is b + to_t
     to_tt: int  # the arc b -> tt is b + to_tt
+    t_s: int  # the arc T -> S
     s_tt: int  # the arc S -> tt
     ss_t: int  # the arc ss -> T
     interior: int  # B nodes closer to the origin than the radius
@@ -413,10 +419,11 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
         (b_nodes, [tt] * n_b, [1 - x for x in on_boundary]),
     )
     head, to, cap, starts = _arcs(blocks, tt + 1)
+    _maxflow(head, to, cap, ss, tt)  # cap keeps the flow
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
         nbrs=nbrs, head=head, to=to, cap=cap, b0=b0,
-        to_t=starts[1] - b0, to_tt=starts[6] - b0,
+        to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
         s_tt=starts[3], ss_t=starts[4], interior=interior,
     )
 
@@ -435,7 +442,8 @@ class HaremMatchingState:
     the centre o*c (o the identity's vertex of its side) is the residual
     ball around o, with the removed vertices moved by c^-1, translated by
     c.  ``_templates`` holds each side's full ball around o with its flow
-    network, keyed by whether the side is A and built at the side's first
+    network and that network's maximum flow, the start of every step on
+    the side, keyed by whether the side is A and built at the side's first
     step.  It is owned by this state alone, so a fresh state builds its
     own.  For the free:2 decomposition (17-element key, k = 2) the
     templates have 1,618 vertices (radius 3) and 14,578 (radius 4).
@@ -492,34 +500,61 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
 
 
 def _capacities(tpl: _Template, dist: list, k: int):
-    """The template's capacities for the residual ball with distance list
-    ``dist``, and the flow value that saturates its lower bounds.
+    """The template's residual network for the residual ball with distance
+    list ``dist``, its demand (the flow value that saturates the lower
+    bounds) and the value of the flow it already carries.
 
-    Only the nodes whose distance differs from the template's change.  A
-    node that has left the ball (dead, or beyond the radius) has every arc
-    zeroed and leaves the A or interior count; a B node pushed out to the
-    radius trades its interior arc for its boundary arc.
+    The flow is the template's, changed only at the nodes whose distance
+    differs from the template's.  A node that has left the ball (dead, or
+    beyond the radius) has the path ss -> a -> b -> (tt | T) of each unit
+    through it cancelled and then every arc zeroed, and it leaves the A or
+    interior count; a B node pushed out to the radius trades its interior
+    arc for its boundary arc and moves its unit along.  With y units left
+    on boundary arcs, ss -> T keeps x = min(its flow, interior, k*n_a - y)
+    and T -> S and S -> tt carry x + y.
     """
     cap = tpl.cap[:]
-    r, was = tpl.radius, tpl.dist
-    n_a, interior = tpl.b0 - 2, tpl.interior
+    head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
+    b0 = tpl.b0
+    n_a, interior = b0 - 2, tpl.interior
+    x = cap[~tpl.ss_t]
+    y = cap[~tpl.t_s] - x
     for u, d in enumerate(dist):
         if d == was[u]:
             continue
         if d == r:  # only B nodes lie at the radius; u was interior
-            cap[u + tpl.to_t] = 1
-            cap[u + tpl.to_tt] = 0
+            f = cap[~(u + tpl.to_tt)]
+            cap[u + tpl.to_tt] = cap[~(u + tpl.to_tt)] = 0
+            cap[u + tpl.to_t], cap[~(u + tpl.to_t)] = 1 - f, f
+            y += f
             interior -= 1
         elif d is None or d < 0:
-            for e in tpl.head[u]:
-                cap[e if e >= 0 else ~e] = 0
-            if u < tpl.b0:
+            if u < b0:  # its edge arcs that carry flow
+                edges = [e for e in head[u] if e >= 0 and cap[~e]]
+            else:  # the edge arc into it that carries flow, if any
+                edges = [~e for e in head[u] if e < 0 and cap[e]]
+            for e in edges:
+                out = to[e] + tpl.to_tt
+                if not cap[~out]:
+                    out = to[e] + tpl.to_t
+                    y -= 1
+                # a -> b, ss -> a (the last arc at a is its reverse), b's out
+                for f in (e, ~head[to[~e]][-1], out):
+                    cap[f] += 1
+                    cap[~f] -= 1
+            for e in head[u]:
+                cap[e] = cap[~e] = 0
+            if u < b0:
                 n_a -= 1
             elif was[u] < r:
                 interior -= 1
-    cap[tpl.s_tt] = k * n_a
-    cap[tpl.ss_t] = interior
-    return cap, k * n_a + interior
+    x = min(x, interior, k * n_a - y)
+    cap[tpl.ss_t], cap[~tpl.ss_t] = interior - x, x
+    cap[tpl.t_s] += cap[~tpl.t_s] - x - y
+    cap[~tpl.t_s] = x + y
+    cap[tpl.s_tt], cap[~tpl.s_tt] = k * n_a - x - y, x + y
+    start = sum(cap[~e] for e in head[-2])  # the flow out of ss
+    return cap, k * n_a + interior, start
 
 
 def harem_step(st: HaremMatchingState) -> HaremMatchingState:
@@ -529,13 +564,13 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
     tpl, dist = _frame(st, a_side, c)
     head, to = tpl.head, tpl.to
     translate = st.graph.translate
-    cap, demand = _capacities(tpl, dist, st.k)
+    cap, demand, value = _capacities(tpl, dist, st.k)
     where = "at step %d around code %d" % (st.step_count, v)
     # past a finite group's last code, v is no vertex: c moves the origin elsewhere
     if translate(tpl.codes[tpl.origin], c) != v:
         raise InternalInfeasibleError("finite graph's side has no vertex left " + where)
     ss = len(head) - 2
-    if _maxflow(head, to, cap, ss, ss + 1) != demand:
+    if value + _maxflow(head, to, cap, ss, ss + 1) != demand:
         raise InternalInfeasibleError("finite matching infeasible " + where)
     a = tpl.origin
     if not a_side:  # the A node whose edge arc into the origin carries flow

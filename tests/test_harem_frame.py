@@ -2,8 +2,13 @@
 
 At every step of a paradox prefix, the residual piece read off the side's
 template and moved back by the centre's group element is the residual ball
-that ``induced_ball`` builds around the centre, and the committed star is
-the star that ``finite_harem_match`` finds on that piece in frame codes.
+that ``induced_ball`` builds around the centre.  Each step starts from the
+template's own maximum flow with the flow through the changed nodes
+cancelled, so its matching need not be the one ``finite_harem_match`` finds
+on that piece.  What is checked instead needs no solver: the start and the
+final flow are valid flows of the step's network, the final flow moved back
+is a feasible relaxed (1,k)-matching of the piece, and the committed star
+is its star at the centre.
 """
 
 import random
@@ -18,10 +23,11 @@ from folnerlab.harem import (
     FiniteBipartite,
     InternalInfeasibleError,
     _capacities,
+    _flow_partners,
     _frame,
+    _maxflow,
     _next_unremoved,
     _template,
-    finite_harem_match,
     harem_new,
     harem_step,
     induced_ball,
@@ -49,23 +55,43 @@ def frame_piece(graph, tpl, dist):
     return FiniteBipartite(A, B, adj, boundary)
 
 
-def check_capacities(tpl, dist, local, k):
+def flow_value(tpl, cap):
+    """The value of the flow that the residual capacities ``cap`` carry on
+    the template's network, after checking it is one: 0 <= flow <= capacity
+    on every arc, the flow on arc e being ``cap[~e]`` and its capacity
+    ``cap[e] + cap[~e]``, and conservation at every node but ss and tt."""
+    assert min(cap) >= 0
+    m = len(cap) // 2
+    # forward arc e runs from to[~e] to to[e] and carries cap[~e]
+    excess = [0] * len(tpl.head)
+    for u, w, f in zip(reversed(tpl.to[m:]), tpl.to[:m], reversed(cap[m:])):
+        excess[u] -= f
+        excess[w] += f
+    ss = len(tpl.head) - 2
+    assert not any(excess[:ss])
+    return -excess[ss]
+
+
+def check_capacities(tpl, cap, demand, local, k):
     """The step's network carries exactly the bounds of the piece."""
-    cap, demand = _capacities(tpl, dist, k)
+
+    def capacity(e):
+        return cap[e] + cap[~e]
+
     live = {tpl.index[f] for f in local.A + local.B}
     boundary = {tpl.index[f] for f in local.boundary_B}
     for u in range(2, tpl.b0):
         # the last arc at an A node is the reverse of its arc ss -> a
-        assert cap[~tpl.head[u][-1]] == (k if u in live else 0)
+        assert capacity(~tpl.head[u][-1]) == (k if u in live else 0)
     for b in range(tpl.b0, len(tpl.head) - 2):
-        assert cap[b + tpl.to_t] == (b in boundary)
-        assert cap[b + tpl.to_tt] == (b in live and b not in boundary)
+        assert capacity(b + tpl.to_t) == (b in boundary)
+        assert capacity(b + tpl.to_tt) == (b in live and b not in boundary)
     for e, w in enumerate(tpl.to[: len(tpl.to) // 2]):
         u = tpl.to[~e]
         if 2 <= u < tpl.b0 and w >= tpl.b0:  # an edge arc
-            assert cap[e] == (u in live and w in live)
+            assert capacity(e) == (u in live and w in live)
     n_a, interior = len(local.A), len(local.B) - len(local.boundary_B)
-    assert cap[tpl.s_tt] == k * n_a and cap[tpl.ss_t] == interior
+    assert capacity(tpl.s_tt) == k * n_a and capacity(tpl.ss_t) == interior
     assert demand == k * n_a + interior
 
 
@@ -73,9 +99,10 @@ def checked_step(st, ref):
     """One harem step, checked against the references on the oracle ref.
 
     The step's residual piece, read off the template and moved back by the
-    centre's group element, must be ``induced_ball`` around the centre, and
-    the committed star must be the star of ``finite_harem_match`` on that
-    piece in frame codes."""
+    centre's group element, must be ``induced_ball`` around the centre.  The
+    warm start and the step's maximum flow must be flows of the piece's
+    network, the final one moved back a feasible relaxed (1,k)-matching of
+    the piece, and the committed star its star at the centre."""
     graph = st.graph
     a_side = st.step_count % 2 == 0
     cursor = (st._cursor_a, st._cursor_b)
@@ -84,7 +111,12 @@ def checked_step(st, ref):
     r = RADIUS_A if a_side else RADIUS_B
     tpl, dist = _frame(st, a_side, c)
     local = frame_piece(ref, tpl, dist)
-    check_capacities(tpl, dist, local, st.k)
+    cap, demand, value = _capacities(tpl, dist, st.k)
+    check_capacities(tpl, cap, demand, local, st.k)
+    assert flow_value(tpl, cap) == value
+    ss = len(tpl.head) - 2
+    assert value + _maxflow(tpl.head, tpl.to, cap, ss, ss + 1) == demand
+    assert flow_value(tpl, cap) == demand
 
     def back(f):
         return graph.translate(f, c)
@@ -97,22 +129,26 @@ def checked_step(st, ref):
     }
     assert set(map(back, local.boundary_B)) == set(want.boundary_B)
 
-    matching = finite_harem_match(local, st.k)
-    assert matching is not None
-    origin = tpl.codes[tpl.origin]
-    if a_side:
-        star = origin
-    else:
-        star = next(a for a, bs in sorted(matching.items()) if origin in bs)
+    # the whole flow, moved back, is a relaxed (1,k)-matching of the piece
+    matching = {
+        back(tpl.codes[u]): [
+            back(tpl.codes[w]) for w in _flow_partners(tpl.head, tpl.to, cap, u)
+        ]
+        for u in range(2, tpl.b0)
+    }
+    taken = []
+    for a, bs in matching.items():
+        assert len(bs) == (st.k if a in want.A else 0)
+        assert set(bs) <= set(want.adj.get(a, ()))
+        taken += bs
+    assert len(taken) == len(set(taken))
+    assert set(want.B) - want.boundary_B <= set(taken) <= set(want.B)
+
+    star = v if a_side else next(a for a, bs in matching.items() if v in bs)
     before = set(st.left_pairs)
     harem_step(st)
-    (a,) = set(st.left_pairs) - before
-    partners = st.left_pairs[a]
-    assert a == back(star)
-    assert partners == tuple(sorted(map(back, matching[star])))
-    assert len(set(partners)) == len(partners) == st.k
-    assert set(partners) <= set(want.adj[a])  # edges to live B vertices
-    assert v == a if a_side else v in partners
+    assert set(st.left_pairs) - before == {star}
+    assert st.left_pairs[star] == tuple(sorted(matching[star]))
     return tpl, dist
 
 
@@ -124,7 +160,7 @@ def test_frame_piece_is_the_residual_ball_at_every_step():
     for m in range(48):
         while 2 * m not in st.left_pairs:
             checked_step(st, ref)
-    assert st.step_count == 51
+    assert st.step_count == 61
 
 
 def test_frame_piece_where_distances_grow_back_inside_the_ball():
@@ -172,6 +208,43 @@ def test_template_sizes():
     harem_step(st)
     sizes = {side: sum(d >= 0 for d in tpl.dist) for side, tpl in st._templates.items()}
     assert sizes == {True: 1618, False: 14578}
+
+
+@pytest.mark.parametrize("spec,key,k", [("free:2", "a,a^-1,b,b^-1", 2),
+                                        ("zd:2", "(1,0),(0,1)", 1)])
+def test_template_holds_a_maximum_flow_of_the_full_ball(spec, key, k):
+    g = make_group(spec)
+    K = ball(g, parse_elements(g, key), 1)
+    graph, ref = cayley_bipartite(g, K), cayley_bipartite(g, K)
+    for origin, r in ((graph.left_enum(0), RADIUS_A), (graph.right_enum(0), RADIUS_B)):
+        tpl = _template(graph, origin, r, k)
+        local = frame_piece(ref, tpl, tpl.dist)
+        demand = k * len(local.A) + len(local.B) - len(local.boundary_B)
+        check_capacities(tpl, tpl.cap, demand, local, k)
+        assert flow_value(tpl, tpl.cap) == demand
+
+
+def test_steps_never_write_into_the_template():
+    d = paradox_free2()
+    st = d.state
+    harem_step(st)
+    harem_step(st)
+    caps = {side: tpl.cap[:] for side, tpl in st._templates.items()}
+    report = verify_decomposition_prefix(d, 48, Budget(10**4))
+    assert report["violations"] == [] and st.step_count == 61
+    assert {side: tpl.cap for side, tpl in st._templates.items()} == caps
+
+
+def test_prefix_on_a_key_with_heavier_regrowth():
+    # K0 = a,b,b^-1 at level 2: a 28-element key, templates of 6,147 and
+    # 86,521 vertices
+    g = make_group("free:2")
+    d = build_decomposition(g, parse_elements(g, "a,b,b^-1"), 2)
+    assert len(d.key.K) == 28
+    report = verify_decomposition_prefix(d, 12, Budget(10**4))
+    assert report["violations"] == []
+    assert [r["m"] for r in report["resolved"]] == list(range(12))
+    assert d.state.step_count == 13
 
 
 def check_arc_numbers(tpl):
