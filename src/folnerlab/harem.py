@@ -33,7 +33,9 @@ those vertices dead.  The template also holds its network's maximum flow,
 and every step starts from that flow: where the step's list differs from
 the template's own, it cancels the flow through those nodes and patches
 their capacities, then augments to a maximum flow and maps only the
-committed star back.  A step never starts from the previous step's flow,
+committed star back.  Each phase of the augmenting search labels the
+network from both ends, so its work grows with the step's few augmenting
+paths, not with the template.  A step never starts from the previous step's flow,
 so the state stays a pure function of (graph, k, steps).  Both networks,
 the template's and the one ``finite_harem_match`` builds from zero flow,
 share one flat arc format (``_arcs``) and one flow readout
@@ -215,36 +217,146 @@ def _flow_partners(head: list, to: list, cap: list, u: int) -> list:
     return [to[e] for e in head[u] if e >= 0 and cap[~e]]
 
 
+# a network with fewer nodes is labelled from s alone (see _maxflow)
+_SMALL_NETWORK = 16
+
+
+def _label_from_s(head: list, to: list, cap: list, s: int, t: int, n: int):
+    """Node -> breadth-first distance from s over arcs with spare capacity,
+    labelled until t is; -1 for a node not labelled.  None when t is not
+    reached."""
+    level = [-1] * n
+    level[s] = 0
+    queue = [s]
+    for u in queue:
+        nxt = level[u] + 1
+        for e in head[u]:
+            if cap[e]:
+                v = to[e]
+                if level[v] < 0:
+                    level[v] = nxt
+                    queue.append(v)
+        if level[t] >= 0:
+            return level
+    return None
+
+
+def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, n: int):
+    """Node -> position on the shortest augmenting paths, labelled from
+    both ends as ``_maxflow`` describes; -1 for a node with no position.
+    None when there is no augmenting path."""
+    # s's labels are ds >= 0, t's are -2 - dt, and -1 is no label
+    level = [-1] * n
+    level[s], level[t] = 0, -2
+    s_front, t_front, t_seen = [s], [t], [t]
+    ls, d = 0, -2  # s's last level and t's last label
+    s_arcs, t_arcs = len(head[s]), len(head[t])
+    while True:
+        if s_arcs <= t_arcs:
+            ls += 1
+            nxt = []
+            s_arcs = 0
+            for u in s_front:
+                for e in head[u]:
+                    if cap[e]:
+                        v = to[e]
+                        x = level[v]
+                        if x == -1:
+                            level[v] = ls
+                            nxt.append(v)
+                            s_arcs += len(head[v])
+                        elif x < -1:  # labelled from t: the ends meet
+                            break
+                else:
+                    continue
+                break
+            else:
+                if not nxt:
+                    return None
+                s_front = nxt
+                continue
+            for v in nxt:  # s's last level
+                level[v] = -1
+            break
+        d -= 1
+        nxt = []
+        t_arcs = 0
+        meet = False
+        for u in t_front:
+            for e in head[u]:
+                if cap[~e]:
+                    v = to[e]
+                    x = level[v]
+                    if x >= -1:
+                        level[v] = d
+                        nxt.append(v)
+                        t_arcs += len(head[v])
+                        if x >= 0:
+                            meet = True
+        t_seen += nxt
+        if meet:
+            for v in s_front:  # s's last level, less the meeting nodes
+                if level[v] >= 0:
+                    level[v] = -1
+            break
+        if not nxt:
+            return None
+        t_front = nxt
+    shift = ls - d  # a label -2 - dt becomes L - dt, for L = ls - d - 2
+    for v in t_seen:
+        level[v] += shift
+    return level
+
+
 def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
     """Dinic's maximum flow from s to t; leaves the residual capacities in cap.
 
-    Each phase labels nodes by breadth-first distance over arcs with spare
-    capacity, stopping once t is labelled: a node still unlabelled then lies
-    at distance at least t's, so it is a dead end of the phase.  The
-    depth-first search keeps a current-arc pointer per node and the path as
-    two stacks, its nodes and its arcs.  After an augmentation it resumes at
-    the tail of the first arc the augmentation saturated, which is where a
+    Each phase labels nodes from both ends, one whole level at a time: from
+    s by the distance ds from s over arcs with spare capacity, and from t by
+    the distance dt to t, growing over the arcs ~e into a labelled node that
+    have ``cap[~e] > 0``.  The side that grows is the one whose next level
+    scans fewer arcs, the sum of ``len(head[u])`` over its frontier, so the
+    phase follows the few augmenting paths of a warm-started step and not
+    the whole template, whose aggregate nodes T and tt each hold thousands
+    of arcs.  Once a level comes out empty, no augmenting path is left and
+    the flow is maximum.  Labelling stops at the first level that reaches a
+    node labelled from the other end: with ls and lt the levels grown,
+    L = ls + lt is then the length of the shortest augmenting paths, and
+    ds(v) + dt(v) >= L for every node v.  A level of s stops at the first
+    such node, as the rest of it gets no position below.
+
+    Each node then gets its position on the shortest paths: L - dt if it is
+    labelled from t, ds if it is labelled from s alone short of s's last
+    level, and none otherwise (an s-only node on s's last level has no arc
+    into a node at distance lt - 1 from t, or it would carry a label from
+    t).  The search steps from position p to p + 1 over arcs with spare
+    capacity, and a node it enters at position p lies at distance exactly p
+    from s: at most p along the search's path, and at least L - dt = p for
+    a node labelled from t.  So the admissible s-t paths are exactly the
+    shortest augmenting paths, every node of which is labelled at its
+    distance since ds <= ls or dt <= lt; the forward-only level graph of the
+    textbook Dinic admits the same paths.
+
+    A network of fewer than ``_SMALL_NETWORK`` nodes, such as a piece of a
+    few vertices, is labelled from s alone, by breadth-first search until t
+    is labelled: there the two frontiers soon cover the whole network, and
+    the second frontier costs more than it saves.  Its admissible paths are
+    the same.
+
+    The depth-first search keeps a current-arc pointer per node and the path
+    as two stacks, its nodes and its arcs.  After an augmentation it resumes
+    at the tail of the first arc the augmentation saturated, which is where a
     restart from s would arrive again, and a node found to be a dead end is
-    unlabelled so it is never entered again.  The flow found is the one the
+    unlabelled so it is never entered again.  It takes the first admissible
+    path in arc order at every augmentation, so the flow found is the one the
     recursive textbook search finds with the same arc order.
     """
     n = len(head)
+    label = _label_from_s if n < _SMALL_NETWORK else _label_from_both_ends
     flow = 0
     while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            nxt = level[u] + 1
-            for e in head[u]:
-                if cap[e]:
-                    v = to[e]
-                    if level[v] < 0:
-                        level[v] = nxt
-                        queue.append(v)
-            if level[t] >= 0:
-                break
-        else:
+        level = label(head, to, cap, s, t, n)
+        if level is None:
             return flow
         ptr = [0] * n
         nodes = [s]

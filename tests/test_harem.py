@@ -11,6 +11,9 @@ from folnerlab.groups import ball, parse_elements
 from folnerlab.harem import (
     FiniteBipartite,
     HallWitness,
+    _SMALL_NETWORK,
+    _arcs,
+    _maxflow,
     cehhc_spot_check,
     finite_harem_match,
     harem_new,
@@ -192,6 +195,73 @@ class _RecursiveDinic:
                 flow += pushed
 
 
+def forward_maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
+    """The iterative Dinic with each phase labelled from s alone: the
+    reference that the labelling from both ends must reproduce, residual
+    network and all.
+
+    A phase labels nodes by breadth-first distance from s over arcs with
+    spare capacity and stops once t is labelled; the depth-first search is
+    the one ``_maxflow`` runs."""
+    n = len(head)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            nxt = level[u] + 1
+            for e in head[u]:
+                if cap[e]:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = nxt
+                        queue.append(v)
+            if level[t] >= 0:
+                break
+        else:
+            return flow
+        ptr = [0] * n
+        nodes = [s]
+        arcs: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min(map(cap.__getitem__, arcs))
+                flow += pushed
+                cut = -1
+                for i, e in enumerate(arcs):
+                    cap[e] -= pushed
+                    cap[~e] += pushed
+                    if cut < 0 and not cap[e]:
+                        cut = i
+                del arcs[cut:]
+                del nodes[cut + 1 :]
+                u = nodes[-1]
+                continue
+            hu = head[u]
+            i = ptr[u]
+            end = len(hu)
+            nxt = level[u] + 1
+            while i < end:
+                e = hu[i]
+                if cap[e] and level[to[e]] == nxt:
+                    ptr[u] = i
+                    arcs.append(e)
+                    u = to[e]
+                    nodes.append(u)
+                    break
+                i += 1
+            else:
+                if u == s:
+                    break
+                level[u] = -1
+                nodes.pop()
+                arcs.pop()
+                u = nodes[-1]
+                ptr[u] += 1
+
+
 def reference_harem_match(fg: FiniteBipartite, k: int):
     """The lower-bound flow network built arc by arc, solved recursively."""
     a_index = {a: 2 + i for i, a in enumerate(fg.A)}
@@ -265,6 +335,69 @@ def test_long_augmenting_path_needs_no_recursion():
         frozenset([2 * n + 1]),
     )
     assert finite_harem_match(fg, 1) == {2 * i: (2 * i + 1,) for i in range(n)}
+
+
+def solve_arcs(nodes, arcs, s, t):
+    """``_maxflow`` on the network with the given (tail, head, capacity)
+    arcs, checked against ``forward_maxflow``: the value, after checking
+    that the residual capacities left are those of a flow of that value
+    (0 <= flow <= capacity on every arc, conservation at every node but s
+    and t).  The network is solved as drawn, small enough to be labelled
+    from s alone, and again with isolated nodes added up to
+    ``_SMALL_NETWORK``, so that it is labelled from both ends."""
+    assert nodes < _SMALL_NETWORK
+    tails, heads, caps = (list(x) for x in zip(*arcs))
+    values = []
+    for size in (nodes, _SMALL_NETWORK):
+        head, to, cap, _ = _arcs([(tails, heads, caps)], size)
+        ref = cap[:]
+        value = _maxflow(head, to, cap, s, t)
+        assert forward_maxflow(head, to, ref, s, t) == value and ref == cap
+        excess = [0] * size
+        for e, (u, w, c) in enumerate(arcs):
+            flow = cap[~e]
+            assert 0 <= flow <= c and cap[e] == c - flow
+            excess[u] -= flow
+            excess[w] += flow
+        assert all(x == 0 for v, x in enumerate(excess) if v not in (s, t))
+        assert excess[t] == -excess[s] == value
+        values.append(value)
+    assert values[0] == values[1]
+    return value
+
+
+def test_maxflow_when_s_has_no_spare_arc():
+    # s's only arc has capacity 0, and its other arc is the reverse of one
+    # into s
+    assert solve_arcs(4, [(0, 2, 0), (2, 3, 1), (3, 0, 1), (2, 1, 5)], 0, 1) == 0
+
+
+def test_maxflow_when_no_arc_into_t_has_spare_capacity():
+    # t's arcs are an arc out of it and an arc into it of capacity 0
+    assert solve_arcs(4, [(0, 2, 3), (2, 3, 2), (3, 1, 0), (1, 3, 4)], 0, 1) == 0
+
+
+def test_maxflow_when_s_side_runs_out_first():
+    # s -> 2 -> t carries one unit; then, labelled from both ends, s, with
+    # one arc against t's six, is the side that grows, and its level comes
+    # out empty.  Nodes 3..7 each feed t but are reached from nowhere.
+    arcs = [(0, 2, 1), (2, 1, 2)] + [(v, 1, 1) for v in range(3, 8)]
+    assert solve_arcs(8, arcs, 0, 1) == 1
+
+
+def test_maxflow_when_t_side_runs_out_first():
+    # three paths s -> a -> 5 -> t share the arc 5 -> t of capacity 1; after
+    # one unit, labelled from both ends, t, with one arc against s's three,
+    # is the side that grows, and its level comes out empty
+    arcs = [(0, a, 1) for a in (2, 3, 4)] + [(a, 5, 1) for a in (2, 3, 4)]
+    assert solve_arcs(6, arcs + [(5, 1, 1)], 0, 1) == 1
+
+
+def test_maxflow_with_one_arc_from_s_to_t():
+    # the shortest augmenting path has one arc (L = 1), then three
+    assert solve_arcs(2, [(0, 1, 3)], 0, 1) == 3
+    arcs = [(0, 2, 2), (2, 3, 2), (3, 1, 2), (0, 1, 3)]
+    assert solve_arcs(4, arcs, 0, 1) == 5
 
 
 # ---------------------------------------------------------------------------

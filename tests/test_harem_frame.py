@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from folnerlab import Budget, make_group
+from folnerlab import Budget, harem, make_group
 from folnerlab.groups import ball, parse_elements
 from folnerlab.harem import (
     RADIUS_A,
@@ -37,6 +37,7 @@ from folnerlab.paradox import (
     cayley_bipartite,
     verify_decomposition_prefix,
 )
+from test_harem import forward_maxflow
 
 
 def paradox_free2():
@@ -161,6 +162,29 @@ def test_frame_piece_is_the_residual_ball_at_every_step():
         while 2 * m not in st.left_pairs:
             checked_step(st, ref)
     assert st.step_count == 61
+
+
+def test_maxflow_equals_the_forward_reference_at_template_scale(monkeypatch):
+    # every solve of a 48-code prefix, the two template builds and the 61
+    # steps, is also run from s alone on a copy of the same network: the
+    # values and the whole residual networks must agree
+    solve = harem._maxflow
+    nodes = []
+
+    def checked(head, to, cap, s, t):
+        ref = cap[:]
+        want = forward_maxflow(head, to, ref, s, t)
+        value = solve(head, to, cap, s, t)
+        assert value == want and cap == ref
+        nodes.append(len(head))
+        return value
+
+    monkeypatch.setattr(harem, "_maxflow", checked)
+    d = paradox_free2()
+    report = verify_decomposition_prefix(d, 48, Budget(10**4))
+    assert report["violations"] == [] and d.state.step_count == 61
+    # the templates' vertices and the four nodes S, T, ss and tt
+    assert len(nodes) == 63 and set(nodes) == {1618 + 4, 14578 + 4}
 
 
 def test_frame_piece_where_distances_grow_back_inside_the_ball():
