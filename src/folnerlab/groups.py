@@ -155,6 +155,10 @@ class GroupOracle:
         return "<%s %s mode=%s>" % (type(self).__name__, self.spec, self.mode)
 
 
+# decode_word keeps at most this many words; the cache starts over past it
+_DECODE_CACHE_SIZE = 1 << 16
+
+
 class FreeGroupOracle(GroupOracle):
     """Free group of rank k under the length-lex reduced word coding.
 
@@ -219,6 +223,8 @@ class FreeGroupOracle(GroupOracle):
             bad = word[-1] ^ 1
             word.append(r if r < bad else r + 1)
         out = tuple(word)
+        if len(self._decode_cache) >= _DECODE_CACHE_SIZE:
+            self._decode_cache.clear()
         self._decode_cache[code] = out
         return out
 

@@ -27,13 +27,18 @@ for o the identity's vertex of v's side, the residual ball around v is the
 translate by c of the residual ball around o in which the removed vertices
 are moved by c^-1.  The full ball around o, and its flow network, is built
 once per side and per matching state: the template.  A step maps only the
-removed vertices into the frame and describes its residual ball by one
-distance list, recomputed by breadth-first search on the template with
-those vertices dead.  The template also holds its network's maximum flow,
-and every step starts from that flow: where the step's list differs from
-the template's own, it cancels the flow through those nodes and patches
-their capacities, then augments to a maximum flow and maps only the
-committed star back.  Each phase of the augmenting search labels the
+removed vertices into the frame and describes its residual ball by a
+change map: the nodes whose distance from the origin differs from the
+template's, found by a decremental search that starts at the dead nodes
+and visits only the nodes that leave the ball.  The graph is bipartite, so
+a lost node's distance grows by at least 2 and only lost nodes within
+r - 2 of the origin can come back inside the radius.  The template also
+holds its network's maximum flow, and every step starts from that flow:
+at the nodes of the change map it cancels the flow and patches the
+capacities, then augments to a maximum flow and maps only the committed
+star back.  A B node beyond the radius has only A neighbours that left
+the ball too, since A nodes never lie at the radius, so their
+cancellations already free it.  Each phase of the augmenting search labels the
 network from both ends, so its work grows with the step's few augmenting
 paths, not with the template.  A step never starts from the previous step's flow,
 so the state stays a pure function of (graph, k, steps).  Both networks,
@@ -459,8 +464,10 @@ class _Template(NamedTuple):
     interior arc, with the capacities of the full ball.  ``cap`` is the
     residual network of the ball's maximum flow: the capacity of arc e is
     ``cap[e] + cap[~e]`` and its flow ``cap[~e]``.
-    ``dist`` is the ball's distance list; a step's list from ``_frame``
-    differs from it only where the removed vertices lengthened a path, and
+    ``dist`` is the ball's distance list and ``parents`` counts, per node,
+    its neighbours one step nearer the origin; its children are the
+    neighbours one step further.  A step's change map from ``_frame`` holds
+    only the nodes whose distance the removed vertices changed, and
     ``_capacities`` patches those nodes alone, cancelling the flow through
     them, so every step starts from this flow.
     """
@@ -471,6 +478,7 @@ class _Template(NamedTuple):
     index: dict  # frame code -> node
     dist: list  # node -> distance from the origin in the full graph
     nbrs: list  # node -> its neighbours in the ball
+    parents: list  # node -> its neighbours at distance dist - 1
     head: list
     to: list
     cap: list
@@ -487,7 +495,8 @@ def _distances(nbrs: list, origin: int, r: int, dead) -> list:
     """Node -> distance from the origin node by breadth-first search over
     ``nbrs``, entering no node beyond distance r: -1 for a node not
     reached.  The dead nodes are pre-marked None, so the search never
-    enters them."""
+    enters them.  It labels a template once; a step's distances come from
+    the decremental search of ``_frame``."""
     dist = [-1] * len(nbrs)
     for u in dead:
         dist[u] = None
@@ -518,6 +527,7 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
         nbrs[u].append(w)
         nbrs[w].append(u)
     dist = _distances(nbrs, index[origin], r, ())
+    parents = [sum(dist[w] < dist[u] for w in ws) for u, ws in enumerate(nbrs)]
     on_boundary = [int(dist[b] == r) for b in b_nodes]
     interior = n_b - sum(on_boundary)
     # the blocks of finite_harem_match, with both arcs at every B node
@@ -534,7 +544,7 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     _maxflow(head, to, cap, ss, tt)  # cap keeps the flow
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
-        nbrs=nbrs, head=head, to=to, cap=cap, b0=b0,
+        nbrs=nbrs, parents=parents, head=head, to=to, cap=cap, b0=b0,
         to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
         s_tt=starts[3], ss_t=starts[4], interior=interior,
     )
@@ -595,10 +605,19 @@ def _next_unremoved(st: HaremMatchingState, left: bool) -> tuple[int, int]:
 
 
 def _frame(st: HaremMatchingState, a_side: bool, c: int):
-    """The due side's template and the step's distance list: node ->
-    distance from the origin in the residual ball, None for a dead node (a
-    removed vertex taken into the frame by c^-1) and -1 for a node that now
-    lies beyond the radius."""
+    """The due side's template and the step's change map: node -> None for
+    a dead node (a removed vertex taken into the frame by c^-1), -1 for a
+    node that now lies beyond the radius and its new distance from the
+    origin for a node that moved further inside the ball.  Every other node
+    keeps the template's distance.
+
+    The map is built by a decremental search.  The dead nodes, and then the
+    nodes found lost, are walked in order of template distance, and each
+    takes one from the parent count of its children: a node whose count
+    reaches 0 has lost every shortest path, and is lost.  The graph is
+    bipartite, so a lost node's distance grows by at least 2 and only one
+    within r - 2 of the origin can come back inside the radius; those are
+    labelled again, level by level, from their kept neighbours."""
     g = st.graph
     tpl = st._templates.get(a_side)
     if tpl is None:
@@ -608,47 +627,78 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
     c_inv = g.inv(c)
     frame = (g.translate(u, c_inv) for u in chain(st.left_pairs, st.right_pair))
     dead = [tpl.index[f] for f in frame if f in tpl.index]
-    return tpl, _distances(tpl.nbrs, tpl.origin, tpl.radius, dead)
+    dist, nbrs, parents, r = tpl.dist, tpl.nbrs, tpl.parents, tpl.radius
+    changes = dict.fromkeys(dead)
+    levels: list[list[int]] = [[] for _ in range(r + 1)]
+    for u in dead:
+        levels[dist[u]].append(u)
+    left = {}  # node -> its parents not yet lost, once it has lost one
+    for d in range(r):
+        for u in levels[d]:
+            for w in nbrs[u]:
+                if dist[w] > d and w not in changes:
+                    left[w] = n = left.get(w, parents[w]) - 1
+                    if not n:
+                        changes[w] = -1
+                        levels[d + 1].append(w)
+    regrow: list[list[int]] = [[] for _ in range(r + 2)]
+    for u in chain(*levels[1 : r - 1]):
+        if changes[u] == -1:
+            near = [dist[w] for w in nbrs[u] if w not in changes]
+            regrow[min(near, default=r) + 1].append(u)
+    for d in range(r + 1):
+        for u in regrow[d]:
+            if changes[u] == -1:  # not yet labelled nearer
+                changes[u] = d
+                regrow[d + 1] += [w for w in nbrs[u] if changes.get(w, 0) == -1]
+    return tpl, changes
 
 
-def _capacities(tpl: _Template, dist: list, k: int):
-    """The template's residual network for the residual ball with distance
-    list ``dist``, its demand (the flow value that saturates the lower
-    bounds) and the value of the flow it already carries.
+def _capacities(tpl: _Template, changes: dict, k: int):
+    """The template's residual network for the residual ball with change
+    map ``changes`` (see ``_frame``), its demand (the flow value that
+    saturates the lower bounds) and the value of the flow it already
+    carries.
 
-    The flow is the template's, changed only at the nodes whose distance
-    differs from the template's.  A node that has left the ball (dead, or
-    beyond the radius) has the path ss -> a -> b -> (tt | T) of each unit
-    through it cancelled and then every arc zeroed, and it leaves the A or
-    interior count; a B node pushed out to the radius trades its interior
-    arc for its boundary arc and moves its unit along.  With y units left
-    on boundary arcs, ss -> T keeps x = min(its flow, interior, k*n_a - y)
-    and T -> S and S -> tt carry x + y.
+    The flow is the template's, changed only at the nodes of the map.  A
+    node that has left the ball (dead, or beyond the radius) has the path
+    ss -> a -> b -> (tt | T) of each unit through it cancelled and then
+    every arc zeroed, and it leaves the A or interior count; a B node pushed
+    out to the radius trades its interior arc for its boundary arc and
+    moves its unit along.  A B node beyond the radius that is not dead needs
+    less: A nodes never lie at the radius, so every A neighbour of it has
+    left the ball too, and their cancellations cancel its unit and zero its
+    edge arcs.  Only its arcs b -> T and b -> tt are zeroed, after all
+    cancellations, since a cancellation reads the flow on b -> tt.  With y
+    units left on boundary arcs, ss -> T keeps x = min(its flow, interior,
+    k*n_a - y) and T -> S and S -> tt carry x + y.
     """
     cap = tpl.cap[:]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
-    b0 = tpl.b0
+    b0, to_t, to_tt = tpl.b0, tpl.to_t, tpl.to_tt
     n_a, interior = b0 - 2, tpl.interior
     x = cap[~tpl.ss_t]
     y = cap[~tpl.t_s] - x
-    for u, d in enumerate(dist):
-        if d == was[u]:
-            continue
+    beyond = []  # B nodes beyond the radius that are not dead
+    for u, d in changes.items():
         if d == r:  # only B nodes lie at the radius; u was interior
-            f = cap[~(u + tpl.to_tt)]
-            cap[u + tpl.to_tt] = cap[~(u + tpl.to_tt)] = 0
-            cap[u + tpl.to_t], cap[~(u + tpl.to_t)] = 1 - f, f
+            f = cap[~(u + to_tt)]
+            cap[u + to_tt] = cap[~(u + to_tt)] = 0
+            cap[u + to_t], cap[~(u + to_t)] = 1 - f, f
             y += f
             interior -= 1
+        elif d == -1 and u >= b0:
+            beyond.append(u)
+            interior -= was[u] < r
         elif d is None or d < 0:
             if u < b0:  # its edge arcs that carry flow
                 edges = [e for e in head[u] if e >= 0 and cap[~e]]
             else:  # the edge arc into it that carries flow, if any
                 edges = [~e for e in head[u] if e < 0 and cap[e]]
             for e in edges:
-                out = to[e] + tpl.to_tt
+                out = to[e] + to_tt
                 if not cap[~out]:
-                    out = to[e] + tpl.to_t
+                    out = to[e] + to_t
                     y -= 1
                 # a -> b, ss -> a (the last arc at a is its reverse), b's out
                 for f in (e, ~head[to[~e]][-1], out):
@@ -660,6 +710,8 @@ def _capacities(tpl: _Template, dist: list, k: int):
                 n_a -= 1
             elif was[u] < r:
                 interior -= 1
+    for u in beyond:
+        cap[u + to_t] = cap[~(u + to_t)] = cap[u + to_tt] = cap[~(u + to_tt)] = 0
     x = min(x, interior, k * n_a - y)
     cap[tpl.ss_t], cap[~tpl.ss_t] = interior - x, x
     cap[tpl.t_s] += cap[~tpl.t_s] - x - y
@@ -673,10 +725,10 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
     """One back-and-forth step: resolve the star of the next vertex."""
     a_side = st.step_count % 2 == 0
     c, v = _next_unremoved(st, left=a_side)
-    tpl, dist = _frame(st, a_side, c)
+    tpl, changes = _frame(st, a_side, c)
     head, to = tpl.head, tpl.to
     translate = st.graph.translate
-    cap, demand, value = _capacities(tpl, dist, st.k)
+    cap, demand, value = _capacities(tpl, changes, st.k)
     where = "at step %d around code %d" % (st.step_count, v)
     # past a finite group's last code, v is no vertex: c moves the origin elsewhere
     if translate(tpl.codes[tpl.origin], c) != v:

@@ -1,10 +1,12 @@
 """Group-core contract: codings, group laws, CE enumerations."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from folnerlab import Budget, UNKNOWN, ball, eq_semidecide, make_group
+from folnerlab import Budget, UNKNOWN, ball, eq_semidecide, groups, make_group
 from folnerlab.groups import (
     CEView,
     CyclicOracle,
@@ -66,6 +68,25 @@ def test_free_length_lex_order():
     # eps, a, a^-1, b, b^-1 then length-2 words
     assert [g.decode_word(c) for c in range(5)] == [(), (0,), (1,), (2,), (3,)]
     assert g.decode_word(5) == (0, 0)  # "aa" is the first length-2 word
+
+
+def test_free_decode_cache_stays_bounded():
+    g = FreeGroupOracle(2)
+    size = groups._DECODE_CACHE_SIZE
+    codes = range(1, size + 1000)
+    words = [g.decode_word(c) for c in codes]
+    assert 0 < len(g._decode_cache) <= size
+    assert [g.encode_word(w) for w in words] == list(codes)
+    # words decoded before the cache started over decode alike again
+    assert [g.decode_word(c) for c in range(1, 500)] == words[:499]
+    fresh = FreeGroupOracle(2)
+    rng = random.Random(3)
+    pairs = [(rng.randrange(4 * size), rng.randrange(4 * size)) for _ in range(500)]
+    assert [g.mult(x, y) for x, y in pairs] == [
+        fresh.encode_word(fresh.reduce(fresh.decode_word(x) + fresh.decode_word(y)))
+        for x, y in pairs
+    ]
+    assert len(g._decode_cache) <= size
 
 
 @given(st.integers(min_value=0, max_value=30000))

@@ -8,10 +8,13 @@ cancelled, so its matching need not be the one ``finite_harem_match`` finds
 on that piece.  What is checked instead needs no solver: the start and the
 final flow are valid flows of the step's network, the final flow moved back
 is a feasible relaxed (1,k)-matching of the piece, and the committed star
-is its star at the centre.
+is its star at the centre.  Each step's change map and network are also
+compared with full scans: a breadth-first search of the template with the
+dead nodes removed, and ``full_scan_capacities``.
 """
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -23,6 +26,7 @@ from folnerlab.harem import (
     FiniteBipartite,
     InternalInfeasibleError,
     _capacities,
+    _distances,
     _flow_partners,
     _frame,
     _maxflow,
@@ -45,9 +49,19 @@ def paradox_free2():
     return build_decomposition(g, parse_elements(g, "a,a^-1,b,b^-1"), 1)
 
 
-def frame_piece(graph, tpl, dist):
+def step_distances(tpl, changes):
+    """The step's whole distance list: the change map laid over the
+    template's distances."""
+    dist = tpl.dist[:]
+    for u, d in changes.items():
+        dist[u] = d
+    return dist
+
+
+def frame_piece(graph, tpl, changes):
     """The residual piece of the template in frame codes, with its
     adjacency read from the graph oracle."""
+    dist = step_distances(tpl, changes)
     dist = {tpl.codes[u]: d for u, d in enumerate(dist) if d is not None and d >= 0}
     A = tuple(sorted(f for f in dist if graph.is_left(f)))
     B = tuple(sorted(f for f in dist if not graph.is_left(f)))
@@ -96,6 +110,54 @@ def check_capacities(tpl, cap, demand, local, k):
     assert demand == k * n_a + interior
 
 
+def full_scan_capacities(tpl, dist, k):
+    """The step's network built from its whole distance list ``dist``,
+    comparing every node's distance with the template's: the reference
+    for ``_capacities``, which reads only the change map."""
+    cap = tpl.cap[:]
+    head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
+    b0 = tpl.b0
+    n_a, interior = b0 - 2, tpl.interior
+    x = cap[~tpl.ss_t]
+    y = cap[~tpl.t_s] - x
+    for u, d in enumerate(dist):
+        if d == was[u]:
+            continue
+        if d == r:  # only B nodes lie at the radius; u was interior
+            f = cap[~(u + tpl.to_tt)]
+            cap[u + tpl.to_tt] = cap[~(u + tpl.to_tt)] = 0
+            cap[u + tpl.to_t], cap[~(u + tpl.to_t)] = 1 - f, f
+            y += f
+            interior -= 1
+        elif d is None or d < 0:
+            if u < b0:  # its edge arcs that carry flow
+                edges = [e for e in head[u] if e >= 0 and cap[~e]]
+            else:  # the edge arc into it that carries flow, if any
+                edges = [~e for e in head[u] if e < 0 and cap[e]]
+            for e in edges:
+                out = to[e] + tpl.to_tt
+                if not cap[~out]:
+                    out = to[e] + tpl.to_t
+                    y -= 1
+                # a -> b, ss -> a (the last arc at a is its reverse), b's out
+                for f in (e, ~head[to[~e]][-1], out):
+                    cap[f] += 1
+                    cap[~f] -= 1
+            for e in head[u]:
+                cap[e] = cap[~e] = 0
+            if u < b0:
+                n_a -= 1
+            elif was[u] < r:
+                interior -= 1
+    x = min(x, interior, k * n_a - y)
+    cap[tpl.ss_t], cap[~tpl.ss_t] = interior - x, x
+    cap[tpl.t_s] += cap[~tpl.t_s] - x - y
+    cap[~tpl.t_s] = x + y
+    cap[tpl.s_tt], cap[~tpl.s_tt] = k * n_a - x - y, x + y
+    start = sum(cap[~e] for e in head[-2])  # the flow out of ss
+    return cap, k * n_a + interior, start
+
+
 def checked_step(st, ref):
     """One harem step, checked against the references on the oracle ref.
 
@@ -110,9 +172,9 @@ def checked_step(st, ref):
     c, v = _next_unremoved(st, left=a_side)
     st._cursor_a, st._cursor_b = cursor
     r = RADIUS_A if a_side else RADIUS_B
-    tpl, dist = _frame(st, a_side, c)
-    local = frame_piece(ref, tpl, dist)
-    cap, demand, value = _capacities(tpl, dist, st.k)
+    tpl, changes = _frame(st, a_side, c)
+    local = frame_piece(ref, tpl, changes)
+    cap, demand, value = _capacities(tpl, changes, st.k)
     check_capacities(tpl, cap, demand, local, st.k)
     assert flow_value(tpl, cap) == value
     ss = len(tpl.head) - 2
@@ -150,7 +212,7 @@ def checked_step(st, ref):
     harem_step(st)
     assert set(st.left_pairs) - before == {star}
     assert st.left_pairs[star] == tuple(sorted(matching[star]))
-    return tpl, dist
+    return tpl, changes
 
 
 def test_frame_piece_is_the_residual_ball_at_every_step():
@@ -187,6 +249,70 @@ def test_maxflow_equals_the_forward_reference_at_template_scale(monkeypatch):
     assert len(nodes) == 63 and set(nodes) == {1618 + 4, 14578 + 4}
 
 
+def full_scan_steps(monkeypatch):
+    """Check every step against the full scans: the change map must be the
+    difference between a breadth-first search of the template with the
+    dead nodes removed and the template's distances, and the network built
+    from it equal to ``full_scan_capacities``'s.  Returns the step count."""
+    frame, capacities = harem._frame, harem._capacities
+    steps = []
+
+    def checked_frame(st, a_side, c):
+        tpl, changes = frame(st, a_side, c)
+        g = st.graph
+        c_inv = g.inv(c)
+        moved = (g.translate(u, c_inv) for u in chain(st.left_pairs, st.right_pair))
+        dead = [tpl.index[f] for f in moved if f in tpl.index]
+        dist = _distances(tpl.nbrs, tpl.origin, tpl.radius, dead)
+        assert changes == {u: d for u, (d, w) in enumerate(zip(dist, tpl.dist)) if d != w}
+        return tpl, changes
+
+    def checked_capacities(tpl, changes, k):
+        got = capacities(tpl, changes, k)
+        assert got == full_scan_capacities(tpl, step_distances(tpl, changes), k)
+        steps.append(len(changes))
+        return got
+
+    monkeypatch.setattr(harem, "_frame", checked_frame)
+    monkeypatch.setattr(harem, "_capacities", checked_capacities)
+    return steps
+
+
+@pytest.mark.parametrize("spec,key,level,codes,steps", [
+    ("free:2", "a,a^-1,b,b^-1", 1, 48, 61),
+    ("free:2", "a,b,b^-1", 2, 12, 13),  # |K| = 28
+])
+def test_change_map_and_capacities_equal_the_full_scans(
+        monkeypatch, spec, key, level, codes, steps):
+    checked = full_scan_steps(monkeypatch)
+    g = make_group(spec)
+    d = build_decomposition(g, parse_elements(g, key), level)
+    report = verify_decomposition_prefix(d, codes, Budget(10**4))
+    assert report["violations"] == []
+    assert d.state.step_count == len(checked) == steps
+
+
+@pytest.mark.parametrize("spec,key,radius1,steps,radii", [
+    ("zd:2", "(1,0),(0,1)", True, 60, (RADIUS_A, RADIUS_B)),
+    ("free:2", "a,b,a^-1", False, 40, (RADIUS_A, RADIUS_B)),
+    # at radii 3 and 4 a lost node can only come back at the radius itself;
+    # at 5 and 6 some come back nearer, through other lost nodes
+    ("zd:2", "(1,0),(0,1)", True, 40, (5, 6)),
+    ("zd:3", "(1,0,0),(0,1,0),(0,0,1)", True, 40, (5, 6)),
+])
+def test_change_map_and_capacities_equal_the_full_scans_on_steps(
+        monkeypatch, spec, key, radius1, steps, radii):
+    checked = full_scan_steps(monkeypatch)
+    monkeypatch.setattr(harem, "RADIUS_A", radii[0])
+    monkeypatch.setattr(harem, "RADIUS_B", radii[1])
+    g = make_group(spec)
+    K = parse_elements(g, key)
+    st = harem_new(cayley_bipartite(g, ball(g, K, 1) if radius1 else K), 1)
+    for _ in range(steps):
+        harem_step(st)
+    assert len(checked) == steps and any(checked)
+
+
 def test_frame_piece_where_distances_grow_back_inside_the_ball():
     # on Z^2 some right vertices at distance 2 from a B-step's centre fall
     # to distance 4 and turn from interior into boundary vertices
@@ -194,11 +320,13 @@ def test_frame_piece_where_distances_grow_back_inside_the_ball():
     K = ball(g, parse_elements(g, "(1,0),(0,1)"), 1)
     st = harem_new(cayley_bipartite(g, K), 1)
     ref = cayley_bipartite(g, K)
-    regrown = 0
+    regrown = pushed_out = 0
     for _ in range(60):
-        tpl, dist = checked_step(st, ref)
+        tpl, changes = checked_step(st, ref)
+        dist = step_distances(tpl, changes)
         regrown += sum(d is not None and d > w for d, w in zip(dist, tpl.dist))
-    assert regrown > 0
+        pushed_out += sum(d == tpl.radius > w for d, w in zip(dist, tpl.dist))
+    assert regrown > 0 and pushed_out > 0
 
 
 def test_frame_steps_on_a_key_without_the_identity():
@@ -242,7 +370,7 @@ def test_template_holds_a_maximum_flow_of_the_full_ball(spec, key, k):
     graph, ref = cayley_bipartite(g, K), cayley_bipartite(g, K)
     for origin, r in ((graph.left_enum(0), RADIUS_A), (graph.right_enum(0), RADIUS_B)):
         tpl = _template(graph, origin, r, k)
-        local = frame_piece(ref, tpl, tpl.dist)
+        local = frame_piece(ref, tpl, {})
         demand = k * len(local.A) + len(local.B) - len(local.boundary_B)
         check_capacities(tpl, tpl.cap, demand, local, k)
         assert flow_value(tpl, tpl.cap) == demand
