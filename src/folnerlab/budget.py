@@ -30,8 +30,9 @@ class Budget:
     """Maximum number of elementary oracle steps before returning UNKNOWN.
 
     What counts as a step is documented per operation (multiplication oracle
-    calls for searches, enumeration entries for the c.e. semi-decisions,
-    matching steps for harem queries).
+    calls, as the searches' cost model prices them, for searches,
+    enumeration entries for the c.e. semi-decisions, matching steps for
+    harem queries).
     """
 
     steps: int

@@ -6,9 +6,14 @@ one convention, a defect at most 1/n (ties count), and one predicate,
 :func:`within`, decides it: a set F is n-Folner with respect to D when
 every translate defect |F \\ xF| / |F| is within 1/n, and a Reiter
 function is n-invariant when every l1 shift defect is.  One function,
-:func:`translate_defects`, computes the set defects; the searches use its
-early-exit integer form of the same inequality.  The searches draw their
-candidate sets from the balls of :func:`folnerlab.groups.ball_layers`.
+:func:`translate_defects`, computes the set defects of a given set; the
+searches over subsets use its early-exit integer form of the same
+inequality.  The searches draw their candidate sets from the balls of
+:func:`folnerlab.groups.ball_growth`.  :func:`search_folner` reads a ball's
+defects off its outer layer: for B_r = B_{r-1} u L_r, built with steps
+that include every x in D, |B_r \\ x B_r| = |x L_r \\ B_r|, because
+|x B_r| = |B_r| and x B_{r-1} lies in B_r.  The products x f, f in L_r,
+are also the ones that build the next layer, so they are made once.
 
 The invariance verifier for c.e. groups works on the signed transport
 measure of a finitely supported function: each support code v carries mass
@@ -33,6 +38,7 @@ from .groups import (
     GroupOracle,
     PreconditionError,
     ZdOracle,
+    ball_growth,
     ball_layers,
     canonical_subset,
     cantor_pair,
@@ -182,31 +188,45 @@ def certificate(g: GroupOracle, F, D, n: int) -> FolnerCertificate:
 # search
 
 
-def _subset_candidates(g, D, n, meter):
-    """Fixed candidate order: balls of growing radius, then the Goedel
-    enumeration of all finite subsets (bitmask coding).  Yields None when
-    the meter cannot pay for the next candidate's construction."""
-    # the balls of radius 0 .. n + |D| + 16
-    yield from itertools.islice(ball_layers(g, D, meter), n + len(D) + 17)
+def _goedel_subsets(g: GroupOracle):
+    """All non-empty finite subsets of the codes in bitmask order, the
+    candidates of :func:`search_folner` after its balls."""
     limit = g.element_count
     masks = itertools.count(1) if limit is None else range(1, 1 << limit)
-    yield from map(subset_decode, masks)
+    return map(subset_decode, masks)
 
 
 def search_folner(g: GroupOracle, D, n: int, b: Budget):
     """First n-Folner certificate in the fixed candidate order, or UNKNOWN.
 
-    Budget counts multiplication-oracle calls: each ball layer is paid for
-    before it is built, then each candidate F costs |F| x max(1, |D|).
+    The candidates are the balls B_0, B_1, ... of :func:`ball_growth` over
+    D, at most n + |D| + 17 of them, then :func:`_goedel_subsets`.  A ball's
+    defects are read off its outer layer L_r: for x in D,
+    |B_r \\ x B_r| = |x L_r \\ B_r|, since |x B_r| = |B_r| and x B_{r-1}
+    lies in B_r.  Those products x f are the ones that build the next layer,
+    so each is made once, and the certificate's exact defects are the same
+    counts over |B_r|.
+
+    Budget counts steps, each priced as one ``mult`` call: each ball layer
+    costs |step| x |L_r| before it is built, and each candidate F costs
+    |F| x max(1, |D|) before it is tested.  The cost model bounds the calls
+    made.  A ball's test makes |L_r| x |D| of the calls its candidate paid
+    for, and the next layer makes only the rest of its own after its
+    charge, so no call is made before it is paid for.
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("search_folner requires a COMPUTABLE-mode oracle")
     D = canonical_subset(D)
     meter = b.meter()
-    for F in _subset_candidates(g, D, n, meter):
-        if F is None:
+    cost = max(1, len(D))
+    for layer in itertools.islice(ball_growth(g, D, meter), n + len(D) + 17):
+        if layer is None or not meter.charge(len(layer.ball) * cost):
             return UNKNOWN
-        if not meter.charge(len(F) * max(1, len(D))):
+        defects = {x: Fraction(layer.leaving(x), len(layer.ball)) for x in D}
+        if all(within(d, n) for d in defects.values()):
+            return FolnerCertificate(g.spec, D, n, tuple(sorted(layer.ball)), defects)
+    for F in _goedel_subsets(g):
+        if not meter.charge(len(F) * cost):
             return UNKNOWN
         if translate_defects(g, F, D, n):
             return certificate(g, F, D, n)
@@ -224,8 +244,8 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     answers n on the first n-Folner one, or UNKNOWN once those candidates
     are exhausted.  Each growing ball has at least one element more than the
     last, so balls that stop growing below n stop by radius n - 1.
-    Budget counts ``mult`` calls building the balls and n x |D| per
-    candidate.
+    Budget counts steps priced as ``mult`` calls: those of the ball layers,
+    as :func:`search_folner` prices them, and n x |D| per candidate.
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("folner_function requires a COMPUTABLE-mode oracle")

@@ -566,27 +566,68 @@ def eq_semidecide(g: GroupOracle, x: int, y: int, b: Budget):
             return "EQUAL"
 
 
+class BallLayer:
+    """The newest layer L_r of a ball B_r, multiplied by its steps on demand.
+
+    ``ball`` is B_r as a set and ``codes`` is L_r.  :meth:`leaving` makes the
+    products of one step with L_r and keeps those outside B_r in ``outside``,
+    which is the next layer once every step has been made.
+    """
+
+    def __init__(self, g: GroupOracle, codes, ball: set):
+        self.g, self.codes, self.ball = g, codes, ball
+        self.outside, self._leaving = set(), {g.identity: 0}
+
+    def leaving(self, a: int) -> int:
+        """|a L_r \\ B_r|, from |L_r| ``mult`` calls made once per step a."""
+        if a not in self._leaving:
+            out = set(map(self.g.mult, itertools.repeat(a), self.codes)) - self.ball
+            self.outside |= out
+            self._leaving[a] = len(out)
+        return self._leaving[a]
+
+
+def ball_growth(g: GroupOracle, gens, meter=None):
+    """The balls of :func:`ball_layers` as :class:`BallLayer` states.
+
+    With step = {e} u gens u gens^-1, the ball B_{r+1} = step B_r adds to
+    B_r only products a f with f in L_r, since step B_{r-1} = B_r; the
+    identity adds none.  So L_{r+1} is the ``outside`` of L_r once every
+    other step is made, and a step the consumer has already made (see
+    :func:`folnerlab.folner.search_folner`) is not made again.  With a
+    meter, that layer is charged |step| x |L_r| before its remaining
+    products are made; once the meter cannot pay, the generator yields None
+    and stops.  Drawing the next state extends the last one's ball in place.
+    """
+    step = {g.identity, *gens, *(g.inv(x) for x in gens)}
+    ball = {g.identity}
+    layer = BallLayer(g, (g.identity,) if gens else (), ball)
+    yield layer
+    while layer.codes:
+        if meter is not None and not meter.charge(len(step) * len(layer.codes)):
+            yield None
+            return
+        for a in step:
+            layer.leaving(a)
+        if not layer.outside:
+            return
+        ball |= layer.outside
+        layer = BallLayer(g, layer.outside, ball)
+        yield layer
+
+
 def ball_layers(g: GroupOracle, gens, meter=None):
     """Balls of radius 0, 1, 2, ... in the subgroup generated by gens, as
     sorted code tuples, until they stop growing.
 
-    Each ball adds the products a * s of a step a (a generator, an inverse
-    or the identity) with a code s new in the previous ball.  With a meter,
-    each layer is charged one step per such ``mult`` call before it is
-    built; once the meter cannot pay, the generator yields None and stops.
+    Each ball adds the products a * s of a step a (a generator or an
+    inverse) with a code s new in the previous ball.  With a meter, each
+    layer is charged one step per product a * s, the identity's included,
+    before it is built; once the meter cannot pay, the generator yields None
+    and stops.  :func:`ball_growth` builds the balls.
     """
-    step = {g.identity, *gens, *(g.inv(x) for x in gens)}
-    seen = {g.identity}
-    frontier = {g.identity} if gens else set()
-    yield (g.identity,)
-    while frontier:
-        if meter is not None and not meter.charge(len(step) * len(frontier)):
-            yield None
-            return
-        frontier = {g.mult(a, s) for a in step for s in frontier} - seen
-        if frontier:
-            seen |= frontier
-            yield tuple(sorted(seen))
+    for layer in ball_growth(g, gens, meter):
+        yield None if layer is None else tuple(sorted(layer.ball))
 
 
 def ball(g: GroupOracle, gens, radius: int) -> tuple[int, ...]:

@@ -82,8 +82,10 @@ def refute_witness_bounded(
 ):
     """Search subsets of the radius-r ball around K, by size then code
     order, for an n-Folner set with respect to K; such a set refutes the
-    witness property of (K, n).  Budget counts multiplication calls; UNKNOWN
-    when no such set turns up within the size bound or the budget."""
+    witness property of (K, n).  Budget counts steps priced as
+    multiplication calls, as :func:`folnerlab.folner.search_folner` prices
+    them; UNKNOWN when no such set turns up within the size bound or the
+    budget."""
     if g.mode != COMPUTABLE:
         raise PreconditionError("refute_witness_bounded needs a COMPUTABLE oracle")
     K = canonical_subset(K)

@@ -78,6 +78,11 @@ CASES = {
     "seq_lamp": ["folner-seq", "--group", "lamplighter", "--n", "2"],
     "seq_lamp_unknown": ["folner-seq", "--group", "lamplighter", "--n", "2",
                          "--budget", "7"],
+    # 331 steps pay for the radius-3 ball, the first 3-Folner candidate
+    "seq_lamp_n3_edge_ok": ["folner-seq", "--group", "lamplighter", "--n", "3",
+                            "--budget", "331"],
+    "seq_lamp_n3_edge_unknown": ["folner-seq", "--group", "lamplighter", "--n", "3",
+                                 "--budget", "330"],
     # reiter-check
     "reiter_interval": ["reiter-check", "--group", "zd:1", "--d", "+1,-1", "--n", "2",
                         "--fn", "{golden}/fn_z_interval5.json"],
