@@ -188,6 +188,10 @@ def certificate(g: GroupOracle, F, D, n: int) -> FolnerCertificate:
 # search
 
 
+# search_folner tries at most n + |D| + BALL_SLACK balls before its Goedel tail
+BALL_SLACK = 17
+
+
 def _goedel_subsets(g: GroupOracle):
     """All non-empty finite subsets of the codes in bitmask order, the
     candidates of :func:`search_folner` after its balls."""
@@ -200,8 +204,9 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     """First n-Folner certificate in the fixed candidate order, or UNKNOWN.
 
     The candidates are the balls B_0, B_1, ... of :func:`ball_growth` over
-    D, at most n + |D| + 17 of them, then :func:`_goedel_subsets`.  A ball's
-    defects are read off its outer layer L_r: for x in D,
+    D, at most n + |D| + ``BALL_SLACK`` of them, then
+    :func:`_goedel_subsets`.  A ball's defects are read off its outer layer
+    L_r: for x in D,
     |B_r \\ x B_r| = |x L_r \\ B_r|, since |x B_r| = |B_r| and x B_{r-1}
     lies in B_r.  Those products x f are the ones that build the next layer,
     so each is made once, and the certificate's exact defects are the same
@@ -212,14 +217,15 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     |F| x max(1, |D|) before it is tested.  The cost model bounds the calls
     made.  A ball's test makes |L_r| x |D| of the calls its candidate paid
     for, and the next layer makes only the rest of its own after its
-    charge, so no call is made before it is paid for.
+    charge, so no call is made before it is paid for.  A tail candidate's
+    test makes its |F| x |D| calls once, and its certificate reuses them.
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("search_folner requires a COMPUTABLE-mode oracle")
     D = canonical_subset(D)
     meter = b.meter()
     cost = max(1, len(D))
-    for layer in itertools.islice(ball_growth(g, D, meter), n + len(D) + 17):
+    for layer in itertools.islice(ball_growth(g, D, meter), n + len(D) + BALL_SLACK):
         if layer is None or not meter.charge(len(layer.ball) * cost):
             return UNKNOWN
         defects = {x: Fraction(layer.leaving(x), len(layer.ball)) for x in D}
@@ -228,8 +234,9 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     for F in _goedel_subsets(g):
         if not meter.charge(len(F) * cost):
             return UNKNOWN
-        if translate_defects(g, F, D, n):
-            return certificate(g, F, D, n)
+        defects = translate_defects(g, F, D)
+        if all(within(d, n) for d in defects.values()):
+            return FolnerCertificate(g.spec, D, n, F, defects)
     return UNKNOWN
 
 
@@ -491,23 +498,25 @@ def decide_mult_from_folner(
     F = canonical_subset(folner(4, D))
     pos = {f: i for i, f in enumerate(F)}
     graphs: dict[int, dict[int, int]] = {d: {} for d in D}
-
-    def done() -> bool:
-        return all(4 * len(graphs[d]) >= 3 * len(F) for d in D)
+    need = -(-3 * len(F) // 4)
+    short = len(D) if need else 0  # injections with fewer than need points
 
     if isinstance(g, CEView):
         entries = sorted(cantor_pair(d, f) for d in D for f in F)
     else:
         entries = itertools.count()
     for m in entries:
-        if done():
+        if not short:
             break
         if not meter.charge():
             return UNKNOWN
         i, j, prod = g.multt_enum(m)
         if i in graphs and j in pos and prod in pos:
-            graphs[i][pos[j]] = pos[prod]
-    if not done():
+            graph, a = graphs[i], pos[j]
+            if a not in graph and len(graph) + 1 == need:
+                short -= 1
+            graph[a] = pos[prod]
+    if short:
         raise PreconditionError(
             "the Folner oracle's set is not 4-Folner for %r" % (D,)
         )

@@ -23,6 +23,7 @@ Codings are fixed so that certificates are reproducible:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -155,7 +156,7 @@ class GroupOracle:
         return "<%s %s mode=%s>" % (type(self).__name__, self.spec, self.mode)
 
 
-# decode_word keeps at most this many words; the cache starts over past it
+# an oracle's decode memo keeps at most this many codes; it starts over past it
 _DECODE_CACHE_SIZE = 1 << 16
 
 
@@ -300,6 +301,7 @@ class ZdOracle(GroupOracle):
             raise MalformedSpecError("zd dimension must be >= 1")
         self.dim = dim
         self.spec = "zd:%d" % dim
+        self._decode_cache: dict[int, tuple[int, ...]] = {}
 
     def encode_vector(self, coords) -> int:
         coords = tuple(coords)
@@ -308,7 +310,13 @@ class ZdOracle(GroupOracle):
         return pack_vector(coords)
 
     def decode_vector(self, code: int) -> tuple[int, ...]:
-        return unpack_vector(code, self.dim)
+        """``unpack_vector`` of the code, memoised like ``decode_word``."""
+        out = self._decode_cache.get(code)
+        if out is None:
+            if len(self._decode_cache) >= _DECODE_CACHE_SIZE:
+                self._decode_cache.clear()
+            out = self._decode_cache[code] = unpack_vector(code, self.dim)
+        return out
 
     def mult(self, x: int, y: int) -> int:
         a, b = self.decode_vector(x), self.decode_vector(y)
@@ -402,6 +410,16 @@ class RedundantZOracle(GroupOracle):
       and then (i, N), (N, i) for each i < N of equal value;
     * ``multt_enum`` emits all true triples with max coordinate N in
       lexicographic order.
+
+    Both levels are read off value buckets: the codes 0, 1, ... sorted into
+    one ascending list per value, shared by the two streams, which advance
+    their levels independently and cut each bucket at their own level.  The
+    i of eq level N are the bucket of v(N) below N, O(output) per level.  At
+    multt level N, a first coordinate i < N is followed by the j < N of the
+    bucket of v(N) - v(i), each with k = N, and then by j = N with the k <= N
+    of the bucket of v(i) + v(N); i = N takes every j <= N with the k <= N of
+    the bucket of v(N) + v(j).  That is the lexicographic order, in
+    O(N + output) per level.
     """
 
     mode = CE
@@ -410,6 +428,7 @@ class RedundantZOracle(GroupOracle):
         self.spec = "redundant-z"
         self.generator_names = {"x": 1, "y": 3}
         self._values: dict[int, int] = {0: 0}
+        self._buckets: dict[int, list[int]] = {}
         self._eq_stream: list[tuple[int, int]] = []
         self._eq_level = 0
         self._multt_stream: list[tuple[int, int, int]] = []
@@ -457,30 +476,44 @@ class RedundantZOracle(GroupOracle):
     def inv(self, x: int) -> int:
         return self.encode_word(tuple(l ^ 1 for l in reversed(self.decode_word(x))))
 
+    def _bucket(self, v: int, below: int) -> list[int]:
+        """The codes c < below of value v, ascending.  The buckets hold the
+        codes up to the highest level either stream has reached."""
+        bucket = self._buckets.get(v, [])
+        return bucket[: bisect.bisect_left(bucket, below)]
+
+    def _level(self, n: int) -> int:
+        """v(n), sorting code n into its bucket on the first stream to reach
+        level n: the buckets hold every code below that stream's level."""
+        vn = self.value(n)
+        bucket = self._buckets.setdefault(vn, [])
+        if not bucket or bucket[-1] < n:
+            bucket.append(n)
+        return vn
+
     def eq_enum(self, m: int) -> tuple[int, int]:
-        while len(self._eq_stream) <= m:
+        stream = self._eq_stream
+        while len(stream) <= m:
             n = self._eq_level
-            self._eq_stream.append((n, n))
-            vn = self.value(n)
-            for i in range(n):
-                if self.value(i) == vn:
-                    self._eq_stream.append((i, n))
-                    self._eq_stream.append((n, i))
+            stream.append((n, n))
+            for i in self._bucket(self._level(n), n):
+                stream += ((i, n), (n, i))
             self._eq_level += 1
-        return self._eq_stream[m]
+        return stream[m]
 
     def multt_enum(self, m: int) -> tuple[int, int, int]:
-        while len(self._multt_stream) <= m:
+        stream = self._multt_stream
+        while len(stream) <= m:
             n = self._multt_level
-            for i in range(n + 1):
+            vn = self._level(n)
+            for i in range(n):
                 vi = self.value(i)
-                for j in range(n + 1):
-                    vj = vi + self.value(j)
-                    for k in range(n + 1):
-                        if max(i, j, k) == n and self.value(k) == vj:
-                            self._multt_stream.append((i, j, k))
+                stream += ((i, j, n) for j in self._bucket(vn - vi, n))
+                stream += ((i, n, k) for k in self._bucket(vi + vn, n + 1))
+            for j in range(n + 1):
+                stream += ((n, j, k) for k in self._bucket(vn + self.value(j), n + 1))
             self._multt_level += 1
-        return self._multt_stream[m]
+        return stream[m]
 
 
 class CEView(GroupOracle):

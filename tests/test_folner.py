@@ -29,9 +29,13 @@ from folnerlab.folner import (
     verify_invariance_ce,
 )
 from folnerlab.groups import (
+    CE,
+    GroupOracle,
     PreconditionError,
     ball_layers,
     RedundantZOracle,
+    canonical_subset,
+    cantor_pair,
     parse_element,
     parse_elements,
 )
@@ -461,3 +465,113 @@ def test_decide_mult_scan_of_a_ce_oracle_stops_at_its_budget():
     verdict = decide_mult_from_folner(g, lambda n, D: (0,), 1, 3, 5, Budget(10**4))
     assert verdict is UNKNOWN
     assert g.reads == 10**4
+
+
+def _decide_mult_reference(g, folner, n1, n2, n3, b):
+    """``decide_mult_from_folner`` testing every injection for density
+    before each entry it reads."""
+    meter = b.meter()
+    D = canonical_subset({n1, n2, n3})
+    F = canonical_subset(folner(4, D))
+    pos = {f: i for i, f in enumerate(F)}
+    graphs = {d: {} for d in D}
+
+    def done():
+        return all(4 * len(graphs[d]) >= 3 * len(F) for d in D)
+
+    if isinstance(g, CEView):
+        entries = sorted(cantor_pair(d, f) for d in D for f in F)
+    else:
+        entries = itertools.count()
+    for m in entries:
+        if done():
+            break
+        if not meter.charge():
+            return UNKNOWN
+        i, j, prod = g.multt_enum(m)
+        if i in graphs and j in pos and prod in pos:
+            graphs[i][pos[j]] = pos[prod]
+    if not done():
+        raise PreconditionError("not 4-Folner")
+    s1, s2, s3 = graphs[n1], graphs[n2], graphs[n3]
+    return any(s1.get(j) is not None and s3.get(i) == s1[j] for i, j in s2.items())
+
+
+def _decide_both(make_oracle, folner, triple, steps):
+    """(outcome, steps consumed) of the library and of the reference, each
+    on a fresh oracle; the outcome of a PreconditionError is its type."""
+    out = []
+    for decide in (decide_mult_from_folner, _decide_mult_reference):
+        meter = Budget(steps).meter()
+        try:
+            verdict = decide(make_oracle(), folner, *triple, meter)
+        except PreconditionError:
+            verdict = PreconditionError
+        out.append((verdict, meter.consumed))
+    return out
+
+
+class _TableCE(GroupOracle):
+    """A CE oracle whose table enumeration is a fixed list of entries; past
+    its end it repeats (0, 0, 0), which no injection uses."""
+
+    mode = CE
+    spec = "table"
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def multt_enum(self, m):
+        return self.entries[m] if m < len(self.entries) else (0, 0, 0)
+
+
+# n1 = 1, n2 = 2, n3 = 3 on F = 10..13: (3, 10) is listed twice, and its
+# second product overwrites the first without making the 3-graph denser
+REPEATED_PAIR = [
+    (2, 10, 11), (2, 11, 12), (2, 12, 13),
+    (1, 11, 12), (1, 12, 13), (1, 13, 10),
+    (3, 10, 12), (3, 10, 13), (3, 11, 10), (3, 12, 11),
+]
+
+
+def test_decide_mult_counts_a_repeated_pair_once():
+    F = lambda n, D: (10, 11, 12, 13)
+    # the first product of (3, 10) chains 10 -> 11 -> 12, the second does not
+    got, ref = _decide_both(lambda: _TableCE(REPEATED_PAIR), F, (1, 2, 3), 100)
+    assert got == ref == (False, 10)
+    first_only = [e for e in REPEATED_PAIR if e != (3, 10, 13)]
+    got, ref = _decide_both(lambda: _TableCE(first_only), F, (1, 2, 3), 100)
+    assert got == ref == (True, 9)
+    for steps in range(1, 12):
+        got, ref = _decide_both(lambda: _TableCE(REPEATED_PAIR), F, (1, 2, 3), steps)
+        assert got == ref
+
+
+def test_decide_mult_density_count_equals_the_reference():
+    rng = random.Random(16)
+    F = tuple(range(10, 18))
+    for _ in range(300):
+        entries = [
+            (rng.choice((1, 2, 3, 4)), rng.choice(F + (9,)), rng.choice(F + (19,)))
+            for _ in range(rng.randrange(20, 160))
+        ]
+        steps = rng.randrange(1, 170)
+        table = lambda: _TableCE(entries)
+        got, ref = _decide_both(table, lambda n, D: F, (1, 2, 3), steps)
+        assert got == ref, (entries, steps)
+
+
+@pytest.mark.parametrize("triple", [(1, 3, 5), (1, 3, 6), (2, 4, 0), (3, 2, 0)])
+def test_decide_mult_density_count_on_redundant_z(triple):
+    # F is every word of length at most 1 and the first length-2 words; the
+    # scan reads the enumeration from index 0 and stops at dense injections
+    # or at the budget, never past 10**4 entries
+    for F in ((0,), tuple(range(12))):
+        got, ref = _decide_both(_ReadCountingRZ, lambda n, D: F, triple, 10**4)
+        assert got == ref
+
+
+def test_decide_mult_rejection_equals_the_reference():
+    for F in ((0,), (0, 1), tuple(range(9))):
+        got, ref = _decide_both(lambda: CEView(Z2), lambda n, D: F, (1, 2, 3), 10**6)
+        assert got == ref and got[0] is PreconditionError

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from folnerlab import Budget, UNKNOWN, make_group
+from folnerlab import Budget, UNKNOWN, folner, make_group
+from folnerlab.budget import Meter
 from folnerlab.folner import (
     certificate,
     folner_sequence,
@@ -41,7 +42,7 @@ def _plain_search(g, D, n, meter):
     D = canonical_subset(D)
     limit = g.element_count
     masks = itertools.count(1) if limit is None else range(1, 1 << limit)
-    balls = itertools.islice(_plain_balls(g, D, meter), n + len(D) + 17)
+    balls = itertools.islice(_plain_balls(g, D, meter), n + len(D) + folner.BALL_SLACK)
     for F in itertools.chain(balls, map(subset_decode, masks)):
         if F is None or not meter.charge(len(F) * max(1, len(D))):
             return UNKNOWN
@@ -122,3 +123,39 @@ def test_lamplighter_sequence_pays_before_it_multiplies(n, charged, calls, size,
     g = make_group("lamplighter")
     assert cert.defects == translate_defects(g, cert.F, cert.D)
     assert folner_sequence(g, n, Budget(charged - 1)) is UNKNOWN
+
+
+class _ChargeLog(Meter):
+    """A meter that keeps the amount of every charge asked of it."""
+
+    __slots__ = ("charges",)
+
+    def __init__(self, steps):
+        super().__init__(steps)
+        self.charges = []
+
+    def charge(self, amount=1):
+        self.charges.append(amount)
+        return super().charge(amount)
+
+
+@pytest.mark.parametrize("D", ["+1", "+1,-1"])
+def test_goedel_tail_through_the_search(monkeypatch, D):
+    # with one ball, B_0 = {0} fails on zd:1 at n = 3; the tail then tries the
+    # masks 1..7, of which only the last, codes {0, 1, 2} = {0, 1, -1}, passes
+    n = 3
+    g = make_group("zd:1")
+    D = parse_elements(g, D)
+    monkeypatch.setattr(folner, "BALL_SLACK", 1 - n - len(D))
+    cost = max(1, len(D))
+    meter = _ChargeLog(10**6)
+    cert = search_folner(g, D, n, meter)
+    tail = [len(subset_decode(mask)) * cost for mask in range(1, 8)]
+    assert meter.charges == [cost] + tail
+    assert cert == certificate(make_group("zd:1"), (0, 1, 2), D, n)
+    edge = meter.consumed
+    for steps in (edge, edge - 1, cost + tail[0]):
+        expected = _run(_plain_search, "zd:1", D, n, steps)
+        got = _run(search_folner, "zd:1", D, n, steps)
+        assert got[:2] == expected[:2] and got[2]["unpaid"] == 0, steps
+    assert got[0] is UNKNOWN

@@ -18,10 +18,12 @@ from folnerlab.groups import (
     ball_layers,
     cantor_pair,
     cantor_unpair,
+    pack_vector,
     parse_element,
     parse_elements,
     subset_code,
     subset_decode,
+    unpack_vector,
     unzigzag,
     zigzag,
 )
@@ -172,6 +174,42 @@ def test_zd_examples():
     assert g2.mult(code_of(g2, "(1,0)"), code_of(g2, "(0,1)")) == code_of(g2, "(1,1)")
 
 
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10**6))
+def test_zd_decode_vector_is_unpack_vector(dim, code):
+    g = ZdOracle(dim)
+    assert g.decode_vector(code) == unpack_vector(code, dim)
+    # the second read comes from the memo
+    assert g.decode_vector(code) == unpack_vector(code, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zd_mult_and_inv_agree_with_the_coding(dim):
+    g = ZdOracle(dim)
+    codes = [*range(40), *range(997, 1010), 123456]
+    for x in codes:
+        u = unpack_vector(x, dim)
+        assert g.inv(x) == pack_vector(tuple(-a for a in u))
+        for y in codes:
+            v = unpack_vector(y, dim)
+            assert g.mult(x, y) == pack_vector(tuple(a + b for a, b in zip(u, v)))
+
+
+def test_zd_decode_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(groups, "_DECODE_CACHE_SIZE", 16)
+    g = ZdOracle(2)
+    fresh = ZdOracle(2)
+    for x in range(0, 200, 3):
+        for y in range(0, 200, 7):
+            assert g.mult(x, y) == pack_vector(
+                tuple(a + b for a, b in zip(unpack_vector(x, 2), unpack_vector(y, 2)))
+            )
+            assert 0 < len(g._decode_cache) <= 16
+    assert [g.decode_vector(c) for c in range(50)] == [
+        fresh.decode_vector(c) for c in range(50)
+    ]
+    assert len(g._decode_cache) <= 16 and len(fresh._decode_cache) <= 16
+
+
 def test_lamplighter_relations():
     g = make_group("lamplighter")
     s, t = g.generator_names["s"], g.generator_names["t"]
@@ -311,6 +349,63 @@ def test_rz_multt_enum_complete_to_50(rz):
         want.discard(t)
         m += 1
     assert not want
+
+
+class _LoopRZ(RedundantZOracle):
+    """redundant-z with its enumerations built by scanning every code of
+    a level, the reference for the value-bucket streams."""
+
+    def eq_enum(self, m):
+        while len(self._eq_stream) <= m:
+            n = self._eq_level
+            self._eq_stream.append((n, n))
+            vn = self.value(n)
+            for i in range(n):
+                if self.value(i) == vn:
+                    self._eq_stream.append((i, n))
+                    self._eq_stream.append((n, i))
+            self._eq_level += 1
+        return self._eq_stream[m]
+
+    def multt_enum(self, m):
+        while len(self._multt_stream) <= m:
+            n = self._multt_level
+            for i in range(n + 1):
+                vi = self.value(i)
+                for j in range(n + 1):
+                    vj = vi + self.value(j)
+                    for k in range(n + 1):
+                        if max(i, j, k) == n and self.value(k) == vj:
+                            self._multt_stream.append((i, j, k))
+            self._multt_level += 1
+        return self._multt_stream[m]
+
+
+def test_rz_bucketed_streams_equal_the_level_loops():
+    ref, g = _LoopRZ(), RedundantZOracle()
+    got = [g.eq_enum(m) for m in range(10**5)]
+    assert got == [ref.eq_enum(m) for m in range(10**5)]
+    ref, g = _LoopRZ(), RedundantZOracle()
+    got = [g.multt_enum(m) for m in range(2 * 10**4)]
+    assert got == [ref.multt_enum(m) for m in range(2 * 10**4)]
+    assert g._multt_level == ref._multt_level == 53
+
+
+def test_rz_streams_read_alternately_keep_to_their_own_levels():
+    # the two streams share one bucket map; first multt_enum leads by far,
+    # then eq_enum overtakes it, and neither may see a code above its level
+    ref, g = _LoopRZ(), RedundantZOracle()
+    reads = [("multt_enum", m) for m in range(4000)]
+    reads[::40] = [("eq_enum", m) for m in range(len(reads[::40]))]
+    for m in range(100, 30000):
+        reads.append(("eq_enum", m))
+        if m % 10 == 0:
+            reads.append(("multt_enum", 4000 + m // 10))
+    leads = set()
+    for name, m in reads:
+        assert getattr(g, name)(m) == getattr(ref, name)(m), (name, m)
+        leads.add(g._eq_level > g._multt_level)
+    assert leads == {False, True}
 
 
 def test_ce_view_enumerations():
