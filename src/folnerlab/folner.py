@@ -26,6 +26,7 @@ procedure sound.  The verifier keeps its partition in a :class:`UnionFind`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,7 +365,9 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     is tested with :func:`within`: success is INVARIANT (sound, since the
     blockwise value only shrinks toward the true defect), failure
     at the full fiber partition is NOT_INVARIANT, and budget exhaustion is
-    UNKNOWN.  Budget counts enumeration entries consumed.  Merges only join
+    UNKNOWN.  Budget counts enumeration entries consumed: the scan reads at
+    most the meter's remaining steps of ``eq_entries`` and charges them at
+    its end, plus one when they ran out.  Merges only join
     enumerated-equal codes, so the partition always refines the fiber
     partition and reaches it exactly when it has as many blocks; the fiber
     count comes from the oracle's internal canonical forms.
@@ -387,16 +390,18 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
         return "INVARIANT"
     if blocks == fibers:
         return "NOT_INVARIANT"
-    for m in itertools.count():
-        if not meter.charge():
-            return UNKNOWN
-        n1, n2 = g.eq_enum(m)
+    entries = itertools.islice(g.eq_entries(), meter.remaining)
+    for read, (n1, n2) in enumerate(entries, 1):
         if n1 in codes and n2 in codes and part.union(n1, n2):
             blocks -= 1
             if passes():
+                meter.charge(read)
                 return "INVARIANT"
             if blocks == fibers:
+                meter.charge(read)
                 return "NOT_INVARIANT"
+    meter.charge(meter.remaining + 1)  # fails, and empties the meter
+    return UNKNOWN
 
 
 def extract_folner_from_reiter(g: GroupOracle, h: ReiterFunction, D, n: int):
@@ -485,44 +490,83 @@ def decide_mult_from_folner(
     3|F|/4 < |F| points and a chain exists in the true case; in the false
     case none does.
 
-    A :class:`CEView` lists (i, j, i * j) at index cantor_pair(i, j), so
-    only the |D| x |F| entries with i in D and j in F are read, in
-    ascending index order; if they run out before the injections are dense
-    enough, F was not 4-Folner and PreconditionError is raised.  Any other
-    CE oracle's enumeration is scanned from index 0.
+    A :class:`CEView` is read by :func:`_view_injections`.  Any other CE
+    oracle's enumeration is scanned from index 0.
     """
     if g.mode != CE:
         raise PreconditionError("decide_mult_from_folner consumes a CE oracle")
     meter = b.meter()
     D = canonical_subset({n1, n2, n3})
     F = canonical_subset(folner(4, D))
-    pos = {f: i for i, f in enumerate(F)}
-    graphs: dict[int, dict[int, int]] = {d: {} for d in D}
     need = -(-3 * len(F) // 4)
-    short = len(D) if need else 0  # injections with fewer than need points
-
     if isinstance(g, CEView):
-        entries = sorted(cantor_pair(d, f) for d in D for f in F)
-    else:
-        entries = itertools.count()
-    for m in entries:
-        if not short:
-            break
-        if not meter.charge():
+        graphs = _view_injections(g, D, F, need, meter)
+        if graphs is UNKNOWN:
             return UNKNOWN
-        i, j, prod = g.multt_enum(m)
-        if i in graphs and j in pos and prod in pos:
-            graph, a = graphs[i], pos[j]
-            if a not in graph and len(graph) + 1 == need:
-                short -= 1
-            graph[a] = pos[prod]
-    if short:
-        raise PreconditionError(
-            "the Folner oracle's set is not 4-Folner for %r" % (D,)
-        )
+    else:
+        pos = {f: i for i, f in enumerate(F)}
+        graphs = {d: {} for d in D}
+        short = len(D) if need else 0  # injections with fewer than need points
+        for m in itertools.count():
+            if not short:
+                break
+            if not meter.charge():
+                return UNKNOWN
+            i, j, prod = g.multt_enum(m)
+            if i in graphs and j in pos and prod in pos:
+                graph, a = graphs[i], pos[j]
+                if a not in graph and len(graph) + 1 == need:
+                    short -= 1
+                graph[a] = pos[prod]
     s1, s2, s3 = graphs[n1], graphs[n2], graphs[n3]
     for i, j in s2.items():
         k = s1.get(j)
         if k is not None and s3.get(i) == k:
             return True
     return False
+
+
+def _view_injections(g: CEView, D, F, need: int, meter):
+    """The injections of :func:`decide_mult_from_folner` on a CEView, as
+    maps between positions in F, or UNKNOWN; charged once for the entries
+    read, plus one when the meter runs out.
+
+    A CEView lists (i, j, i * j) at index cantor_pair(i, j), which grows
+    with j.  So the entries the injections use are the rows (d, f, d * f),
+    f in F, each ascending in F's order, and the scan reads them in
+    ascending index across the rows.  Each pair occurs once, so row d's
+    injection is dense at its need-th f with d * f in F; the scan stops at
+    the largest such index, having read every row up to it.  Only the
+    entries the meter can pay for have their products made, one
+    ``mult_row`` per row.  If the rows run out before the injections are
+    dense, F was not 4-Folner and PreconditionError is raised.
+    """
+    pos = {f: i for i, f in enumerate(F)}
+    rows = [[cantor_pair(d, f) for f in F] for d in D]
+    budget, size = meter.remaining, len(D) * len(F)
+    # reach: the largest index among the first entries the budget can read
+    indices = itertools.chain(*rows)
+    if budget >= size:
+        reach = max(indices, default=-1)
+    else:
+        reach = sorted(indices)[budget - 1] if budget else -1
+    stop, hits = -1, []
+    for d, row in zip(D, rows):
+        products = g.base.mult_row(d, F[: bisect.bisect_right(row, reach)])
+        hits.append([(k, pos[p]) for k, p in enumerate(products) if p in pos])
+        if len(hits[-1]) < need:
+            if budget < size:
+                meter.charge(budget + 1)  # fails, and empties the meter
+                return UNKNOWN
+            meter.charge(size)
+            raise PreconditionError(
+                "the Folner oracle's set is not 4-Folner for %r" % (D,)
+            )
+        if need:
+            stop = max(stop, row[hits[-1][need - 1][0]])
+    ends = [bisect.bisect_right(row, stop) for row in rows]
+    meter.charge(sum(ends))
+    return {
+        d: {k: p for k, p in row_hits if k < end}
+        for d, row_hits, end in zip(D, hits, ends)
+    }

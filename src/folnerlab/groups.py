@@ -145,12 +145,21 @@ class GroupOracle:
     def canon(self, x: int) -> int:
         return x
 
+    def mult_row(self, a: int, codes) -> list[int]:
+        """The products a * c for c in codes, in order; families override it
+        to decode a once."""
+        return list(map(self.mult, itertools.repeat(a), codes))
+
     # CE-mode surface; COMPUTABLE families leave these unimplemented.
     def multt_enum(self, m: int) -> tuple[int, int, int]:
         raise PreconditionError("multt_enum requires a CE-mode oracle")
 
     def eq_enum(self, m: int) -> tuple[int, int]:
         raise PreconditionError("eq_enum requires a CE-mode oracle")
+
+    def eq_entries(self):
+        """The equal-codes enumeration from index 0, as an iterator."""
+        return map(self.eq_enum, itertools.count())
 
     def __repr__(self):
         return "<%s %s mode=%s>" % (type(self).__name__, self.spec, self.mode)
@@ -307,20 +316,45 @@ class ZdOracle(GroupOracle):
         coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError("expected %d coordinates" % self.dim)
-        return pack_vector(coords)
+        code = pack_vector(coords)
+        self._remember(code, coords)
+        return code
+
+    def _remember(self, code: int, coords: tuple[int, ...]):
+        """Keep a code's vector in the decode memo, starting it over when full."""
+        if len(self._decode_cache) >= _DECODE_CACHE_SIZE:
+            self._decode_cache.clear()
+        self._decode_cache[code] = coords
 
     def decode_vector(self, code: int) -> tuple[int, ...]:
-        """``unpack_vector`` of the code, memoised like ``decode_word``."""
+        """``unpack_vector`` of the code, memoised like ``decode_word``; the
+        codes :meth:`encode_vector` made are in the memo already."""
         out = self._decode_cache.get(code)
         if out is None:
-            if len(self._decode_cache) >= _DECODE_CACHE_SIZE:
-                self._decode_cache.clear()
-            out = self._decode_cache[code] = unpack_vector(code, self.dim)
+            out = unpack_vector(code, self.dim)
+            self._remember(code, out)
         return out
 
     def mult(self, x: int, y: int) -> int:
         a, b = self.decode_vector(x), self.decode_vector(y)
         return pack_vector(tuple(u + v for u, v in zip(a, b)))
+
+    def mult_row(self, a: int, codes) -> list[int]:
+        """``mult`` of a with each code, decoding a once and packing each sum
+        as :func:`pack_vector` does: the last coordinate's zig-zag, folded
+        from the right with the Cantor pairing."""
+        head, *rest = self.decode_vector(a)[::-1]
+        cache, out = self._decode_cache, []
+        for c in codes:
+            head_c, *rest_c = (cache.get(c) or self.decode_vector(c))[::-1]
+            z = head + head_c
+            code = 2 * z - 1 if z > 0 else -2 * z
+            for u, v in zip(rest, rest_c):
+                z = u + v
+                s = code + (2 * z - 1 if z > 0 else -2 * z)
+                code += s * (s + 1) >> 1
+            out.append(code)
+        return out
 
     def inv(self, x: int) -> int:
         return pack_vector(tuple(-u for u in self.decode_vector(x)))
@@ -353,12 +387,50 @@ class CyclicOracle(GroupOracle):
         return (-x) % self.modulus
 
 
+def _moved_lamps(mask: int, by: int) -> int:
+    """The lamplighter lamp mask of the lamps of ``mask`` moved by ``by``."""
+    if not by:
+        return mask
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << zigzag(unzigzag(low.bit_length() - 1) + by)
+        mask ^= low
+    return out
+
+
+def _lamplighter_row(a: int, codes) -> list[int]:
+    """Lamplighter products a * c for c in codes: a is decoded once, and
+    each distinct lamp mask of the row is moved by a's cursor once."""
+    mask_a, za = cantor_unpair(a)
+    ca = unzigzag(za)
+    moved, out = {}, []
+    # cantor_unpair, the cursor's zig-zag both ways and cantor_pair, inlined
+    for c in codes:
+        s = math.isqrt(8 * c + 1) - 1 >> 1
+        zc = c - (s * (s + 1) >> 1)
+        mask = s - zc
+        m = moved.get(mask)
+        if m is None:
+            m = moved[mask] = _moved_lamps(mask, ca)
+        cursor = ca + (-(zc >> 1) if zc & 1 == 0 else zc + 1 >> 1)
+        zp = 2 * cursor - 1 if cursor > 0 else -2 * cursor
+        s = (mask_a ^ m) + zp
+        out.append((s * (s + 1) >> 1) + zp)
+    return out
+
+
 class LamplighterOracle(GroupOracle):
     """Z2 wr Z: elements are (finite lamp set, cursor) pairs.
 
     Multiplication shifts the right factor's lamps by the left cursor and
     takes the symmetric difference.  Generators: ``t`` moves the cursor,
     ``s`` toggles the lamp at position 0.
+
+    The arithmetic works on the codes' lamp masks, where lamp p is bit
+    zigzag(p).  Zig-zag is a bijection, so the symmetric difference of two
+    lamp sets is the xor of their masks; only the shifted factor's bits are
+    moved one by one (:func:`_moved_lamps`).
     """
 
     mode = COMPUTABLE
@@ -383,15 +455,15 @@ class LamplighterOracle(GroupOracle):
         lamps = frozenset(unzigzag(p) for p in subset_decode(mask))
         return lamps, unzigzag(zc)
 
+    mult_row = staticmethod(_lamplighter_row)
+
     def mult(self, x: int, y: int) -> int:
-        la, ca = self.decode_element(x)
-        lb, cb = self.decode_element(y)
-        shifted = frozenset(p + ca for p in lb)
-        return self.encode_element(la ^ shifted, ca + cb)
+        return _lamplighter_row(x, (y,))[0]
 
     def inv(self, x: int) -> int:
-        lamps, c = self.decode_element(x)
-        return self.encode_element(frozenset(p - c for p in lamps), -c)
+        mask, zc = cantor_unpair(x)
+        c = unzigzag(zc)
+        return cantor_pair(_moved_lamps(mask, -c), zigzag(-c))
 
 
 class RedundantZOracle(GroupOracle):
@@ -491,15 +563,32 @@ class RedundantZOracle(GroupOracle):
             bucket.append(n)
         return vn
 
+    def _eq_grow(self):
+        """Append the next level of the equal-codes stream."""
+        n = self._eq_level
+        self._eq_stream.append((n, n))
+        for i in self._bucket(self._level(n), n):
+            self._eq_stream += ((i, n), (n, i))
+        self._eq_level += 1
+
     def eq_enum(self, m: int) -> tuple[int, int]:
-        stream = self._eq_stream
-        while len(stream) <= m:
-            n = self._eq_level
-            stream.append((n, n))
-            for i in self._bucket(self._level(n), n):
-                stream += ((i, n), (n, i))
-            self._eq_level += 1
-        return stream[m]
+        while len(self._eq_stream) <= m:
+            self._eq_grow()
+        return self._eq_stream[m]
+
+    def eq_entries(self):
+        return itertools.chain.from_iterable(self._eq_chunks())
+
+    def _eq_chunks(self):
+        """The equal-codes stream from index 0, in slices: what is built,
+        then one level at a time."""
+        stream, m = self._eq_stream, 0
+        while True:
+            if m == len(stream):
+                self._eq_grow()
+            chunk = stream[m:]
+            m += len(chunk)
+            yield chunk
 
     def multt_enum(self, m: int) -> tuple[int, int, int]:
         stream = self._multt_stream
@@ -612,9 +701,10 @@ class BallLayer:
         self.outside, self._leaving = set(), {g.identity: 0}
 
     def leaving(self, a: int) -> int:
-        """|a L_r \\ B_r|, from |L_r| ``mult`` calls made once per step a."""
+        """|a L_r \\ B_r|, from one ``mult_row`` of |L_r| products, made once
+        per step a."""
         if a not in self._leaving:
-            out = set(map(self.g.mult, itertools.repeat(a), self.codes)) - self.ball
+            out = set(self.g.mult_row(a, self.codes)) - self.ball
             self.outside |= out
             self._leaving[a] = len(out)
         return self._leaving[a]

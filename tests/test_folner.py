@@ -27,11 +27,13 @@ from folnerlab.folner import (
     search_folner,
     translate_defects,
     verify_invariance_ce,
+    within,
 )
 from folnerlab.groups import (
     CE,
     GroupOracle,
     PreconditionError,
+    ZdOracle,
     ball_layers,
     RedundantZOracle,
     canonical_subset,
@@ -348,6 +350,94 @@ def test_invariance_verifier_agrees_with_truth(rz):
     assert agree == 50
 
 
+def _verify_invariance_reference(g, n, D, f, b):
+    """``verify_invariance_ce`` reading ``eq_enum`` one entry at a time,
+    with one meter charge per entry."""
+    meter = b.meter()
+    D = canonical_subset(D)
+    codes = set(f.support)
+    for x in D:
+        codes.update(g.mult(x, v) for v in f.support)
+    part = UnionFind()
+    blocks = len(codes)
+    fibers = len({g.canon(c) for c in codes})
+
+    def passes():
+        return all(within(partition_defect(f, part, x, g.mult), n) for x in D)
+
+    if passes():
+        return "INVARIANT"
+    if blocks == fibers:
+        return "NOT_INVARIANT"
+    for m in itertools.count():
+        if not meter.charge():
+            return UNKNOWN
+        n1, n2 = g.eq_enum(m)
+        if n1 in codes and n2 in codes and part.union(n1, n2):
+            blocks -= 1
+            if passes():
+                return "INVARIANT"
+            if blocks == fibers:
+                return "NOT_INVARIANT"
+
+
+class _DiagonalRZ(RedundantZOracle):
+    """redundant-z whose equal-codes enumeration is only the diagonal, read
+    through the default ``eq_entries``: its fibers never merge."""
+
+    def eq_enum(self, m):
+        return m, m
+
+    eq_entries = GroupOracle.eq_entries
+
+
+def _verify_both(g, n, D, f, steps):
+    """(outcome, steps consumed) of the verifier and of the reference; both
+    read the one stream of g."""
+    out = []
+    for verify in (verify_invariance_ce, _verify_invariance_reference):
+        meter = Budget(steps).meter()
+        out.append((verify(g, n, D, f, meter), meter.consumed))
+    return out
+
+
+# the ten spellings of x^0..x^9 of the mixed-spellings test, with value 1 each
+TEN_SPELLINGS = [
+    ("", 1), ("y", 1), ("yx", 1), ("yxx", 1), ("x^4", 1), ("x^5", 1),
+    ("x^6", 1), ("x^7", 1), ("x^8", 1), ("x^9", 1),
+]
+# (oracle, support words and values, shifts, n, outcome at 10**5 steps)
+KAPPA_INPUTS = [
+    (RedundantZOracle, [("", 1), ("y", 1), ("yx", 1), ("x^3", 1)], "x", 2, "INVARIANT"),
+    (RedundantZOracle, TEN_SPELLINGS, "x", 4, "INVARIANT"),
+    (RedundantZOracle, TEN_SPELLINGS, "x", 10, "NOT_INVARIANT"),
+    (RedundantZOracle, [("y", 2), ("x^-1y", 3), ("yy", 1)], "x,y^-1", 3, "NOT_INVARIANT"),
+    (RedundantZOracle, [("x", 1), ("y", 1)], "x", 1, "NOT_INVARIANT"),
+    (_DiagonalRZ, [("x", 1), ("y", 1), ("xy", 1)], "x", 2, UNKNOWN),
+]
+
+
+@pytest.mark.parametrize("case", range(len(KAPPA_INPUTS)))
+def test_invariance_scan_charges_as_one_charge_per_entry(rz, case):
+    oracle, words, shifts, n, outcome = KAPPA_INPUTS[case]
+    g = oracle()
+    f = ReiterFunction(
+        tuple(parse_element(rz, w) for w, _ in words),
+        {parse_element(rz, w): Fraction(q) for w, q in words},
+    )
+    D = [parse_element(rz, w) for w in shifts.split(",")]
+    got, ref = _verify_both(g, n, D, f, 10**5)
+    assert got == ref and got[0] == outcome
+    edge = got[1] if outcome is not UNKNOWN else 300
+    # every budget up to the edge; on the ten-code support, every 37th
+    budgets = set(range(1, edge + 2) if edge < 1000 else range(1, edge, 37))
+    budgets |= {edge - 1, edge, edge + 1}
+    for steps in sorted(budgets):
+        got, ref = _verify_both(g, n, D, f, steps)
+        assert got == ref, steps
+        assert (got[0] is UNKNOWN) == (steps < edge or outcome is UNKNOWN)
+
+
 # ---------------------------------------------------------------------------
 # level-set extraction
 
@@ -575,3 +665,60 @@ def test_decide_mult_rejection_equals_the_reference():
     for F in ((0,), (0, 1), tuple(range(9))):
         got, ref = _decide_both(lambda: CEView(Z2), lambda n, D: F, (1, 2, 3), 10**6)
         assert got == ref and got[0] is PreconditionError
+        # the rejection reads all 3 |F| entries; a budget short of them is UNKNOWN
+        for steps in range(1, 3 * len(F) + 2):
+            got, ref = _decide_both(lambda: CEView(Z2), lambda n, D: F, (1, 2, 3), steps)
+            assert got == ref, (F, steps)
+
+
+class _RowCountingZd(ZdOracle):
+    """zd:2 that counts the products its rows make."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.products = 0
+
+    def mult_row(self, a, codes):
+        codes = list(codes)
+        self.products += len(codes)
+        return super().mult_row(a, codes)
+
+
+# zd:2 triples as vectors, true and false, with one repeated element
+VIEW_TRIPLES = [
+    ((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1), (2, 2)), ((0, 0), (0, 0), (0, 0)),
+    ((2, -1), (-1, 1), (1, 0)), ((2, -1), (-1, 1), (0, 1)), ((1, 1), (1, 1), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("triple", VIEW_TRIPLES)
+def test_decide_mult_rows_on_a_view_equal_the_reference(triple):
+    codes = [Z2.encode_vector(v) for v in triple]
+    box = lambda n, D: box_folner(Z2, D, n)
+    seen = []
+
+    def view():
+        seen.append(_RowCountingZd())
+        return CEView(seen[-1])
+
+    (verdict, edge), ref = _decide_both(view, box, codes, 10**6)
+    assert (verdict, edge) == ref
+    assert verdict == (Z2.mult(codes[0], codes[1]) == codes[2])
+    # every budget below a small edge, every 17th below a larger one
+    budgets = {*range(1, edge + 1, 1 if edge < 300 else 17), edge - 1, edge, 10**6}
+    for steps in sorted(b for b in budgets if b >= 1):
+        got, ref = _decide_both(view, box, codes, steps)
+        assert got == ref, steps
+        assert (got[0] is UNKNOWN) == (steps < edge)
+        # the scan made no product beyond what its budget could pay for
+        assert seen[-2].products <= steps
+
+
+def test_decide_mult_rows_make_no_product_past_the_budget():
+    codes = [Z2.encode_vector(v) for v in ((2, -1), (-1, 1), (1, 0))]
+    F = box_folner(Z2, codes, 4)
+    for steps in (1, 2, 5, 100, len(F), 2 * len(F) + 1):
+        g = _RowCountingZd()
+        meter = Budget(steps).meter()
+        assert decide_mult_from_folner(CEView(g), lambda n, D: F, *codes, meter) is UNKNOWN
+        assert meter.consumed == steps and g.products <= steps

@@ -52,16 +52,32 @@ def _plain_search(g, D, n, meter):
 
 
 def _count_paid_mult(g, meter):
-    """Wrap ``g.mult``; the returned dict holds the calls made and the
-    largest excess of calls over the steps charged at any call."""
-    real, seen = g.mult, {"calls": 0, "unpaid": 0}
+    """Wrap ``g.mult`` and ``g.mult_row``; the returned dict holds the
+    products made, a row counting len(codes) when it is called, and the
+    largest excess of products over the steps charged at any call.  A row
+    made by ``mult`` calls counts them once, with the row."""
+    real_mult, real_row, seen = g.mult, g.mult_row, {"calls": 0, "unpaid": 0}
+    open_rows = []
+
+    def made(count):
+        seen["calls"] += count
+        seen["unpaid"] = max(seen["unpaid"], seen["calls"] - meter.consumed)
 
     def mult(x, y):
-        seen["calls"] += 1
-        seen["unpaid"] = max(seen["unpaid"], seen["calls"] - meter.consumed)
-        return real(x, y)
+        if not open_rows:
+            made(1)
+        return real_mult(x, y)
 
-    g.mult = mult
+    def mult_row(a, codes):
+        codes = list(codes)
+        made(len(codes))
+        open_rows.append(a)
+        try:
+            return real_row(a, codes)
+        finally:
+            open_rows.pop()
+
+    g.mult, g.mult_row = mult, mult_row
     return seen
 
 

@@ -1,5 +1,6 @@
 """Group-core contract: codings, group laws, CE enumerations."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from folnerlab.groups import (
     CEView,
     CyclicOracle,
     FreeGroupOracle,
+    LamplighterOracle,
     MalformedSpecError,
     PreconditionError,
     RedundantZOracle,
@@ -221,6 +223,58 @@ def test_lamplighter_relations():
     assert g.mult(s, sts) != 0
 
 
+def _lamplighter_mult_reference(x, y):
+    """The lamplighter product on lamp sets: shift y's lamps by x's cursor
+    and take the symmetric difference."""
+    la, ca = LamplighterOracle.decode_element(x)
+    lb, cb = LamplighterOracle.decode_element(y)
+    shifted = frozenset(p + ca for p in lb)
+    return LamplighterOracle.encode_element(la ^ shifted, ca + cb)
+
+
+def _lamplighter_inv_reference(x):
+    lamps, c = LamplighterOracle.decode_element(x)
+    return LamplighterOracle.encode_element(frozenset(p - c for p in lamps), -c)
+
+
+lamplighter_elements = st.builds(
+    LamplighterOracle.encode_element,
+    st.frozensets(st.integers(min_value=-12, max_value=12), max_size=8),
+    st.integers(min_value=-12, max_value=12),
+)
+
+
+@given(lamplighter_elements, st.lists(lamplighter_elements, max_size=12))
+def test_lamplighter_mask_arithmetic_equals_the_lamp_sets(x, ys):
+    g = make_group("lamplighter")
+    want = [_lamplighter_mult_reference(x, y) for y in ys]
+    assert [g.mult(x, y) for y in ys] == want
+    assert g.mult_row(x, ys) == want
+    assert g.inv(x) == _lamplighter_inv_reference(x)
+
+
+# ---------------------------------------------------------------------------
+# rows of products
+
+
+ROW_CODES = list(range(40)) + [97, 1234, 10**5 + 7, 987654]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["free:2", "zd:1", "zd:2", "zd:3", "cyclic:6", "lamplighter", "redundant-z",
+     "ce:zd:2"],
+)
+def test_mult_row_equals_mult(spec):
+    # cyclic:6 takes non-canonical codes too (7 = 1, 1234 = 4)
+    g = CEView(make_group(spec[3:])) if spec.startswith("ce:") else make_group(spec)
+    for a in ROW_CODES[::3]:
+        want = [g.mult(a, c) for c in ROW_CODES]
+        assert g.mult_row(a, ROW_CODES) == want, (spec, a)
+        assert g.mult_row(a, iter(ROW_CODES)) == want
+        assert g.mult_row(a, ()) == []
+
+
 # ---------------------------------------------------------------------------
 # balls
 
@@ -408,12 +462,35 @@ def test_rz_streams_read_alternately_keep_to_their_own_levels():
     assert leads == {False, True}
 
 
+def test_rz_eq_entries_equal_eq_enum():
+    ref, g = _LoopRZ(), RedundantZOracle()
+    entries = list(itertools.islice(g.eq_entries(), 10**5))
+    assert entries == [ref.eq_enum(m) for m in range(10**5)]
+    # a second walk reads the stream the first one built
+    assert list(itertools.islice(g.eq_entries(), 10**5)) == entries
+
+
+def test_rz_eq_entries_read_between_other_reads():
+    # the walk is interleaved with multt_enum reads and with eq_enum reads
+    # that run ahead of it, as in the alternating test above
+    ref, g = _LoopRZ(), RedundantZOracle()
+    walk = g.eq_entries()
+    for m in range(30000):
+        assert next(walk) == ref.eq_enum(m), m
+        if m % 10 == 0:
+            assert g.multt_enum(m // 5) == ref.multt_enum(m // 5)
+        if m % 997 == 0:
+            ahead = m + 500 + m // 3
+            assert g.eq_enum(ahead) == ref.eq_enum(ahead)
+
+
 def test_ce_view_enumerations():
     g = CEView(make_group("zd:2"))
     for m in range(500):
         i, j, k = g.multt_enum(m)
         assert g.base.mult(i, j) == k
     assert g.eq_enum(7) == (7, 7)
+    assert list(itertools.islice(g.eq_entries(), 50)) == [(m, m) for m in range(50)]
     assert eq_semidecide(g, 3, 3, Budget(1)) == "EQUAL"
     assert eq_semidecide(g, 3, 4, Budget(100)) is UNKNOWN
 
