@@ -365,9 +365,10 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     is tested with :func:`within`: success is INVARIANT (sound, since the
     blockwise value only shrinks toward the true defect), failure
     at the full fiber partition is NOT_INVARIANT, and budget exhaustion is
-    UNKNOWN.  Budget counts enumeration entries consumed: the scan reads at
-    most the meter's remaining steps of ``eq_entries`` and charges them at
-    its end, plus one when they ran out.  Merges only join
+    UNKNOWN.  Budget counts enumeration entries consumed, read or skipped:
+    the scan walks ``eq_entries_within`` the codes, up to the meter's
+    remaining steps, and charges up to the deciding entry at its end, or
+    all of them plus one when it runs out.  Merges only join
     enumerated-equal codes, so the partition always refines the fiber
     partition and reaches it exactly when it has as many blocks; the fiber
     count comes from the oracle's internal canonical forms.
@@ -390,15 +391,17 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
         return "INVARIANT"
     if blocks == fibers:
         return "NOT_INVARIANT"
-    entries = itertools.islice(g.eq_entries(), meter.remaining)
-    for read, (n1, n2) in enumerate(entries, 1):
-        if n1 in codes and n2 in codes and part.union(n1, n2):
+    # The walk ends early only past max(codes), where the partition is the
+    # fiber partition and the loop has answered; so falling through means
+    # the budget ran out.
+    for m, n1, n2 in g.eq_entries_within(codes, meter.remaining):
+        if part.union(n1, n2):
             blocks -= 1
             if passes():
-                meter.charge(read)
+                meter.charge(m + 1)
                 return "INVARIANT"
             if blocks == fibers:
-                meter.charge(read)
+                meter.charge(m + 1)
                 return "NOT_INVARIANT"
     meter.charge(meter.remaining + 1)  # fails, and empties the meter
     return UNKNOWN

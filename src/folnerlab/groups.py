@@ -161,6 +161,14 @@ class GroupOracle:
         """The equal-codes enumeration from index 0, as an iterator."""
         return map(self.eq_enum, itertools.count())
 
+    def eq_entries_within(self, codes, limit: int):
+        """(m, i, j) for each entry m < limit of the equal-codes enumeration
+        with both codes in ``codes``, ascending in m; families override it
+        to skip the entries that cannot qualify."""
+        for m, (i, j) in enumerate(itertools.islice(self.eq_entries(), limit)):
+            if i in codes and j in codes:
+                yield m, i, j
+
     def __repr__(self):
         return "<%s %s mode=%s>" % (type(self).__name__, self.spec, self.mode)
 
@@ -484,8 +492,9 @@ class RedundantZOracle(GroupOracle):
       lexicographic order.
 
     Both levels are read off value buckets: the codes 0, 1, ... sorted into
-    one ascending list per value, shared by the two streams, which advance
-    their levels independently and cut each bucket at their own level.  The
+    one ascending list per value, shared by the two streams and by the walks
+    of ``eq_entries_within``.  Each reader advances its levels 0, 1, ...
+    independently and cuts each bucket at its own level.  The
     i of eq level N are the bucket of v(N) below N, O(output) per level.  At
     multt level N, a first coordinate i < N is followed by the j < N of the
     bucket of v(N) - v(i), each with k = N, and then by j = N with the k <= N
@@ -506,10 +515,17 @@ class RedundantZOracle(GroupOracle):
         self._multt_stream: list[tuple[int, int, int]] = []
         self._multt_level = 0
 
-    # words over 4 letters; offset(L) = (4^L - 1) / 3
+    # words over 4 letters; offset(L) = (4^L - 1) / 3, which is also the
+    # mask 0b0101...01 of the low bit of each of L base-4 digits
     @staticmethod
     def _offset(length: int) -> int:
         return ((4 ** length) - 1) // 3
+
+    @staticmethod
+    def _length(code: int) -> int:
+        """The length L of the word, from offset(L) <= code < offset(L + 1),
+        that is 4^L <= 3 code + 1 < 4^(L + 1)."""
+        return ((3 * code + 1).bit_length() - 1) // 2
 
     def encode_word(self, word: tuple[int, ...]) -> int:
         code = 0
@@ -518,9 +534,7 @@ class RedundantZOracle(GroupOracle):
         return self._offset(len(word)) + code
 
     def decode_word(self, code: int) -> tuple[int, ...]:
-        length = 0
-        while self._offset(length + 1) <= code:
-            length += 1
+        length = self._length(code)
         rest = code - self._offset(length)
         word = []
         for _ in range(length):
@@ -529,11 +543,14 @@ class RedundantZOracle(GroupOracle):
         return tuple(reversed(word))
 
     def value(self, code: int) -> int:
-        """Exponent sum of the word, i.e. the integer the code denotes."""
+        """Exponent sum of the word, i.e. the integer the code denotes: the
+        length less twice the number of inverse letters, which are the odd
+        base-4 digits of code - offset(length)."""
         v = self._values.get(code)
         if v is None:
-            w = self.decode_word(code)
-            v = sum(1 if l % 2 == 0 else -1 for l in w)
+            length = self._length(code)
+            odd = self._offset(length)
+            v = length - 2 * ((code - odd) & odd).bit_count()
             self._values[code] = v
         return v
 
@@ -550,13 +567,13 @@ class RedundantZOracle(GroupOracle):
 
     def _bucket(self, v: int, below: int) -> list[int]:
         """The codes c < below of value v, ascending.  The buckets hold the
-        codes up to the highest level either stream has reached."""
+        codes up to the highest level any reader has reached."""
         bucket = self._buckets.get(v, [])
         return bucket[: bisect.bisect_left(bucket, below)]
 
     def _level(self, n: int) -> int:
-        """v(n), sorting code n into its bucket on the first stream to reach
-        level n: the buckets hold every code below that stream's level."""
+        """v(n), sorting code n into its bucket on the first reader to reach
+        level n: the buckets hold every code below that reader's level."""
         vn = self.value(n)
         bucket = self._buckets.setdefault(vn, [])
         if not bucket or bucket[-1] < n:
@@ -576,19 +593,30 @@ class RedundantZOracle(GroupOracle):
             self._eq_grow()
         return self._eq_stream[m]
 
-    def eq_entries(self):
-        return itertools.chain.from_iterable(self._eq_chunks())
-
-    def _eq_chunks(self):
-        """The equal-codes stream from index 0, in slices: what is built,
-        then one level at a time."""
-        stream, m = self._eq_stream, 0
-        while True:
-            if m == len(stream):
-                self._eq_grow()
-            chunk = stream[m:]
-            m += len(chunk)
-            yield chunk
+    def eq_entries_within(self, codes, limit: int):
+        """Level n of the equal-codes stream holds 1 + 2 b entries, b the
+        number of codes below n of value v(n): (n, n), then (i, n) and
+        (n, i) at offsets 1 + 2 j and 2 + 2 j for the j-th such i.  The walk
+        keeps each level's start index and reads entries only at the levels
+        in ``codes``; a level above max(codes) holds its own code, so
+        nothing past it qualifies."""
+        start = 0
+        for n in range(max(codes, default=-1) + 1):
+            if start >= limit:
+                return
+            bucket = self._buckets[self._level(n)]
+            below = bisect.bisect_left(bucket, n)
+            if n in codes:
+                yield start, n, n
+                for j in range(below):
+                    i, m = bucket[j], start + 1 + 2 * j
+                    if i in codes:
+                        if m >= limit:
+                            return
+                        yield m, i, n
+                        if m + 1 < limit:
+                            yield m + 1, n, i
+            start += 1 + 2 * below
 
     def multt_enum(self, m: int) -> tuple[int, int, int]:
         stream = self._multt_stream
@@ -673,19 +701,20 @@ def eq_semidecide(g: GroupOracle, x: int, y: int, b: Budget):
 
     Identical codes are equal outright (the enumeration starts every level
     with its reflexive pair, so this only short-circuits the scan).  Budget
-    counts enumeration entries inspected.
+    counts enumeration entries, read or skipped by ``eq_entries_within``:
+    the entries up to (x, y) or (y, x), or all of them plus one.
     """
     if g.mode != CE:
         raise PreconditionError("eq_semidecide requires a CE-mode oracle")
     meter = b.meter()
     if x == y:
         return "EQUAL"
-    for m in itertools.count():
-        if not meter.charge():
-            return UNKNOWN
-        pair = g.eq_enum(m)
-        if pair == (x, y) or pair == (y, x):
+    for m, i, j in g.eq_entries_within({x, y}, meter.remaining):
+        if i != j:
+            meter.charge(m + 1)
             return "EQUAL"
+    meter.charge(meter.remaining + 1)  # fails, and empties the meter
+    return UNKNOWN
 
 
 class BallLayer:

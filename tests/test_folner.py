@@ -383,12 +383,12 @@ def _verify_invariance_reference(g, n, D, f, b):
 
 class _DiagonalRZ(RedundantZOracle):
     """redundant-z whose equal-codes enumeration is only the diagonal, read
-    through the default ``eq_entries``: its fibers never merge."""
+    through the default ``eq_entries_within``: its fibers never merge."""
 
     def eq_enum(self, m):
         return m, m
 
-    eq_entries = GroupOracle.eq_entries
+    eq_entries_within = GroupOracle.eq_entries_within
 
 
 def _verify_both(g, n, D, f, steps):
@@ -415,27 +415,67 @@ KAPPA_INPUTS = [
     (RedundantZOracle, [("x", 1), ("y", 1)], "x", 1, "NOT_INVARIANT"),
     (_DiagonalRZ, [("x", 1), ("y", 1), ("xy", 1)], "x", 2, UNKNOWN),
 ]
+# shaped as the benchmark's kappa queries: supports within the first 85
+# codes, one-letter shifts, n from 1 to 8; (values by code, shifts, n,
+# outcome), with the steps the outcome takes
+KAPPA_CORPUS = [
+    ({7: 3, 14: 4, 22: 5}, "y", 1, "INVARIANT"),  # 764
+    ({0: 5, 16: 4, 20: 5, 36: 5, 77: 4}, "x^-1", 1, "INVARIANT"),  # 256
+    ({22: 4, 74: 5, 77: 1}, "y", 1, "NOT_INVARIANT"),  # 1279
+    ({2: 3, 6: 3}, "x,y", 2, "NOT_INVARIANT"),  # 48
+    ({28: 5, 30: 4, 54: 2, 76: 4}, "x^-1,x", 2, "NOT_INVARIANT"),  # 3146
+    ({0: 3, 7: 2, 37: 5, 53: 4, 54: 5}, "y", 3, "NOT_INVARIANT"),  # 585
+    ({38: 4, 80: 4}, "y,x", 4, "NOT_INVARIANT"),  # 1432
+    ({11: 5, 71: 3}, "y,x", 4, "NOT_INVARIANT"),  # 2913
+    ({61: 4, 63: 2, 83: 3}, "y^-1", 5, "NOT_INVARIANT"),  # 809
+    ({5: 5, 24: 3}, "x^-1,x", 6, "NOT_INVARIANT"),  # 1608
+    ({16: 4, 27: 1, 39: 1, 44: 3, 70: 2}, "y", 7, "NOT_INVARIANT"),  # 303
+    ({18: 5, 84: 2}, "x,y^-1", 8, "NOT_INVARIANT"),  # 3544
+]
+KAPPA_INPUTS += [
+    (RedundantZOracle, list(values.items()), shifts, n, outcome)
+    for values, shifts, n, outcome in KAPPA_CORPUS
+]
+
+
+def _kappa_input(case):
+    """(oracle, f, D, n, outcome) of a case; a support is given by words or
+    by codes."""
+    oracle, support, shifts, n, outcome = KAPPA_INPUTS[case]
+    rz = RedundantZOracle()
+    codes = [w if isinstance(w, int) else parse_element(rz, w) for w, _ in support]
+    f = ReiterFunction(
+        tuple(codes), {c: Fraction(q) for c, (_, q) in zip(codes, support)})
+    D = [parse_element(rz, w) for w in shifts.split(",")]
+    return oracle(), f, D, n, outcome
 
 
 @pytest.mark.parametrize("case", range(len(KAPPA_INPUTS)))
-def test_invariance_scan_charges_as_one_charge_per_entry(rz, case):
-    oracle, words, shifts, n, outcome = KAPPA_INPUTS[case]
-    g = oracle()
-    f = ReiterFunction(
-        tuple(parse_element(rz, w) for w, _ in words),
-        {parse_element(rz, w): Fraction(q) for w, q in words},
-    )
-    D = [parse_element(rz, w) for w in shifts.split(",")]
+def test_invariance_scan_charges_as_one_charge_per_entry(case):
+    g, f, D, n, outcome = _kappa_input(case)
     got, ref = _verify_both(g, n, D, f, 10**5)
     assert got == ref and got[0] == outcome
     edge = got[1] if outcome is not UNKNOWN else 300
-    # every budget up to the edge; on the ten-code support, every 37th
+    # every budget up to the edge; past 1000 steps, every 37th, and those
+    # whose last entry is an entry between the codes or one of the next two
     budgets = set(range(1, edge + 2) if edge < 1000 else range(1, edge, 37))
     budgets |= {edge - 1, edge, edge + 1}
+    codes = set(f.support) | {g.mult(x, v) for x in D for v in f.support}
+    for m, _, _ in GroupOracle.eq_entries_within(type(g)(), codes, edge):
+        budgets |= {m + 1, m + 2, m + 3}
     for steps in sorted(budgets):
         got, ref = _verify_both(g, n, D, f, steps)
         assert got == ref, steps
         assert (got[0] is UNKNOWN) == (steps < edge or outcome is UNKNOWN)
+
+
+def test_invariance_scan_builds_no_stream():
+    # the walk reads the value buckets; the equal-codes stream stays empty
+    for case, (oracle, *_) in enumerate(KAPPA_INPUTS):
+        if oracle is RedundantZOracle:
+            g, f, D, n, outcome = _kappa_input(case)
+            assert verify_invariance_ce(g, n, D, f, Budget(10**5)) == outcome
+            assert g._eq_stream == [] and g._eq_level == 0
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,24 @@ def test_rz_word_coding(rz):
         assert rz.encode_word(rz.decode_word(code)) == code
 
 
+def _rz_words_by_length(top):
+    """Every word over the four letters, length-lexicographically, up to
+    length ``top``: the word of code c is the c-th."""
+    for length in range(top + 1):
+        yield from itertools.product(range(4), repeat=length)
+
+
+def test_rz_value_and_decode_word_read_the_word():
+    # offset(8) = 21,845 codes: every word of length at most 7
+    g = RedundantZOracle()
+    words = list(_rz_words_by_length(7))
+    assert len(words) == g._offset(8) == 21845
+    for code, word in enumerate(words):
+        assert g.decode_word(code) == word
+        assert g.encode_word(word) == code
+        assert g.value(code) == sum(1 if l % 2 == 0 else -1 for l in word)
+
+
 def test_rz_values_and_canon(rz):
     x, y = 1, 3
     assert rz.value(x) == rz.value(y) == 1
@@ -482,6 +500,97 @@ def test_rz_eq_entries_read_between_other_reads():
         if m % 997 == 0:
             ahead = m + 500 + m // 3
             assert g.eq_enum(ahead) == ref.eq_enum(ahead)
+
+
+def _filter_within(rz, codes, limit):
+    """The default ``eq_entries_within`` of redundant-z: its stream read
+    entry by entry and filtered."""
+    return list(groups.GroupOracle.eq_entries_within(rz, codes, limit))
+
+
+def _level_start(rz, n):
+    """The index of the entry (n, n), which starts level n of the stream."""
+    rz.eq_enum(10**5)
+    return rz._eq_stream.index((n, n))
+
+
+def _random_code_sets(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield set(rng.sample(range(400), rng.randint(1, 12)))
+
+
+def test_rz_eq_entries_within_equal_the_filtered_stream(rz):
+    for codes in _random_code_sets(18, 25):
+        n = max(codes)
+        start, end = _level_start(rz, n), _level_start(rz, n + 1)
+        assert end - start == 1 + 2 * sum(rz.value(i) == rz.value(n) for i in range(n))
+        # a limit that cuts the level of max(codes) in half, and one that
+        # cuts the last pair (i, n), (n, i) between its two entries
+        last = _filter_within(rz, codes, 10**5)[-1][0]
+        for limit in (0, 1, (start + end) // 2, last, 10**5):
+            want = _filter_within(rz, codes, limit)
+            assert list(RedundantZOracle().eq_entries_within(codes, limit)) == want
+    # the empty set has no entry; a set with one code only its diagonal entry
+    assert list(RedundantZOracle().eq_entries_within(set(), 10**5)) == []
+    assert list(RedundantZOracle().eq_entries_within({5}, 10**5)) == [
+        (_level_start(rz, 5), 5, 5)]
+
+
+def test_rz_eq_entries_within_share_the_buckets_with_the_streams(rz):
+    # other reads run ahead of a walk, or between its entries; the buckets
+    # they fill are the walk's, and it must read the same entries
+    for k, codes in enumerate(_random_code_sets(81, 12)):
+        want = _filter_within(rz, codes, 10**5)
+        g = RedundantZOracle()
+        if k % 3 == 0:  # both streams far ahead
+            g.multt_enum(2 * 10**4)
+            g.eq_enum(5 * 10**4)
+        elif k % 3 == 1:  # multt_enum ahead, eq_enum behind
+            g.multt_enum(10**4)
+            g.eq_enum(100)
+        got = []
+        for step, entry in enumerate(g.eq_entries_within(codes, 10**5)):
+            got.append(entry)
+            if k % 3 == 2:
+                g.multt_enum(50 * step)
+                g.eq_enum(300 * step)
+        assert got == want
+
+
+def _eq_semidecide_reference(g, x, y, b):
+    """``eq_semidecide`` reading ``eq_enum`` one entry at a time, with one
+    meter charge per entry."""
+    meter = b.meter()
+    if x == y:
+        return "EQUAL"
+    for m in itertools.count():
+        if not meter.charge():
+            return UNKNOWN
+        if g.eq_enum(m) in ((x, y), (y, x)):
+            return "EQUAL"
+
+
+@pytest.mark.parametrize("x, y", [(1, 3), (3, 1), (5, 13), (9, 21), (1, 2), (0, 85), (40, 7)])
+def test_rz_eq_semidecide_charges_as_one_charge_per_entry(x, y):
+    g = RedundantZOracle()
+
+    def both(steps):
+        out = []
+        for decide in (eq_semidecide, _eq_semidecide_reference):
+            meter = Budget(steps).meter()
+            out.append((decide(g, x, y, meter), meter.consumed))
+        return out
+
+    got, ref = both(10**5)
+    assert got == ref
+    equal = g.value(x) == g.value(y)
+    assert (got[0] == "EQUAL") == equal
+    edge = got[1] if equal else 300
+    for steps in range(1, edge + 2):
+        got, ref = both(steps)
+        assert got == ref, steps
+        assert (got[0] is UNKNOWN) == (steps < edge or not equal)
 
 
 def test_ce_view_enumerations():
