@@ -26,19 +26,24 @@ therefore solved in the frame of the identity.  With the centre v = o*c,
 for o the identity's vertex of v's side, the residual ball around v is the
 translate by c of the residual ball around o in which the removed vertices
 are moved by c^-1.  The full ball around o, and its flow network, is built
-once per side and per matching state: the template.  A step maps only the
-removed vertices into the frame and describes its residual ball by a
-change map: the nodes whose distance from the origin differs from the
-template's, found by a decremental search that starts at the dead nodes
-and visits only the nodes that leave the ball.  The graph is bipartite, so
-a lost node's distance grows by at least 2 and only lost nodes within
-r - 2 of the origin can come back inside the radius.  The template also
-holds its network's maximum flow, and every step starts from that flow:
-at the nodes of the change map it cancels the flow and patches the
-capacities, then augments to a maximum flow and maps only the committed
-star back.  A B node beyond the radius has only A neighbours that left
-the ball too, since A nodes never lie at the radius, so their
-cancellations already free it.  Each phase of the augmenting search labels the
+once per side and per matching state, from one breadth-first search over
+``neighbors``: the template.  A step maps only the removed vertices into
+the frame and describes its residual ball by a change map: the nodes
+whose distance from the origin differs from the template's, found by a
+decremental search that starts at the dead nodes and visits only the
+nodes that leave the ball.  The graph is bipartite, so a lost node's
+distance grows by at least 2 and only lost nodes within r - 2 of the
+origin can come back inside the radius.  The search stops at r - 1, so a
+node at the radius that loses every parent gets no entry: its parents,
+its only neighbours in the ball, are dead or lost and have their arcs
+zeroed, so nothing flows into it, and it can never come back.  The
+template also holds its network's maximum flow and that flow's value, and
+every step starts from that flow: at the nodes of the change map it
+cancels the flow and patches the capacities, counts the cancelled units
+off the value, then augments to a maximum flow and maps only the
+committed star back.  A B node lost from inside the radius has only A
+neighbours that left the ball too, since A nodes never lie at the radius,
+so their cancellations already free it.  Each phase of the augmenting search labels the
 network from both ends, so its work grows with the step's few augmenting
 paths, not with the template.  A step never starts from the previous step's flow,
 so the state stays a pure function of (graph, k, steps).  Both networks,
@@ -161,7 +166,12 @@ def induced_ball(
     g: BipartiteGraphOracle, v: int, r: int, removed: set | frozenset = frozenset()
 ) -> FiniteBipartite:
     """Induced subgraph on the radius-r ball around v in the residual graph,
-    with boundary_B the B-side vertices at distance exactly r."""
+    with boundary_B the B-side vertices at distance exactly r.
+
+    The back-and-forth does not call it: ``_template`` builds its ball by
+    its own breadth-first search.  It is the reference that the tests
+    compare the templates and each step's residual piece with, and the
+    benchmark's tracer records it by name."""
     if r < 1:
         raise ValueError("radius must be >= 1")
     dist = {v: 0}
@@ -463,13 +473,15 @@ class _Template(NamedTuple):
     code order, except that every B node has both its boundary arc and its
     interior arc, with the capacities of the full ball.  ``cap`` is the
     residual network of the ball's maximum flow: the capacity of arc e is
-    ``cap[e] + cap[~e]`` and its flow ``cap[~e]``.
+    ``cap[e] + cap[~e]`` and its flow ``cap[~e]``; ``value`` is the value of
+    that flow, the flow out of ss.
     ``dist`` is the ball's distance list and ``parents`` counts, per node,
     its neighbours one step nearer the origin; its children are the
     neighbours one step further.  A step's change map from ``_frame`` holds
-    only the nodes whose distance the removed vertices changed, and
-    ``_capacities`` patches those nodes alone, cancelling the flow through
-    them, so every step starts from this flow.
+    only the nodes whose distance the removed vertices changed, less the
+    radius nodes that lost every parent, and ``_capacities`` patches those
+    nodes alone, cancelling the flow through them, so every step starts
+    from this flow and computes its value from ``value``.
     """
 
     radius: int
@@ -482,6 +494,7 @@ class _Template(NamedTuple):
     head: list
     to: list
     cap: list
+    value: int  # the value of the flow that cap carries
     b0: int  # the first B node
     to_t: int  # the arc b -> T is b + to_t
     to_tt: int  # the arc b -> tt is b + to_tt
@@ -491,43 +504,40 @@ class _Template(NamedTuple):
     interior: int  # B nodes closer to the origin than the radius
 
 
-def _distances(nbrs: list, origin: int, r: int, dead) -> list:
-    """Node -> distance from the origin node by breadth-first search over
-    ``nbrs``, entering no node beyond distance r: -1 for a node not
-    reached.  The dead nodes are pre-marked None, so the search never
-    enters them.  It labels a template once; a step's distances come from
-    the decremental search of ``_frame``."""
-    dist = [-1] * len(nbrs)
-    for u in dead:
-        dist[u] = None
-    dist[origin] = 0
-    queue = [origin]
-    for u in queue:
-        d = dist[u] + 1
-        if d <= r:
-            for w in nbrs[u]:
-                if dist[w] == -1:
-                    dist[w] = d
-                    queue.append(w)
-    return dist
-
-
 def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template:
-    ball = induced_ball(g, origin, r)
+    """The template of the radius-r ball around ``origin``, from one
+    breadth-first search over ``g.neighbors``."""
+    around = {origin: 0}  # code -> distance from the origin
+    frontier = [origin]
+    for d in range(1, r + 1):
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in around:
+                    around[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    A = sorted(u for u in around if g.is_left(u))
+    B = sorted(u for u in around if not g.is_left(u))
     S, T = 0, 1
-    n_a, n_b = len(ball.A), len(ball.B)
+    n_a, n_b = len(A), len(B)
     b0, ss, tt = 2 + n_a, 2 + n_a + n_b, 3 + n_a + n_b
-    codes = [None, None, *ball.A, *ball.B]
-    index = {c: u for u, c in enumerate(codes) if c is not None}
+    codes = [None, None, *A, *B]
+    index = {c: u for u, c in enumerate(codes[2:], 2)}
+    dist = [-1, -1, *map(around.__getitem__, codes[2:]), -1, -1]
     a_nodes, b_nodes = range(2, b0), range(b0, ss)
-    edge_tail = [u for u, a in zip(a_nodes, ball.A) for _ in ball.adj[a]]
-    edge_head = [index[b] for a in ball.A for b in ball.adj[a]]
+    edge_tail, edge_head = [], []
+    for u, a in zip(a_nodes, A):
+        for w in g.neighbors(a):
+            if w in around:
+                edge_tail.append(u)
+                edge_head.append(index[w])
     nbrs: list[list[int]] = [[] for _ in range(tt + 1)]
+    parents = [0] * (tt + 1)
     for u, w in zip(edge_tail, edge_head):
         nbrs[u].append(w)
         nbrs[w].append(u)
-    dist = _distances(nbrs, index[origin], r, ())
-    parents = [sum(dist[w] < dist[u] for w in ws) for u, ws in enumerate(nbrs)]
+        parents[u if dist[u] > dist[w] else w] += 1
     on_boundary = [int(dist[b] == r) for b in b_nodes]
     interior = n_b - sum(on_boundary)
     # the blocks of finite_harem_match, with both arcs at every B node
@@ -541,11 +551,11 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
         (b_nodes, [tt] * n_b, [1 - x for x in on_boundary]),
     )
     head, to, cap, starts = _arcs(blocks, tt + 1)
-    _maxflow(head, to, cap, ss, tt)  # cap keeps the flow
+    value = _maxflow(head, to, cap, ss, tt)  # cap keeps the flow
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
-        nbrs=nbrs, parents=parents, head=head, to=to, cap=cap, b0=b0,
-        to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
+        nbrs=nbrs, parents=parents, head=head, to=to, cap=cap, value=value,
+        b0=b0, to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
         s_tt=starts[3], ss_t=starts[4], interior=interior,
     )
 
@@ -607,17 +617,25 @@ def _next_unremoved(st: HaremMatchingState, left: bool) -> tuple[int, int]:
 def _frame(st: HaremMatchingState, a_side: bool, c: int):
     """The due side's template and the step's change map: node -> None for
     a dead node (a removed vertex taken into the frame by c^-1), -1 for a
-    node that now lies beyond the radius and its new distance from the
-    origin for a node that moved further inside the ball.  Every other node
-    keeps the template's distance.
+    node inside the radius that now lies beyond it and its new distance
+    from the origin for a node that moved further inside the ball.  Every
+    other node keeps the template's distance, except a node at the radius
+    whose parents are all dead or lost: it is beyond the radius too, but
+    has no entry.
 
     The map is built by a decremental search.  The dead nodes, and then the
-    nodes found lost, are walked in order of template distance, and each
-    takes one from the parent count of its children: a node whose count
-    reaches 0 has lost every shortest path, and is lost.  The graph is
-    bipartite, so a lost node's distance grows by at least 2 and only one
-    within r - 2 of the origin can come back inside the radius; those are
-    labelled again, level by level, from their kept neighbours."""
+    nodes found lost, are walked in order of template distance up to
+    r - 2, and each takes one from the parent count of its children: a
+    node whose count reaches 0 has lost every shortest path, and is lost.
+    The graph is bipartite, so a lost node's distance grows by at least 2
+    and only one within r - 2 of the origin can come back inside the
+    radius; those are labelled again, level by level, from their kept
+    neighbours.  The nodes at r - 1 are not walked, so no node at the
+    radius is marked lost.  Such a node's neighbours in the ball are its
+    parents, at r - 1; when all of them are dead or lost, ``_capacities``
+    zeroes every arc between them and it, so no arc with spare capacity
+    enters it and it carries no flow, and it can never come back, since a
+    lost node at r - 1 can only move past the radius."""
     g = st.graph
     tpl = st._templates.get(a_side)
     if tpl is None:
@@ -633,7 +651,7 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
     for u in dead:
         levels[dist[u]].append(u)
     left = {}  # node -> its parents not yet lost, once it has lost one
-    for d in range(r):
+    for d in range(r - 1):
         for u in levels[d]:
             for w in nbrs[u]:
                 if dist[w] > d and w not in changes:
@@ -661,25 +679,32 @@ def _capacities(tpl: _Template, changes: dict, k: int):
     carries.
 
     The flow is the template's, changed only at the nodes of the map.  A
-    node that has left the ball (dead, or beyond the radius) has the path
-    ss -> a -> b -> (tt | T) of each unit through it cancelled and then
-    every arc zeroed, and it leaves the A or interior count; a B node pushed
-    out to the radius trades its interior arc for its boundary arc and
-    moves its unit along.  A B node beyond the radius that is not dead needs
-    less: A nodes never lie at the radius, so every A neighbour of it has
-    left the ball too, and their cancellations cancel its unit and zero its
-    edge arcs.  Only its arcs b -> T and b -> tt are zeroed, after all
-    cancellations, since a cancellation reads the flow on b -> tt.  With y
-    units left on boundary arcs, ss -> T keeps x = min(its flow, interior,
-    k*n_a - y) and T -> S and S -> tt carry x + y.
+    node that has left the ball (dead, or lost from inside the radius) has
+    the path ss -> a -> b -> (tt | T) of each unit through it cancelled and
+    then every arc zeroed, and it leaves the A or interior count; a B node
+    pushed out to the radius trades its interior arc for its boundary arc
+    and moves its unit along.  A lost B node that is not dead needs less: A
+    nodes never lie at the radius, so every A neighbour of it has left the
+    ball too, and their cancellations cancel its unit and zero its edge
+    arcs.  Only its arcs b -> T and b -> tt are zeroed, after all
+    cancellations, since a cancellation reads the flow on b -> tt.  A
+    radius node that lost every parent has no entry; its edge arcs are
+    zeroed with its parents' arcs, and its boundary arc keeps capacity 1
+    with no flow and no arc with spare capacity into it, so no augmenting
+    path reaches it.  With y units left on boundary arcs, ss -> T keeps
+    x = min(its flow, interior, k*n_a - y) and T -> S and S -> tt carry
+    x + y.  Each cancelled unit leaves ss through an arc ss -> a, so the
+    flow out of ss is the template's value less the cancelled units, with
+    the flow on ss -> T changed to x.
     """
     cap = tpl.cap[:]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
     b0, to_t, to_tt = tpl.b0, tpl.to_t, tpl.to_tt
     n_a, interior = b0 - 2, tpl.interior
-    x = cap[~tpl.ss_t]
+    x0 = x = cap[~tpl.ss_t]
     y = cap[~tpl.t_s] - x
-    beyond = []  # B nodes beyond the radius that are not dead
+    cancelled = 0
+    beyond = []  # B nodes lost from inside the radius that are not dead
     for u, d in changes.items():
         if d == r:  # only B nodes lie at the radius; u was interior
             f = cap[~(u + to_tt)]
@@ -689,12 +714,13 @@ def _capacities(tpl: _Template, changes: dict, k: int):
             interior -= 1
         elif d == -1 and u >= b0:
             beyond.append(u)
-            interior -= was[u] < r
+            interior -= 1
         elif d is None or d < 0:
             if u < b0:  # its edge arcs that carry flow
                 edges = [e for e in head[u] if e >= 0 and cap[~e]]
             else:  # the edge arc into it that carries flow, if any
                 edges = [~e for e in head[u] if e < 0 and cap[e]]
+            cancelled += len(edges)
             for e in edges:
                 out = to[e] + to_tt
                 if not cap[~out]:
@@ -717,8 +743,7 @@ def _capacities(tpl: _Template, changes: dict, k: int):
     cap[tpl.t_s] += cap[~tpl.t_s] - x - y
     cap[~tpl.t_s] = x + y
     cap[tpl.s_tt], cap[~tpl.s_tt] = k * n_a - x - y, x + y
-    start = sum(cap[~e] for e in head[-2])  # the flow out of ss
-    return cap, k * n_a + interior, start
+    return cap, k * n_a + interior, tpl.value - cancelled - x0 + x
 
 
 def harem_step(st: HaremMatchingState) -> HaremMatchingState:

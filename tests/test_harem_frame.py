@@ -10,9 +10,14 @@ final flow are valid flows of the step's network, the final flow moved back
 is a feasible relaxed (1,k)-matching of the piece, and the committed star
 is its star at the centre.  Each step's change map and network are also
 compared with full scans: a breadth-first search of the template with the
-dead nodes removed, and ``full_scan_capacities``.
+dead nodes removed, and ``full_scan_capacities``.  The change map leaves
+out the radius nodes that lost every parent; the full scan names them,
+and each must have every neighbour in the ball dead or lost.  Templates
+are compared with ``_template_reference``, the build from ``induced_ball``,
+and whole matchings with pinned ``matching_dump`` hashes.
 """
 
+import hashlib
 import random
 from itertools import chain
 
@@ -25,8 +30,8 @@ from folnerlab.harem import (
     RADIUS_B,
     FiniteBipartite,
     InternalInfeasibleError,
+    _arcs,
     _capacities,
-    _distances,
     _flow_partners,
     _frame,
     _maxflow,
@@ -35,6 +40,7 @@ from folnerlab.harem import (
     harem_new,
     harem_step,
     induced_ball,
+    matching_dump,
 )
 from folnerlab.paradox import (
     build_decomposition,
@@ -58,10 +64,44 @@ def step_distances(tpl, changes):
     return dist
 
 
+def full_scan_distances(nbrs, origin, r, dead):
+    """Node -> distance from the origin node by breadth-first search over
+    ``nbrs``, entering no node beyond distance r: -1 for a node not
+    reached.  The dead nodes are pre-marked None, so the search never
+    enters them."""
+    dist = [-1] * len(nbrs)
+    for u in dead:
+        dist[u] = None
+    dist[origin] = 0
+    queue = [origin]
+    for u in queue:
+        d = dist[u] + 1
+        if d <= r:
+            for w in nbrs[u]:
+                if dist[w] == -1:
+                    dist[w] = d
+                    queue.append(w)
+    return dist
+
+
+def lost_radius_nodes(tpl, changes):
+    """The radius nodes without a change-map entry whose every neighbour in
+    the ball is dead or lost: beyond the radius for good."""
+    dist = step_distances(tpl, changes)
+    return {
+        u for u, d in enumerate(tpl.dist)
+        if d == tpl.radius and u not in changes
+        and all(dist[w] is None or dist[w] == -1 for w in tpl.nbrs[u])
+    }
+
+
 def frame_piece(graph, tpl, changes):
     """The residual piece of the template in frame codes, with its
-    adjacency read from the graph oracle."""
+    adjacency read from the graph oracle: the nodes inside the radius by
+    the change map, less ``lost_radius_nodes``."""
     dist = step_distances(tpl, changes)
+    for u in lost_radius_nodes(tpl, changes):
+        dist[u] = -1
     dist = {tpl.codes[u]: d for u, d in enumerate(dist) if d is not None and d >= 0}
     A = tuple(sorted(f for f in dist if graph.is_left(f)))
     B = tuple(sorted(f for f in dist if not graph.is_left(f)))
@@ -87,8 +127,10 @@ def flow_value(tpl, cap):
     return -excess[ss]
 
 
-def check_capacities(tpl, cap, demand, local, k):
-    """The step's network carries exactly the bounds of the piece."""
+def check_capacities(tpl, cap, demand, local, k, lost=frozenset()):
+    """The step's network carries exactly the bounds of the piece.  The
+    radius nodes ``lost`` for good keep their boundary arc, with no flow
+    on it and no arc with spare capacity into them."""
 
     def capacity(e):
         return cap[e] + cap[~e]
@@ -99,12 +141,14 @@ def check_capacities(tpl, cap, demand, local, k):
         # the last arc at an A node is the reverse of its arc ss -> a
         assert capacity(~tpl.head[u][-1]) == (k if u in live else 0)
     for b in range(tpl.b0, len(tpl.head) - 2):
-        assert capacity(b + tpl.to_t) == (b in boundary)
+        assert capacity(b + tpl.to_t) == (b in boundary or b in lost)
         assert capacity(b + tpl.to_tt) == (b in live and b not in boundary)
     for e, w in enumerate(tpl.to[: len(tpl.to) // 2]):
         u = tpl.to[~e]
         if 2 <= u < tpl.b0 and w >= tpl.b0:  # an edge arc
             assert capacity(e) == (u in live and w in live)
+    for b in lost:
+        assert not cap[~(b + tpl.to_t)]
     n_a, interior = len(local.A), len(local.B) - len(local.boundary_B)
     assert capacity(tpl.s_tt) == k * n_a and capacity(tpl.ss_t) == interior
     assert demand == k * n_a + interior
@@ -175,7 +219,7 @@ def checked_step(st, ref):
     tpl, changes = _frame(st, a_side, c)
     local = frame_piece(ref, tpl, changes)
     cap, demand, value = _capacities(tpl, changes, st.k)
-    check_capacities(tpl, cap, demand, local, st.k)
+    check_capacities(tpl, cap, demand, local, st.k, lost_radius_nodes(tpl, changes))
     assert flow_value(tpl, cap) == value
     ss = len(tpl.head) - 2
     assert value + _maxflow(tpl.head, tpl.to, cap, ss, ss + 1) == demand
@@ -252,10 +296,14 @@ def test_maxflow_equals_the_forward_reference_at_template_scale(monkeypatch):
 def full_scan_steps(monkeypatch):
     """Check every step against the full scans: the change map must be the
     difference between a breadth-first search of the template with the
-    dead nodes removed and the template's distances, and the network built
-    from it equal to ``full_scan_capacities``'s.  Returns the step count."""
+    dead nodes removed and the template's distances, less exactly the
+    radius nodes that the search finds beyond the radius, each of which
+    must have every neighbour in the ball dead or lost; and the network
+    built from it must equal ``full_scan_capacities``'s.  Returns the
+    change-map sizes, one per step, and the numbers of radius nodes left
+    out of the map, one per step."""
     frame, capacities = harem._frame, harem._capacities
-    steps = []
+    steps, omitted = [], []
 
     def checked_frame(st, a_side, c):
         tpl, changes = frame(st, a_side, c)
@@ -263,8 +311,16 @@ def full_scan_steps(monkeypatch):
         c_inv = g.inv(c)
         moved = (g.translate(u, c_inv) for u in chain(st.left_pairs, st.right_pair))
         dead = [tpl.index[f] for f in moved if f in tpl.index]
-        dist = _distances(tpl.nbrs, tpl.origin, tpl.radius, dead)
-        assert changes == {u: d for u, (d, w) in enumerate(zip(dist, tpl.dist)) if d != w}
+        dist = full_scan_distances(tpl.nbrs, tpl.origin, tpl.radius, dead)
+        lost = {u for u, w in enumerate(tpl.dist) if w == tpl.radius and dist[u] == -1}
+        assert changes == {
+            u: d for u, (d, w) in enumerate(zip(dist, tpl.dist))
+            if d != w and u not in lost
+        }
+        for u in lost:
+            assert all(dist[w] is None or dist[w] == -1 for w in tpl.nbrs[u])
+        assert lost == lost_radius_nodes(tpl, changes)
+        omitted.append(len(lost))
         return tpl, changes
 
     def checked_capacities(tpl, changes, k):
@@ -275,7 +331,7 @@ def full_scan_steps(monkeypatch):
 
     monkeypatch.setattr(harem, "_frame", checked_frame)
     monkeypatch.setattr(harem, "_capacities", checked_capacities)
-    return steps
+    return steps, omitted
 
 
 @pytest.mark.parametrize("spec,key,level,codes,steps", [
@@ -284,12 +340,13 @@ def full_scan_steps(monkeypatch):
 ])
 def test_change_map_and_capacities_equal_the_full_scans(
         monkeypatch, spec, key, level, codes, steps):
-    checked = full_scan_steps(monkeypatch)
+    checked, omitted = full_scan_steps(monkeypatch)
     g = make_group(spec)
     d = build_decomposition(g, parse_elements(g, key), level)
     report = verify_decomposition_prefix(d, codes, Budget(10**4))
     assert report["violations"] == []
-    assert d.state.step_count == len(checked) == steps
+    assert d.state.step_count == len(checked) == len(omitted) == steps
+    assert any(omitted)
 
 
 @pytest.mark.parametrize("spec,key,radius1,steps,radii", [
@@ -302,7 +359,7 @@ def test_change_map_and_capacities_equal_the_full_scans(
 ])
 def test_change_map_and_capacities_equal_the_full_scans_on_steps(
         monkeypatch, spec, key, radius1, steps, radii):
-    checked = full_scan_steps(monkeypatch)
+    checked, omitted = full_scan_steps(monkeypatch)
     monkeypatch.setattr(harem, "RADIUS_A", radii[0])
     monkeypatch.setattr(harem, "RADIUS_B", radii[1])
     g = make_group(spec)
@@ -310,7 +367,7 @@ def test_change_map_and_capacities_equal_the_full_scans_on_steps(
     st = harem_new(cayley_bipartite(g, ball(g, K, 1) if radius1 else K), 1)
     for _ in range(steps):
         harem_step(st)
-    assert len(checked) == steps and any(checked)
+    assert len(checked) == len(omitted) == steps and any(checked) and any(omitted)
 
 
 def test_frame_piece_where_distances_grow_back_inside_the_ball():
@@ -373,7 +430,99 @@ def test_template_holds_a_maximum_flow_of_the_full_ball(spec, key, k):
         local = frame_piece(ref, tpl, {})
         demand = k * len(local.A) + len(local.B) - len(local.boundary_B)
         check_capacities(tpl, tpl.cap, demand, local, k)
-        assert flow_value(tpl, tpl.cap) == demand
+        assert flow_value(tpl, tpl.cap) == demand == tpl.value
+
+
+def _template_reference(g, origin, r, k):
+    """The fields of the template as built from ``induced_ball`` and a
+    second breadth-first search over the ball's nodes, all but ``value``:
+    the reference for ``_template``."""
+    ball = induced_ball(g, origin, r)
+    S, T = 0, 1
+    n_a, n_b = len(ball.A), len(ball.B)
+    b0, ss, tt = 2 + n_a, 2 + n_a + n_b, 3 + n_a + n_b
+    codes = [None, None, *ball.A, *ball.B]
+    index = {c: u for u, c in enumerate(codes) if c is not None}
+    a_nodes, b_nodes = range(2, b0), range(b0, ss)
+    edge_tail = [u for u, a in zip(a_nodes, ball.A) for _ in ball.adj[a]]
+    edge_head = [index[b] for a in ball.A for b in ball.adj[a]]
+    nbrs = [[] for _ in range(tt + 1)]
+    for u, w in zip(edge_tail, edge_head):
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    dist = full_scan_distances(nbrs, index[origin], r, ())
+    parents = [sum(dist[w] < dist[u] for w in ws) for u, ws in enumerate(nbrs)]
+    on_boundary = [int(dist[b] == r) for b in b_nodes]
+    interior = n_b - sum(on_boundary)
+    blocks = (
+        (edge_tail, edge_head, [1] * len(edge_tail)),
+        (b_nodes, [T] * n_b, on_boundary),
+        ((T,), (S,), (1 << 60,)),
+        ((S,), (tt,), (k * n_a,)),
+        ((ss,), (T,), (interior,)),
+        ([ss] * n_a, a_nodes, [k] * n_a),
+        (b_nodes, [tt] * n_b, [1 - x for x in on_boundary]),
+    )
+    head, to, cap, starts = _arcs(blocks, tt + 1)
+    _maxflow(head, to, cap, ss, tt)
+    return dict(
+        radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
+        nbrs=nbrs, parents=parents, head=head, to=to, cap=cap, b0=b0,
+        to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
+        s_tt=starts[3], ss_t=starts[4], interior=interior,
+    )
+
+
+@pytest.mark.parametrize("spec,key,level,k,sides,radii", [
+    ("free:2", "a,a^-1,b,b^-1", 1, 2, (True, False), (RADIUS_A, RADIUS_B)),
+    ("free:2", "a,b,b^-1", 2, 2, (True,), (RADIUS_A, RADIUS_B)),  # |K| = 28
+    ("zd:2", "(1,0),(0,1)", None, 1, (True, False), (RADIUS_A, RADIUS_B)),
+    ("zd:2", "(1,0),(0,1)", None, 1, (True, False), (5, 6)),
+    ("zd:3", "(1,0,0),(0,1,0),(0,0,1)", None, 1, (True, False), (RADIUS_A, RADIUS_B)),
+    ("zd:3", "(1,0,0),(0,1,0),(0,0,1)", None, 1, (True, False), (5, 6)),
+])
+def test_template_equals_the_induced_ball_build(spec, key, level, k, sides, radii):
+    # level None: the key is the radius-1 ball of the elements, as in the
+    # step tests; otherwise the decomposition's expanded key
+    g = make_group(spec)
+    K0 = parse_elements(g, key)
+    K = ball(g, K0, 1) if level is None else build_decomposition(g, K0, level).key.K
+    graph, ref = cayley_bipartite(g, K), cayley_bipartite(g, K)
+    for a_side in sides:
+        origin = graph.left_enum(0) if a_side else graph.right_enum(0)
+        r = radii[0] if a_side else radii[1]
+        tpl = _template(graph, origin, r, k)
+        want = _template_reference(ref, origin, r, k)
+        assert set(tpl._fields) == {*want, "value"}
+        for name, field in want.items():
+            assert getattr(tpl, name) == field, name
+        ss = len(tpl.head) - 2
+        assert tpl.value == sum(tpl.cap[~e] for e in tpl.head[ss])
+
+
+@pytest.mark.parametrize("spec,key,codes,steps,digest", [
+    ("free:2", "a,a^-1,b,b^-1", 48, 61,
+     "09d29dd9b25cf07fd479c7c18c8059e6e5be024a441442d70cec7b6798602650"),
+    ("free:2", "a,a^-1,b,b^-1", 100, 119,
+     "cbbfbf38fbb29451506b435fe9f54858f150c94ff18a48285c8c1e4a52c241b6"),
+    ("free:2", "a,b", 60, 67,
+     "65023a5f18dbbc28732353a5a001b0029b136bc5010b94b23c4d9bed41f94ffd"),
+])
+def test_prefix_matchings_equal_the_pinned_dumps(spec, key, codes, steps, digest):
+    g = make_group(spec)
+    d = build_decomposition(g, parse_elements(g, key), 1)
+    report = verify_decomposition_prefix(d, codes, Budget(10**4))
+    assert report["violations"] == [] and d.state.step_count == steps
+    assert hashlib.sha256(matching_dump(d.state).encode()).hexdigest() == digest
+
+
+def test_zd2_matching_equals_the_pinned_dump():
+    g = make_group("zd:2")
+    st = harem_new(cayley_bipartite(g, ball(g, parse_elements(g, "(1,0),(0,1)"), 1)), 1)
+    for _ in range(60):
+        harem_step(st)
+    assert hashlib.sha256(matching_dump(st).encode()).hexdigest() == (
+        "a25e171b5a9f13167b30a6fef7bae69cb46e9eadf0aa2cb66f3bd710686da2eb")
 
 
 def test_steps_never_write_into_the_template():

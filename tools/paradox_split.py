@@ -1,0 +1,135 @@
+"""Split the in-process time of a ``paradox-prefix`` pass by harem layer.
+
+Builds the benchmark's ``paradox-prefix`` workload with
+``perfbench/workloads.py`` (imported as it is), runs whole passes in this
+process, and prints the seconds each layer took in a pass: the median and
+the range over the passes.  The layers are the template builds
+(``_template``, its maximum flow included), ``_frame`` less the template
+builds it starts, ``_capacities``, the steps' ``_maxflow`` and the rest of
+the pass; the last row is the whole pass.  Then, per side, the steps of a
+pass and the sizes of their change maps.  The library is imported from
+``src/`` of the checkout that holds this file.
+
+    python3 tools/paradox_split.py --passes 6
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import statistics
+import sys
+import tempfile
+import types
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ("budget", "groups", "folner", "harem", "paradox", "witness", "cli")
+LAYERS = ("template", "frame", "capacities", "maxflow")
+
+
+class LayerClock:
+    """Times the wrapped harem functions, each call's time going to its own
+    layer less the time of the wrapped calls it makes; a template build
+    keeps the whole of its own time, its maximum flow included."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(LAYERS, 0.0)
+        self.inside = None  # the layer of the call being timed
+        self.changes: dict[bool, list[int]] = {True: [], False: []}
+
+    def wrap(self, layer, fn):
+        def timed(*args):
+            if self.inside == "template":
+                return fn(*args)
+            outer, self.inside = self.inside, layer
+            t0 = perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                dt = perf_counter() - t0
+                self.inside = outer
+                self.seconds[layer] += dt
+                if outer is not None:
+                    self.seconds[outer] -= dt
+
+        return timed
+
+    def frame(self, fn):
+        """``_frame`` timed, recording each change map's size by side."""
+        timed = self.wrap("frame", fn)
+
+        def counted(st, a_side, c):
+            tpl, changes = timed(st, a_side, c)
+            self.changes[a_side].append(len(changes))
+            return tpl, changes
+
+        return counted
+
+
+def layer_seconds(workload, lib, state, passes: int):
+    """{layer: [seconds in each pass]} with the whole pass under "pass",
+    the last pass's change-map sizes by side, and the list of failed-check
+    counts."""
+    from workloads import PassClock
+
+    seconds: dict[str, list[float]] = {}
+    failed = []
+    harem = lib.harem
+    plain = {name: getattr(harem, name)
+             for name in ("_template", "_frame", "_capacities", "_maxflow")}
+    for _ in range(passes):
+        gc.collect()
+        layers = LayerClock()
+        harem._template = layers.wrap("template", plain["_template"])
+        harem._frame = layers.frame(plain["_frame"])
+        harem._capacities = layers.wrap("capacities", plain["_capacities"])
+        harem._maxflow = layers.wrap("maxflow", plain["_maxflow"])
+        clock = PassClock()
+        try:
+            workload.run_pass(lib, state, clock)
+        finally:
+            for name, fn in plain.items():
+                setattr(harem, name, fn)
+        failed.append(len(workload.check(lib, state, clock.result)))
+        split = dict(layers.seconds)
+        split["pass"] = sum(clock.result.latencies) + clock.result.other_s
+        split["rest"] = split["pass"] - sum(layers.seconds.values())
+        for name, dt in split.items():
+            seconds.setdefault(name, []).append(dt)
+    return seconds, layers.changes, failed
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--passes", type=int, default=6)
+    args = p.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS
+
+    lib = types.SimpleNamespace(**{
+        m: importlib.import_module("folnerlab." + m) for m in MODULES})
+    workload = WORKLOADS["paradox-prefix"]
+    with tempfile.TemporaryDirectory() as out_dir:
+        state = workload.setup(lib, 1, Path(out_dir))
+        seconds, changes, failed = layer_seconds(
+            workload, lib, state, max(1, args.passes))
+    print("%d passes, failed checks per pass: %s" % (len(failed), failed))
+    print("%-12s %8s %17s" % ("layer", "median s", "range s"))
+    for name in (*LAYERS, "rest", "pass"):
+        dts = seconds[name]
+        print("%-12s %8.3f %8.3f-%.3f" % (
+            name, statistics.median(dts), min(dts), max(dts)))
+    print("%-12s %5s %13s %11s %7s" % (
+        "side", "steps", "map entries", "median map", "max map"))
+    for a_side, sizes in changes.items():
+        print("%-12s %5d %13d %11g %7d" % (
+            "A" if a_side else "B", len(sizes), sum(sizes),
+            statistics.median(sizes), max(sizes)))
+    return 1 if any(failed) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
