@@ -6,12 +6,14 @@ one convention, a defect at most 1/n (ties count), and one predicate,
 :func:`within`, decides it: a set F is n-Folner with respect to D when
 every translate defect |F \\ xF| / |F| is within 1/n, and a Reiter
 function is n-invariant when every l1 shift defect is.  One function,
-:func:`translate_defects`, computes the set defects of a given set; the
-searches over subsets use its early-exit integer form of the same
-inequality.  The searches draw their candidate sets from the balls of
-:func:`folnerlab.groups.ball_growth`.  :func:`search_folner` reads a ball's
-defects off its outer layer: for B_r = B_{r-1} u L_r, built with steps
-that include every x in D, |B_r \\ x B_r| = |x L_r \\ B_r|, because
+:func:`translate_defects`, computes the set defects of a given set.  The
+searches over subsets share one scan, :func:`_first_folner`: it charges
+each candidate, tests it with the same inequality cleared of
+denominators, and makes each product x f once per call, however many
+candidates hold f.  The searches draw their candidate sets from the balls
+of :func:`folnerlab.groups.ball_growth`.  :func:`search_folner` reads a
+ball's defects off its outer layer: for B_r = B_{r-1} u L_r, built with
+steps that include every x in D, |B_r \\ x B_r| = |x L_r \\ B_r|, because
 |x B_r| = |B_r| and x B_{r-1} lies in B_r.  The products x f, f in L_r,
 are also the ones that build the next layer, so they are made once.
 
@@ -27,6 +29,7 @@ procedure sound.  The verifier keeps its partition in a :class:`UnionFind`.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,24 +139,10 @@ def within(defect: Fraction, n: int) -> bool:
     return defect * n <= 1
 
 
-def translate_defects(g: GroupOracle, F, D, n: int | None = None):
-    """Exact translate defects |F \\ xF| / |F| for every x in D, as a map.
-
-    With ``n``, the early-exit form the searches use instead: True when
-    every defect is at most 1/n, False at the first x with n |F \\ xF| > |F|.
-    That is the negation of :func:`within` cleared of denominators, so it
-    compares integers and builds no Fraction.
-    """
-    F_set = set(F)
-    size = len(F_set)
-    defects = {}
-    for x in D:
-        missing = len(F_set - {g.mult(x, f) for f in F_set})
-        if n is None:
-            defects[x] = Fraction(missing, size)
-        elif n * missing > size:
-            return False
-    return defects if n is None else True
+def translate_defects(g: GroupOracle, F, D) -> dict[int, Fraction]:
+    """Exact translate defects |F \\ xF| / |F| for every x in D, as a map."""
+    F = set(F)
+    return {x: Fraction(len(F - {g.mult(x, f) for f in F}), len(F)) for x in D}
 
 
 def is_n_folner(g: GroupOracle, F, D, n: int):
@@ -201,6 +190,37 @@ def _goedel_subsets(g: GroupOracle):
     return map(subset_decode, masks)
 
 
+def _first_folner(g: GroupOracle, candidates, D, n: int, meter, star=None):
+    """The subset scan of the searches: a certificate for the first
+    n-Folner candidate, None once the candidates run out, or UNKNOWN once
+    the meter cannot pay for the next one.
+
+    Each candidate F, a sorted tuple of distinct codes, is charged
+    |F| x max(1, |D|) steps, priced as ``mult`` calls, before it is tested.
+    The test counts |F \\ xF| for x in D in order, and stops at the first x
+    with n |F \\ xF| > |F|, the negation of :func:`within` cleared of
+    denominators, so it needs at most |F| x |D| products after its charge.
+    Those come from ``star``, a memo of ``g.mult`` that lives for one call
+    of the caller (a fresh one by default), so each product x f is made once
+    however many candidates hold f: the memo keeps at most |D| products per
+    code the scan touches.  The certificate's exact defects are the
+    winner's counts over |F|.
+    """
+    star = star or functools.cache(g.mult)
+    for F in candidates:
+        if not meter.charge(len(F) * max(1, len(D))):
+            return UNKNOWN
+        F_set, missing = set(F), {}
+        for x in D:
+            missing[x] = len(F_set - {star(x, f) for f in F})
+            if n * missing[x] > len(F):
+                break
+        else:
+            defects = {x: Fraction(m, len(F)) for x, m in missing.items()}
+            return FolnerCertificate(g.spec, D, n, F, defects)
+    return None
+
+
 def search_folner(g: GroupOracle, D, n: int, b: Budget):
     """First n-Folner certificate in the fixed candidate order, or UNKNOWN.
 
@@ -211,7 +231,7 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     |B_r \\ x B_r| = |x L_r \\ B_r|, since |x B_r| = |B_r| and x B_{r-1}
     lies in B_r.  Those products x f are the ones that build the next layer,
     so each is made once, and the certificate's exact defects are the same
-    counts over |B_r|.
+    counts over |B_r|.  The Goedel tail is the scan of :func:`_first_folner`.
 
     Budget counts steps, each priced as one ``mult`` call: each ball layer
     costs |step| x |L_r| before it is built, and each candidate F costs
@@ -219,10 +239,13 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     made.  A ball's test makes |L_r| x |D| of the calls its candidate paid
     for, and the next layer makes only the rest of its own after its
     charge, so no call is made before it is paid for.  A tail candidate's
-    test makes its |F| x |D| calls once, and its certificate reuses them.
+    test makes at most |F| x |D| new calls, and its certificate reuses them.
+    Raises ValueError for n < 1, before any charge.
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("search_folner requires a COMPUTABLE-mode oracle")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     D = canonical_subset(D)
     meter = b.meter()
     cost = max(1, len(D))
@@ -232,13 +255,7 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
         defects = {x: Fraction(layer.leaving(x), len(layer.ball)) for x in D}
         if all(within(d, n) for d in defects.values()):
             return FolnerCertificate(g.spec, D, n, tuple(sorted(layer.ball)), defects)
-    for F in _goedel_subsets(g):
-        if not meter.charge(len(F) * cost):
-            return UNKNOWN
-        defects = translate_defects(g, F, D)
-        if all(within(d, n) for d in defects.values()):
-            return FolnerCertificate(g.spec, D, n, F, defects)
-    return UNKNOWN
+    return _first_folner(g, _goedel_subsets(g), D, n, meter) or UNKNOWN
 
 
 def folner_function(g: GroupOracle, D, n: int, b: Budget):
@@ -248,12 +265,14 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     have all defects zero, hence be a union of right cosets of <D>, so its
     size is at least |<D>|; when the balls of <D> stop growing below n,
     <D> itself is the answer.  Otherwise n is the only size the search can
-    certify: it scans the n-element subsets of the balls of radius 1..n and
+    certify: it scans the n-element subsets of the balls of radius 1..n,
+    one :func:`_first_folner` scan per ball sharing one product memo, and
     answers n on the first n-Folner one, or UNKNOWN once those candidates
     are exhausted.  Each growing ball has at least one element more than the
     last, so balls that stop growing below n stop by radius n - 1.
     Budget counts steps priced as ``mult`` calls: those of the ball layers,
-    as :func:`search_folner` prices them, and n x |D| per candidate.
+    as :func:`search_folner` prices them, and n x |D| per candidate, paid
+    before its test makes any product of its own.
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("folner_function requires a COMPUTABLE-mode oracle")
@@ -264,14 +283,13 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     D_eff = tuple(x for x in D if g.canon(x) != g.identity)
     if not D_eff:
         return 1
+    star = functools.cache(g.mult)
     for U in itertools.islice(ball_layers(g, D_eff, meter), 1, n + 1):
         if U is None:
             return UNKNOWN
-        for F in itertools.combinations(U, n):
-            if not meter.charge(n * len(D)):
-                return UNKNOWN
-            if translate_defects(g, F, D, n):
-                return n
+        found = _first_folner(g, itertools.combinations(U, n), D, n, meter, star)
+        if found is not None:
+            return UNKNOWN if found is UNKNOWN else n
     return len(U) if len(U) < n else UNKNOWN
 
 
@@ -298,11 +316,13 @@ def pushforward(g: GroupOracle, f: ReiterFunction) -> dict[int, Fraction]:
 
 def reiter_defect(g: GroupOracle, f: ReiterFunction, D) -> dict[int, Fraction]:
     """Exact normalised l1 shift defect of the pushforward, per element of D:
-    the partition defect over the fibers of the numbering."""
+    the partition defect over the fibers of the numbering.  Each shift x v
+    is made once and looked up by :func:`partition_defect`."""
     if g.mode != COMPUTABLE:
         raise PreconditionError("reiter_defect requires a COMPUTABLE-mode oracle")
-    fiber = {c: g.canon(c) for v in f.support for c in (v, *(g.mult(x, v) for x in D))}
-    return {x: partition_defect(f, fiber, x, g.mult) for x in D}
+    shift = {(x, v): g.mult(x, v) for x in D for v in f.support}
+    fiber = {c: g.canon(c) for c in (*f.support, *shift.values())}
+    return {x: partition_defect(f, fiber, x, lambda a, v: shift[a, v]) for x in D}
 
 
 class UnionFind:
@@ -371,21 +391,22 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     all of them plus one when it runs out.  Merges only join
     enumerated-equal codes, so the partition always refines the fiber
     partition and reaches it exactly when it has as many blocks; the fiber
-    count comes from the oracle's internal canonical forms.
+    count comes from the oracle's internal canonical forms.  Each shift x v
+    is made once, and every partition defect looks it up.
     """
     if g.mode != CE:
         raise PreconditionError("verify_invariance_ce requires a CE-mode oracle")
     meter = b.meter()
     D = canonical_subset(D)
-    codes = set(f.support)
-    for x in D:
-        codes.update(g.mult(x, v) for v in f.support)
+    shift = {(x, v): g.mult(x, v) for x in D for v in f.support}
+    codes = {*f.support, *shift.values()}
     part = UnionFind()
     blocks = len(codes)
     fibers = len({g.canon(c) for c in codes})
 
     def passes() -> bool:
-        return all(within(partition_defect(f, part, x, g.mult), n) for x in D)
+        return all(within(partition_defect(f, part, x, lambda a, v: shift[a, v]), n)
+                   for x in D)
 
     if passes():
         return "INVARIANT"

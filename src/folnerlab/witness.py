@@ -30,7 +30,7 @@ from .groups import (
     ball_layers,
     canonical_subset,
 )
-from .folner import FolnerCertificate, UnionFind, certificate, translate_defects
+from .folner import FolnerCertificate, UnionFind, _first_folner, is_n_folner
 
 
 class UnsupportedFamilyError(PreconditionError):
@@ -82,24 +82,25 @@ def refute_witness_bounded(
 ):
     """Search subsets of the radius-r ball around K, by size then code
     order, for an n-Folner set with respect to K; such a set refutes the
-    witness property of (K, n).  Budget counts steps priced as
-    multiplication calls, as :func:`folnerlab.folner.search_folner` prices
-    them; UNKNOWN when no such set turns up within the size bound or the
-    budget."""
+    witness property of (K, n).  The subsets go through the scan of
+    :func:`folnerlab.folner._first_folner`, whose counts give the
+    certificate's defects.  Budget counts steps priced as multiplication
+    calls, as :func:`folnerlab.folner.search_folner` prices them: the ball
+    layers, then |F| x max(1, |K|) per subset F before its test; UNKNOWN
+    when no such set turns up within the size bound or the budget.  Raises
+    ValueError for n < 1, before any charge."""
     if g.mode != COMPUTABLE:
         raise PreconditionError("refute_witness_bounded needs a COMPUTABLE oracle")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     K = canonical_subset(K)
     meter = b.meter()
     *_, universe = itertools.islice(ball_layers(g, K, meter), radius + 1)
     if universe is None:
         return UNKNOWN
-    for size in range(1, size_bound + 1):
-        for F in itertools.combinations(universe, size):
-            if not meter.charge(size * max(1, len(K))):
-                return UNKNOWN
-            if translate_defects(g, F, K, n):
-                return certificate(g, F, K, n)
-    return UNKNOWN
+    subsets = (F for size in range(1, size_bound + 1)
+               for F in itertools.combinations(universe, size))
+    return _first_folner(g, subsets, K, n, meter) or UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def restrict_folner_to_subgroup(g: GroupOracle, K, n: int, F_m) -> tuple[int, ..
             slices[f] = [g.identity]
     for t in reps:
         S = tuple(sorted(slices[t]))
-        if translate_defects(g, S, K, n):
+        if is_n_folner(g, S, K, n)[0]:
             return S
     raise SubgroupRestrictionError(
         "no coset slice was %d-Folner; input was not %d-Folner" % (n, n * len(K))

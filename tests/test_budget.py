@@ -18,11 +18,13 @@ CORPUS = json.loads((GOLDEN / "cli_corpus.json").read_text())
 EDGE_OK = {
     "search_z1_edge_ok": 11,
     "search_z2_edge_ok": 63,
+    "function_z1_edge_ok": 14,
     "seq_lamp_n3_edge_ok": 331,
     "kappa_mixed_edge_ok": 2259,
     "harem_budget_edge_ok": 4,
     "paradox_verify12_budget_edge_ok": 15,
     "wp_z2_scan_edge_ok": 2106,
+    "witness_z2_refute_edge_ok": 2263,
 }
 
 

@@ -58,6 +58,11 @@ CASES = {
     "function_z1_n4": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "4"],
     "function_z1_small_unknown": ["folner-function", "--group", "zd:1", "--d", "+1",
                                   "--n", "5", "--budget", "10"],
+    # the two ball layers cost 3 and 6 steps, the one 5-element candidate 5
+    "function_z1_edge_unknown": ["folner-function", "--group", "zd:1", "--d", "+1",
+                                 "--n", "5", "--budget", "13"],
+    "function_z1_edge_ok": ["folner-function", "--group", "zd:1", "--d", "+1",
+                            "--n", "5", "--budget", "14"],
     "function_cyclic_orbit": ["folner-function", "--group", "cyclic:12", "--d", "1",
                               "--n", "100"],
     "function_cyclic_small_unknown": ["folner-function", "--group", "cyclic:12",
@@ -168,6 +173,12 @@ CASES = {
                            "--size-bound", "5"],
     "witness_z1_refute_budget": ["witness", "--group", "zd:1", "--k", "+1",
                                  "--n", "5", "--size-bound", "5", "--budget", "20"],
+    # the refuter's subset scan reaches its first 2-Folner set at 2263 steps
+    "witness_z2_refute_edge_unknown": ["witness", "--group", "zd:2",
+                                       "--k", "(1,0),(1,1)", "--n", "2",
+                                       "--size-bound", "4", "--budget", "2262"],
+    "witness_z2_refute_edge_ok": ["witness", "--group", "zd:2", "--k", "(1,0),(1,1)",
+                                  "--n", "2", "--size-bound", "4", "--budget", "2263"],
     "witness_free_none_found": ["witness", "--group", "free:2", "--k", "a,b",
                                 "--n", "4", "--size-bound", "2"],
     "restrict_z2": ["restrict-folner", "--group", "zd:2", "--k", "(1,0)", "--n", "3"],

@@ -12,6 +12,7 @@ from folnerlab.folner import (
     FolnerCertificate,
     ReiterFunction,
     UnionFind,
+    _first_folner,
     _goedel_subsets,
     box_folner,
     decide_mult_from_folner,
@@ -100,6 +101,9 @@ def test_complement_agrees_off_boundary():
 
 
 def test_translate_defects_early_exit_agrees_with_map():
+    # the subset scan's early-exit integer test passes a candidate exactly
+    # when every defect of the map form is within 1/n, and certifies it
+    # with those defects
     rng = random.Random(29)
     for _ in range(80):
         F = tuple(sorted(rng.sample(range(30), rng.randint(1, 8))))
@@ -108,7 +112,13 @@ def test_translate_defects_early_exit_agrees_with_map():
         defects = translate_defects(Z1, F, D)
         assert defects == is_n_folner(Z1, F, D, n)[1]
         ok = all(d <= Fraction(1, n) for d in defects.values())
-        assert translate_defects(Z1, F, D, n) is ok
+        meter = Budget(len(F) * len(D)).meter()
+        found = _first_folner(Z1, [F], D, n, meter)
+        assert meter.remaining == 0
+        if ok:
+            assert found == FolnerCertificate(Z1.spec, D, n, F, defects)
+        else:
+            assert found is None
 
 
 def test_right_translation_preserves_defects():
@@ -146,6 +156,13 @@ def test_search_folner_whole_finite_group():
 def test_search_folner_free_group_unknown():
     D = parse_elements(F2, "a,a^-1,b,b^-1")
     assert search_folner(F2, D, 4, Budget(3000)) is UNKNOWN
+
+
+def test_search_folner_rejects_n_below_one_before_any_charge():
+    meter = Budget(100).meter()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        search_folner(F2, (1, 3), 0, meter)
+    assert meter.consumed == 0
 
 
 def test_subset_candidates_end_on_a_finite_group():

@@ -95,6 +95,13 @@ def test_refute_free_generators_none_found():
     assert out is UNKNOWN
 
 
+def test_refute_rejects_n_below_one_before_any_charge():
+    meter = Budget(100).meter()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        refute_witness_bounded(F2, parse_elements(F2, "a,b"), 0, 2, meter)
+    assert meter.consumed == 0
+
+
 # ---------------------------------------------------------------------------
 # subgroup membership
 
