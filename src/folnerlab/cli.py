@@ -7,7 +7,9 @@ internally.  Reports go to stdout as human text, or as canonical JSON with
 
 ``COMMANDS`` lists every command with its help text and flags, and
 ``FLAGS`` gives each flag's ``add_argument`` arguments; argparse rejects
-``--n``, ``--budget`` or ``--steps`` below 1.  ``_run`` charges the run's
+``--n``, ``--budget`` or ``--steps`` below 1 or above ``sys.maxsize``.
+``paradox`` refuses a key that ``decide_witness_commutation`` refutes,
+before any matching step.  ``_run`` charges the run's
 one meter, made from ``--budget``, and answers a report or ``UNKNOWN``;
 ``main`` alone turns the outcome into an exit code:
 0 definite answer, 2 UNKNOWN (no definite answer within the budget),
@@ -66,8 +68,8 @@ class _MalformedInput(Exception):
 
 def _positive(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    if not 1 <= value <= sys.maxsize:
+        raise argparse.ArgumentTypeError("must be 1 to %d, got %d" % (sys.maxsize, value))
     return value
 
 
@@ -199,7 +201,10 @@ def _run(args, g, meter: Meter):
         return {"steps": args.steps, "dump": matching_dump(st).splitlines()}
 
     if command == "paradox":
-        d = build_decomposition(g, _elements(g, args.k0, "k0"), args.n)
+        K0 = _elements(g, args.k0, "k0")
+        if (witness := decide_witness_commutation(g, K0)).verdict == "NOT_WITNESS":
+            raise PreconditionError("the key is not a witness: %s" % witness.rationale)
+        d = build_decomposition(g, K0, args.n)
         return verify_decomposition_prefix(d, args.verify, meter)
 
     if command == "witness":

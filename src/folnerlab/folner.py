@@ -23,7 +23,10 @@ measure of a finitely supported function: each support code v carries mass
 partition (:func:`partition_defect`) and summing block totals in absolute
 value is monotone under merging and equals the exact l1 shift defect once
 blocks are full fibers of the numbering, which is what makes the merge
-procedure sound.  The verifier keeps its partition in a :class:`UnionFind`.
+procedure sound.  The verifier keeps its partition in a :class:`UnionFind`
+and each block's mass beside it, in integers over the common denominator of
+the values, so a merge adds two masses per shift instead of regrouping the
+measure.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -346,15 +350,14 @@ class UnionFind:
 
     __getitem__ = find
 
-    def union(self, a: int, b: int) -> bool:
-        """Merge the blocks of a and b; False when they were one block."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+    def union(self, a: int, b: int):
+        """Merge the blocks of a and b into the block of the smaller root:
+        (kept root, gone root), or None when they were one block."""
+        keep, gone = sorted((self.find(a), self.find(b)))
+        if keep == gone:
+            return None
+        self.parent[gone] = keep
+        return keep, gone
 
 
 def partition_defect(f: ReiterFunction, block_of, x: int, star) -> Fraction:
@@ -368,12 +371,29 @@ def partition_defect(f: ReiterFunction, block_of, x: int, star) -> Fraction:
     shift defect of the pushforward once the blocks are full numbering
     fibers.
     """
-    mass: dict[int, Fraction] = {}
-    for v, q in f.values.items():
+    mass = _block_masses(f.values, block_of, x, star)
+    return sum(map(abs, mass.values()), Fraction(0)) / f.total()
+
+
+def _block_masses(values, block_of, x: int, star) -> dict:
+    """The totals per block of the measure of :func:`partition_defect`:
+    +values[v] at v and -values[v] at star(x, v), for v the keys of values,
+    in the values' own number type."""
+    mass = {}
+    for v, q in values.items():
         for w, m in ((v, q), (star(x, v), -q)):
             block = block_of[w]
-            mass[block] = mass.get(block, Fraction(0)) + m
-    return sum(map(abs, mass.values()), Fraction(0)) / f.total()
+            mass[block] = mass.get(block, 0) + m
+    return mass
+
+
+def _merge_masses(mass, spread, keep: int, gone: int):
+    """Add the masses of block gone into block keep for every x of mass[x],
+    keeping spread[x] the sum of the absolute values of mass[x]."""
+    for x, block in mass.items():
+        gone_mass, kept_mass = block.pop(gone, 0), block.get(keep, 0)
+        block[keep] = gone_mass + kept_mass
+        spread[x] += abs(gone_mass + kept_mass) - abs(gone_mass) - abs(kept_mass)
 
 
 def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget):
@@ -381,18 +401,25 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
 
     Starts from the finest partition of the support and its D-shifted
     image, consumes the equal-codes enumeration, and merges the two blocks
-    that split an enumerated pair.  After each merge every partition defect
-    is tested with :func:`within`: success is INVARIANT (sound, since the
-    blockwise value only shrinks toward the true defect), failure
-    at the full fiber partition is NOT_INVARIANT, and budget exhaustion is
-    UNKNOWN.  Budget counts enumeration entries consumed, read or skipped:
+    that split an enumerated pair.  Each block keeps its mass of the measure
+    of :func:`partition_defect` per x in D (:func:`_block_masses`), with f
+    scaled by the lcm of its denominators to integers, and spread[x] is the
+    sum of their absolute values.  A merge adds the gone root's masses into
+    the kept root's, the smaller code, as :meth:`UnionFind.union` returns
+    them (:func:`_merge_masses`), so after each
+    merge every partition defect is tested in O(|D|) as
+    n x spread[x] <= total, the test of :func:`within` cleared of
+    denominators.  Success is INVARIANT (sound, since the blockwise value
+    only shrinks toward the true defect), failure at the full fiber
+    partition is NOT_INVARIANT, and budget exhaustion is UNKNOWN.  Budget
+    counts enumeration entries consumed, read or skipped:
     the scan walks ``eq_entries_within`` the codes, up to the meter's
     remaining steps, and charges up to the deciding entry at its end, or
     all of them plus one when it runs out.  Merges only join
     enumerated-equal codes, so the partition always refines the fiber
     partition and reaches it exactly when it has as many blocks; the fiber
     count comes from the oracle's internal canonical forms.  Each shift x v
-    is made once, and every partition defect looks it up.
+    is made once.
     """
     if g.mode != CE:
         raise PreconditionError("verify_invariance_ce requires a CE-mode oracle")
@@ -403,12 +430,13 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     part = UnionFind()
     blocks = len(codes)
     fibers = len({g.canon(c) for c in codes})
-
-    def passes() -> bool:
-        return all(within(partition_defect(f, part, x, lambda a, v: shift[a, v]), n)
-                   for x in D)
-
-    if passes():
+    # block masses of the measure per shift, f scaled to integers
+    scale = math.lcm(*(q.denominator for q in f.values.values()))
+    ints = {v: int(q * scale) for v, q in f.values.items()}
+    mass = {x: _block_masses(ints, part, x, lambda a, v: shift[a, v]) for x in D}
+    spread = {x: sum(map(abs, block.values())) for x, block in mass.items()}
+    total = sum(ints.values())
+    if all(n * spread[x] <= total for x in D):
         return "INVARIANT"
     if blocks == fibers:
         return "NOT_INVARIANT"
@@ -416,9 +444,11 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     # fiber partition and the loop has answered; so falling through means
     # the budget ran out.
     for m, n1, n2 in g.eq_entries_within(codes, meter.remaining):
-        if part.union(n1, n2):
+        merged = part.union(n1, n2)
+        if merged:
             blocks -= 1
-            if passes():
+            _merge_masses(mass, spread, *merged)
+            if all(n * spread[x] <= total for x in D):
                 meter.charge(m + 1)
                 return "INVARIANT"
             if blocks == fibers:
@@ -470,13 +500,9 @@ def box_folner(g: ZdOracle, D, n: int) -> tuple[int, ...]:
     if not isinstance(g, ZdOracle):
         raise PreconditionError("box_folner only applies to zd families")
     vectors = [g.decode_vector(x) for x in D]
-    dims = g.dim
-    sides = []
-    for axis in range(dims):
-        m = max((abs(v[axis]) for v in vectors), default=0)
-        sides.append(n * dims * m + 1)
-    ranges = [range(-(L // 2), L - L // 2) for L in sides]
-    return tuple(sorted(g.encode_vector(c) for c in itertools.product(*ranges)))
+    sides = [n * g.dim * max((abs(v[axis]) for v in vectors), default=0) + 1
+             for axis in range(g.dim)]
+    return g.box_codes([range(-(L // 2), L - L // 2) for L in sides])
 
 
 def folner_oracle(g: GroupOracle, b: Budget):
@@ -562,21 +588,23 @@ def _view_injections(g: CEView, D, F, need: int, meter):
     injection is dense at its need-th f with d * f in F; the scan stops at
     the largest such index, having read every row up to it.  Only the
     entries the meter can pay for have their products made, one
-    ``mult_row`` per row.  If the rows run out before the injections are
-    dense, F was not 4-Folner and PreconditionError is raised.
+    ``mult_row`` per row.  Rows are cut by binary search on F keyed by
+    cantor_pair(d, .), so only a budget short of all |D| x |F| entries lists
+    their indices, to find the last one it pays for.  If the rows run out
+    before the injections are dense, F was not 4-Folner and
+    PreconditionError is raised.
     """
     pos = {f: i for i, f in enumerate(F)}
-    rows = [[cantor_pair(d, f) for f in F] for d in D]
+    keys = [functools.partial(cantor_pair, d) for d in D]
     budget, size = meter.remaining, len(D) * len(F)
     # reach: the largest index among the first entries the budget can read
-    indices = itertools.chain(*rows)
     if budget >= size:
-        reach = max(indices, default=-1)
+        reach = max(key(F[-1]) for key in keys) if F else -1
     else:
-        reach = sorted(indices)[budget - 1] if budget else -1
+        reach = sorted(key(f) for key in keys for f in F)[budget - 1] if budget else -1
     stop, hits = -1, []
-    for d, row in zip(D, rows):
-        products = g.base.mult_row(d, F[: bisect.bisect_right(row, reach)])
+    for d, key in zip(D, keys):
+        products = g.base.mult_row(d, F[: bisect.bisect_right(F, reach, key=key)])
         hits.append([(k, pos[p]) for k, p in enumerate(products) if p in pos])
         if len(hits[-1]) < need:
             if budget < size:
@@ -587,8 +615,8 @@ def _view_injections(g: CEView, D, F, need: int, meter):
                 "the Folner oracle's set is not 4-Folner for %r" % (D,)
             )
         if need:
-            stop = max(stop, row[hits[-1][need - 1][0]])
-    ends = [bisect.bisect_right(row, stop) for row in rows]
+            stop = max(stop, key(F[hits[-1][need - 1][0]]))
+    ends = [bisect.bisect_right(F, stop, key=key) for key in keys]
     meter.charge(sum(ends))
     return {
         d: {k: p for k, p in row_hits if k < end}

@@ -324,41 +324,52 @@ class ZdOracle(GroupOracle):
         coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError("expected %d coordinates" % self.dim)
-        code = pack_vector(coords)
-        self._remember(code, coords)
-        return code
-
-    def _remember(self, code: int, coords: tuple[int, ...]):
-        """Keep a code's vector in the decode memo, starting it over when full."""
-        if len(self._decode_cache) >= _DECODE_CACHE_SIZE:
-            self._decode_cache.clear()
-        self._decode_cache[code] = coords
+        return pack_vector(coords)
 
     def decode_vector(self, code: int) -> tuple[int, ...]:
-        """``unpack_vector`` of the code, memoised like ``decode_word``; the
-        codes :meth:`encode_vector` made are in the memo already."""
+        """``unpack_vector`` of the code, memoised like ``decode_word``;
+        :meth:`box_codes` puts a box's vectors into the memo in bulk."""
         out = self._decode_cache.get(code)
         if out is None:
             out = unpack_vector(code, self.dim)
-            self._remember(code, out)
+            if len(self._decode_cache) >= _DECODE_CACHE_SIZE:
+                self._decode_cache.clear()
+            self._decode_cache[code] = out
         return out
 
     def mult(self, x: int, y: int) -> int:
         a, b = self.decode_vector(x), self.decode_vector(y)
         return pack_vector(tuple(u + v for u, v in zip(a, b)))
 
+    def box_codes(self, ranges) -> tuple[int, ...]:
+        """Sorted codes of the box ``itertools.product(*ranges)``, for a
+        sequence of ranges: each axis is zig-zagged once, and the codes are
+        folded from the right with the Cantor pairing, as
+        :func:`pack_vector` does, in the product's order.  The box's vectors
+        enter the decode memo in bulk, which starts over first when they
+        would not fit."""
+        *axes, codes = [list(map(zigzag, r)) for r in ranges]
+        for axis in reversed(axes):
+            codes = [(s := p + c) * (s + 1) // 2 + c for p in axis for c in codes]
+        if len(self._decode_cache) + len(codes) > _DECODE_CACHE_SIZE:
+            self._decode_cache.clear()
+        points = zip(codes, itertools.product(*ranges))
+        self._decode_cache.update(itertools.islice(points, _DECODE_CACHE_SIZE))
+        return tuple(sorted(codes))
+
     def mult_row(self, a: int, codes) -> list[int]:
         """``mult`` of a with each code, decoding a once and packing each sum
         as :func:`pack_vector` does: the last coordinate's zig-zag, folded
-        from the right with the Cantor pairing."""
-        head, *rest = self.decode_vector(a)[::-1]
-        cache, out = self._decode_cache, []
+        from the right with the Cantor pairing, reading both vectors by
+        index."""
+        va, rest = self.decode_vector(a), range(self.dim - 2, -1, -1)
+        cache, decode, out = self._decode_cache, self.decode_vector, []
         for c in codes:
-            head_c, *rest_c = (cache.get(c) or self.decode_vector(c))[::-1]
-            z = head + head_c
+            vc = cache.get(c) or decode(c)
+            z = va[-1] + vc[-1]
             code = 2 * z - 1 if z > 0 else -2 * z
-            for u, v in zip(rest, rest_c):
-                z = u + v
+            for i in rest:
+                z = va[i] + vc[i]
                 s = code + (2 * z - 1 if z > 0 else -2 * z)
                 code += s * (s + 1) >> 1
             out.append(code)

@@ -261,6 +261,32 @@ def test_every_command_rejects_counts_below_one(capsys):
             assert run(capsys, *case) == (4, ""), case
 
 
+def test_every_command_rejects_counts_above_maxsize(capsys):
+    # a count no index can hold is malformed input, not an internal error
+    huge = str(10**20)
+    for name, (_help, flags) in COMMANDS.items():
+        argv = [name] + VALID_ARGV[name] + ["--json"]
+        bad = [_with(argv, "--budget", huge)]
+        if "--n" in flags and FLAGS["--n"].get("required"):
+            bad.append(_with(argv, "--n", huge))
+        for case in bad:
+            assert run(capsys, *case) == (4, ""), case
+    code = main(["folner-search", "--group", "zd:1", "--d", "+1", "--n", huge,
+                 "--budget", "1000"])
+    err = capsys.readouterr().err
+    assert code == 4 and "--n" in err and "islice" not in err
+
+
+def test_paradox_refuses_a_key_that_is_not_a_witness(capsys):
+    # refuted before any matching step, so no budget is needed
+    for group, k0 in (("lamplighter", "s,t"), ("free:2", "a"), ("zd:2", "(1,0),(0,1)")):
+        code = main(["paradox", "--group", group, "--k0", k0, "--n", "1",
+                     "--verify", "2", "--budget", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, ""), group
+        assert "not a witness" in captured.err
+
+
 def test_readme_examples_name_exactly_the_parser_commands():
     readme = (ROOT / "README.md").read_text()
     named = set(re.findall(r"^folnerlab ([a-z-]+)", readme, re.MULTILINE))

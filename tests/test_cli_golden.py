@@ -165,6 +165,11 @@ CASES = {
     "paradox_verify12_budget_edge_ok": ["paradox", "--group", "free:2",
                                         "--k0", "a,a^-1,b,b^-1", "--n", "1",
                                         "--verify", "12", "--budget", "15"],
+    # a key that decide_witness_commutation refutes exits 3 before any step
+    "err3_paradox_lamp_not_witness": ["paradox", "--group", "lamplighter",
+                                      "--k0", "s,t", "--n", "1", "--verify", "2"],
+    "err3_paradox_free_one_letter": ["paradox", "--group", "free:2", "--k0", "a",
+                                     "--n", "1"],
     # witness and restrict-folner
     "witness_free": ["witness", "--group", "free:2", "--k", "a,b"],
     "witness_lamp": ["witness", "--group", "lamplighter", "--k", "s,t"],
@@ -221,6 +226,9 @@ CASES = {
                           "--fn", "{golden}/fn_rz_powers6.json"],
     "err4_steps_zero": ["harem-demo", "--group", "free:2", "--k", "e,a,a^-1,b,b^-1",
                         "--steps", "0"],
+    # and counts above sys.maxsize, which no index can hold
+    "err4_n_above_maxsize": ["folner-search", "--group", "zd:1", "--d", "+1",
+                             "--n", "100000000000000000000", "--budget", "1000"],
 }
 
 

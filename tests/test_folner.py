@@ -1,6 +1,7 @@
 """Folner verification/search, Reiter machinery, CE invariance, word problem."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from folnerlab.folner import (
     FolnerCertificate,
     ReiterFunction,
     UnionFind,
+    _block_masses,
     _first_folner,
     _goedel_subsets,
+    _merge_masses,
     box_folner,
     decide_mult_from_folner,
     extract_folner_from_reiter,
@@ -486,6 +489,63 @@ def test_invariance_scan_charges_as_one_charge_per_entry(case):
         assert (got[0] is UNKNOWN) == (steps < edge or outcome is UNKNOWN)
 
 
+def _mixed_reiter(rng, codes):
+    """A Reiter function on a few of ``codes`` with mixed denominators."""
+    supp = tuple(sorted(rng.sample(codes, rng.randint(1, 6))))
+    return ReiterFunction(supp, {
+        v: Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 4, 6, 7, 10)))
+        for v in supp})
+
+
+def test_integer_block_masses_equal_partition_defect():
+    # the verifier's bookkeeping under any merge order, not only enumerated
+    # pairs: integer masses of f scaled by the lcm of its denominators, kept
+    # by _merge_masses, against partition_defect regrouping from scratch
+    rz = RedundantZOracle()
+    rng = random.Random(29)
+    for _ in range(80):
+        f = _mixed_reiter(rng, range(60))
+        D = sorted(rng.sample(range(12), rng.randint(1, 3)))
+        shift = {(x, v): rz.mult(x, v) for x in D for v in f.support}
+        star = lambda x, v: shift[x, v]
+        codes = sorted({*f.support, *shift.values()})
+        scale = math.lcm(*(q.denominator for q in f.values.values()))
+        ints = {v: int(q * scale) for v, q in f.values.items()}
+        part = UnionFind()
+        mass = {x: _block_masses(ints, part, x, star) for x in D}
+        spread = {x: sum(map(abs, block.values())) for x, block in mass.items()}
+        for step in range(2 * len(codes)):
+            for x in D:
+                want = partition_defect(f, part, x, star)
+                assert Fraction(spread[x], sum(ints.values())) == want
+                # a block no code of mass[x] reaches may hold a kept 0
+                fresh = _block_masses(f.values, part, x, star)
+                assert {k: m for k, m in mass[x].items() if m} == {
+                    k: m * scale for k, m in fresh.items() if m}
+            merged = part.union(*rng.sample(codes, 2)) if len(codes) > 1 else None
+            if merged:
+                keep, gone = merged
+                assert keep < gone and part.find(gone) == keep
+                _merge_masses(mass, spread, keep, gone)
+
+
+def test_invariance_verifier_with_mixed_denominators_equals_the_reference():
+    rng = random.Random(31)
+    for _ in range(40):
+        g = RedundantZOracle()
+        f = _mixed_reiter(rng, range(40))
+        D = sorted(rng.sample(range(12), rng.randint(1, 2)))
+        n = rng.randint(1, 8)
+        got, ref = _verify_both(g, n, D, f, 10**5)
+        assert got == ref and got[0] is not UNKNOWN
+        assert (got[0] == "INVARIANT") == rz_truth(g, f, D, n)
+        # a verdict before any entry is read needs no step of the budget
+        edge = max(1, got[1])
+        for steps in sorted({1, edge // 2, edge - 1, edge} - {0}):
+            want = (got[0], got[1]) if steps == edge else (UNKNOWN, steps)
+            assert _verify_both(g, n, D, f, steps) == [want] * 2
+
+
 def test_invariance_scan_builds_no_stream():
     # the walk reads the value buckets; the equal-codes stream stays empty
     for case, (oracle, *_) in enumerate(KAPPA_INPUTS):
@@ -761,8 +821,11 @@ def test_decide_mult_rows_on_a_view_equal_the_reference(triple):
     (verdict, edge), ref = _decide_both(view, box, codes, 10**6)
     assert (verdict, edge) == ref
     assert verdict == (Z2.mult(codes[0], codes[1]) == codes[2])
-    # every budget below a small edge, every 17th below a larger one
-    budgets = {*range(1, edge + 1, 1 if edge < 300 else 17), edge - 1, edge, 10**6}
+    # every budget below a small edge, every 17th below a larger one, and
+    # one step short of every entry of the rows
+    size = len(set(codes)) * len(box(4, canonical_subset(set(codes))))
+    budgets = {*range(1, edge + 1, 1 if edge < 300 else 17), edge - 1, edge,
+               size - 1, 10**6}
     for steps in sorted(b for b in budgets if b >= 1):
         got, ref = _decide_both(view, box, codes, steps)
         assert got == ref, steps

@@ -212,6 +212,40 @@ def test_zd_decode_memo_stays_bounded(monkeypatch):
     assert len(g._decode_cache) <= 16 and len(fresh._decode_cache) <= 16
 
 
+BOXES = [
+    [range(-3, 4)], [range(0, 1)], [range(5, 6)],
+    [range(-2, 3), range(-1, 2)], [range(4, 5), range(-4, 0)], [range(0, 1)] * 2,
+    [range(-1, 2), range(0, 1), range(-2, 2)], [range(2, 3)] * 3,
+]
+
+
+@pytest.mark.parametrize("ranges", BOXES)
+def test_box_codes_equal_the_encoded_points(ranges):
+    g = ZdOracle(len(ranges))
+    points = list(itertools.product(*ranges))
+    codes = g.box_codes(ranges)
+    assert codes == tuple(sorted(g.encode_vector(v) for v in points))
+    # every point entered the memo, and decodes through it
+    assert all(g._decode_cache[pack_vector(v)] == v for v in points)
+    assert [g.decode_vector(c) for c in codes] == [
+        unpack_vector(c, g.dim) for c in codes]
+
+
+def test_box_codes_memo_stays_bounded_and_correct(monkeypatch):
+    monkeypatch.setattr(groups, "_DECODE_CACHE_SIZE", 16)
+    g = ZdOracle(2)
+    g.decode_vector(1000)
+    small = [range(-1, 2), range(-1, 2)]  # 9 points fit beside the one code
+    assert g.box_codes(small) == tuple(sorted(map(pack_vector, itertools.product(*small))))
+    assert len(g._decode_cache) == 10
+    for ranges in ([range(0, 3), range(3, 6)], [range(-2, 3), range(-2, 3)], small):
+        codes = g.box_codes(ranges)  # overflows: the memo starts over first
+        assert codes == tuple(sorted(map(pack_vector, itertools.product(*ranges))))
+        assert 0 < len(g._decode_cache) <= 16
+        assert all(pack_vector(v) == c for c, v in g._decode_cache.items())
+        assert [g.decode_vector(c) for c in codes] == [unpack_vector(c, 2) for c in codes]
+
+
 def test_lamplighter_relations():
     g = make_group("lamplighter")
     s, t = g.generator_names["s"], g.generator_names["t"]

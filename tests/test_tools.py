@@ -31,15 +31,26 @@ def test_code_lines_counts_every_module():
 
 
 def test_command_split_runs_an_amenable_pass():
-    head, header, *rows = _run("tools/command_split.py", "--seed", "1", "--passes", "1")
+    rows = _run("tools/command_split.py", "--seed", "1", "--passes", "1")
+    head, header = rows[:2]
     assert head[-1] == "[0]"  # failed checks in the one pass
     assert header[0] == "command"
-    assert {row[0]: int(row[1]) for row in rows} == {
+    split = rows.index(["command", "queries", "row", "products", "steps"])
+    assert {row[0]: int(row[1]) for row in rows[2:split]} == {
         "folner-seq": 4, "folner-function": 7, "folner-search": 8,
         "restrict-folner": 4, "witness": 4, "wp-from-folner": 80, "kappa": 100,
         "pass": 207,
     }
-    assert len(rows) == 8
+    counts = {row[0]: (int(row[2]), int(row[3])) for row in rows[split + 1:]}
+    assert list(counts) == [row[0] for row in rows[2:split]]
+    # kappa reads the value buckets and makes no row; every query charges
+    # its meter, and the pass is the sum of its commands
+    assert counts["kappa"][0] == 0 and all(steps > 0 for _, steps in counts.values())
+    for i in (0, 1):
+        assert counts["pass"][i] == sum(c[i] for name, c in counts.items()
+                                        if name != "pass")
+    # the seed-1 pass consumes 1,000,748 steps, the traced budget.steps_used
+    assert counts["pass"][1] == 1000748
 
 
 def test_paradox_split_runs_a_prefix_pass():

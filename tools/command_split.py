@@ -7,14 +7,21 @@ seconds it took in a pass: the median and the range over the passes.  The
 last row is the whole pass.  The library is imported from ``src/`` of the
 checkout that holds this file.
 
+One more pass then runs with counters installed, after the timed ones, and
+a second table gives for each command the products made through
+``mult_row`` and the meter steps consumed: machine-independent work to set
+beside the seconds.
+
     python3 tools/command_split.py --seed 1 --passes 6
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
+import io
 import statistics
 import sys
 import tempfile
@@ -46,6 +53,44 @@ def command_seconds(workload, lib, state, passes: int):
     return seconds, failed
 
 
+def command_counts(lib, corpus):
+    """{command: [mult_row products, meter steps consumed]} over one pass of
+    the corpus, the whole pass under "pass".  Every oracle class's own
+    ``mult_row`` and ``Budget.meter`` are wrapped for the rest of the
+    process."""
+    made = {"products": 0, "meters": []}
+    for cls in vars(lib.groups).values():
+        raw = vars(cls).get("mult_row") if isinstance(cls, type) else None
+        if raw is None:
+            continue
+        static = isinstance(raw, staticmethod)
+
+        def counted(*args, row=raw.__func__ if static else raw):
+            out = row(*args)
+            made["products"] += len(out)
+            return out
+
+        cls.mult_row = staticmethod(counted) if static else counted
+    real_meter = lib.budget.Budget.meter
+
+    def meter(budget):
+        made["meters"].append(real_meter(budget))
+        return made["meters"][-1]
+
+    lib.budget.Budget.meter = meter
+    totals: dict[str, list[int]] = {}
+    for inv in corpus:
+        products, made["meters"] = made["products"], []
+        with contextlib.redirect_stdout(io.StringIO()):
+            lib.cli.main(inv.argv)
+        steps = sum(m.consumed for m in made["meters"])
+        for name in (inv.argv[0], "pass"):
+            row = totals.setdefault(name, [0, 0])
+            row[0] += made["products"] - products
+            row[1] += steps
+    return totals
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, required=True)
@@ -60,6 +105,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as out_dir:
         state = workload.setup(lib, args.seed, Path(out_dir))
         seconds, failed = command_seconds(workload, lib, state, max(1, args.passes))
+        counts = command_counts(lib, state["corpus"])
     queries: dict[str, int] = {"pass": len(state["corpus"])}
     for inv in state["corpus"]:
         queries[inv.argv[0]] = queries.get(inv.argv[0], 0) + 1
@@ -69,6 +115,9 @@ def main(argv=None):
     for name, dts in seconds.items():
         print("%-18s %7d %8.3f %9.3f-%.3f" % (
             name, queries[name], statistics.median(dts), min(dts), max(dts)))
+    print("%-18s %7s %12s %12s" % ("command", "queries", "row products", "steps"))
+    for name in seconds:
+        print("%-18s %7d %12d %12d" % (name, queries[name], *counts[name]))
     return 1 if any(failed) else 0
 
 
