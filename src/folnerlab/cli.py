@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except (MalformedSpecError, _MalformedInput) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MALFORMED
-    except (PreconditionError, ValueError) as exc:
+    except PreconditionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
     code = EXIT_OK

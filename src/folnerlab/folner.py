@@ -35,6 +35,7 @@ import bisect
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +48,6 @@ from .groups import (
     PreconditionError,
     ZdOracle,
     ball_growth,
-    ball_layers,
     canonical_subset,
     cantor_pair,
     subset_decode,
@@ -253,7 +253,8 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     D = canonical_subset(D)
     meter = b.meter()
     cost = max(1, len(D))
-    for layer in itertools.islice(ball_growth(g, D, meter), n + len(D) + BALL_SLACK):
+    balls = min(n + len(D) + BALL_SLACK, sys.maxsize)
+    for layer in itertools.islice(ball_growth(g, D, meter), balls):
         if layer is None or not meter.charge(len(layer.ball) * cost):
             return UNKNOWN
         defects = {x: Fraction(layer.leaving(x), len(layer.ball)) for x in D}
@@ -269,11 +270,13 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     have all defects zero, hence be a union of right cosets of <D>, so its
     size is at least |<D>|; when the balls of <D> stop growing below n,
     <D> itself is the answer.  Otherwise n is the only size the search can
-    certify: it scans the n-element subsets of the balls of radius 1..n,
-    one :func:`_first_folner` scan per ball sharing one product memo, and
-    answers n on the first n-Folner one, or UNKNOWN once those candidates
-    are exhausted.  Each growing ball has at least one element more than the
-    last, so balls that stop growing below n stop by radius n - 1.
+    certify: it scans the n-element subsets of the balls of radius 1..n
+    (of :func:`ball_growth`), one :func:`_first_folner` scan per ball
+    sharing one product memo, and answers n on the first n-Folner one, or
+    UNKNOWN once those candidates are exhausted.  A ball with fewer than n
+    elements holds no candidate and is passed over unsorted.  Each growing
+    ball has at least one element more than the last, so balls that stop
+    growing below n stop by radius n - 1.
     Budget counts steps priced as ``mult`` calls: those of the ball layers,
     as :func:`search_folner` prices them, and n x |D| per candidate, paid
     before its test makes any product of its own.
@@ -288,21 +291,36 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     if not D_eff:
         return 1
     star = functools.cache(g.mult)
-    for U in itertools.islice(ball_layers(g, D_eff, meter), 1, n + 1):
-        if U is None:
+    radii = itertools.islice(ball_growth(g, D_eff, meter), 1, min(n + 1, sys.maxsize))
+    for layer in radii:
+        if layer is None:
             return UNKNOWN
-        found = _first_folner(g, itertools.combinations(U, n), D, n, meter, star)
-        if found is not None:
-            return UNKNOWN if found is UNKNOWN else n
-    return len(U) if len(U) < n else UNKNOWN
+        if len(layer.ball) >= n:
+            U = sorted(layer.ball)
+            found = _first_folner(g, itertools.combinations(U, n), D, n, meter, star)
+            if found is not None:
+                return UNKNOWN if found is UNKNOWN else n
+    return len(layer.ball) if len(layer.ball) < n else UNKNOWN
 
 
 def folner_sequence(g: GroupOracle, j: int, b: Budget):
-    """j-Folner certificate with respect to the first j codes, via search."""
+    """j-Folner certificate with respect to the first j codes, via search.
+
+    On a finite group the codes below its order already name every
+    element, so D is read off at most that many codes.  The search's first
+    charge is its radius-0 ball's, |D| steps; a meter that cannot pay it is
+    emptied by that failed charge, as the search would, before D is built.
+    """
+    if g.mode != COMPUTABLE:
+        raise PreconditionError("folner_sequence requires a COMPUTABLE-mode oracle")
     if j < 1:
         raise ValueError("sequence index must be >= 1")
-    D = canonical_subset({g.canon(c) for c in range(j)})
-    return search_folner(g, D, j, b)
+    meter, size = b.meter(), min(j, g.element_count or j)
+    if meter.remaining < size:
+        meter.charge(meter.remaining + 1)  # fails, and empties the meter
+        return UNKNOWN
+    D = canonical_subset({g.canon(c) for c in range(size)})
+    return search_folner(g, D, j, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +525,7 @@ def box_folner(g: ZdOracle, D, n: int) -> tuple[int, ...]:
 
 def folner_oracle(g: GroupOracle, b: Budget):
     """(n, D) -> F oracle: analytic boxes for zd, otherwise search.  The
-    searches share one meter made from b; PreconditionError ends an exhausted one."""
+    searches share one meter made from b; an exhausted one answers UNKNOWN."""
     meter = b.meter()
     base = g.base if isinstance(g, CEView) else g
     if isinstance(base, ZdOracle):
@@ -515,9 +533,7 @@ def folner_oracle(g: GroupOracle, b: Budget):
 
     def from_search(n, D):
         cert = search_folner(base, D, n, meter)
-        if cert is UNKNOWN:
-            raise PreconditionError("Folner search exhausted its budget")
-        return cert.F
+        return cert if cert is UNKNOWN else cert.F
 
     return from_search
 
@@ -527,7 +543,8 @@ def decide_mult_from_folner(
 ):
     """Decide whether the product n1 * n2 of codes equals n3, reading the
     multiplication-table enumeration of a CE oracle; UNKNOWN when the
-    budget, one step per entry read, runs out first.
+    budget, one step per entry read, runs out first, or when the Folner
+    oracle answers UNKNOWN.
 
     The Folner oracle supplies a 4-Folner set F for D = {n1, n2, n3}.  Each
     entry (d, f, d * f) with d in D and f, d * f in F extends a partial
@@ -547,7 +564,10 @@ def decide_mult_from_folner(
         raise PreconditionError("decide_mult_from_folner consumes a CE oracle")
     meter = b.meter()
     D = canonical_subset({n1, n2, n3})
-    F = canonical_subset(folner(4, D))
+    F = folner(4, D)
+    if F is UNKNOWN:
+        return UNKNOWN
+    F = canonical_subset(F)
     need = -(-3 * len(F) // 4)
     if isinstance(g, CEView):
         graphs = _view_injections(g, D, F, need, meter)

@@ -23,7 +23,6 @@ Codings are fixed so that certificates are reproducible:
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import re
@@ -338,8 +337,7 @@ class ZdOracle(GroupOracle):
         return out
 
     def mult(self, x: int, y: int) -> int:
-        a, b = self.decode_vector(x), self.decode_vector(y)
-        return pack_vector(tuple(u + v for u, v in zip(a, b)))
+        return self.mult_row(x, (y,))[0]
 
     def box_codes(self, ranges) -> tuple[int, ...]:
         """Sorted codes of the box ``itertools.product(*ranges)``, for a
@@ -358,10 +356,10 @@ class ZdOracle(GroupOracle):
         return tuple(sorted(codes))
 
     def mult_row(self, a: int, codes) -> list[int]:
-        """``mult`` of a with each code, decoding a once and packing each sum
-        as :func:`pack_vector` does: the last coordinate's zig-zag, folded
-        from the right with the Cantor pairing, reading both vectors by
-        index."""
+        """The products a * c, decoding a once and packing each sum of
+        vectors as :func:`pack_vector` does: the last coordinate's zig-zag,
+        folded from the right with the Cantor pairing, reading both vectors
+        by index.  ``mult`` is a one-element row."""
         va, rest = self.decode_vector(a), range(self.dim - 2, -1, -1)
         cache, decode, out = self._decode_cache, self.decode_vector, []
         for c in codes:
@@ -502,11 +500,12 @@ class RedundantZOracle(GroupOracle):
     * ``multt_enum`` emits all true triples with max coordinate N in
       lexicographic order.
 
-    Both levels are read off value buckets: the codes 0, 1, ... sorted into
-    one ascending list per value, shared by the two streams and by the walks
-    of ``eq_entries_within``.  Each reader advances its levels 0, 1, ...
-    independently and cuts each bucket at its own level.  The
-    i of eq level N are the bucket of v(N) below N, O(output) per level.  At
+    Both levels are read off value buckets, the codes 0, 1, ... sorted into
+    one ascending list per value.  :meth:`_eq_levels` walks the eq levels
+    with buckets of its own: the i of level N are the bucket of v(N) below
+    N, O(output) per level.  ``eq_enum`` grows its stream from one walk
+    that the oracle keeps, and each ``eq_entries_within`` runs a fresh one.
+    ``multt_enum`` keeps the buckets of the codes up to its level N.  At
     multt level N, a first coordinate i < N is followed by the j < N of the
     bucket of v(N) - v(i), each with k = N, and then by j = N with the k <= N
     of the bucket of v(i) + v(N); i = N takes every j <= N with the k <= N of
@@ -519,11 +518,10 @@ class RedundantZOracle(GroupOracle):
     def __init__(self):
         self.spec = "redundant-z"
         self.generator_names = {"x": 1, "y": 3}
-        self._values: dict[int, int] = {0: 0}
-        self._buckets: dict[int, list[int]] = {}
         self._eq_stream: list[tuple[int, int]] = []
-        self._eq_level = 0
+        self._eq_walk = self._eq_levels()
         self._multt_stream: list[tuple[int, int, int]] = []
+        self._multt_buckets: dict[int, list[int]] = {}
         self._multt_level = 0
 
     # words over 4 letters; offset(L) = (4^L - 1) / 3, which is also the
@@ -557,13 +555,9 @@ class RedundantZOracle(GroupOracle):
         """Exponent sum of the word, i.e. the integer the code denotes: the
         length less twice the number of inverse letters, which are the odd
         base-4 digits of code - offset(length)."""
-        v = self._values.get(code)
-        if v is None:
-            length = self._length(code)
-            odd = self._offset(length)
-            v = length - 2 * ((code - odd) & odd).bit_count()
-            self._values[code] = v
-        return v
+        length = self._length(code)
+        odd = self._offset(length)
+        return length - 2 * ((code - odd) & odd).bit_count()
 
     def canon(self, x: int) -> int:
         v = self.value(x)
@@ -576,70 +570,60 @@ class RedundantZOracle(GroupOracle):
     def inv(self, x: int) -> int:
         return self.encode_word(tuple(l ^ 1 for l in reversed(self.decode_word(x))))
 
-    def _bucket(self, v: int, below: int) -> list[int]:
-        """The codes c < below of value v, ascending.  The buckets hold the
-        codes up to the highest level any reader has reached."""
-        bucket = self._buckets.get(v, [])
-        return bucket[: bisect.bisect_left(bucket, below)]
-
-    def _level(self, n: int) -> int:
-        """v(n), sorting code n into its bucket on the first reader to reach
-        level n: the buckets hold every code below that reader's level."""
-        vn = self.value(n)
-        bucket = self._buckets.setdefault(vn, [])
-        if not bucket or bucket[-1] < n:
-            bucket.append(n)
-        return vn
-
-    def _eq_grow(self):
-        """Append the next level of the equal-codes stream."""
-        n = self._eq_level
-        self._eq_stream.append((n, n))
-        for i in self._bucket(self._level(n), n):
-            self._eq_stream += ((i, n), (n, i))
-        self._eq_level += 1
+    def _eq_levels(self):
+        """The levels n = 0, 1, ... of the equal-codes stream, as
+        (start, n, below).  Level n begins at entry ``start`` with (n, n),
+        and then holds (i, n), (n, i) at offsets 1 + 2 j and 2 + 2 j for the
+        j-th code i of ``below``: the codes i < n of value v(n), ascending.
+        The walk keeps its own value buckets; ``below`` is one of them, and
+        gains n when the walk moves on to the next level."""
+        buckets, start = {}, 0
+        for n in itertools.count():
+            below = buckets.setdefault(self.value(n), [])
+            yield start, n, below
+            start += 1 + 2 * len(below)
+            below.append(n)
 
     def eq_enum(self, m: int) -> tuple[int, int]:
-        while len(self._eq_stream) <= m:
-            self._eq_grow()
-        return self._eq_stream[m]
+        stream = self._eq_stream
+        while len(stream) <= m:
+            _, n, below = next(self._eq_walk)
+            stream.append((n, n))
+            for i in below:
+                stream += ((i, n), (n, i))
+        return stream[m]
 
     def eq_entries_within(self, codes, limit: int):
-        """Level n of the equal-codes stream holds 1 + 2 b entries, b the
-        number of codes below n of value v(n): (n, n), then (i, n) and
-        (n, i) at offsets 1 + 2 j and 2 + 2 j for the j-th such i.  The walk
-        keeps each level's start index and reads entries only at the levels
-        in ``codes``; a level above max(codes) holds its own code, so
+        """A fresh walk of :meth:`_eq_levels` that reads entries only at the
+        levels in ``codes``; a level above max(codes) holds its own code, so
         nothing past it qualifies."""
-        start = 0
-        for n in range(max(codes, default=-1) + 1):
-            if start >= limit:
+        top = max(codes, default=-1)
+        for start, n, below in self._eq_levels():
+            if n > top or start >= limit:
                 return
-            bucket = self._buckets[self._level(n)]
-            below = bisect.bisect_left(bucket, n)
             if n in codes:
                 yield start, n, n
-                for j in range(below):
-                    i, m = bucket[j], start + 1 + 2 * j
+                for j, i in enumerate(below):
                     if i in codes:
+                        m = start + 1 + 2 * j
                         if m >= limit:
                             return
                         yield m, i, n
                         if m + 1 < limit:
                             yield m + 1, n, i
-            start += 1 + 2 * below
 
     def multt_enum(self, m: int) -> tuple[int, int, int]:
-        stream = self._multt_stream
+        stream, buckets = self._multt_stream, self._multt_buckets
         while len(stream) <= m:
             n = self._multt_level
-            vn = self._level(n)
+            vn = self.value(n)
+            buckets.setdefault(vn, []).append(n)  # the codes up to n, by value
             for i in range(n):
                 vi = self.value(i)
-                stream += ((i, j, n) for j in self._bucket(vn - vi, n))
-                stream += ((i, n, k) for k in self._bucket(vi + vn, n + 1))
+                stream += ((i, j, n) for j in buckets.get(vn - vi, ()) if j < n)
+                stream += ((i, n, k) for k in buckets.get(vi + vn, ()))
             for j in range(n + 1):
-                stream += ((n, j, k) for k in self._bucket(vn + self.value(j), n + 1))
+                stream += ((n, j, k) for k in buckets.get(vn + self.value(j), ()))
             self._multt_level += 1
         return stream[m]
 

@@ -162,18 +162,12 @@ class FiniteBipartite:
             raise ValueError("boundary_B must be a subset of B")
 
 
-def induced_ball(
+def _distances(
     g: BipartiteGraphOracle, v: int, r: int, removed: set | frozenset = frozenset()
-) -> FiniteBipartite:
-    """Induced subgraph on the radius-r ball around v in the residual graph,
-    with boundary_B the B-side vertices at distance exactly r.
-
-    The back-and-forth does not call it: ``_template`` builds its ball by
-    its own breadth-first search.  It is the reference that the tests
-    compare the templates and each step's residual piece with, and the
-    benchmark's tracer records it by name."""
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+) -> dict:
+    """Vertex -> distance from v, for the vertices within distance r of v
+    in the graph less ``removed``, by one breadth-first search over
+    ``g.neighbors``; v itself is never tested against ``removed``."""
     dist = {v: 0}
     frontier = [v]
     for d in range(1, r + 1):
@@ -184,6 +178,22 @@ def induced_ball(
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
+    return dist
+
+
+def induced_ball(
+    g: BipartiteGraphOracle, v: int, r: int, removed: set | frozenset = frozenset()
+) -> FiniteBipartite:
+    """Induced subgraph on the radius-r ball around v in the residual graph,
+    with boundary_B the B-side vertices at distance exactly r.
+
+    The back-and-forth does not call it: ``_template`` takes its ball from
+    :func:`_distances` as well.  It is the reference that the tests
+    compare the templates and each step's residual piece with, and the
+    benchmark's tracer records it by name."""
+    if r < 1:
+        raise ValueError("radius must be >= 1")
+    dist = _distances(g, v, r, removed)
     A = tuple(sorted(u for u in dist if g.is_left(u)))
     B = tuple(sorted(u for u in dist if not g.is_left(u)))
     adj = {
@@ -505,18 +515,9 @@ class _Template(NamedTuple):
 
 
 def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template:
-    """The template of the radius-r ball around ``origin``, from one
-    breadth-first search over ``g.neighbors``."""
-    around = {origin: 0}  # code -> distance from the origin
-    frontier = [origin]
-    for d in range(1, r + 1):
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w not in around:
-                    around[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    """The template of the radius-r ball around ``origin``, on the
+    distances of :func:`_distances` in the full graph."""
+    around = _distances(g, origin, r)  # code -> distance from the origin
     A = sorted(u for u in around if g.is_left(u))
     B = sorted(u for u in around if not g.is_left(u))
     S, T = 0, 1

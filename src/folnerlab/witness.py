@@ -87,7 +87,8 @@ def refute_witness_bounded(
     certificate's defects.  Budget counts steps priced as multiplication
     calls, as :func:`folnerlab.folner.search_folner` prices them: the ball
     layers, then |F| x max(1, |K|) per subset F before its test; UNKNOWN
-    when no such set turns up within the size bound or the budget.  Raises
+    when no such set turns up within the size bound or the budget.  Sizes
+    past the ball's own hold no subset, so the scan stops there.  Raises
     ValueError for n < 1, before any charge."""
     if g.mode != COMPUTABLE:
         raise PreconditionError("refute_witness_bounded needs a COMPUTABLE oracle")
@@ -98,7 +99,7 @@ def refute_witness_bounded(
     *_, universe = itertools.islice(ball_layers(g, K, meter), radius + 1)
     if universe is None:
         return UNKNOWN
-    subsets = (F for size in range(1, size_bound + 1)
+    subsets = (F for size in range(1, min(size_bound, len(universe)) + 1)
                for F in itertools.combinations(universe, size))
     return _first_folner(g, subsets, K, n, meter) or UNKNOWN
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +276,72 @@ def test_every_command_rejects_counts_above_maxsize(capsys):
                  "--budget", "1000"])
     err = capsys.readouterr().err
     assert code == 4 and "--n" in err and "islice" not in err
+
+
+# the element list each command takes, the counts it takes (--n unless
+# named), and the identity of each VALID_ARGV group
+LIST_FLAG = {"folner-search": "--d", "folner-function": "--d", "reiter-check": "--d",
+             "kappa": "--d", "wp-from-folner": "--d", "harem-demo": "--k",
+             "paradox": "--k0", "witness": "--k", "restrict-folner": "--k"}
+COUNTS = {"harem-demo": ("--steps",), "witness": ("--n", "--size-bound"),
+          "paradox": (), "wp-from-folner": ()}
+IDENTITY = {"zd:1": "0", "zd:2": "(0,0)", "free:2": "e", "redundant-z": "e"}
+MAXSIZE = str(sys.maxsize)
+
+
+def _robustness_grid():
+    """name -> argv: edge inputs on every command, each otherwise valid.
+
+    ``paradox`` gets no large --n or --verify: the key expansion and the
+    template build are not metered, and a prefix report holds one violation
+    per code, so both grow with the count whatever the budget."""
+    grid = {}
+    for name, argv in VALID_ARGV.items():
+        # no 100-Folner set lies in witness's 5-element ball, so its scan
+        # runs through every size the ball has
+        argv = [name] + (_with(argv, "--n", "100") if name == "witness" else argv)
+        for flag in COUNTS.get(name, ("--n",)):
+            grid["%s %s max" % (name, flag)] = _with(argv, flag, MAXSIZE)
+        flag, wp = LIST_FLAG.get(name), name == "wp-from-folner"
+        if flag:
+            e = IDENTITY[argv[argv.index("--group") + 1]]
+            grid["%s empty" % name] = _with(argv, flag, "")
+            grid["%s identity" % name] = _with(argv, flag, ",".join([e] * 3) if wp else e)
+        if name != "kappa":  # a c.e. group where a computable one is needed
+            rz = _with(argv, "--group", "redundant-z")
+            grid["%s redundant-z" % name] = (
+                _with(rz, flag, "x,y,xy" if wp else "x,y") if flag else rz)
+    for name in ("folner-search", "folner-function", "folner-seq"):
+        cyclic = _with([name] + VALID_ARGV[name], "--group", "cyclic:6")
+        grid["%s cyclic --n max" % name] = _with(cyclic, "--n", MAXSIZE)
+    # keys that are not witnesses
+    grid["paradox zd:2 key"] = ["paradox", "--group", "zd:2", "--k0", "(1,0),(0,1)",
+                                "--n", "1", "--verify", "2"]
+    grid["harem-demo zd:2 key"] = ["harem-demo", "--group", "zd:2",
+                                   "--k", "(0,0),(1,0)", "--steps", "5"]
+    grid["witness lamplighter key"] = ["witness", "--group", "lamplighter",
+                                       "--k", "s,t", "--n", "2"]
+    return grid
+
+
+ROBUSTNESS_GRID = _robustness_grid()
+
+
+@pytest.mark.parametrize("case", sorted(ROBUSTNESS_GRID))
+def test_edge_inputs_exit_with_a_documented_code(case):
+    # a small budget, 30 s of wall clock and 1 GB of address space per run
+    src = str(Path(folnerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ROBUSTNESS_GRID[case] + ["--budget", "1000", "--json"]
+    done = subprocess.run([sys.executable, "-m", "folnerlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30, preexec_fn=cap)
+    assert done.returncode in (0, 2, 3, 4), (argv, done.stderr)
+    assert "Traceback" not in done.stderr, argv
 
 
 def test_paradox_refuses_a_key_that_is_not_a_witness(capsys):

@@ -26,6 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "cli_corpus.json"
 
 Z2_D = "(1,0),(0,1)"
+MAXSIZE = str(sys.maxsize)  # the parser's bound on counts
 
 CASES = {
     # folner-search: ball phase, certificates and the exact UNKNOWN edge
@@ -53,6 +54,8 @@ CASES = {
                         "--n", "7"],
     "search_free_unknown": ["folner-search", "--group", "free:2",
                             "--d", "a,a^-1,b,b^-1", "--n", "4", "--budget", "2000"],
+    "search_z1_n_maxsize_unknown": ["folner-search", "--group", "zd:1", "--d", "+1",
+                                    "--n", MAXSIZE, "--budget", "10"],
     # folner-function: exact minima, the orbit bound, and UNKNOWN
     "function_z1_n5": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "5"],
     "function_z1_n4": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "4"],
@@ -78,6 +81,10 @@ CASES = {
     # no 3-element set is 3-Folner, so the scan of level 3 ends in UNKNOWN
     "function_z2_n3_unknown": ["folner-function", "--group", "zd:2", "--d", Z2_D,
                                "--n", "3"],
+    # balls with fewer than n elements are passed over, unsorted and unscanned
+    "function_z1_n_maxsize_unknown": ["folner-function", "--group", "zd:1",
+                                      "--d", "+1", "--n", MAXSIZE,
+                                      "--budget", "1000"],
     # folner-seq
     "seq_z1": ["folner-seq", "--group", "zd:1", "--n", "3"],
     "seq_lamp": ["folner-seq", "--group", "lamplighter", "--n", "2"],
@@ -88,6 +95,11 @@ CASES = {
                             "--budget", "331"],
     "seq_lamp_n3_edge_unknown": ["folner-seq", "--group", "lamplighter", "--n", "3",
                                  "--budget", "330"],
+    # a budget short of the first ball's |D| = n steps answers before D is built
+    "seq_z2_huge_unknown": ["folner-seq", "--group", "zd:2", "--n", "1000000",
+                            "--budget", "1"],
+    # cyclic:6's codes below 6 name all of it, so no more are read
+    "seq_cyclic_n_maxsize": ["folner-seq", "--group", "cyclic:6", "--n", MAXSIZE],
     # reiter-check
     "reiter_interval": ["reiter-check", "--group", "zd:1", "--d", "+1,-1", "--n", "2",
                         "--fn", "{golden}/fn_z_interval5.json"],
@@ -136,6 +148,11 @@ CASES = {
                            "--d", "(3,-2),(-1,4),(2,2)", "--budget", "2106"],
     "wp_z1_true": ["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,-3"],
     "wp_z1_false": ["wp-from-folner", "--group", "zd:1", "--d", "+2,-5,+3"],
+    # a Folner search that runs out of budget answers UNKNOWN, as the scan does
+    "wp_free_search_exhausted_unknown": ["wp-from-folner", "--group", "free:2",
+                                         "--d", "a,b,ab", "--budget", "500"],
+    "wp_lamp_search_exhausted_unknown": ["wp-from-folner", "--group", "lamplighter",
+                                         "--d", "t,t,t^2", "--budget", "40"],
     # harem-demo and paradox: the 50-step and 12-code matchings are pinned
     "harem_free2": ["harem-demo", "--group", "free:2", "--k", "e,a,a^-1,b,b^-1",
                     "--steps", "4"],
@@ -186,21 +203,26 @@ CASES = {
                                   "--n", "2", "--size-bound", "4", "--budget", "2263"],
     "witness_free_none_found": ["witness", "--group", "free:2", "--k", "a,b",
                                 "--n", "4", "--size-bound", "2"],
+    # sizes past the 5-element ball hold no subset; the scan stops there
+    "witness_z1_size_bound_maxsize": ["witness", "--group", "zd:1", "--k", "+1",
+                                      "--n", "100", "--size-bound", MAXSIZE],
     "restrict_z2": ["restrict-folner", "--group", "zd:2", "--k", "(1,0)", "--n", "3"],
     "restrict_z2_unknown": ["restrict-folner", "--group", "zd:2", "--k", "(1,0)",
                             "--n", "3", "--budget", "6"],
     "restrict_z2_two": ["restrict-folner", "--group", "zd:2", "--k", "(1,0),(0,2)",
                         "--n", "1"],
+    # the search's n is --n times |K|, past sys.maxsize
+    "restrict_z2_n_maxsize_unknown": ["restrict-folner", "--group", "zd:2",
+                                      "--k", Z2_D, "--n", MAXSIZE, "--budget", "10"],
     # exit 3: precondition violations
     "err3_kappa_computable": ["kappa", "--group", "zd:1", "--d", "+1", "--n", "2",
                               "--fn", "{golden}/fn_z_interval5.json"],
     "err3_wp_ce_group": ["wp-from-folner", "--group", "redundant-z", "--d", "x,y,xy"],
-    "err3_wp_free_search_exhausted": ["wp-from-folner", "--group", "free:2",
-                                      "--d", "a,b,ab", "--budget", "500"],
     "err3_restrict_lamp": ["restrict-folner", "--group", "lamplighter", "--k", "t",
                            "--n", "1"],
     "err3_folner_ce_group": ["folner-search", "--group", "redundant-z", "--d", "x",
                              "--n", "2"],
+    "err3_seq_ce_group": ["folner-seq", "--group", "redundant-z", "--n", "1000000"],
     # exit 4: malformed input
     "err4_spec": ["folner-search", "--group", "nope:3", "--d", "+1", "--n", "2"],
     "err4_element": ["folner-search", "--group", "zd:1", "--d", "qq", "--n", "2"],

@@ -1,5 +1,6 @@
 """Folner verification/search, Reiter machinery, CE invariance, word problem."""
 
+import inspect
 import itertools
 import math
 import random
@@ -547,12 +548,14 @@ def test_invariance_verifier_with_mixed_denominators_equals_the_reference():
 
 
 def test_invariance_scan_builds_no_stream():
-    # the walk reads the value buckets; the equal-codes stream stays empty
+    # the scan runs walks of its own; the equal-codes stream stays empty,
+    # and the walk that would grow it never starts
     for case, (oracle, *_) in enumerate(KAPPA_INPUTS):
         if oracle is RedundantZOracle:
             g, f, D, n, outcome = _kappa_input(case)
             assert verify_invariance_ce(g, n, D, f, Budget(10**5)) == outcome
-            assert g._eq_stream == [] and g._eq_level == 0
+            assert g._eq_stream == []
+            assert inspect.getgeneratorstate(g._eq_walk) == inspect.GEN_CREATED
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,13 @@ def _count_paid_mult(g, meter):
     products made again by the same route ("remade"): a pair (x, f) that a
     ``mult`` call made before, or a pair (a, c) that a row made before.  (A
     ball's rows and a subset scan's ``mult`` calls are two routes; a pair
-    can be made once by each.)  A row made by ``mult`` calls counts them
-    once, with the row."""
+    can be made once by each.)  A product counts once, by the outermost
+    call: a row made by ``mult`` calls counts them with the row, and a
+    ``mult`` made as a one-element row (as zd's is) counts as a ``mult``."""
     real_mult, real_row = g.mult, g.mult_row
     seen = {"calls": 0, "mult": 0, "unpaid": 0, "remade": 0}
     routes = {"mult": set(), "row": set()}
-    open_rows = []
+    open_calls = []
 
     def made(route, a, codes):
         pairs = routes[route]
@@ -125,19 +126,21 @@ def _count_paid_mult(g, meter):
         seen["mult"] += len(codes) if route == "mult" else 0
         seen["unpaid"] = max(seen["unpaid"], seen["calls"] - meter.consumed)
 
+    def counted(route, a, codes, real, *args):
+        if not open_calls:
+            made(route, a, codes)
+        open_calls.append(a)
+        try:
+            return real(*args)
+        finally:
+            open_calls.pop()
+
     def mult(x, y):
-        if not open_rows:
-            made("mult", x, (y,))
-        return real_mult(x, y)
+        return counted("mult", x, (y,), real_mult, x, y)
 
     def mult_row(a, codes):
         codes = list(codes)
-        made("row", a, codes)
-        open_rows.append(a)
-        try:
-            return real_row(a, codes)
-        finally:
-            open_rows.pop()
+        return counted("row", a, codes, real_row, a, codes)
 
     g.mult, g.mult_row = mult, mult_row
     return seen

@@ -1,5 +1,6 @@
 """Group-core contract: codings, group laws, CE enumerations."""
 
+import functools
 import itertools
 import random
 
@@ -291,6 +292,13 @@ def test_lamplighter_mask_arithmetic_equals_the_lamp_sets(x, ys):
 # rows of products
 
 
+def _zd_mult_reference(g, x, y):
+    """The Z^d product by its definition: the sum of the decoded vectors,
+    packed by ``pack_vector``."""
+    a, b = unpack_vector(x, g.dim), unpack_vector(y, g.dim)
+    return pack_vector(tuple(u + v for u, v in zip(a, b)))
+
+
 ROW_CODES = list(range(40)) + [97, 1234, 10**5 + 7, 987654]
 
 
@@ -302,8 +310,11 @@ ROW_CODES = list(range(40)) + [97, 1234, 10**5 + 7, 987654]
 def test_mult_row_equals_mult(spec):
     # cyclic:6 takes non-canonical codes too (7 = 1, 1234 = 4)
     g = CEView(make_group(spec[3:])) if spec.startswith("ce:") else make_group(spec)
+    # zd's mult is its one-element row; its reference is the vector sum
+    zd = isinstance(g, ZdOracle)
+    mult = functools.partial(_zd_mult_reference, g) if zd else g.mult
     for a in ROW_CODES[::3]:
-        want = [g.mult(a, c) for c in ROW_CODES]
+        want = [mult(a, c) for c in ROW_CODES]
         assert g.mult_row(a, ROW_CODES) == want, (spec, a)
         assert g.mult_row(a, iter(ROW_CODES)) == want
         assert g.mult_row(a, ()) == []
@@ -461,6 +472,10 @@ class _LoopRZ(RedundantZOracle):
     """redundant-z with its enumerations built by scanning every code of
     a level, the reference for the value-bucket streams."""
 
+    def __init__(self):
+        super().__init__()
+        self._eq_level = 0
+
     def eq_enum(self, m):
         while len(self._eq_stream) <= m:
             n = self._eq_level
@@ -498,8 +513,8 @@ def test_rz_bucketed_streams_equal_the_level_loops():
 
 
 def test_rz_streams_read_alternately_keep_to_their_own_levels():
-    # the two streams share one bucket map; first multt_enum leads by far,
-    # then eq_enum overtakes it, and neither may see a code above its level
+    # each stream keeps its own buckets; first multt_enum leads by far, then
+    # eq_enum overtakes it, and neither may see a code above its level
     ref, g = _LoopRZ(), RedundantZOracle()
     reads = [("multt_enum", m) for m in range(4000)]
     reads[::40] = [("eq_enum", m) for m in range(len(reads[::40]))]
@@ -510,7 +525,7 @@ def test_rz_streams_read_alternately_keep_to_their_own_levels():
     leads = set()
     for name, m in reads:
         assert getattr(g, name)(m) == getattr(ref, name)(m), (name, m)
-        leads.add(g._eq_level > g._multt_level)
+        leads.add(ref._eq_level > ref._multt_level)
     assert leads == {False, True}
 
 
@@ -572,8 +587,8 @@ def test_rz_eq_entries_within_equal_the_filtered_stream(rz):
 
 
 def test_rz_eq_entries_within_share_the_buckets_with_the_streams(rz):
-    # other reads run ahead of a walk, or between its entries; the buckets
-    # they fill are the walk's, and it must read the same entries
+    # other reads run ahead of a walk, or between its entries; the walk
+    # keeps buckets of its own, and must read the same entries
     for k, codes in enumerate(_random_code_sets(81, 12)):
         want = _filter_within(rz, codes, 10**5)
         g = RedundantZOracle()

@@ -9,7 +9,8 @@ checkout that holds this file.
 
 One more pass then runs with counters installed, after the timed ones, and
 a second table gives for each command the products made through
-``mult_row`` and the meter steps consumed: machine-independent work to set
+``mult_row`` (zd's ``mult`` is a one-element row, so its single products
+count too) and the meter steps consumed: machine-independent work to set
 beside the seconds.
 
     python3 tools/command_split.py --seed 1 --passes 6
