@@ -7,7 +7,9 @@ internally.  Reports go to stdout as human text, or as canonical JSON with
 
 ``COMMANDS`` lists every command with its help text and flags, and
 ``FLAGS`` gives each flag's ``add_argument`` arguments; argparse rejects
-``--n``, ``--budget`` or ``--steps`` below 1 or above ``sys.maxsize``.
+``--n``, ``--budget`` or ``--steps`` below 1, ``paradox --verify``,
+``witness --size-bound`` or ``witness --n`` below 0, and every count above
+``sys.maxsize``.
 ``paradox`` refuses a key that ``decide_witness_commutation`` refutes,
 before any matching step.  ``_run`` charges the run's
 one meter, made from ``--budget``, and answers a report or ``UNKNOWN``;
@@ -66,11 +68,16 @@ class _MalformedInput(Exception):
     """An element list or Reiter function file that does not parse."""
 
 
-def _positive(text: str) -> int:
+def _count(text: str, low: int = 0) -> int:
     value = int(text)
-    if not 1 <= value <= sys.maxsize:
-        raise argparse.ArgumentTypeError("must be 1 to %d, got %d" % (sys.maxsize, value))
+    if not low <= value <= sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            "must be %d to %d, got %d" % (low, sys.maxsize, value))
     return value
+
+
+def _positive(text: str) -> int:
+    return _count(text, 1)
 
 
 FLAGS = {
@@ -78,15 +85,15 @@ FLAGS = {
     "--k": dict(help="comma-separated key words"),
     "--k0": dict(help="comma-separated key seed words"),
     "--n": dict(type=_positive, required=True),
-    "--verify": dict(type=int, default=0),
-    "--size-bound": dict(type=int, default=4),
+    "--verify": dict(type=_count, default=0),
+    "--size-bound": dict(type=_count, default=4),
     "--fn": dict(help="path to a Reiter function JSON"),
     "--steps": dict(type=_positive, default=10),
 }
 
 # witness --n is optional: the default 0 runs no refutation search
 _REFUTE_N = ("--n", dict(
-    type=int, default=0,
+    type=_count, default=0,
     help="also search for an n-Folner refutation up to --size-bound"))
 
 COMMANDS = {

@@ -43,15 +43,22 @@ cancels the flow and patches the capacities, counts the cancelled units
 off the value, then augments to a maximum flow and maps only the
 committed star back.  A B node lost from inside the radius has only A
 neighbours that left the ball too, since A nodes never lie at the radius,
-so their cancellations already free it.  Each phase of the augmenting search labels the
-network from both ends, so its work grows with the step's few augmenting
-paths, not with the template.  A step never starts from the previous step's flow,
-so the state stays a pure function of (graph, k, steps).  Both networks,
-the template's and the one ``finite_harem_match`` builds from zero flow,
-share one flat arc format (``_arcs``) and one flow readout
-(``_flow_partners``).
+so their cancellations already free it.  Each phase of the augmenting
+search labels the network from both ends, so its work grows with the
+step's few augmenting paths, not with the template.  For the same reason
+a B node at the radius has no arc b -> tt in the arc lists, at either end:
+that arc has capacity 0 both ways in the template, a step only lengthens
+distances, so a radius node never becomes interior, and ``_capacities``
+only reads the arc's flow (0) before it falls back to the arc b -> T.  No
+augmenting path can use it, so the flows and matchings are those of the
+full lists.  A step never starts from the previous step's flow, so the
+state stays a pure function of (graph, k, steps).  Both networks, the
+template's and the one ``finite_harem_match`` builds from zero flow, share
+one flat arc format (``_arcs``) and one flow readout (``_flow_partners``).
 For the paradoxical decomposition of free:2 (17-element key, k = 2) the
-templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4).
+templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4),
+and tt heads 18 and 162 arcs, against 1,458 and 13,122 with the radius
+nodes' arcs listed.
 """
 
 from __future__ import annotations
@@ -342,9 +349,9 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
     have ``cap[~e] > 0``.  The side that grows is the one whose next level
     scans fewer arcs, the sum of ``len(head[u])`` over its frontier, so the
     phase follows the few augmenting paths of a warm-started step and not
-    the whole template, whose aggregate nodes T and tt each hold thousands
-    of arcs.  Once a level comes out empty, no augmenting path is left and
-    the flow is maximum.  Labelling stops at the first level that reaches a
+    the whole template, whose aggregate node T holds thousands of arcs.
+    Once a level comes out empty, no augmenting path is left and the flow
+    is maximum.  Labelling stops at the first level that reaches a
     node labelled from the other end: with ls and lt the levels grown,
     L = ls + lt is then the length of the shortest augmenting paths, and
     ds(v) + dt(v) >= L for every node v.  A level of s stops at the first
@@ -481,7 +488,11 @@ class _Template(NamedTuple):
 
     Nodes and arc blocks are those of ``finite_harem_match``, each side in
     code order, except that every B node has both its boundary arc and its
-    interior arc, with the capacities of the full ball.  ``cap`` is the
+    interior arc, with the capacities of the full ball.  The interior arc
+    b -> tt of a node at the radius keeps its number, ``to`` entries and
+    capacity 0 both ways, but ``head`` lists it at neither end: no step
+    brings a radius node inside the radius, so the arc never gets capacity,
+    and every other entry of ``head`` keeps its order.  ``cap`` is the
     residual network of the ball's maximum flow: the capacity of arc e is
     ``cap[e] + cap[~e]`` and its flow ``cap[~e]``; ``value`` is the value of
     that flow, the flow out of ss.
@@ -552,6 +563,12 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
         (b_nodes, [tt] * n_b, [1 - x for x in on_boundary]),
     )
     head, to, cap, starts = _arcs(blocks, tt + 1)
+    # a radius node's arc b -> tt has capacity 0 both ways for good: it
+    # leaves the arc lists, its number and capacities kept
+    for b in b_nodes:
+        if dist[b] == r:
+            head[b].pop()  # b -> tt, b's last arc
+    head[tt] = [e for e in head[tt] if dist[to[e]] < r]
     value = _maxflow(head, to, cap, ss, tt)  # cap keeps the flow
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,

@@ -242,6 +242,10 @@ VALID_ARGV = {
 }
 
 
+# the counts whose default is 0, or that may be 0
+FROM_ZERO = {"paradox": ("--verify",), "witness": ("--n", "--size-bound")}
+
+
 def _with(argv, flag, value):
     if flag in argv:
         argv = list(argv)
@@ -258,6 +262,8 @@ def test_every_command_rejects_counts_below_one(capsys):
         bad = [_with(argv, "--budget", "0")]
         if "--n" in flags and FLAGS["--n"].get("required"):
             bad += [_with(argv, "--n", "0"), _with(argv, "--n", "-1")]
+        # and the counts that may be 0 below 0
+        bad += [_with(argv, flag, "-1") for flag in FROM_ZERO.get(name, ())]
         for case in bad:
             assert run(capsys, *case) == (4, ""), case
 
@@ -321,6 +327,13 @@ def _robustness_grid():
                                    "--k", "(0,0),(1,0)", "--steps", "5"]
     grid["witness lamplighter key"] = ["witness", "--group", "lamplighter",
                                        "--k", "s,t", "--n", "2"]
+    # negative values of the counts that may be 0
+    grid["paradox --verify negative"] = ["paradox", "--group", "free:2", "--k0", "a,b",
+                                         "--n", "1", "--verify", "-1"]
+    grid["witness --size-bound negative"] = ["witness", "--group", "zd:1", "--k", "+1",
+                                             "--n", "2", "--size-bound", "-1"]
+    grid["witness --n negative"] = ["witness", "--group", "zd:1", "--k", "+1",
+                                    "--n", "-3"]
     return grid
 
 

@@ -251,6 +251,13 @@ CASES = {
     # and counts above sys.maxsize, which no index can hold
     "err4_n_above_maxsize": ["folner-search", "--group", "zd:1", "--d", "+1",
                              "--n", "100000000000000000000", "--budget", "1000"],
+    # and the counts that may be 0 below it
+    "err4_paradox_verify_negative": ["paradox", "--group", "free:2", "--k0", "a,b",
+                                     "--n", "1", "--verify", "-1"],
+    "err4_witness_size_bound_negative": ["witness", "--group", "zd:1", "--k", "+1",
+                                         "--n", "2", "--size-bound", "-1"],
+    "err4_witness_n_negative": ["witness", "--group", "zd:1", "--k", "+1",
+                                "--n", "-3"],
 }
 
 

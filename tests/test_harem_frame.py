@@ -14,7 +14,9 @@ dead nodes removed, and ``full_scan_capacities``.  The change map leaves
 out the radius nodes that lost every parent; the full scan names them,
 and each must have every neighbour in the ball dead or lost.  Templates
 are compared with ``_template_reference``, the build from ``induced_ball``,
-and whole matchings with pinned ``matching_dump`` hashes.
+and whole matchings with pinned ``matching_dump`` hashes.  The arcs that a
+template leaves out of its arc lists, the radius nodes' arcs b -> tt, must
+have capacity 0 both ways in the template and in every step's network.
 """
 
 import hashlib
@@ -436,7 +438,8 @@ def test_template_holds_a_maximum_flow_of_the_full_ball(spec, key, k):
 def _template_reference(g, origin, r, k):
     """The fields of the template as built from ``induced_ball`` and a
     second breadth-first search over the ball's nodes, all but ``value``:
-    the reference for ``_template``."""
+    the reference for ``_template``.  No B node at the radius has its arc
+    b -> tt in ``head``, at either end."""
     ball = induced_ball(g, origin, r)
     S, T = 0, 1
     n_a, n_b = len(ball.A), len(ball.B)
@@ -464,6 +467,9 @@ def _template_reference(g, origin, r, k):
         (b_nodes, [tt] * n_b, [1 - x for x in on_boundary]),
     )
     head, to, cap, starts = _arcs(blocks, tt + 1)
+    radius_tt = {b + starts[6] - b0 for b in b_nodes if dist[b] == r}
+    head = [[e for e in arcs if e not in radius_tt and ~e not in radius_tt]
+            for arcs in head]
     _maxflow(head, to, cap, ss, tt)
     return dict(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
@@ -498,6 +504,60 @@ def test_template_equals_the_induced_ball_build(spec, key, level, k, sides, radi
             assert getattr(tpl, name) == field, name
         ss = len(tpl.head) - 2
         assert tpl.value == sum(tpl.cap[~e] for e in tpl.head[ss])
+
+
+def unlisted_arcs(head, to):
+    """The forward arcs that ``head`` lists at neither end, after checking
+    that it lists every other arc at both."""
+    listed = set(chain(*head))
+    assert all((e in listed) == (~e in listed) for e in listed)
+    return [e for e in range(len(to) // 2) if e not in listed]
+
+
+@pytest.mark.parametrize("spec,key,level,codes,steps", [
+    ("free:2", "a,a^-1,b,b^-1", 1, 48, 61),
+    ("free:2", "a,b,b^-1", 2, 12, 13),  # |K| = 28
+    ("zd:2", "(1,0),(0,1)", None, None, 60),
+])
+def test_arcs_left_out_of_the_template_never_carry_capacity(
+        monkeypatch, spec, key, level, codes, steps):
+    # every arc missing from a network's arc lists has capacity 0 both ways,
+    # before and after each maximum flow: the template's own and each step's
+    solve = harem._maxflow
+    unlisted = {}  # id(head) -> (head, its unlisted arcs)
+    checked = []
+
+    def zero(head, to, cap):
+        if id(head) not in unlisted:
+            unlisted[id(head)] = head, unlisted_arcs(head, to)
+        for e in unlisted[id(head)][1]:
+            assert cap[e] == cap[~e] == 0, e
+        checked.append(head)
+
+    def checked_maxflow(head, to, cap, s, t):
+        zero(head, to, cap)
+        value = solve(head, to, cap, s, t)
+        zero(head, to, cap)
+        return value
+
+    monkeypatch.setattr(harem, "_maxflow", checked_maxflow)
+    g = make_group(spec)
+    K0 = parse_elements(g, key)
+    if level is None:  # steps on the doubling graph of the radius-1 ball
+        st = harem_new(cayley_bipartite(g, ball(g, K0, 1)), 1)
+        for _ in range(steps):
+            harem_step(st)
+    else:
+        d = build_decomposition(g, K0, level)
+        report = verify_decomposition_prefix(d, codes, Budget(10**4))
+        assert report["violations"] == []
+        st = d.state
+    assert st.step_count == steps and len(checked) == 2 * (steps + 2)
+    for tpl in st._templates.values():
+        # exactly the radius nodes' arcs b -> tt are left out
+        radius = [b + tpl.to_tt for b in range(tpl.b0, len(tpl.head) - 2)
+                  if tpl.dist[b] == tpl.radius]
+        assert radius and unlisted_arcs(tpl.head, tpl.to) == radius
 
 
 @pytest.mark.parametrize("spec,key,codes,steps,digest", [

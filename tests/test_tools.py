@@ -57,7 +57,12 @@ def test_paradox_split_runs_a_prefix_pass():
     head, header, *rows = _run("tools/paradox_split.py", "--passes", "1")
     assert head[-1] == "[0]"  # failed checks in the one pass
     assert header[0] == "layer"
-    layers = ["template", "frame", "capacities", "maxflow", "rest", "pass"]
-    assert [row[0] for row in rows] == [*layers, "side", "A", "B"]
+    layers = ["template", "frame", "capacities", "maxflow", "label", "rest", "pass"]
+    assert [row[0] for row in rows] == [*layers, "side", "A", "B", "template", "A", "B"]
+    assert all(float(row[1]) >= 0 for row in rows[:len(layers) - 2])
     # the 48-code pass takes 61 steps, 31 on the A side and 30 on the B side
-    assert [int(row[1]) for row in rows[-2:]] == [31, 30]
+    assert [int(row[1]) for row in rows[-5:-3]] == [31, 30]
+    # nodes, forward arcs, arc-list entries and tt's arcs of each template:
+    # no radius node's arc b -> tt is listed
+    assert [list(map(int, row[1:])) for row in rows[-2:]] == [
+        [1622, 5815, 8750, 18], [14582, 52471, 79022, 162]]

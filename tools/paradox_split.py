@@ -5,10 +5,13 @@ Builds the benchmark's ``paradox-prefix`` workload with
 process, and prints the seconds each layer took in a pass: the median and
 the range over the passes.  The layers are the template builds
 (``_template``, its maximum flow included), ``_frame`` less the template
-builds it starts, ``_capacities``, the steps' ``_maxflow`` and the rest of
-the pass; the last row is the whole pass.  Then, per side, the steps of a
-pass and the sizes of their change maps.  The library is imported from
-``src/`` of the checkout that holds this file.
+builds it starts, ``_capacities``, the steps' ``_maxflow`` less its
+labelling, the labelling of the steps' flow phases (``_label_from_both_ends``
+and ``_label_from_s``) and the rest of the pass; the last row is the whole
+pass.  Then, per side, the steps of a pass and the sizes of their change
+maps, and the side's template: its nodes (S, T, ss and tt included), its
+forward arcs, its arc-list entries (``head``) and the arcs that tt heads.
+The library is imported from ``src/`` of the checkout that holds this file.
 
     python3 tools/paradox_split.py --passes 6
 """
@@ -27,7 +30,10 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("budget", "groups", "folner", "harem", "paradox", "witness", "cli")
-LAYERS = ("template", "frame", "capacities", "maxflow")
+LAYERS = ("template", "frame", "capacities", "maxflow", "label")
+# the harem functions timed by layer; ``_frame`` is timed by LayerClock.frame
+TIMED = {"_template": "template", "_capacities": "capacities", "_maxflow": "maxflow",
+         "_label_from_both_ends": "label", "_label_from_s": "label"}
 
 
 class LayerClock:
@@ -39,6 +45,7 @@ class LayerClock:
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.inside = None  # the layer of the call being timed
         self.changes: dict[bool, list[int]] = {True: [], False: []}
+        self.templates = {}  # side -> its template
 
     def wrap(self, layer, fn):
         def timed(*args):
@@ -58,12 +65,14 @@ class LayerClock:
         return timed
 
     def frame(self, fn):
-        """``_frame`` timed, recording each change map's size by side."""
+        """``_frame`` timed, recording each change map's size and the
+        template by side."""
         timed = self.wrap("frame", fn)
 
         def counted(st, a_side, c):
             tpl, changes = timed(st, a_side, c)
             self.changes[a_side].append(len(changes))
+            self.templates[a_side] = tpl
             return tpl, changes
 
         return counted
@@ -71,22 +80,20 @@ class LayerClock:
 
 def layer_seconds(workload, lib, state, passes: int):
     """{layer: [seconds in each pass]} with the whole pass under "pass",
-    the last pass's change-map sizes by side, and the list of failed-check
-    counts."""
+    the last pass's change-map sizes and templates by side, and the list of
+    failed-check counts."""
     from workloads import PassClock
 
     seconds: dict[str, list[float]] = {}
     failed = []
     harem = lib.harem
-    plain = {name: getattr(harem, name)
-             for name in ("_template", "_frame", "_capacities", "_maxflow")}
+    plain = {name: getattr(harem, name) for name in (*TIMED, "_frame")}
     for _ in range(passes):
         gc.collect()
         layers = LayerClock()
-        harem._template = layers.wrap("template", plain["_template"])
+        for name, layer in TIMED.items():
+            setattr(harem, name, layers.wrap(layer, plain[name]))
         harem._frame = layers.frame(plain["_frame"])
-        harem._capacities = layers.wrap("capacities", plain["_capacities"])
-        harem._maxflow = layers.wrap("maxflow", plain["_maxflow"])
         clock = PassClock()
         try:
             workload.run_pass(lib, state, clock)
@@ -99,7 +106,7 @@ def layer_seconds(workload, lib, state, passes: int):
         split["rest"] = split["pass"] - sum(layers.seconds.values())
         for name, dt in split.items():
             seconds.setdefault(name, []).append(dt)
-    return seconds, layers.changes, failed
+    return seconds, layers.changes, layers.templates, failed
 
 
 def main(argv=None):
@@ -114,7 +121,7 @@ def main(argv=None):
     workload = WORKLOADS["paradox-prefix"]
     with tempfile.TemporaryDirectory() as out_dir:
         state = workload.setup(lib, 1, Path(out_dir))
-        seconds, changes, failed = layer_seconds(
+        seconds, changes, templates, failed = layer_seconds(
             workload, lib, state, max(1, args.passes))
     print("%d passes, failed checks per pass: %s" % (len(failed), failed))
     print("%-12s %8s %17s" % ("layer", "median s", "range s"))
@@ -128,6 +135,11 @@ def main(argv=None):
         print("%-12s %5d %13d %11g %7d" % (
             "A" if a_side else "B", len(sizes), sum(sizes),
             statistics.median(sizes), max(sizes)))
+    print("%-12s %7s %7s %8s %7s" % ("template", "nodes", "arcs", "entries", "tt arcs"))
+    for a_side, tpl in sorted(templates.items(), reverse=True):
+        print("%-12s %7d %7d %8d %7d" % (
+            "A" if a_side else "B", len(tpl.head), len(tpl.to) // 2,
+            sum(map(len, tpl.head)), len(tpl.head[-1])))
     return 1 if any(failed) else 0
 
 
