@@ -240,7 +240,10 @@ def _run(args, g, meter: Meter):
 
 
 def _emit(report: dict, as_json: bool, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Write the report's canonical JSON to ``out_path`` if given, and print
+    the JSON with ``as_json``, else one ``key: value`` line per key; the JSON
+    is encoded only when one of them uses it."""
+    text = json.dumps(report, indent=2, sort_keys=True) if as_json or out_path else None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

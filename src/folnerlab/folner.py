@@ -241,10 +241,12 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     costs |step| x |L_r| before it is built, and each candidate F costs
     |F| x max(1, |D|) before it is tested.  The cost model bounds the calls
     made.  A ball's test makes |L_r| x |D| of the calls its candidate paid
-    for, and the next layer makes only the rest of its own after its
-    charge, so no call is made before it is paid for.  A tail candidate's
-    test makes at most |F| x |D| new calls, and its certificate reuses them.
-    Raises ValueError for n < 1, before any charge.
+    for, the rows of all of D in one :meth:`folnerlab.groups.BallLayer.make`
+    call after that charge, and the next layer makes only the rest of its
+    own after its charge, so no call is made before it is paid for.  A
+    tail candidate's test makes at most |F| x |D| new calls, and its
+    certificate reuses them.  Raises ValueError for n < 1, before any
+    charge.
     """
     if g.mode != COMPUTABLE:
         raise PreconditionError("search_folner requires a COMPUTABLE-mode oracle")
@@ -257,6 +259,7 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     for layer in itertools.islice(ball_growth(g, D, meter), balls):
         if layer is None or not meter.charge(len(layer.ball) * cost):
             return UNKNOWN
+        layer.make(D)
         defects = {x: Fraction(layer.leaving(x), len(layer.ball)) for x in D}
         if all(within(d, n) for d in defects.values()):
             return FolnerCertificate(g.spec, D, n, tuple(sorted(layer.ball)), defects)

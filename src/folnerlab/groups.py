@@ -149,6 +149,13 @@ class GroupOracle:
         to decode a once."""
         return list(map(self.mult, itertools.repeat(a), codes))
 
+    def mult_rows(self, steps, codes) -> list[list[int]]:
+        """The rows ``mult_row(a, codes)`` for a in steps, in order, read
+        from a collection of codes.  A :class:`BallLayer` makes the rows it
+        lacks with one call, so a family that decodes codes (the
+        lamplighter) overrides it to decode each code once for all rows."""
+        return [self.mult_row(a, codes) for a in steps]
+
     # CE-mode surface; COMPUTABLE families leave these unimplemented.
     def multt_enum(self, m: int) -> tuple[int, int, int]:
         raise PreconditionError("multt_enum requires a CE-mode oracle")
@@ -405,36 +412,61 @@ class CyclicOracle(GroupOracle):
 
 
 def _moved_lamps(mask: int, by: int) -> int:
-    """The lamplighter lamp mask of the lamps of ``mask`` moved by ``by``."""
+    """The lamplighter lamp mask of the lamps of ``mask`` moved by ``by``,
+    with whole-mask bit operations.
+
+    Lamp p is bit zigzag(p): the lamps p >= 1 are the odd bits 2p - 1 and
+    the lamps p <= 0 the even bits -2p.  A move by b = |by| away from 0
+    (the odd bits for by > 0, the even bits for by < 0) shifts that class up
+    by 2b.  The other class shifts down by 2b, except for its bits below 2b:
+    those are the b lamps that cross 0, and bit i of them lands on bit
+    2b - 1 - i of the first class, placed one by one.
+    """
     if not by:
         return mask
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << zigzag(unzigzag(low.bit_length() - 1) + by)
-        mask ^= low
+    shift = 2 * abs(by)
+    # 0b0101...01 with at least mask.bit_length() digits
+    evens = mask & ((1 << (mask.bit_length() | 1) + 1) - 1) // 3
+    up, down = (mask ^ evens, evens) if by > 0 else (evens, mask ^ evens)
+    out = up << shift | down >> shift
+    cross = down & (1 << shift) - 1
+    while cross:
+        low = cross & -cross
+        out |= 1 << shift - low.bit_length()
+        cross ^= low
     return out
 
 
-def _lamplighter_row(a: int, codes) -> list[int]:
-    """Lamplighter products a * c for c in codes: a is decoded once, and
-    each distinct lamp mask of the row is moved by a's cursor once."""
-    mask_a, za = cantor_unpair(a)
-    ca = unzigzag(za)
-    moved, out = {}, []
+def _lamplighter_rows(steps, codes) -> list[list[int]]:
+    """Lamplighter rows a * c for c in codes, one per step a.
+
+    Each code is decoded once for all the rows, into a lamp mask and a
+    cursor, and each step once.  The steps of one cursor share the codes'
+    moved masks, each distinct mask moved once (:func:`_moved_lamps`; a
+    cursor of 0 moves none), and the zig-zags of the product cursors.  So a
+    row is one xor with the step's mask and one Cantor pairing per code.
+    """
+    masks, cursors = [], []
     # cantor_unpair, the cursor's zig-zag both ways and cantor_pair, inlined
     for c in codes:
         s = math.isqrt(8 * c + 1) - 1 >> 1
         zc = c - (s * (s + 1) >> 1)
-        mask = s - zc
-        m = moved.get(mask)
-        if m is None:
-            m = moved[mask] = _moved_lamps(mask, ca)
-        cursor = ca + (-(zc >> 1) if zc & 1 == 0 else zc + 1 >> 1)
-        zp = 2 * cursor - 1 if cursor > 0 else -2 * cursor
-        s = (mask_a ^ m) + zp
-        out.append((s * (s + 1) >> 1) + zp)
-    return out
+        masks.append(s - zc)
+        cursors.append(-(zc >> 1) if zc & 1 == 0 else zc + 1 >> 1)
+    by_cursor, rows = {}, []
+    for a in steps:
+        mask_a, za = cantor_unpair(a)
+        ca = unzigzag(za)
+        if ca not in by_cursor:
+            memo = {}
+            moved = [memo[m] if m in memo else memo.setdefault(m, _moved_lamps(m, ca))
+                     for m in masks] if ca else masks
+            zps = [2 * z - 1 if (z := ca + cc) > 0 else -2 * z for cc in cursors]
+            by_cursor[ca] = moved, zps
+        moved, zps = by_cursor[ca]
+        rows.append([((s := (mask_a ^ m) + zp) * (s + 1) >> 1) + zp
+                     for m, zp in zip(moved, zps)])
+    return rows
 
 
 class LamplighterOracle(GroupOracle):
@@ -446,8 +478,11 @@ class LamplighterOracle(GroupOracle):
 
     The arithmetic works on the codes' lamp masks, where lamp p is bit
     zigzag(p).  Zig-zag is a bijection, so the symmetric difference of two
-    lamp sets is the xor of their masks; only the shifted factor's bits are
-    moved one by one (:func:`_moved_lamps`).
+    lamp sets is the xor of their masks, and the shifted factor's mask is
+    moved whole, two shifts and the lamps that cross 0 (:func:`_moved_lamps`).
+    ``mult_rows`` is the one kernel (:func:`_lamplighter_rows`): a ball
+    layer's rows come from one call that decodes each code once;
+    ``mult_row`` is a one-step ``mult_rows`` and ``mult`` a one-element row.
     """
 
     mode = COMPUTABLE
@@ -472,10 +507,13 @@ class LamplighterOracle(GroupOracle):
         lamps = frozenset(unzigzag(p) for p in subset_decode(mask))
         return lamps, unzigzag(zc)
 
-    mult_row = staticmethod(_lamplighter_row)
+    mult_rows = staticmethod(_lamplighter_rows)
+
+    def mult_row(self, a: int, codes) -> list[int]:
+        return _lamplighter_rows((a,), codes)[0]
 
     def mult(self, x: int, y: int) -> int:
-        return _lamplighter_row(x, (y,))[0]
+        return _lamplighter_rows((x,), (y,))[0][0]
 
     def inv(self, x: int) -> int:
         mask, zc = cantor_unpair(x)
@@ -715,22 +753,28 @@ def eq_semidecide(g: GroupOracle, x: int, y: int, b: Budget):
 class BallLayer:
     """The newest layer L_r of a ball B_r, multiplied by its steps on demand.
 
-    ``ball`` is B_r as a set and ``codes`` is L_r.  :meth:`leaving` makes the
-    products of one step with L_r and keeps those outside B_r in ``outside``,
-    which is the next layer once every step has been made.
+    ``ball`` is B_r as a set and ``codes`` is L_r.  :meth:`make` makes the
+    rows a L_r of the steps it is given that no call has made yet, all with
+    one ``mult_rows`` call, and keeps the products outside B_r in
+    ``outside``, which is the next layer once every step has been made.
+    The caller charges for the rows before it asks for them.
     """
 
     def __init__(self, g: GroupOracle, codes, ball: set):
         self.g, self.codes, self.ball = g, codes, ball
         self.outside, self._leaving = set(), {g.identity: 0}
 
-    def leaving(self, a: int) -> int:
-        """|a L_r \\ B_r|, from one ``mult_row`` of |L_r| products, made once
-        per step a."""
-        if a not in self._leaving:
-            out = set(self.g.mult_row(a, self.codes)) - self.ball
+    def make(self, steps):
+        """Make the rows of the distinct steps not made yet, |L_r| products
+        each, in one ``mult_rows`` call; the identity's row is never made."""
+        todo = [a for a in steps if a not in self._leaving]
+        for a, row in zip(todo, self.g.mult_rows(todo, self.codes)):
+            out = set(row) - self.ball
             self.outside |= out
             self._leaving[a] = len(out)
+
+    def leaving(self, a: int) -> int:
+        """|a L_r \\ B_r| for a step a that :meth:`make` has made."""
         return self._leaving[a]
 
 
@@ -740,11 +784,12 @@ def ball_growth(g: GroupOracle, gens, meter=None):
     With step = {e} u gens u gens^-1, the ball B_{r+1} = step B_r adds to
     B_r only products a f with f in L_r, since step B_{r-1} = B_r; the
     identity adds none.  So L_{r+1} is the ``outside`` of L_r once every
-    other step is made, and a step the consumer has already made (see
-    :func:`folnerlab.folner.search_folner`) is not made again.  With a
-    meter, that layer is charged |step| x |L_r| before its remaining
-    products are made; once the meter cannot pay, the generator yields None
-    and stops.  Drawing the next state extends the last one's ball in place.
+    other step is made.  With a meter, that layer is charged |step| x |L_r|
+    first; then one :meth:`BallLayer.make` call makes the rest of the step,
+    the rows the consumer has not already made (see
+    :func:`folnerlab.folner.search_folner`).  Once the meter cannot pay,
+    the generator yields None and stops before that call.  Drawing the
+    next state extends the last one's ball in place.
     """
     step = {g.identity, *gens, *(g.inv(x) for x in gens)}
     ball = {g.identity}
@@ -754,8 +799,7 @@ def ball_growth(g: GroupOracle, gens, meter=None):
         if meter is not None and not meter.charge(len(step) * len(layer.codes)):
             yield None
             return
-        for a in step:
-            layer.leaving(a)
+        layer.make(step)
         if not layer.outside:
             return
         ball |= layer.outside

@@ -189,6 +189,55 @@ def test_out_file(tmp_path, capsys):
     assert data["certificate"]["n"] == 2
 
 
+# one command per report shape, and its text-mode stdout
+TEXT_REPORTS = [
+    (["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2"], 0,
+     "certificate: {'spec': 'zd:1', 'D': [1], 'n': 2, 'F': [0, 1, 2], "
+     "'defects': {'1': '1/3'}}\n"),
+    (["folner-function", "--group", "zd:1", "--d", "+1", "--n", "3"], 0,
+     "min_size: 3\n"),
+    (["folner-seq", "--group", "lamplighter", "--n", "1"], 0,
+     "certificate: {'spec': 'lamplighter', 'D': [0], 'n': 1, 'F': [0], "
+     "'defects': {'0': '0'}}\n"),
+    (["reiter-check", "--group", "zd:1", "--d", "+1", "--n", "2", "--fn", "FN"], 0,
+     "defects: {'1': '2/3'}\ninvariant: False\nn: 2\n"),
+    (["kappa", "--group", "redundant-z", "--d", "x", "--n", "1", "--fn", "FN"], 0,
+     "result: INVARIANT\n"),
+    (["wp-from-folner", "--group", "zd:1", "--d", "+1,+1,2"], 0,
+     "equal: True\ntriple: [1, 1, 3]\n"),
+    (["harem-demo", "--group", "zd:1", "--k", "0,+1", "--steps", "1"], 0,
+     "dump: ['L 0 -> 1', 'R 1 -> 0']\nsteps: 1\n"),
+    (["paradox", "--group", "free:2", "--k0", "a,b", "--n", "1"], 0,
+     "K: [0, 1, 3, 5, 6, 11, 13]\nn1: 2\nresolved: []\nviolations: []\n"),
+    (["witness", "--group", "zd:1", "--k", "+1"], 0,
+     "evidence: None\nrationale: all pairs commute; the subgroup is abelian\n"
+     "verdict: NOT_WITNESS\n"),
+    (["restrict-folner", "--group", "zd:2", "--k", "(1,0)", "--n", "1"], 0,
+     "defects: {'1': '1'}\nfrom: {'spec': 'zd:2', 'D': [1], 'n': 1, 'F': [0], "
+     "'defects': {'1': '1'}}\nsubgroup_folner: [0]\nverified: True\n"),
+    (["folner-seq", "--group", "lamplighter", "--n", "3", "--budget", "5"], 2,
+     "budget: 5\nresult: UNKNOWN\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", TEXT_REPORTS,
+                         ids=[argv[0] for argv, _, _ in TEXT_REPORTS])
+def test_text_mode_prints_key_lines_without_encoding_json(
+        tmp_path, capsys, monkeypatch, argv, code, text):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"support": [0, 1, 2],
+                              "values": {"0": "1", "1": "1", "2": "1"}}))
+    argv = [str(fn) if a == "FN" else a for a in argv]
+    encoded = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: encoded.append(a) or dumps(*a, **k))
+    assert run(capsys, *argv) == (code, text)
+    assert encoded == []
+    # --out encodes the report once and leaves stdout as it was
+    assert run(capsys, *argv, "--out", str(tmp_path / "r.json")) == (code, text)
+    assert len(encoded) == 1
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     argv = ["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2", "--json"]
     src = str(Path(folnerlab.__file__).resolve().parents[1])

@@ -102,47 +102,54 @@ def _plain_refuter(g, K, n, size_bound, meter, radius=2):
 
 
 def _count_paid_mult(g, meter):
-    """Wrap ``g.mult`` and ``g.mult_row``; the returned dict holds the
-    products made ("calls"), a row counting len(codes) when it is called,
-    those made by ``mult`` calls outside rows ("mult"), the largest excess
-    of products over the steps charged at any call ("unpaid"), and the
-    products made again by the same route ("remade"): a pair (x, f) that a
-    ``mult`` call made before, or a pair (a, c) that a row made before.  (A
-    ball's rows and a subset scan's ``mult`` calls are two routes; a pair
-    can be made once by each.)  A product counts once, by the outermost
-    call: a row made by ``mult`` calls counts them with the row, and a
-    ``mult`` made as a one-element row (as zd's is) counts as a ``mult``."""
-    real_mult, real_row = g.mult, g.mult_row
+    """Wrap ``g.mult``, ``g.mult_row`` and ``g.mult_rows``; the returned
+    dict holds the products made ("calls"), a row counting len(codes) when
+    it is called and ``mult_rows`` one row per step, those made by ``mult``
+    calls outside rows ("mult"), the largest excess of products over the
+    steps charged at any call ("unpaid"), and the products made again by
+    the same route ("remade"): a pair (x, f) that a ``mult`` call made
+    before, or a pair (a, c) that a row made before.  (A ball's rows and a
+    subset scan's ``mult`` calls are two routes; a pair can be made once by
+    each.)  A product counts once, by the outermost call: rows made by
+    ``mult_row`` or ``mult`` calls count with the outer rows, and a
+    ``mult`` made as a one-element row (as zd's and the lamplighter's are)
+    counts as a ``mult``."""
+    real_mult, real_row, real_rows = g.mult, g.mult_row, g.mult_rows
     seen = {"calls": 0, "mult": 0, "unpaid": 0, "remade": 0}
     routes = {"mult": set(), "row": set()}
     open_calls = []
 
-    def made(route, a, codes):
+    def made(route, steps, codes):
         pairs = routes[route]
-        for c in codes:
-            seen["remade"] += (a, c) in pairs
-            pairs.add((a, c))
-        seen["calls"] += len(codes)
-        seen["mult"] += len(codes) if route == "mult" else 0
+        for a in steps:
+            for c in codes:
+                seen["remade"] += (a, c) in pairs
+                pairs.add((a, c))
+            seen["calls"] += len(codes)
+            seen["mult"] += len(codes) if route == "mult" else 0
         seen["unpaid"] = max(seen["unpaid"], seen["calls"] - meter.consumed)
 
-    def counted(route, a, codes, real, *args):
+    def counted(route, steps, codes, real, *args):
         if not open_calls:
-            made(route, a, codes)
-        open_calls.append(a)
+            made(route, steps, codes)
+        open_calls.append(steps)
         try:
             return real(*args)
         finally:
             open_calls.pop()
 
     def mult(x, y):
-        return counted("mult", x, (y,), real_mult, x, y)
+        return counted("mult", (x,), (y,), real_mult, x, y)
 
     def mult_row(a, codes):
         codes = list(codes)
-        return counted("row", a, codes, real_row, a, codes)
+        return counted("row", (a,), codes, real_row, a, codes)
 
-    g.mult, g.mult_row = mult, mult_row
+    def mult_rows(steps, codes):
+        steps, codes = list(steps), list(codes)
+        return counted("row", steps, codes, real_rows, steps, codes)
+
+    g.mult, g.mult_row, g.mult_rows = mult, mult_row, mult_rows
     return seen
 
 

@@ -288,6 +288,39 @@ def test_lamplighter_mask_arithmetic_equals_the_lamp_sets(x, ys):
     assert g.inv(x) == _lamplighter_inv_reference(x)
 
 
+def _moved_lamps_reference(mask, by):
+    """The lamp mask moved lamp by lamp: each set bit's lamp, moved by
+    ``by``, lands on its own bit."""
+    if not by:
+        return mask
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << zigzag(unzigzag(low.bit_length() - 1) + by)
+        mask ^= low
+    return out
+
+
+def test_whole_mask_move_equals_the_lamp_by_lamp_move():
+    # masks of up to 200 bits and shifts up to 70 lamps, so lamps cross 0
+    # both ways and the masks pass any fixed width
+    rng = random.Random(5)
+    g = make_group("lamplighter")
+    for _ in range(3000):
+        mask = rng.getrandbits(rng.randint(0, 200))
+        by = rng.randint(-70, 70)
+        assert groups._moved_lamps(mask, by) == _moved_lamps_reference(mask, by)
+        assert groups._moved_lamps(mask, 0) == mask
+        zc = rng.randint(0, 141)
+        want = cantor_pair(_moved_lamps_reference(mask, -unzigzag(zc)),
+                           zigzag(-unzigzag(zc)))
+        assert g.inv(cantor_pair(mask, zc)) == want
+    everything = (1 << 200) - 1
+    for by in range(-70, 71):
+        assert groups._moved_lamps(0, by) == 0
+        assert groups._moved_lamps(everything, by) == _moved_lamps_reference(everything, by)
+
+
 # ---------------------------------------------------------------------------
 # rows of products
 
@@ -318,6 +351,18 @@ def test_mult_row_equals_mult(spec):
         assert g.mult_row(a, ROW_CODES) == want, (spec, a)
         assert g.mult_row(a, iter(ROW_CODES)) == want
         assert g.mult_row(a, ()) == []
+
+
+@pytest.mark.parametrize("spec", ["free:2", "zd:2", "zd:3", "cyclic:6", "lamplighter"])
+def test_mult_rows_equal_one_row_per_step(spec):
+    g = make_group(spec)
+    # the identity, a repeated step and codes out of order
+    steps = [0, 5, 2, 5, 97, 1, 0, 1234]
+    codes = tuple(reversed(ROW_CODES))
+    assert g.mult_rows(steps, codes) == [g.mult_row(a, codes) for a in steps]
+    assert g.mult_rows(steps, ()) == [[] for _ in steps]
+    assert g.mult_rows((), codes) == []
+    assert g.mult_rows((0,), codes) == [list(map(g.canon, codes))]
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,11 @@ def test_command_split_runs_an_amenable_pass():
     for i in (0, 1):
         assert counts["pass"][i] == sum(c[i] for name, c in counts.items()
                                         if name != "pass")
-    # the seed-1 pass consumes 1,000,748 steps, the traced budget.steps_used
-    assert counts["pass"][1] == 1000748
+    # the seed-1 pass consumes 1,000,748 steps, the traced budget.steps_used;
+    # the lamplighter's layers make their rows through mult_rows, and every
+    # product counts once
+    assert counts["folner-seq"] == (67002, 238561)
+    assert counts["pass"] == (180320, 1000748)
 
 
 def test_paradox_split_runs_a_prefix_pass():

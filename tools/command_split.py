@@ -9,9 +9,10 @@ checkout that holds this file.
 
 One more pass then runs with counters installed, after the timed ones, and
 a second table gives for each command the products made through
-``mult_row`` (zd's ``mult`` is a one-element row, so its single products
-count too) and the meter steps consumed: machine-independent work to set
-beside the seconds.
+``mult_row`` and ``mult_rows``, each counted once, by its outermost call
+(zd's ``mult`` is a one-element row, so its single products count too),
+and the meter steps consumed: machine-independent work to set beside the
+seconds.
 
     python3 tools/command_split.py --seed 1 --passes 6
 """
@@ -55,23 +56,36 @@ def command_seconds(workload, lib, state, passes: int):
 
 
 def command_counts(lib, corpus):
-    """{command: [mult_row products, meter steps consumed]} over one pass of
-    the corpus, the whole pass under "pass".  Every oracle class's own
-    ``mult_row`` and ``Budget.meter`` are wrapped for the rest of the
-    process."""
-    made = {"products": 0, "meters": []}
-    for cls in vars(lib.groups).values():
-        raw = vars(cls).get("mult_row") if isinstance(cls, type) else None
-        if raw is None:
-            continue
-        static = isinstance(raw, staticmethod)
+    """{command: [row products, meter steps consumed]} over one pass of the
+    corpus, the whole pass under "pass".  Every oracle class's own
+    ``mult_row`` and ``mult_rows`` and ``Budget.meter`` are wrapped for the
+    rest of the process.  A product counts once, by its outermost row call,
+    as the default ``mult_rows`` makes its rows with ``mult_row``."""
+    made = {"products": 0, "depth": 0, "meters": []}
 
-        def counted(*args, row=raw.__func__ if static else raw):
-            out = row(*args)
-            made["products"] += len(out)
+    def wrap(cls, name, size):
+        raw = vars(cls)[name]
+        static = isinstance(raw, staticmethod)
+        real = raw.__func__ if static else raw
+
+        def counted(*args):
+            made["depth"] += 1
+            try:
+                out = real(*args)
+            finally:
+                made["depth"] -= 1
+            if not made["depth"]:
+                made["products"] += size(out)
             return out
 
-        cls.mult_row = staticmethod(counted) if static else counted
+        setattr(cls, name, staticmethod(counted) if static else counted)
+
+    for cls in vars(lib.groups).values():
+        if isinstance(cls, type):
+            if "mult_row" in vars(cls):
+                wrap(cls, "mult_row", len)
+            if "mult_rows" in vars(cls):
+                wrap(cls, "mult_rows", lambda rows: sum(map(len, rows)))
     real_meter = lib.budget.Budget.meter
 
     def meter(budget):
