@@ -560,8 +560,9 @@ def decide_mult_from_folner(
     3|F|/4 < |F| points and a chain exists in the true case; in the false
     case none does.
 
-    A :class:`CEView` is read by :func:`_view_injections`.  Any other CE
-    oracle's enumeration is scanned from index 0.
+    A :class:`CEView` is decided by :func:`_decide_on_rows` on the three
+    product rows.  Any other CE oracle's enumeration is scanned from index
+    0.
     """
     if g.mode != CE:
         raise PreconditionError("decide_mult_from_folner consumes a CE oracle")
@@ -573,24 +574,21 @@ def decide_mult_from_folner(
     F = canonical_subset(F)
     need = -(-3 * len(F) // 4)
     if isinstance(g, CEView):
-        graphs = _view_injections(g, D, F, need, meter)
-        if graphs is UNKNOWN:
+        return _decide_on_rows(g, n1, n2, n3, D, F, need, meter)
+    pos = {f: i for i, f in enumerate(F)}
+    graphs = {d: {} for d in D}
+    short = len(D) if need else 0  # injections with fewer than need points
+    for m in itertools.count():
+        if not short:
+            break
+        if not meter.charge():
             return UNKNOWN
-    else:
-        pos = {f: i for i, f in enumerate(F)}
-        graphs = {d: {} for d in D}
-        short = len(D) if need else 0  # injections with fewer than need points
-        for m in itertools.count():
-            if not short:
-                break
-            if not meter.charge():
-                return UNKNOWN
-            i, j, prod = g.multt_enum(m)
-            if i in graphs and j in pos and prod in pos:
-                graph, a = graphs[i], pos[j]
-                if a not in graph and len(graph) + 1 == need:
-                    short -= 1
-                graph[a] = pos[prod]
+        i, j, prod = g.multt_enum(m)
+        if i in graphs and j in pos and prod in pos:
+            graph, a = graphs[i], pos[j]
+            if a not in graph and len(graph) + 1 == need:
+                short -= 1
+            graph[a] = pos[prod]
     s1, s2, s3 = graphs[n1], graphs[n2], graphs[n3]
     for i, j in s2.items():
         k = s1.get(j)
@@ -599,23 +597,28 @@ def decide_mult_from_folner(
     return False
 
 
-def _view_injections(g: CEView, D, F, need: int, meter):
-    """The injections of :func:`decide_mult_from_folner` on a CEView, as
-    maps between positions in F, or UNKNOWN; charged once for the entries
-    read, plus one when the meter runs out.
+def _decide_on_rows(g: CEView, n1: int, n2: int, n3: int, D, F, need: int, meter):
+    """The answer of :func:`decide_mult_from_folner` on a CEView, read off
+    the rows d * F, or UNKNOWN; charged once for the entries read, plus one
+    when the meter runs out.
 
     A CEView lists (i, j, i * j) at index cantor_pair(i, j), which grows
     with j.  So the entries the injections use are the rows (d, f, d * f),
     f in F, each ascending in F's order, and the scan reads them in
     ascending index across the rows.  Each pair occurs once, so row d's
-    injection is dense at its need-th f with d * f in F; the scan stops at
-    the largest such index, having read every row up to it.  Only the
-    entries the meter can pay for have their products made, one
-    ``mult_row`` per row.  Rows are cut by binary search on F keyed by
-    cantor_pair(d, .), so only a budget short of all |D| x |F| entries lists
-    their indices, to find the last one it pays for.  If the rows run out
-    before the injections are dense, F was not 4-Folner and
-    PreconditionError is raised.
+    injection is dense at its need-th hit, a position k with d * F[k] in F;
+    the scan stops at the largest such index, having read the first
+    ``ends[d]`` entries of each row.  Only the entries the meter can pay for
+    have their products made, one ``mult_row`` per row.  Rows are cut by
+    binary search on F keyed by cantor_pair(d, .), so only a budget short
+    of all |D| x |F| entries lists their indices, to find the last one it
+    pays for.  If the rows run out before the injections are dense, F was
+    not 4-Folner and PreconditionError is raised.
+
+    The chain f -> n2 * f -> n1 * (n2 * f) = n3 * f is read on the rows r1,
+    r2, r3 of (n1, n2, n3): a hit i of r2 below its end, with j the position
+    of r2[i], chains when j and i are below the ends of r1 and r3 and
+    r1[j] == r3[i].
     """
     pos = {f: i for i, f in enumerate(F)}
     keys = [functools.partial(cantor_pair, d) for d in D]
@@ -625,11 +628,11 @@ def _view_injections(g: CEView, D, F, need: int, meter):
         reach = max(key(F[-1]) for key in keys) if F else -1
     else:
         reach = sorted(key(f) for key in keys for f in F)[budget - 1] if budget else -1
-    stop, hits = -1, []
+    stop, rows, hits = -1, {}, {}
     for d, key in zip(D, keys):
-        products = g.base.mult_row(d, F[: bisect.bisect_right(F, reach, key=key)])
-        hits.append([(k, pos[p]) for k, p in enumerate(products) if p in pos])
-        if len(hits[-1]) < need:
+        row = rows[d] = g.base.mult_row(d, F[: bisect.bisect_right(F, reach, key=key)])
+        hits[d] = [*itertools.compress(itertools.count(), map(pos.__contains__, row))]
+        if len(hits[d]) < need:
             if budget < size:
                 meter.charge(budget + 1)  # fails, and empties the meter
                 return UNKNOWN
@@ -638,10 +641,12 @@ def _view_injections(g: CEView, D, F, need: int, meter):
                 "the Folner oracle's set is not 4-Folner for %r" % (D,)
             )
         if need:
-            stop = max(stop, key(F[hits[-1][need - 1][0]]))
-    ends = [bisect.bisect_right(F, stop, key=key) for key in keys]
-    meter.charge(sum(ends))
-    return {
-        d: {k: p for k, p in row_hits if k < end}
-        for d, row_hits, end in zip(D, hits, ends)
-    }
+            stop = max(stop, key(F[hits[d][need - 1]]))
+    ends = {d: bisect.bisect_right(F, stop, key=key) for d, key in zip(D, keys)}
+    meter.charge(sum(ends.values()))
+    r1, r2, r3 = rows[n1], rows[n2], rows[n3]
+    for i in itertools.takewhile(ends[n2].__gt__, hits[n2]):
+        j = pos[r2[i]]
+        if j < ends[n1] and i < ends[n3] and r1[j] == r3[i]:
+            return True
+    return False

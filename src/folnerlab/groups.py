@@ -110,9 +110,9 @@ def canonical_subset(codes) -> tuple[int, ...]:
         raise ValueError("non-integer code in finite subset")
     if out and out[0] < 0:
         raise ValueError("negative code %d in finite subset" % out[0])
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise ValueError("duplicate code %d in finite subset" % a)
+    if len(set(out)) != len(out):
+        twin = next(a for a, b in zip(out, out[1:]) if a == b)
+        raise ValueError("duplicate code %d in finite subset" % twin)
     return out
 
 
@@ -541,8 +541,10 @@ class RedundantZOracle(GroupOracle):
     Both levels are read off value buckets, the codes 0, 1, ... sorted into
     one ascending list per value.  :meth:`_eq_levels` walks the eq levels
     with buckets of its own: the i of level N are the bucket of v(N) below
-    N, O(output) per level.  ``eq_enum`` grows its stream from one walk
-    that the oracle keeps, and each ``eq_entries_within`` runs a fresh one.
+    N, O(output) per level, with each code's value read from a block of the
+    values of one length, made from the block before it; no code is
+    decoded.  ``eq_enum`` grows its stream from one walk that the oracle
+    keeps, and each ``eq_entries_within`` runs a fresh one.
     ``multt_enum`` keeps the buckets of the codes up to its level N.  At
     multt level N, a first coordinate i < N is followed by the j < N of the
     bucket of v(N) - v(i), each with k = N, and then by j = N with the k <= N
@@ -614,13 +616,21 @@ class RedundantZOracle(GroupOracle):
         and then holds (i, n), (n, i) at offsets 1 + 2 j and 2 + 2 j for the
         j-th code i of ``below``: the codes i < n of value v(n), ascending.
         The walk keeps its own value buckets; ``below`` is one of them, and
-        gains n when the walk moves on to the next level."""
-        buckets, start = {}, 0
-        for n in itertools.count():
-            below = buckets.setdefault(self.value(n), [])
-            yield start, n, below
-            start += 1 + 2 * len(below)
-            below.append(n)
+        gains n when the walk moves on to the next level.
+
+        Block L holds the values of the length-L codes in code order, from
+        [0] for the empty word.  A word's last letter is its low base-4
+        digit, and x, x^-1, y, y^-1 add 1, -1, 1, -1, so block L + 1 lists
+        v + 1, v - 1, v + 1, v - 1 for each v of block L: about three times
+        as many values as the codes before it."""
+        buckets, start, n, block = {}, 0, -1, [0]  # n: the last code walked
+        while True:
+            for n, v in enumerate(block, n + 1):
+                below = buckets.setdefault(v, [])
+                yield start, n, below
+                start += 1 + 2 * len(below)
+                below.append(n)
+            block = [v + s for v in block for s in (1, -1, 1, -1)]
 
     def eq_enum(self, m: int) -> tuple[int, int]:
         stream = self._eq_stream

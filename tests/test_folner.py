@@ -845,3 +845,74 @@ def test_decide_mult_rows_make_no_product_past_the_budget():
         meter = Budget(steps).meter()
         assert decide_mult_from_folner(CEView(g), lambda n, D: F, *codes, meter) is UNKNOWN
         assert meter.consumed == steps and g.products <= steps
+
+
+class _RowTable(GroupOracle):
+    """The multiplication table of a CEView on a finite list of codes, read
+    row by row in the list's order: a CE oracle that is not a CEView, so
+    ``decide_mult_from_folner`` scans its enumeration from index 0."""
+
+    mode = CE
+    spec = "row-table"
+
+    def __init__(self, view, codes):
+        self.view, self.codes = view, codes
+
+    def multt_enum(self, m):
+        a, b = divmod(m, len(self.codes))
+        i, j = self.codes[a], self.codes[b]
+        return i, j, self.view.mult(i, j)
+
+
+def _pool_and_folner_set(spec):
+    """(g, pool, F): a few codes of the family and a set F that is 4-Folner
+    against each of them."""
+    g = make_group(spec)
+    if spec.startswith("zd:"):
+        pool = [g.encode_vector(v) for v in itertools.product((-1, 0, 1), repeat=g.dim)]
+        return g, pool, box_folner(g, pool, 4)
+    if spec == "lamplighter":
+        # the inverses of the lamps-and-cursor box {0..5}; tt and t^-1t^-1
+        # move it too far
+        box = [g.encode_element(frozenset(L), c) for k in range(7)
+               for L in itertools.combinations(range(6), k) for c in range(6)]
+        pool = parse_elements(g, "e,s,t,t^-1,st,ts,st^-1,t^-1s")
+        return g, pool, canonical_subset(g.inv(x) for x in box)
+    # free:2: the powers of ab, a cyclic subgroup, from (ab)^-8 to (ab)^8
+    power = lambda k: parse_element(g, "ab" * k if k > 0 else "b^-1a^-1" * -k) if k else 0
+    return g, [power(k) for k in range(-2, 3)], canonical_subset(map(power, range(-8, 9)))
+
+
+@pytest.mark.parametrize("spec", ["zd:2", "zd:3", "lamplighter", "free:2"])
+def test_decide_mult_rows_equal_the_enumeration_scan(spec):
+    g, pool, F = _pool_and_folner_set(spec)
+    members = set(F)
+    for d in pool:
+        assert 4 * sum(g.mult(d, f) not in members for f in F) <= len(F)
+    folner = lambda n, D: F
+    need = -(-3 * len(F) // 4)
+    pairs = [(x, y) for x in pool for y in pool if g.mult(x, y) in pool]
+    rng = random.Random(spec)
+    for trial in range(12):
+        n1, n2 = rng.choice(pairs)
+        truth = trial % 2 == 0
+        n3 = g.mult(n1, n2) if truth else rng.choice(
+            [z for z in pool if z != g.mult(n1, n2)])
+        D = canonical_subset({n1, n2, n3})
+        meter = Budget(10**6).meter()
+        assert decide_mult_from_folner(CEView(g), folner, n1, n2, n3, meter) is truth
+        edge = meter.consumed
+        assert need * len(D) <= edge <= len(D) * len(F)
+        # the scan reads D's rows first, each over F in a shuffled order
+        order = list(F)
+        rng.shuffle(order)
+        table = _RowTable(CEView(g), [*D, *order])
+        for steps, want in ((10**6, truth), (need - 1, UNKNOWN)):
+            assert decide_mult_from_folner(table, folner, n1, n2, n3, Budget(steps)) is want
+        # budgets short of every row entry: the rows answer at their edge,
+        # give UNKNOWN below it, and the meter ends empty either way
+        for steps in (edge, edge - 1, rng.randrange(1, edge)):
+            meter = Budget(steps).meter()
+            want = truth if steps == edge else UNKNOWN
+            assert decide_mult_from_folner(CEView(g), folner, n1, n2, n3, meter) is want
+            assert meter.remaining == 0

@@ -652,6 +652,22 @@ def test_rz_eq_entries_within_share_the_buckets_with_the_streams(rz):
         assert got == want
 
 
+def test_rz_eq_levels_read_each_value_and_start_as_counted():
+    # every code of length at most 6: its level's bucket holds the lower
+    # codes of its value by ``value``, and the level starts after the
+    # entries (i, m) of the codes below it with v(i) = v(m), one per pair,
+    # so at the sum of the squares of the counts of the values below it
+    g = RedundantZOracle()
+    assert g._offset(7) == 5461
+    seen = {}
+    levels = g._eq_levels()
+    for n in range(5461):
+        start, got_n, below = next(levels)
+        same = seen.setdefault(g.value(n), [])
+        assert (start, got_n, below) == (sum(len(c) ** 2 for c in seen.values()), n, same), n
+        same.append(n)
+
+
 def _eq_semidecide_reference(g, x, y, b):
     """``eq_semidecide`` reading ``eq_enum`` one entry at a time, with one
     meter charge per entry."""

@@ -34,13 +34,17 @@ def test_command_split_runs_an_amenable_pass():
     rows = _run("tools/command_split.py", "--seed", "1", "--passes", "1")
     head, header = rows[:2]
     assert head[-1] == "[0]"  # failed checks in the one pass
-    assert header[0] == "command"
+    assert header == ["command", "queries", "median", "s", "range", "s", "p50", "ms"]
     split = rows.index(["command", "queries", "row", "products", "steps"])
     assert {row[0]: int(row[1]) for row in rows[2:split]} == {
         "folner-seq": 4, "folner-function": 7, "folner-search": 8,
         "restrict-folner": 4, "witness": 4, "wp-from-folner": 80, "kappa": 100,
         "pass": 207,
     }
+    # each command's median query in ms; the pass's lies between them
+    p50 = {row[0]: float(row[4]) for row in rows[2:split]}
+    assert all(ms > 0 for ms in p50.values())
+    assert min(p50.values()) <= p50["pass"] <= max(p50.values())
     counts = {row[0]: (int(row[2]), int(row[3])) for row in rows[split + 1:]}
     assert list(counts) == [row[0] for row in rows[2:split]]
     # kappa reads the value buckets and makes no row; every query charges

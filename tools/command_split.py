@@ -2,10 +2,13 @@
 
 Builds the benchmark's ``amenable`` corpus for one seed with
 ``perfbench/workloads.py`` (imported as it is), runs whole passes in this
-process, and prints for each command the number of queries and the
-seconds it took in a pass: the median and the range over the passes.  The
-last row is the whole pass.  The library is imported from ``src/`` of the
-checkout that holds this file.
+process, and prints for each command the number of queries, the seconds
+it took in a pass (the median and the range over the passes) and the
+median time of one of its queries in ms, over every query of every pass.
+The last row is the whole pass; its query median is the benchmark's
+``latency_p50_ms`` before the speed scaling, and a change in it can be
+traced to the commands whose query medians lie near it.  The library is
+imported from ``src/`` of the checkout that holds this file.
 
 One more pass then runs with counters installed, after the timed ones, and
 a second table gives for each command the products made through
@@ -35,11 +38,13 @@ MODULES = ("budget", "groups", "folner", "harem", "paradox", "witness", "cli")
 
 
 def command_seconds(workload, lib, state, passes: int):
-    """{command: [seconds in each pass]}, and the list of failed-check
-    counts; the whole pass is under the key "pass"."""
+    """{command: [seconds in each pass]}, {command: [seconds of each of its
+    queries in every pass]}, and the list of failed-check counts; the whole
+    pass is under the key "pass"."""
     from workloads import PassClock
 
     seconds: dict[str, list[float]] = {}
+    latencies: dict[str, list[float]] = {"pass": []}
     failed = []
     for _ in range(passes):
         gc.collect()
@@ -49,10 +54,12 @@ def command_seconds(workload, lib, state, passes: int):
         split: dict[str, float] = {}
         for inv, dt in zip(state["corpus"], clock.result.latencies):
             split[inv.argv[0]] = split.get(inv.argv[0], 0.0) + dt
+            latencies.setdefault(inv.argv[0], []).append(dt)
+        latencies["pass"] += clock.result.latencies
         split["pass"] = sum(clock.result.latencies)
         for name, dt in split.items():
             seconds.setdefault(name, []).append(dt)
-    return seconds, failed
+    return seconds, latencies, failed
 
 
 def command_counts(lib, corpus):
@@ -119,17 +126,20 @@ def main(argv=None):
     workload = WORKLOADS["amenable"]
     with tempfile.TemporaryDirectory() as out_dir:
         state = workload.setup(lib, args.seed, Path(out_dir))
-        seconds, failed = command_seconds(workload, lib, state, max(1, args.passes))
+        seconds, latencies, failed = command_seconds(
+            workload, lib, state, max(1, args.passes))
         counts = command_counts(lib, state["corpus"])
     queries: dict[str, int] = {"pass": len(state["corpus"])}
     for inv in state["corpus"]:
         queries[inv.argv[0]] = queries.get(inv.argv[0], 0) + 1
     print("seed %d, %d passes, failed checks per pass: %s"
           % (args.seed, len(failed), failed))
-    print("%-18s %7s %8s %19s" % ("command", "queries", "median s", "range s"))
+    print("%-18s %7s %8s %19s %8s" % (
+        "command", "queries", "median s", "range s", "p50 ms"))
     for name, dts in seconds.items():
-        print("%-18s %7d %8.3f %9.3f-%.3f" % (
-            name, queries[name], statistics.median(dts), min(dts), max(dts)))
+        print("%-18s %7d %8.3f %9.3f-%.3f %8.3f" % (
+            name, queries[name], statistics.median(dts), min(dts), max(dts),
+            1000 * statistics.median(latencies[name])))
     print("%-18s %7s %12s %12s" % ("command", "queries", "row products", "steps"))
     for name in seconds:
         print("%-18s %7d %12d %12d" % (name, queries[name], *counts[name]))
