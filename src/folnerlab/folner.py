@@ -50,6 +50,7 @@ from .groups import (
     ball_growth,
     canonical_subset,
     cantor_pair,
+    require_mode,
     subset_decode,
 )
 
@@ -151,8 +152,7 @@ def translate_defects(g: GroupOracle, F, D) -> dict[int, Fraction]:
 
 def is_n_folner(g: GroupOracle, F, D, n: int):
     """Exact check of the defect bound; returns (verdict, defect map)."""
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("is_n_folner requires a COMPUTABLE-mode oracle")
+    require_mode(g, COMPUTABLE, "is_n_folner")
     if n < 1:
         raise ValueError("n must be >= 1")
     F = canonical_subset(F)
@@ -248,8 +248,7 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     certificate reuses them.  Raises ValueError for n < 1, before any
     charge.
     """
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("search_folner requires a COMPUTABLE-mode oracle")
+    require_mode(g, COMPUTABLE, "search_folner")
     if n < 1:
         raise ValueError("n must be >= 1")
     D = canonical_subset(D)
@@ -284,8 +283,7 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     as :func:`search_folner` prices them, and n x |D| per candidate, paid
     before its test makes any product of its own.
     """
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("folner_function requires a COMPUTABLE-mode oracle")
+    require_mode(g, COMPUTABLE, "folner_function")
     if n < 1:
         raise ValueError("n must be >= 1")
     D = canonical_subset(D)
@@ -314,8 +312,7 @@ def folner_sequence(g: GroupOracle, j: int, b: Budget):
     charge is its radius-0 ball's, |D| steps; a meter that cannot pay it is
     emptied by that failed charge, as the search would, before D is built.
     """
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("folner_sequence requires a COMPUTABLE-mode oracle")
+    require_mode(g, COMPUTABLE, "folner_sequence")
     if j < 1:
         raise ValueError("sequence index must be >= 1")
     meter, size = b.meter(), min(j, g.element_count or j)
@@ -343,8 +340,7 @@ def reiter_defect(g: GroupOracle, f: ReiterFunction, D) -> dict[int, Fraction]:
     """Exact normalised l1 shift defect of the pushforward, per element of D:
     the partition defect over the fibers of the numbering.  Each shift x v
     is made once and looked up by :func:`partition_defect`."""
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("reiter_defect requires a COMPUTABLE-mode oracle")
+    require_mode(g, COMPUTABLE, "reiter_defect")
     shift = {(x, v): g.mult(x, v) for x in D for v in f.support}
     fiber = {c: g.canon(c) for c in (*f.support, *shift.values())}
     return {x: partition_defect(f, fiber, x, lambda a, v: shift[a, v]) for x in D}
@@ -442,8 +438,7 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     count comes from the oracle's internal canonical forms.  Each shift x v
     is made once.
     """
-    if g.mode != CE:
-        raise PreconditionError("verify_invariance_ce requires a CE-mode oracle")
+    require_mode(g, CE, "verify_invariance_ce")
     meter = b.meter()
     D = canonical_subset(D)
     shift = {(x, v): g.mult(x, v) for x in D for v in f.support}
@@ -492,8 +487,7 @@ def extract_folner_from_reiter(g: GroupOracle, h: ReiterFunction, D, n: int):
     so some non-empty level set E has sum_x |E \\ xE| <= |D||E|/(2n), and
     each of its defects is at most |D|/(2n).
     """
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("requires a COMPUTABLE-mode oracle")
+    require_mode(g, COMPUTABLE, "extract_folner_from_reiter")
     D = canonical_subset(D)
     defects = reiter_defect(g, h, D)
     if not all(within(d, n) for d in defects.values()):
@@ -564,8 +558,7 @@ def decide_mult_from_folner(
     product rows.  Any other CE oracle's enumeration is scanned from index
     0.
     """
-    if g.mode != CE:
-        raise PreconditionError("decide_mult_from_folner consumes a CE oracle")
+    require_mode(g, CE, "decide_mult_from_folner")
     meter = b.meter()
     D = canonical_subset({n1, n2, n3})
     F = folner(4, D)

@@ -23,6 +23,7 @@ Codings are fixed so that certificates are reproducible:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -39,6 +40,12 @@ class MalformedSpecError(ValueError):
 
 class PreconditionError(RuntimeError):
     """An operation was invoked outside its contract (wrong mode, bad input)."""
+
+
+def require_mode(g: GroupOracle, mode: str, operation: str):
+    """The one wrong-mode check: PreconditionError unless g has ``mode``."""
+    if g.mode != mode:
+        raise PreconditionError("%s requires a %s-mode oracle" % (operation, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +170,11 @@ class GroupOracle:
     def eq_enum(self, m: int) -> tuple[int, int]:
         raise PreconditionError("eq_enum requires a CE-mode oracle")
 
-    def eq_entries(self):
-        """The equal-codes enumeration from index 0, as an iterator."""
-        return map(self.eq_enum, itertools.count())
-
     def eq_entries_within(self, codes, limit: int):
         """(m, i, j) for each entry m < limit of the equal-codes enumeration
         with both codes in ``codes``, ascending in m; families override it
         to skip the entries that cannot qualify."""
-        for m, (i, j) in enumerate(itertools.islice(self.eq_entries(), limit)):
+        for m, (i, j) in enumerate(map(self.eq_enum, range(limit))):
             if i in codes and j in codes:
                 yield m, i, j
 
@@ -747,8 +750,7 @@ def eq_semidecide(g: GroupOracle, x: int, y: int, b: Budget):
     counts enumeration entries, read or skipped by ``eq_entries_within``:
     the entries up to (x, y) or (y, x), or all of them plus one.
     """
-    if g.mode != CE:
-        raise PreconditionError("eq_semidecide requires a CE-mode oracle")
+    require_mode(g, CE, "eq_semidecide")
     meter = b.meter()
     if x == y:
         return "EQUAL"
@@ -834,8 +836,7 @@ def ball_layers(g: GroupOracle, gens, meter=None):
 def ball(g: GroupOracle, gens, radius: int) -> tuple[int, ...]:
     """All products of at most ``radius`` factors from gens, their inverses
     and the identity, as a sorted code tuple."""
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("ball requires a COMPUTABLE-mode oracle")
+    require_mode(g, COMPUTABLE, "ball")
     layers = ball_layers(g, canonical_subset(gens))
     *_, last = itertools.islice(layers, max(radius, 0) + 1)
     return last
@@ -847,11 +848,12 @@ def ball(g: GroupOracle, gens, radius: int) -> tuple[int, ...]:
 _WORD_TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
 
 
-def _parse_generator_word(g: GroupOracle, text: str) -> int:
-    if text in ("1", "e", ""):
-        return g.identity
+def _word_factors(g: GroupOracle, text: str):
+    """The factors of a generator word such as "ab^-1", in order: a token
+    a^k gives |k| copies of the generator a, or of its inverse for k < 0.
+    ValueError for a token that does not parse and for a letter that is not
+    one of the family's generators."""
     pos = 0
-    code = g.identity
     while pos < len(text):
         m = _WORD_TOKEN.match(text, pos)
         if not m:
@@ -860,19 +862,19 @@ def _parse_generator_word(g: GroupOracle, text: str) -> int:
         if name not in g.generator_names:
             raise ValueError("unknown generator %r for %s" % (name, g.spec))
         gen = g.generator_names[name]
-        factor = gen if exp >= 0 else g.inv(gen)
-        for _ in range(abs(exp)):
-            code = g.mult(code, factor)
+        yield from itertools.repeat(gen if exp >= 0 else g.inv(gen), abs(exp))
         pos = m.end()
-    return code
 
 
 def parse_element(g: GroupOracle, text: str) -> int:
     """Parse one element literal appropriate for the family of ``g``.
 
-    Free, lamplighter and redundant-z take generator words ("a", "ab^-1");
-    zd:1 and cyclic take integers ("+1", "-3", "7"); zd:d with d >= 2 takes
-    coordinate tuples ("(1,0)").
+    Free, lamplighter and redundant-z take generator words ("a", "ab^-1"),
+    with "1" and "e" for the identity; free and lamplighter words are the
+    product of their factors, and redundant-z words are kept unreduced
+    ("xx^-1" is the two-letter word of code 6).  zd:1 and cyclic take
+    integers ("+1", "-3", "7"); zd:d with d >= 2 takes coordinate tuples
+    ("(1,0)").
     """
     text = text.strip()
     if isinstance(g, ZdOracle):
@@ -893,23 +895,12 @@ def parse_element(g: GroupOracle, text: str) -> int:
             return int(text) % g.modulus
         except ValueError:
             raise ValueError("cyclic elements are integers, got %r" % text)
-    base = g.base if isinstance(g, CEView) else g
+    if text in ("1", "e"):
+        return g.identity
+    factors = _word_factors(g, text)
     if isinstance(g, RedundantZOracle):
-        # literal words are kept unreduced: "x^2" is the word xx, code-level
-        if text in ("1", "e"):
-            return g.identity
-        word = []
-        pos = 0
-        while pos < len(text):
-            m = _WORD_TOKEN.match(text, pos)
-            if not m or m.group(1) not in ("x", "y"):
-                raise ValueError("redundant-z words use letters x, y: %r" % text)
-            letter = 0 if m.group(1) == "x" else 2
-            exp = int(m.group(2) or 1)
-            word.extend([letter if exp >= 0 else letter ^ 1] * abs(exp))
-            pos = m.end()
-        return g.encode_word(tuple(word))
-    return _parse_generator_word(base, text)
+        return g.encode_word(tuple(l for f in factors for l in g.decode_word(f)))
+    return functools.reduce(g.mult, factors, g.identity)
 
 
 def split_element_list(text: str) -> list[str]:

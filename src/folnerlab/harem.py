@@ -595,8 +595,10 @@ class HaremMatchingState:
     network and that network's maximum flow, the start of every step on
     the side, keyed by whether the side is A and built at the side's first
     step.  It is owned by this state alone, so a fresh state builds its
-    own.  For the free:2 decomposition (17-element key, k = 2) the
-    templates have 1,618 vertices (radius 3) and 14,578 (radius 4).
+    own.  ``_cursors`` holds each side's lowest enumeration index that may
+    still be unremoved, indexed the same way.  For the free:2 decomposition
+    (17-element key, k = 2) the templates have 1,618 vertices (radius 3)
+    and 14,578 (radius 4).
     """
 
     graph: BipartiteGraphOracle
@@ -604,8 +606,7 @@ class HaremMatchingState:
     step_count: int = 0
     left_pairs: dict = field(default_factory=dict)
     right_pair: dict = field(default_factory=dict)
-    _cursor_a: int = 0
-    _cursor_b: int = 0
+    _cursors: list = field(default_factory=lambda: [0, 0])
     _templates: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -622,13 +623,10 @@ def _next_unremoved(st: HaremMatchingState, left: bool) -> tuple[int, int]:
     that is its group element: (index, vertex)."""
     enum = st.graph.left_enum if left else st.graph.right_enum
     pairs = st.left_pairs if left else st.right_pair
-    idx = st._cursor_a if left else st._cursor_b
+    idx = st._cursors[left]
     while enum(idx) in pairs:
         idx += 1
-    if left:
-        st._cursor_a = idx
-    else:
-        st._cursor_b = idx
+    st._cursors[left] = idx
     return idx, enum(idx)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget, UNKNOWN
-from .groups import COMPUTABLE, GroupOracle, PreconditionError, canonical_subset
+from .groups import COMPUTABLE, GroupOracle, canonical_subset, require_mode
 from .harem import BipartiteGraphOracle, HaremMatchingState, harem_new, harem_query
 
 
@@ -35,8 +35,7 @@ class ExpandedKey:
 def expand_key(g: GroupOracle, K0, n: int) -> ExpandedKey:
     """Minimal n1 with (1 + 1/n)^n1 >= 3, and the n1-fold product set of
     K0 + identity (deduplicated through the numbering)."""
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("expand_key requires a COMPUTABLE-mode oracle")
+    require_mode(g, COMPUTABLE, "expand_key")
     K0 = canonical_subset(K0)
     if not K0:
         raise ValueError("K0 must be non-empty")
@@ -58,8 +57,7 @@ class CayleyBipartite(BipartiteGraphOracle):
     h lies in Kg.  Side tagging: left g is code 2g, right h is code 2h+1."""
 
     def __init__(self, g: GroupOracle, K):
-        if g.mode != COMPUTABLE:
-            raise PreconditionError("cayley_bipartite requires a COMPUTABLE oracle")
+        require_mode(g, COMPUTABLE, "cayley_bipartite")
         self.group = g
         self.K = canonical_subset(K)
         self._K_inv = tuple(sorted(g.inv(k) for k in self.K))

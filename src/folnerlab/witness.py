@@ -29,6 +29,7 @@ from .groups import (
     ZdOracle,
     ball_layers,
     canonical_subset,
+    require_mode,
 )
 from .folner import FolnerCertificate, UnionFind, _first_folner, is_n_folner
 
@@ -90,8 +91,7 @@ def refute_witness_bounded(
     when no such set turns up within the size bound or the budget.  Sizes
     past the ball's own hold no subset, so the scan stops there.  Raises
     ValueError for n < 1, before any charge."""
-    if g.mode != COMPUTABLE:
-        raise PreconditionError("refute_witness_bounded needs a COMPUTABLE oracle")
+    require_mode(g, COMPUTABLE, "refute_witness_bounded")
     if n < 1:
         raise ValueError("n must be >= 1")
     K = canonical_subset(K)

@@ -9,7 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from folnerlab import Budget, UNKNOWN, ball, eq_semidecide, groups, make_group
+from folnerlab.folner import (
+    ReiterFunction,
+    decide_mult_from_folner,
+    extract_folner_from_reiter,
+    folner_function,
+    folner_sequence,
+    is_n_folner,
+    reiter_defect,
+    search_folner,
+    verify_invariance_ce,
+)
 from folnerlab.groups import (
+    CE,
+    COMPUTABLE,
     CEView,
     CyclicOracle,
     FreeGroupOracle,
@@ -30,6 +43,8 @@ from folnerlab.groups import (
     unzigzag,
     zigzag,
 )
+from folnerlab.paradox import cayley_bipartite, expand_key
+from folnerlab.witness import refute_witness_bounded
 
 FAMILIES = ["free:2", "zd:1", "zd:2", "cyclic:12", "lamplighter", "redundant-z"]
 
@@ -576,17 +591,17 @@ def test_rz_streams_read_alternately_keep_to_their_own_levels():
 
 def test_rz_eq_entries_equal_eq_enum():
     ref, g = _LoopRZ(), RedundantZOracle()
-    entries = list(itertools.islice(g.eq_entries(), 10**5))
+    entries = [g.eq_enum(m) for m in range(10**5)]
     assert entries == [ref.eq_enum(m) for m in range(10**5)]
     # a second walk reads the stream the first one built
-    assert list(itertools.islice(g.eq_entries(), 10**5)) == entries
+    assert [g.eq_enum(m) for m in range(10**5)] == entries
 
 
 def test_rz_eq_entries_read_between_other_reads():
     # the walk is interleaved with multt_enum reads and with eq_enum reads
     # that run ahead of it, as in the alternating test above
     ref, g = _LoopRZ(), RedundantZOracle()
-    walk = g.eq_entries()
+    walk = map(g.eq_enum, itertools.count())
     for m in range(30000):
         assert next(walk) == ref.eq_enum(m), m
         if m % 10 == 0:
@@ -709,7 +724,7 @@ def test_ce_view_enumerations():
         i, j, k = g.multt_enum(m)
         assert g.base.mult(i, j) == k
     assert g.eq_enum(7) == (7, 7)
-    assert list(itertools.islice(g.eq_entries(), 50)) == [(m, m) for m in range(50)]
+    assert [g.eq_enum(m) for m in range(50)] == [(m, m) for m in range(50)]
     assert eq_semidecide(g, 3, 3, Budget(1)) == "EQUAL"
     assert eq_semidecide(g, 3, 4, Budget(100)) is UNKNOWN
 
@@ -733,6 +748,46 @@ def test_ce_view_rejects_finite_or_ce():
 
 
 # ---------------------------------------------------------------------------
+# the mode contract
+
+
+_F1 = ReiterFunction.characteristic((0, 1))
+# each entry point, the mode it requires, and its call on an oracle g with a
+# meter m; the call also runs on an oracle of the right mode
+WRONG_MODE_CALLS = [
+    ("is_n_folner", COMPUTABLE, lambda g, m: is_n_folner(g, (0, 1), (1,), 1)),
+    ("search_folner", COMPUTABLE, lambda g, m: search_folner(g, (1,), 1, m)),
+    ("folner_function", COMPUTABLE, lambda g, m: folner_function(g, (1,), 2, m)),
+    ("folner_sequence", COMPUTABLE, lambda g, m: folner_sequence(g, 1, m)),
+    ("reiter_defect", COMPUTABLE, lambda g, m: reiter_defect(g, _F1, (1,))),
+    ("verify_invariance_ce", CE,
+     lambda g, m: verify_invariance_ce(g, 1, (1,), _F1, m)),
+    ("extract_folner_from_reiter", COMPUTABLE,
+     lambda g, m: extract_folner_from_reiter(g, _F1, (1,), 1)),
+    ("decide_mult_from_folner", CE,
+     lambda g, m: decide_mult_from_folner(g, lambda n, D: UNKNOWN, 1, 1, 1, m)),
+    ("eq_semidecide", CE, lambda g, m: eq_semidecide(g, 1, 3, m)),
+    ("ball", COMPUTABLE, lambda g, m: ball(g, (1,), 2)),
+    ("expand_key", COMPUTABLE, lambda g, m: expand_key(g, (1,), 1)),
+    ("cayley_bipartite", COMPUTABLE, lambda g, m: cayley_bipartite(g, (1,))),
+    ("refute_witness_bounded", COMPUTABLE,
+     lambda g, m: refute_witness_bounded(g, (1,), 1, 2, m)),
+]
+
+
+@pytest.mark.parametrize("name, mode, call", WRONG_MODE_CALLS,
+                         ids=[name for name, _, _ in WRONG_MODE_CALLS])
+def test_wrong_mode_raises_one_message_before_any_charge(name, mode, call):
+    g = make_group("redundant-z" if mode == COMPUTABLE else "zd:1")
+    meter = Budget(100).meter()
+    with pytest.raises(PreconditionError) as exc:
+        call(g, meter)
+    assert str(exc.value) == "%s requires a %s-mode oracle" % (name, mode)
+    assert meter.remaining == 100
+    call(CEView(g) if mode == CE else make_group("zd:1"), Budget(100).meter())
+
+
+# ---------------------------------------------------------------------------
 # element literals
 
 
@@ -746,8 +801,10 @@ def test_parse_free_words():
     g = make_group("free:2")
     assert parse_element(g, "a^-1") == 2
     assert parse_element(g, "a^2b^-1") == g.mult(g.mult(1, 1), g.inv(3))
-    with pytest.raises(ValueError):
-        parse_element(g, "q")
+    assert parse_element(g, "aa^-1") == parse_element(g, "a^2a^-2") == 0
+    for text in ("q", "a^", "ab^"):
+        with pytest.raises(ValueError):
+            parse_element(g, text)
 
 
 def test_parse_redundant_z_words_stay_unreduced():
@@ -756,9 +813,29 @@ def test_parse_redundant_z_words_stay_unreduced():
     assert parse_element(g, "y") == 3
     xy = parse_element(g, "xy")
     assert g.decode_word(xy) == (0, 2)
+    assert parse_element(g, "xx^-1") == 6
+    assert parse_element(g, "x^-2") == 10
+    assert g.decode_word(parse_element(g, "y^-1x^2y")) == (3, 0, 0, 2)
+
+
+# the generator letters of each word family
+WORD_LETTERS = {"free:2": "ab", "lamplighter": "st", "redundant-z": "xy"}
 
 
 @pytest.mark.parametrize("spec", ["free:2", "lamplighter", "redundant-z"])
 def test_identity_literal_on_word_families(spec):
     g = make_group(spec)
     assert parse_element(g, "e") == parse_element(g, "1") == g.identity == 0
+    a, b = WORD_LETTERS[spec]
+    assert parse_element(g, a + "^0") == parse_element(g, " %s^0%s^0 " % (a, b)) == 0
+    # one token loop: a token that does not parse, and a letter that is not
+    # a generator, anywhere in the word
+    for text in (a + "^", a + b + "^", a + "^-", "^2", a + "-1", "q", a + "q", b + "^2q"):
+        with pytest.raises(ValueError):
+            parse_element(g, text)
+    A, B = g.generator_names[a], g.generator_names[b]
+    word = parse_element(g, "%s%s^-2" % (a, b))
+    if spec == "redundant-z":
+        assert g.decode_word(word) == g.decode_word(A) + g.decode_word(g.inv(B)) * 2
+    else:
+        assert word == g.mult(g.mult(A, g.inv(B)), g.inv(B))

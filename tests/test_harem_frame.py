@@ -214,9 +214,9 @@ def checked_step(st, ref):
     the piece, and the committed star its star at the centre."""
     graph = st.graph
     a_side = st.step_count % 2 == 0
-    cursor = (st._cursor_a, st._cursor_b)
+    cursor = list(st._cursors)
     c, v = _next_unremoved(st, left=a_side)
-    st._cursor_a, st._cursor_b = cursor
+    st._cursors = cursor
     r = RADIUS_A if a_side else RADIUS_B
     tpl, changes = _frame(st, a_side, c)
     local = frame_piece(ref, tpl, changes)

@@ -196,6 +196,72 @@ def test_lattice_membership_mixed_basis():
     assert not sub.membership(Z2.encode_vector((2, 2)))
 
 
+def _echelon(vectors, dim):
+    """Echelon basis of the lattice the vectors span, by Euclid's algorithm
+    on each column: reduce every other row by the row of least nonzero
+    entry there until one row is left with a nonzero entry."""
+    rows, basis = [list(v) for v in vectors], []
+    for col in range(dim):
+        while len(live := [r for r in rows if r[col]]) > 1:
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+        if live:
+            basis.append(live[0])
+            rows = [r for r in rows if r is not live[0]]
+    return basis
+
+
+def _in_lattice(basis, v):
+    v = list(v)
+    for row in basis:
+        j = next(i for i, x in enumerate(row) if x)
+        if v[j] % row[j]:
+            return False
+        q = v[j] // row[j]
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+@pytest.mark.parametrize("dim, key, side", [
+    (2, [(4, 6), (6, 9)], 7),
+    (2, [(4, 6), (6, 9), (10, 0)], 7),
+    (3, [(2, 0, 0), (3, 0, 0), (0, 5, 1)], 5),
+    (3, [(6, 4, 0), (9, 0, 2), (0, 3, 3)], 3),
+])
+def test_lattice_membership_shared_pivot(dim, key, side):
+    # keys that share a pivot column, so the basis pivots by xgcd
+    g = make_group("zd:%d" % dim)
+    sub = subgroup_membership(g, [g.encode_vector(v) for v in key])
+    basis = _echelon(key, dim)
+    box = list(itertools.product(range(-side, side + 1), repeat=dim))
+    combos = [tuple(sum(c * k[i] for c, k in zip(cs, key)) for i in range(dim))
+              for cs in itertools.product(range(-2, 3), repeat=len(key))]
+    seen = set()
+    for v in box + combos:
+        member = sub.membership(g.encode_vector(v))
+        assert member == _in_lattice(basis, v), v
+        seen.add(member)
+    assert seen == {True, False}
+    assert all(sub.membership(g.encode_vector(v)) for v in combos)
+
+
+def test_lattice_membership_random_keys():
+    rng = random.Random(7)
+    for _ in range(60):
+        dim = rng.choice((2, 3))
+        g = make_group("zd:%d" % dim)
+        key = sorted({tuple(rng.randint(-6, 6) for _ in range(dim))
+                      for _ in range(rng.randint(1, 4))})
+        sub = subgroup_membership(g, [g.encode_vector(v) for v in key])
+        basis = _echelon(key, dim)
+        for _ in range(40):
+            v = tuple(rng.randint(-9, 9) for _ in range(dim))
+            assert sub.membership(g.encode_vector(v)) == _in_lattice(basis, v), (key, v)
+
+
 def test_membership_requires_supported_family():
     with pytest.raises(UnsupportedFamilyError):
         subgroup_membership(make_group("lamplighter"), (1,))
