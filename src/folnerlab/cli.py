@@ -46,6 +46,7 @@ from .groups import (
     make_group,
     parse_element,
     parse_elements,
+    require_mode,
     split_element_list,
 )
 from .harem import harem_new, harem_step, matching_dump
@@ -179,8 +180,7 @@ def _run(args, g, meter: Meter):
         }
 
     if command == "kappa":
-        if g.mode != CE:
-            raise PreconditionError("kappa requires a CE-mode group (redundant-z)")
+        require_mode(g, CE, "kappa")
         D = _elements(g, args.d, "d")
         verdict = verify_invariance_ce(g, args.n, D, _load_reiter(args.fn), meter)
         return verdict if verdict is UNKNOWN else {"result": verdict}

@@ -570,18 +570,14 @@ def decide_mult_from_folner(
         return _decide_on_rows(g, n1, n2, n3, D, F, need, meter)
     pos = {f: i for i, f in enumerate(F)}
     graphs = {d: {} for d in D}
-    short = len(D) if need else 0  # injections with fewer than need points
     for m in itertools.count():
-        if not short:
+        if all(len(graph) >= need for graph in graphs.values()):
             break
         if not meter.charge():
             return UNKNOWN
         i, j, prod = g.multt_enum(m)
         if i in graphs and j in pos and prod in pos:
-            graph, a = graphs[i], pos[j]
-            if a not in graph and len(graph) + 1 == need:
-                short -= 1
-            graph[a] = pos[prod]
+            graphs[i][pos[j]] = pos[prod]
     s1, s2, s3 = graphs[n1], graphs[n2], graphs[n3]
     for i, j in s2.items():
         k = s1.get(j)

@@ -499,10 +499,7 @@ class LamplighterOracle(GroupOracle):
 
     @staticmethod
     def encode_element(lamps: frozenset, cursor: int) -> int:
-        mask = 0
-        for p in lamps:
-            mask |= 1 << zigzag(p)
-        return cantor_pair(mask, zigzag(cursor))
+        return cantor_pair(subset_code(map(zigzag, lamps)), zigzag(cursor))
 
     @staticmethod
     def decode_element(code: int) -> tuple[frozenset, int]:
@@ -610,8 +607,7 @@ class RedundantZOracle(GroupOracle):
         word = FreeGroupOracle.reduce(self.decode_word(x) + self.decode_word(y))
         return self.encode_word(word)
 
-    def inv(self, x: int) -> int:
-        return self.encode_word(tuple(l ^ 1 for l in reversed(self.decode_word(x))))
+    inv = FreeGroupOracle.inv  # x, x^-1, y, y^-1 are letters 0..3, as in free:2
 
     def _eq_levels(self):
         """The levels n = 0, 1, ... of the equal-codes stream, as
@@ -877,6 +873,7 @@ def parse_element(g: GroupOracle, text: str) -> int:
     ("(1,0)").
     """
     text = text.strip()
+    g = g.base if isinstance(g, CEView) else g  # a view's literals are its base's
     if isinstance(g, ZdOracle):
         if g.dim == 1:
             try:

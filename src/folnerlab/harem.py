@@ -101,8 +101,6 @@ class HallWitness:
             raise ValueError("witness table must start with h(0) = 0")
 
     def __call__(self, n: int) -> int:
-        if n == 0:
-            return 0
         if n < len(self.table):
             return self.table[n]
         return self.slope * n + self.intercept

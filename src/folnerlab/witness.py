@@ -31,7 +31,7 @@ from .groups import (
     canonical_subset,
     require_mode,
 )
-from .folner import FolnerCertificate, UnionFind, _first_folner, is_n_folner
+from .folner import UnionFind, _first_folner, is_n_folner
 
 
 class UnsupportedFamilyError(PreconditionError):
@@ -41,18 +41,13 @@ class UnsupportedFamilyError(PreconditionError):
 @dataclass
 class WitnessVerdict:
     verdict: str  # WITNESS | NOT_WITNESS | UNKNOWN
-    evidence: object = None  # (x, y) pair, FolnerCertificate, or None
+    evidence: object = None  # a non-commuting (x, y) pair, or None
     rationale: str = ""
 
     def to_json_dict(self) -> dict:
-        evidence = None
-        if isinstance(self.evidence, tuple):
-            evidence = {"pair": list(self.evidence)}
-        elif isinstance(self.evidence, FolnerCertificate):
-            evidence = {"certificate": self.evidence.to_json_dict()}
         return {
             "verdict": self.verdict,
-            "evidence": evidence,
+            "evidence": {"pair": list(self.evidence)} if self.evidence else None,
             "rationale": self.rationale,
         }
 

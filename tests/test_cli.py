@@ -273,6 +273,13 @@ def test_malformed_reiter_file_exits_4(tmp_path, capsys, shape):
         assert run(capsys, *argv, "--n", "2", "--fn", str(fn), "--json") == (4, "")
 
 
+def test_wp_literal_that_does_not_parse_exits_4(capsys):
+    code = main(["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,x),(1,1)"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "error: bad coordinates in '(0,x)'\n"
+
+
 # one otherwise valid invocation per command, so that exit 4 below comes
 # from the number under test
 VALID_ARGV = {

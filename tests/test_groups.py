@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from folnerlab import Budget, UNKNOWN, ball, eq_semidecide, groups, make_group
+from folnerlab import cli
 from folnerlab.folner import (
     ReiterFunction,
+    box_folner,
     decide_mult_from_folner,
     extract_folner_from_reiter,
     folner_function,
@@ -787,8 +789,60 @@ def test_wrong_mode_raises_one_message_before_any_charge(name, mode, call):
     call(CEView(g) if mode == CE else make_group("zd:1"), Budget(100).meter())
 
 
+_ZD1, _ZD2 = make_group("zd:1"), make_group("zd:2")
+# each error exit on bad input: the entry point, the error it raises, and its
+# call on a meter m, with bad input unless ok; the call with ok passes
+BAD_INPUT_CALLS = [
+    ("is_n_folner", ValueError,
+     lambda m, ok: is_n_folner(_ZD1, (0, 1), (1,), int(ok))),
+    ("folner_function", ValueError,
+     lambda m, ok: folner_function(_ZD1, (1,), int(ok), m)),
+    ("folner_sequence", ValueError, lambda m, ok: folner_sequence(_ZD1, int(ok), m)),
+    ("refute_witness_bounded", ValueError,
+     lambda m, ok: refute_witness_bounded(_ZD1, (1,), int(ok), 2, m)),
+    # the point mass at 0 has defect 2 against +1; the interval -1..2 has 1/2
+    ("extract_folner_from_reiter", PreconditionError,
+     lambda m, ok: extract_folner_from_reiter(
+         _ZD1, ReiterFunction.characteristic((0, 1, 2, 3) if ok else (0,)), (1,), 2)),
+    ("box_folner", PreconditionError,
+     lambda m, ok: box_folner(_ZD1 if ok else make_group("free:2"), (1,), 2)),
+    ("cli wp-from-folner", cli._MalformedInput,
+     lambda m, ok: cli._run(cli._parser().parse_args(
+         ["wp-from-folner", "--group", "zd:2",
+          "--d", "(1,0),(0,%s),(1,1)" % ("1" if ok else "x")]), _ZD2, m)),
+]
+
+
+@pytest.mark.parametrize("name, error, call", BAD_INPUT_CALLS,
+                         ids=[name for name, _, _ in BAD_INPUT_CALLS])
+def test_bad_input_raises_before_any_charge(name, error, call):
+    meter = Budget(100).meter()
+    with pytest.raises(error):
+        call(meter, False)
+    assert meter.remaining == 100
+    call(Budget(10**6).meter(), True)
+
+
 # ---------------------------------------------------------------------------
 # element literals
+
+
+# literals on each family that has a CEView
+VIEW_LITERALS = {
+    "zd:1": ["+1", "-3", "7", "0"],
+    "zd:2": ["(1,0)", "(-2,3)", "(0,0)"],
+    "lamplighter": ["s", "t^-1st", "e"],
+    "free:2": ["a", "ab^-1", "1"],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(VIEW_LITERALS))
+def test_view_literals_parse_to_the_base_codes(spec):
+    g = make_group(spec)
+    view, texts = CEView(g), VIEW_LITERALS[spec]
+    for text in texts:
+        assert parse_element(view, text) == parse_element(g, text)
+    assert parse_elements(view, ",".join(texts)) == parse_elements(g, ",".join(texts))
 
 
 def test_parse_elements_splits_tuples():

@@ -150,6 +150,86 @@ def test_verifier_rejects_corruption(decomp):
     assert violations
 
 
+def _record(m, theta1, theta2):
+    """A record whose psi are its thetas times m."""
+    return {"m": m, "theta1": theta1, "theta2": theta2,
+            "psi1": F2.mult(theta1, m), "psi2": F2.mult(theta2, m)}
+
+
+A, A3 = parse_elements(F2, "a")[0], parse_elements(F2, "a^3")[0]  # a^3 is not in K
+# each corruption of the four resolved records, and the checks it must raise
+RECORD_CORRUPTIONS = {
+    "theta_outside_key": (
+        lambda rs: [_record(rs[0]["m"], rs[0]["theta1"], A3)] + rs[1:],
+        {"theta_in_key"}),
+    "thetas_swapped": (
+        lambda rs: rs[:1] + [{**rs[1], "theta1": rs[1]["theta2"],
+                              "theta2": rs[1]["theta1"]}] + rs[2:],
+        {"theta_times_m"}),
+    "sides_swapped": (
+        lambda rs: rs[:1] + [_record(rs[1]["m"], rs[1]["theta2"],
+                                     rs[1]["theta1"])] + rs[2:],
+        {"psi_order"}),
+    "record_repeated": (
+        lambda rs: rs + rs[:1],
+        {"psi1_injective", "psi2_injective"}),
+    # a record whose psi1 is record 2's psi2
+    "psi2_taken_as_psi1": (
+        lambda rs: rs + [_record(rs[2]["psi2"], F2.identity, A)],
+        {"psi_images_disjoint"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CORRUPTIONS))
+def test_verifier_names_each_corruption_of_the_records(decomp, name):
+    records = verify_decomposition_prefix(decomp, 4, Budget(400))["resolved"]
+    assert check_decomposition_records(F2, decomp.key.K, records) == []
+    corrupt, checks = RECORD_CORRUPTIONS[name]
+    violations = check_decomposition_records(F2, decomp.key.K, corrupt(records))
+    assert {v["check"] for v in violations} == checks
+
+
+# each corruption of the matching behind the 4-code prefix, as updates of
+# left_pairs and right_pair, and the checks it must raise; ``far`` is the last
+# left vertex matched, whose code is past the prefix, and ``free`` and ``new``
+# are a left and a right vertex that the matching has not reached
+STATE_CORRUPTIONS = {
+    "left_with_three_rights": (
+        lambda lp, far, free, new: ({far: lp[far] + (new,)}, {new: far}),
+        {"left_multiplicity"}),
+    "right_under_two_lefts": (
+        lambda lp, far, free, new: ({free: (lp[far][0], new)}, {new: free}),
+        {"right_multiplicity", "inverse_map"}),
+    "right_points_at_another_left": (
+        lambda lp, far, free, new: ({}, {lp[far][0]: free}),
+        {"inverse_map"}),
+    "right_matched_to_no_left": (
+        lambda lp, far, free, new: ({}, {new: far}),
+        {"right_bookkeeping"}),
+    # phi reads right_pair, so psi1(0) now leads back to far
+    "psi_moved_to_another_left": (
+        lambda lp, far, free, new: ({}, {lp[0][0]: far}),
+        {"phi_inverts_psi", "inverse_map"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CORRUPTIONS))
+def test_verifier_names_each_corruption_of_the_matching(decomp, monkeypatch, name):
+    report = verify_decomposition_prefix(decomp, 4, Budget(400))
+    assert report["violations"] == []
+    st = decomp.state
+    far, free, new = max(st.left_pairs), max(st.left_pairs) + 2, max(st.right_pair) + 2
+    # far is past the prefix, and the verifier asks phi of none of its rights
+    rights = {2 * r[psi] + 1 for r in report["resolved"] for psi in ("psi1", "psi2")}
+    assert far // 2 >= 4 and rights.isdisjoint(st.left_pairs[far])
+    corrupt, checks = STATE_CORRUPTIONS[name]
+    left, right = corrupt(st.left_pairs, far, free, new)
+    monkeypatch.setattr(st, "left_pairs", {**st.left_pairs, **left})
+    monkeypatch.setattr(st, "right_pair", {**st.right_pair, **right})
+    report = verify_decomposition_prefix(decomp, 4, Budget(1))
+    assert {v["check"] for v in report["violations"]} == checks
+
+
 # ---------------------------------------------------------------------------
 # classical first-letter decomposition as an independent verifier fixture
 
