@@ -27,38 +27,40 @@ for o the identity's vertex of v's side, the residual ball around v is the
 translate by c of the residual ball around o in which the removed vertices
 are moved by c^-1.  The full ball around o, and its flow network, is built
 once per side and per matching state, from one breadth-first search over
-``neighbors``: the template.  A step maps only the removed vertices into
-the frame and describes its residual ball by a change map: the nodes
-whose distance from the origin differs from the template's, found by a
-decremental search that starts at the dead nodes and visits only the
-nodes that leave the ball.  The graph is bipartite, so a lost node's
-distance grows by at least 2 and only lost nodes within r - 2 of the
-origin can come back inside the radius.  The search stops at r - 1, so a
-node at the radius that loses every parent gets no entry: its parents,
-its only neighbours in the ball, are dead or lost and have their arcs
-zeroed, so nothing flows into it, and it can never come back.  The
-template also holds its network's maximum flow and that flow's value, and
-every step starts from that flow: at the nodes of the change map it
-cancels the flow and patches the capacities, counts the cancelled units
-off the value, then augments to a maximum flow and maps only the
-committed star back.  A B node lost from inside the radius has only A
-neighbours that left the ball too, since A nodes never lie at the radius,
-so their cancellations already free it.  Each phase of the augmenting
-search labels the network from both ends, so its work grows with the
-step's few augmenting paths, not with the template.  For the same reason
-a B node at the radius has no arc b -> tt in the arc lists, at either end:
-that arc has capacity 0 both ways in the template, a step only lengthens
-distances, so a radius node never becomes interior, and ``_capacities``
-only reads the arc's flow (0) before it falls back to the arc b -> T.  No
-augmenting path can use it, so the flows and matchings are those of the
-full lists.  A step never starts from the previous step's flow, so the
-state stays a pure function of (graph, k, steps).  Both networks, the
-template's and the one ``finite_harem_match`` builds from zero flow, share
-one flat arc format (``_arcs``) and one flow readout (``_flow_partners``).
-For the paradoxical decomposition of free:2 (17-element key, k = 2) the
-templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4),
-and tt heads 18 and 162 arcs, against 1,458 and 13,122 with the radius
-nodes' arcs listed.
+``neighbors``: the template.  It keeps the ball's edges once, as arcs of
+that network: a node's neighbours in the ball are the heads of its arcs,
+less the four terminals S, T, ss and tt, which have distance -1.  A step
+maps only the removed vertices into the frame and describes its residual
+ball by a change map: the nodes whose distance from the origin differs
+from the template's, found by a decremental search that starts at the dead
+nodes and visits only the nodes that leave the ball.  The graph is
+bipartite, so a lost node's distance grows by at least 2 and only lost
+nodes within r - 2 of the origin can come back inside the radius.  The
+search stops at r - 1, so a node at the radius that loses every parent
+gets no entry: its parents, its only neighbours in the ball, are dead or
+lost and have their arcs zeroed, so nothing flows into it, and it can
+never come back.  The template also holds its network's maximum flow and
+that flow's value, and every step starts from that flow: at the nodes of
+the change map it cancels the flow and patches the capacities, counts the
+cancelled units off the value, then augments to a maximum flow and maps
+only the committed star back.  A B node lost from inside the radius has
+only A neighbours that left the ball too, since A nodes never lie at the
+radius, so their cancellations already free it.  Each phase of the
+augmenting search labels the network from both ends, so its work grows
+with the step's few augmenting paths, not with the template.  For the same
+reason a B node at the radius has no arc b -> tt in the arc lists, at
+either end: that arc has capacity 0 both ways in the template, a step only
+lengthens distances, so a radius node never becomes interior, and
+``_capacities`` only reads the arc's flow (0) before it falls back to the
+arc b -> T.  No augmenting path can use it, so the flows and matchings are
+those of the full lists.  A step never starts from the previous step's
+flow, so the state stays a pure function of (graph, k, steps).  Both
+networks, the template's and the one ``finite_harem_match`` builds from
+zero flow, share one flat arc format (``_arcs``) and one flow readout
+(``_flow_partners``).  For the paradoxical decomposition of free:2
+(17-element key, k = 2) the templates have 1,618 vertices (radius 3) and
+14,578 vertices (radius 4), and tt heads 18 and 162 arcs, against 1,458
+and 13,122 with the radius nodes' arcs listed.
 """
 
 from __future__ import annotations
@@ -494,7 +496,10 @@ class _Template(NamedTuple):
     residual network of the ball's maximum flow: the capacity of arc e is
     ``cap[e] + cap[~e]`` and its flow ``cap[~e]``; ``value`` is the value of
     that flow, the flow out of ss.
-    ``dist`` is the ball's distance list and ``parents`` counts, per node,
+    The arc lists are the ball's adjacency: a node's neighbours in the
+    ball are the heads ``to[e]`` of its arcs e in ``head[u]``, in edge
+    order, less the four terminals S, T, ss and tt, which have distance -1
+    in ``dist``, the ball's distance list.  ``parents`` counts, per node,
     its neighbours one step nearer the origin; its children are the
     neighbours one step further.  A step's change map from ``_frame`` holds
     only the nodes whose distance the removed vertices changed, less the
@@ -508,7 +513,6 @@ class _Template(NamedTuple):
     codes: list  # node -> frame code (A and B nodes)
     index: dict  # frame code -> node
     dist: list  # node -> distance from the origin in the full graph
-    nbrs: list  # node -> its neighbours in the ball
     parents: list  # node -> its neighbours at distance dist - 1
     head: list
     to: list
@@ -542,11 +546,8 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
             if w in around:
                 edge_tail.append(u)
                 edge_head.append(index[w])
-    nbrs: list[list[int]] = [[] for _ in range(tt + 1)]
     parents = [0] * (tt + 1)
     for u, w in zip(edge_tail, edge_head):
-        nbrs[u].append(w)
-        nbrs[w].append(u)
         parents[u if dist[u] > dist[w] else w] += 1
     on_boundary = [int(dist[b] == r) for b in b_nodes]
     interior = n_b - sum(on_boundary)
@@ -570,7 +571,7 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     value = _maxflow(head, to, cap, ss, tt)  # cap keeps the flow
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
-        nbrs=nbrs, parents=parents, head=head, to=to, cap=cap, value=value,
+        parents=parents, head=head, to=to, cap=cap, value=value,
         b0=b0, to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
         s_tt=starts[3], ss_t=starts[4], interior=interior,
     )
@@ -637,10 +638,13 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
     whose parents are all dead or lost: it is beyond the radius too, but
     has no entry.
 
-    The map is built by a decremental search.  The dead nodes, and then the
-    nodes found lost, are walked in order of template distance up to
-    r - 2, and each takes one from the parent count of its children: a
-    node whose count reaches 0 has lost every shortest path, and is lost.
+    The map is built by a decremental search over the template's arc
+    lists.  The dead nodes, and then the nodes found lost, are walked in
+    order of template distance up to r - 2, and each takes one from the
+    parent count of its children: a node whose count reaches 0 has lost
+    every shortest path, and is lost.  The terminals' distance, -1, keeps
+    them out of the walk, which only steps further out, and out of the
+    nearest distances that the regrow reads.
     The graph is bipartite, so a lost node's distance grows by at least 2
     and only one within r - 2 of the origin can come back inside the
     radius; those are labelled again, level by level, from their kept
@@ -659,7 +663,7 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
     c_inv = g.inv(c)
     frame = (g.translate(u, c_inv) for u in chain(st.left_pairs, st.right_pair))
     dead = [tpl.index[f] for f in frame if f in tpl.index]
-    dist, nbrs, parents, r = tpl.dist, tpl.nbrs, tpl.parents, tpl.radius
+    dist, parents, r, head, to = tpl.dist, tpl.parents, tpl.radius, tpl.head, tpl.to
     changes = dict.fromkeys(dead)
     levels: list[list[int]] = [[] for _ in range(r + 1)]
     for u in dead:
@@ -667,7 +671,7 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
     left = {}  # node -> its parents not yet lost, once it has lost one
     for d in range(r - 1):
         for u in levels[d]:
-            for w in nbrs[u]:
+            for w in map(to.__getitem__, head[u]):
                 if dist[w] > d and w not in changes:
                     left[w] = n = left.get(w, parents[w]) - 1
                     if not n:
@@ -676,13 +680,14 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
     regrow: list[list[int]] = [[] for _ in range(r + 2)]
     for u in chain(*levels[1 : r - 1]):
         if changes[u] == -1:
-            near = [dist[w] for w in nbrs[u] if w not in changes]
-            regrow[min(near, default=r) + 1].append(u)
+            near = [dist[w] for w in map(to.__getitem__, head[u]) if w not in changes]
+            # the terminals S, T, ss and tt have distance -1
+            regrow[min([x for x in near if x >= 0], default=r) + 1].append(u)
     for d in range(r + 1):
         for u in regrow[d]:
             if changes[u] == -1:  # not yet labelled nearer
                 changes[u] = d
-                regrow[d + 1] += [w for w in nbrs[u] if changes.get(w, 0) == -1]
+                regrow[d + 1] += [to[e] for e in head[u] if changes.get(to[e]) == -1]
     return tpl, changes
 
 

@@ -14,9 +14,11 @@ dead nodes removed, and ``full_scan_capacities``.  The change map leaves
 out the radius nodes that lost every parent; the full scan names them,
 and each must have every neighbour in the ball dead or lost.  Templates
 are compared with ``_template_reference``, the build from ``induced_ball``,
-and whole matchings with pinned ``matching_dump`` hashes.  The arcs that a
-template leaves out of its arc lists, the radius nodes' arcs b -> tt, must
-have capacity 0 both ways in the template and in every step's network.
+whose neighbour lists must equal the adjacency read off the template's arc
+lists, and whole matchings with pinned ``matching_dump`` hashes.  The arcs
+that a template leaves out of its arc lists, the radius nodes' arcs
+b -> tt, must have capacity 0 both ways in the template and in every
+step's network.
 """
 
 import hashlib
@@ -66,6 +68,17 @@ def step_distances(tpl, changes):
     return dist
 
 
+def ball_adjacency(tpl):
+    """Node -> its neighbours in the ball, read off the template's arc
+    lists: the heads of its arcs less the terminals S, T, ss and tt, which
+    have distance -1 and no neighbours in the ball."""
+    to, dist = tpl.to, tpl.dist
+    return [
+        [w for w in map(to.__getitem__, arcs) if dist[w] >= 0] if dist[u] >= 0 else []
+        for u, arcs in enumerate(tpl.head)
+    ]
+
+
 def full_scan_distances(nbrs, origin, r, dead):
     """Node -> distance from the origin node by breadth-first search over
     ``nbrs``, entering no node beyond distance r: -1 for a node not
@@ -90,10 +103,11 @@ def lost_radius_nodes(tpl, changes):
     """The radius nodes without a change-map entry whose every neighbour in
     the ball is dead or lost: beyond the radius for good."""
     dist = step_distances(tpl, changes)
+    nbrs = ball_adjacency(tpl)
     return {
         u for u, d in enumerate(tpl.dist)
         if d == tpl.radius and u not in changes
-        and all(dist[w] is None or dist[w] == -1 for w in tpl.nbrs[u])
+        and all(dist[w] is None or dist[w] == -1 for w in nbrs[u])
     }
 
 
@@ -313,14 +327,15 @@ def full_scan_steps(monkeypatch):
         c_inv = g.inv(c)
         moved = (g.translate(u, c_inv) for u in chain(st.left_pairs, st.right_pair))
         dead = [tpl.index[f] for f in moved if f in tpl.index]
-        dist = full_scan_distances(tpl.nbrs, tpl.origin, tpl.radius, dead)
+        nbrs = ball_adjacency(tpl)
+        dist = full_scan_distances(nbrs, tpl.origin, tpl.radius, dead)
         lost = {u for u, w in enumerate(tpl.dist) if w == tpl.radius and dist[u] == -1}
         assert changes == {
             u: d for u, (d, w) in enumerate(zip(dist, tpl.dist))
             if d != w and u not in lost
         }
         for u in lost:
-            assert all(dist[w] is None or dist[w] == -1 for w in tpl.nbrs[u])
+            assert all(dist[w] is None or dist[w] == -1 for w in nbrs[u])
         assert lost == lost_radius_nodes(tpl, changes)
         omitted.append(len(lost))
         return tpl, changes
@@ -437,9 +452,9 @@ def test_template_holds_a_maximum_flow_of_the_full_ball(spec, key, k):
 
 def _template_reference(g, origin, r, k):
     """The fields of the template as built from ``induced_ball`` and a
-    second breadth-first search over the ball's nodes, all but ``value``:
-    the reference for ``_template``.  No B node at the radius has its arc
-    b -> tt in ``head``, at either end."""
+    second breadth-first search over the ball's nodes, all but ``value``,
+    and the ball's adjacency: the reference for ``_template``.  No B node
+    at the radius has its arc b -> tt in ``head``, at either end."""
     ball = induced_ball(g, origin, r)
     S, T = 0, 1
     n_a, n_b = len(ball.A), len(ball.B)
@@ -473,10 +488,10 @@ def _template_reference(g, origin, r, k):
     _maxflow(head, to, cap, ss, tt)
     return dict(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
-        nbrs=nbrs, parents=parents, head=head, to=to, cap=cap, b0=b0,
+        parents=parents, head=head, to=to, cap=cap, b0=b0,
         to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
         s_tt=starts[3], ss_t=starts[4], interior=interior,
-    )
+    ), nbrs
 
 
 @pytest.mark.parametrize("spec,key,level,k,sides,radii", [
@@ -498,10 +513,12 @@ def test_template_equals_the_induced_ball_build(spec, key, level, k, sides, radi
         origin = graph.left_enum(0) if a_side else graph.right_enum(0)
         r = radii[0] if a_side else radii[1]
         tpl = _template(graph, origin, r, k)
-        want = _template_reference(ref, origin, r, k)
+        want, nbrs = _template_reference(ref, origin, r, k)
         assert set(tpl._fields) == {*want, "value"}
         for name, field in want.items():
             assert getattr(tpl, name) == field, name
+        # the arc lists are the ball's adjacency, node for node and in order
+        assert ball_adjacency(tpl) == nbrs
         ss = len(tpl.head) - 2
         assert tpl.value == sum(tpl.cap[~e] for e in tpl.head[ss])
 

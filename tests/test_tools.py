@@ -70,6 +70,7 @@ def test_paradox_split_runs_a_prefix_pass():
     # the 48-code pass takes 61 steps, 31 on the A side and 30 on the B side
     assert [int(row[1]) for row in rows[-5:-3]] == [31, 30]
     # nodes, forward arcs, arc-list entries and tt's arcs of each template:
-    # no radius node's arc b -> tt is listed
+    # no radius node's arc b -> tt is listed; then the entries each holds,
+    # the ball's edges once, as arcs
     assert [list(map(int, row[1:])) for row in rows[-2:]] == [
-        [1622, 5815, 8750, 18], [14582, 52471, 79022, 162]]
+        [1622, 5815, 8750, 18, 38492], [14582, 52471, 79022, 162, 347228]]

@@ -10,7 +10,9 @@ labelling, the labelling of the steps' flow phases (``_label_from_both_ends``
 and ``_label_from_s``) and the rest of the pass; the last row is the whole
 pass.  Then, per side, the steps of a pass and the sizes of their change
 maps, and the side's template: its nodes (S, T, ss and tt included), its
-forward arcs, its arc-list entries (``head``) and the arcs that tt heads.
+forward arcs, its arc-list entries (``head``), the arcs that tt heads and
+the entries it holds in all (``held``): the entries of its list and dict
+fields, a list of lists counted by its inner lengths.
 The library is imported from ``src/`` of the checkout that holds this file.
 
     python3 tools/paradox_split.py --passes 6
@@ -78,6 +80,18 @@ class LayerClock:
         return counted
 
 
+def held(tpl) -> int:
+    """The entries of the template's list and dict fields, a list of
+    lists counted by its inner lengths."""
+    n = 0
+    for value in tpl:
+        if isinstance(value, list) and value and isinstance(value[0], list):
+            n += sum(map(len, value))
+        elif isinstance(value, (list, dict)):
+            n += len(value)
+    return n
+
+
 def layer_seconds(workload, lib, state, passes: int):
     """{layer: [seconds in each pass]} with the whole pass under "pass",
     the last pass's change-map sizes and templates by side, and the list of
@@ -135,11 +149,12 @@ def main(argv=None):
         print("%-12s %5d %13d %11g %7d" % (
             "A" if a_side else "B", len(sizes), sum(sizes),
             statistics.median(sizes), max(sizes)))
-    print("%-12s %7s %7s %8s %7s" % ("template", "nodes", "arcs", "entries", "tt arcs"))
+    print("%-12s %7s %7s %8s %7s %8s" % (
+        "template", "nodes", "arcs", "entries", "tt arcs", "held"))
     for a_side, tpl in sorted(templates.items(), reverse=True):
-        print("%-12s %7d %7d %8d %7d" % (
+        print("%-12s %7d %7d %8d %7d %8d" % (
             "A" if a_side else "B", len(tpl.head), len(tpl.to) // 2,
-            sum(map(len, tpl.head)), len(tpl.head[-1])))
+            sum(map(len, tpl.head)), len(tpl.head[-1]), held(tpl)))
     return 1 if any(failed) else 0
 
 
