@@ -431,6 +431,23 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
                 ptr[u] += 1
 
 
+def _refuted_by_counts(fg: FiniteBipartite, k: int, interior: list) -> bool:
+    """True when a count rules out every relaxed (1,k)-matching of the
+    piece: more interior B-vertices than the k|A| units A supplies, a
+    vertex of A listing fewer than k partners, fewer than k|A| distinct
+    neighbours of A, or an interior B-vertex that no vertex of A lists.
+    ``interior`` lists the piece's interior B-vertices."""
+    units = k * len(fg.A)
+    if len(interior) > units:
+        return True
+    heads = set()
+    for partners in map(fg.adj.__getitem__, fg.A):
+        if len(partners) < k:
+            return True
+        heads.update(partners)
+    return len(heads) < units or not heads.issuperset(interior)
+
+
 def finite_harem_match(fg: FiniteBipartite, k: int):
     """Matching giving every A-vertex exactly k partners, every interior
     B-vertex exactly one and every boundary B-vertex at most one, or None
@@ -443,9 +460,20 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
     order), the boundary arcs in B order, then the arcs that carry the
     bounds.  The matching is therefore reproducible, and equal to the one
     the recursive Dinic finds on the same arc order.
+
+    Before any network is built, four counts may return None at once
+    (``_refuted_by_counts``).  Each is a necessary condition, so every
+    output is the flow's.  A supplies exactly k|A| units and a B-vertex
+    takes at most one, so there are at most k|A| interior B-vertices and A
+    has at least k|A| distinct neighbours; a vertex of A listing fewer
+    than k partners cannot take k of them; an interior B-vertex that no
+    vertex of A lists can never be saturated.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    inside = [b for b in fg.B if b not in fg.boundary_B]
+    if _refuted_by_counts(fg, k, inside):
+        return None
     # nodes: source S, sink T, the A side, the B side, then the super
     # source ss and super sink tt that carry the lower bounds
     S, T = 0, 1
@@ -454,7 +482,7 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
     a_nodes = range(2, b0)
     b_index = {b: v for v, b in enumerate(fg.B, b0)}
     boundary = [b_index[b] for b in fg.B if b in fg.boundary_B]
-    interior = [b_index[b] for b in fg.B if b not in fg.boundary_B]
+    interior = [b_index[b] for b in inside]
     edge_tail = [u for u, a in zip(a_nodes, fg.A) for _ in fg.adj[a]]
     edge_head = [b_index[b] for a in fg.A for b in fg.adj[a]]
     # S -> tt (no A side) and ss -> T (no interior) may get capacity 0; such

@@ -202,15 +202,18 @@ def verify_decomposition_prefix(
     (empty for a correct build).  On top of the record checks this
     verifies that phi inverts both psi maps and that the matching
     bookkeeping is consistent (every committed right code hit once).
-    Every code the matching has resolved is reported, even once the budget is spent."""
+    Every code the matching has resolved is reported, even once the budget is spent.
+    Once it is spent, at the first code m left unresolved, the codes after m
+    that are matched already are read off the matching's left pairs, and
+    one violation ``{"check": "unresolved", "m": m}`` stands for every code
+    left open; when more than one is, it carries their number in "codes".
+    The report therefore grows with the steps taken, not with ``count``."""
     meter = b.meter()
+    st = d.state
     records = []
     violations = []
-    for m in range(count):
-        pair = d.psi_pair(m, meter)
-        if pair is UNKNOWN:
-            violations.append({"check": "unresolved", "m": m})
-            continue
+
+    def record(m, pair):
         thetas = d.theta_pair(m, meter)
         records.append(
             {
@@ -225,9 +228,21 @@ def verify_decomposition_prefix(
             back = d.phi(p, meter)
             if back != m:
                 violations.append({"check": "phi_inverts_psi", "m": m, "psi": p})
+
+    for m in range(count):
+        pair = d.psi_pair(m, meter)
+        if pair is UNKNOWN:  # the meter is empty: no further step is taken
+            matched = sorted(a // 2 for a in st.left_pairs if m < a // 2 < count)
+            for n in matched:
+                record(n, d.psi_pair(n, meter))
+            unresolved = {"check": "unresolved", "m": m}
+            if (left := count - m - len(matched)) > 1:
+                unresolved["codes"] = left
+            violations.append(unresolved)
+            break
+        record(m, pair)
     violations.extend(check_decomposition_records(d.group, d.key.K, records))
     # matching bookkeeping: committed rights hit exactly once, stars consistent
-    st = d.state
     hit: dict[int, int] = {}
     for a, bs in st.left_pairs.items():
         if len(bs) != st.k or len(set(bs)) != st.k:

@@ -346,7 +346,7 @@ LIST_FLAG = {"folner-search": "--d", "folner-function": "--d", "reiter-check": "
              "kappa": "--d", "wp-from-folner": "--d", "harem-demo": "--k",
              "paradox": "--k0", "witness": "--k", "restrict-folner": "--k"}
 COUNTS = {"harem-demo": ("--steps",), "witness": ("--n", "--size-bound"),
-          "paradox": (), "wp-from-folner": ()}
+          "paradox": ("--verify",), "wp-from-folner": ()}
 IDENTITY = {"zd:1": "0", "zd:2": "(0,0)", "free:2": "e", "redundant-z": "e"}
 MAXSIZE = str(sys.maxsize)
 
@@ -354,9 +354,10 @@ MAXSIZE = str(sys.maxsize)
 def _robustness_grid():
     """name -> argv: edge inputs on every command, each otherwise valid.
 
-    ``paradox`` gets no large --n or --verify: the key expansion and the
-    template build are not metered, and a prefix report holds one violation
-    per code, so both grow with the count whatever the budget."""
+    ``paradox`` gets a large --verify, whose report holds the codes the
+    budget resolves and one violation for the rest, but no large --n: the
+    key expansion and the template build are not metered, so they grow
+    with --n whatever the budget."""
     grid = {}
     for name, argv in VALID_ARGV.items():
         # no 100-Folner set lies in witness's 5-element ball, so its scan

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from folnerlab import Budget, UNKNOWN, make_group
+from folnerlab import Budget, UNKNOWN, harem, make_group
 from folnerlab.groups import ball, parse_elements
 from folnerlab.harem import (
     FiniteBipartite,
@@ -335,6 +335,82 @@ def test_long_augmenting_path_needs_no_recursion():
         frozenset([2 * n + 1]),
     )
     assert finite_harem_match(fg, 1) == {2 * i: (2 * i + 1,) for i in range(n)}
+
+
+def failed_counts(fg: FiniteBipartite, k: int) -> list:
+    """The counts of ``finite_harem_match``'s docstring that the piece
+    fails, by name, each read off the piece on its own."""
+    interior = [b for b in fg.B if b not in fg.boundary_B]
+    heads = {b for a in fg.A for b in fg.adj[a]}
+    failed = {
+        "interior": len(interior) > k * len(fg.A),
+        "degree": any(len(fg.adj[a]) < k for a in fg.A),
+        "neighbours": len(heads) < k * len(fg.A),
+        "reached": any(b not in heads for b in interior),
+    }
+    return [name for name, fails in failed.items() if fails]
+
+
+# count -> (k, A, B, edges, boundary) of a piece only that count refutes,
+# and the edges and boundary of a feasible piece one edge or flag away
+ONE_COUNT_PIECES = {
+    "interior": (1, [0], [1, 3], [(0, 1), (0, 3)], set(), [(0, 1), (0, 3)], {3}),
+    "degree": (2, [0, 2], [1, 3, 5, 7], [(0, 1), (2, 1), (2, 3), (2, 5), (2, 7)],
+               {1, 3, 5, 7},
+               [(0, 1), (0, 3), (2, 1), (2, 3), (2, 5), (2, 7)], {1, 3, 5, 7}),
+    "neighbours": (1, [0, 2], [1, 3], [(0, 1), (2, 1)], {1, 3},
+                   [(0, 1), (2, 3)], {1, 3}),
+    "reached": (2, [0], [1, 3, 5], [(0, 1), (0, 3)], {3}, [(0, 1), (0, 3)], {3, 5}),
+}
+
+
+def no_count_refutes(fg, k, interior):
+    return False
+
+
+@pytest.mark.parametrize("count", sorted(ONE_COUNT_PIECES))
+def test_each_count_refutes_a_piece_alone(count, monkeypatch):
+    k, A, B, edges, boundary, fixed_edges, fixed_boundary = ONE_COUNT_PIECES[count]
+    fg = graph_from_edges(A, B, edges, boundary)
+    fixed = graph_from_edges(A, B, fixed_edges, fixed_boundary)
+    assert failed_counts(fg, k) == [count] and failed_counts(fixed, k) == []
+    inside = [b for b in B if b not in boundary]
+    assert harem._refuted_by_counts(fg, k, inside)
+    assert finite_harem_match(fg, k) is None
+    matching = finite_harem_match(fixed, k)
+    assert matching is not None and all(len(bs) == k for bs in matching.values())
+    # the count is a necessary condition: the flow alone agrees
+    monkeypatch.setattr(harem, "_refuted_by_counts", no_count_refutes)
+    assert finite_harem_match(fg, k) is None
+    assert finite_harem_match(fixed, k) == matching
+
+
+def test_hall_on_a_pair_is_left_to_the_flow():
+    # 0 and 2 list only right 1: every count passes, Hall's condition fails
+    # on {0, 2}, and the flow returns None
+    fg = graph_from_edges([0, 2, 4], [1, 3, 5], [(0, 1), (2, 1), (4, 1), (4, 3), (4, 5)],
+                          boundary={3, 5})
+    assert failed_counts(fg, 1) == []
+    assert not harem._refuted_by_counts(fg, 1, [1])
+    assert finite_harem_match(fg, 1) is None
+
+
+def test_flow_alone_reproduces_the_recursive_reference(monkeypatch):
+    # the 5,000 pieces of test_solver_reproduces_recursive_reference, every
+    # one solved by the flow: its outputs, the None of each infeasible piece
+    # included, equal the reference's, as the outputs with the counts do
+    refuted = []
+
+    def never_refutes(fg, k, interior):
+        refuted.append(plain(fg, k, interior))
+        return False
+
+    plain = harem._refuted_by_counts
+    monkeypatch.setattr(harem, "_refuted_by_counts", never_refutes)
+    test_solver_reproduces_recursive_reference()
+    # with the counts, 3,933 of the 3,952 infeasible pieces get None
+    # before any network is built
+    assert (len(refuted), sum(refuted)) == (5000, 3933)
 
 
 def solve_arcs(nodes, arcs, s, t):

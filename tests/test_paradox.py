@@ -1,6 +1,7 @@
 """Paradoxical decomposition pipeline and its prefix verifier."""
 
 import random
+import sys
 
 import pytest
 
@@ -228,6 +229,36 @@ def test_verifier_names_each_corruption_of_the_matching(decomp, monkeypatch, nam
     monkeypatch.setattr(st, "right_pair", {**st.right_pair, **right})
     report = verify_decomposition_prefix(decomp, 4, Budget(1))
     assert {v["check"] for v in report["violations"]} == checks
+
+
+@pytest.mark.parametrize("budget", [4, 14, 40])
+def test_prefix_report_once_the_budget_is_spent(budget):
+    # the psi pairs of the codes asked one by one under the same budget: the
+    # verifier's theta and phi of a resolved code read the matching and take
+    # no step, so the same codes resolve
+    count = 60
+    d = build_decomposition(F2, GENS, 1)
+    meter = Budget(budget).meter()
+    pairs = {m: d.psi_pair(m, meter) for m in range(count)}
+    unresolved = [m for m, pair in pairs.items() if pair is UNKNOWN]
+    report = verify_decomposition_prefix(
+        build_decomposition(F2, GENS, 1), count, Budget(budget))
+    assert {r["m"]: (r["psi1"], r["psi2"]) for r in report["resolved"]} == {
+        m: pair for m, pair in pairs.items() if pair is not UNKNOWN}
+    # codes matched past the first unresolved one are reported too
+    assert unresolved[0] < report["resolved"][-1]["m"]
+    want = {"check": "unresolved", "m": unresolved[0], "codes": len(unresolved)}
+    assert report["violations"] == [want]
+
+
+def test_prefix_report_grows_with_the_steps_not_the_count():
+    d = build_decomposition(F2, GENS, 1)
+    report = verify_decomposition_prefix(d, sys.maxsize, Budget(1))
+    resolved = [r["m"] for r in report["resolved"]]
+    assert resolved == sorted(resolved) and len(resolved) <= len(d.state.left_pairs)
+    (unresolved,) = report["violations"]
+    assert unresolved["check"] == "unresolved"
+    assert unresolved["codes"] == sys.maxsize - len(resolved)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Smoke runs of the scripts under ``tools/``, one pass each.
 
-``command_split.py`` and ``paradox_split.py`` import
+``command_split.py``, ``paradox_split.py`` and ``solver_split.py`` import
 ``perfbench/workloads.py`` and hook private harem names, so a library change
 that renames what they reach fails here.  Each script runs in a subprocess,
 as its docstring says to run it, and writes no bytecode.
@@ -74,3 +74,14 @@ def test_paradox_split_runs_a_prefix_pass():
     # the ball's edges once, as arcs
     assert [list(map(int, row[1:])) for row in rows[-2:]] == [
         [1622, 5815, 8750, 18, 38492], [14582, 52471, 79022, 162, 347228]]
+
+
+def test_solver_split_sorts_a_harem_pass():
+    head, header, *rows = _run("tools/solver_split.py", "--seed", "1", "--passes", "1")
+    assert head[-1] == "[0]"  # failed checks in the one pass
+    assert header[0] == "group"
+    # of seed 1's 2,048 pieces, 519 are feasible and the counts refute
+    # 1,476 of the 1,529 infeasible ones before any network is built
+    assert {row[0]: int(row[1]) for row in rows} == {
+        "counts": 1476, "flow-feasible": 519, "flow-infeasible": 53, "pass": 2048}
+    assert all(float(row[2]) > 0 for row in rows)
