@@ -425,8 +425,6 @@ def _moved_lamps(mask: int, by: int) -> int:
     those are the b lamps that cross 0, and bit i of them lands on bit
     2b - 1 - i of the first class, placed one by one.
     """
-    if not by:
-        return mask
     shift = 2 * abs(by)
     # 0b0101...01 with at least mask.bit_length() digits
     evens = mask & ((1 << (mask.bit_length() | 1) + 1) - 1) // 3
@@ -706,6 +704,12 @@ class CEView(GroupOracle):
 
     def eq_enum(self, m: int) -> tuple[int, int]:
         return m, m
+
+    def eq_entries_within(self, codes, limit: int):
+        """The diagonal entries (m, m, m) for m in ``codes`` below
+        ``limit``, ascending: the default's sequence, without reading the
+        entries between them."""
+        return ((m, m, m) for m in sorted(codes) if m < limit)
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,12 @@ never come back.  The template also holds its network's maximum flow and
 that flow's value, and every step starts from that flow: at the nodes of
 the change map it cancels the flow and patches the capacities, counts the
 cancelled units off the value, then augments to a maximum flow and maps
-only the committed star back.  A B node lost from inside the radius has
-only A neighbours that left the ball too, since A nodes never lie at the
-radius, so their cancellations already free it.  Each phase of the
-augmenting search labels the network from both ends, so its work grows
-with the step's few augmenting paths, not with the template.  For the same
-reason a B node at the radius has no arc b -> tt in the arc lists, at
-either end: that arc has capacity 0 both ways in the template, a step only
-lengthens distances, so a radius node never becomes interior, and
+only the committed star back.  Each phase of the augmenting search
+labels the network from both ends, so its work grows with the step's few
+augmenting paths, not with the template.  For the same reason a B node at
+the radius has no arc b -> tt in the arc lists, at either end: that arc
+has capacity 0 both ways in the template, a step only lengthens
+distances, so a radius node never becomes interior, and
 ``_capacities`` only reads the arc's flow (0) before it falls back to the
 arc b -> T.  No augmenting path can use it, so the flows and matchings are
 those of the full lists.  A step never starts from the previous step's
@@ -725,24 +723,23 @@ def _capacities(tpl: _Template, changes: dict, k: int):
     saturates the lower bounds) and the value of the flow it already
     carries.
 
-    The flow is the template's, changed only at the nodes of the map.  A
-    node that has left the ball (dead, or lost from inside the radius) has
-    the path ss -> a -> b -> (tt | T) of each unit through it cancelled and
-    then every arc zeroed, and it leaves the A or interior count; a B node
-    pushed out to the radius trades its interior arc for its boundary arc
-    and moves its unit along.  A lost B node that is not dead needs less: A
-    nodes never lie at the radius, so every A neighbour of it has left the
-    ball too, and their cancellations cancel its unit and zero its edge
-    arcs.  Only its arcs b -> T and b -> tt are zeroed, after all
-    cancellations, since a cancellation reads the flow on b -> tt.  A
-    radius node that lost every parent has no entry; its edge arcs are
-    zeroed with its parents' arcs, and its boundary arc keeps capacity 1
-    with no flow and no arc with spare capacity into it, so no augmenting
-    path reaches it.  With y units left on boundary arcs, ss -> T keeps
-    x = min(its flow, interior, k*n_a - y) and T -> S and S -> tt carry
-    x + y.  Each cancelled unit leaves ss through an arc ss -> a, so the
-    flow out of ss is the template's value less the cancelled units, with
-    the flow on ss -> T changed to x.
+    The flow is the template's, changed only at the nodes of the map, by
+    two rules.  A B node pushed out to the radius trades its interior arc
+    for its boundary arc and moves its unit along.  A node that has left
+    the ball (dead, or lost from inside the radius) has the path
+    ss -> a -> b -> (tt | T) of each unit through it cancelled and then
+    every arc zeroed, and it leaves the A or interior count.  The result
+    does not depend on the order of the map: a unit already cancelled
+    through a neighbour no longer sits on an arc with flow, and a zeroed
+    arc carries none, so each unit is cancelled once.  A radius node that
+    lost every parent has no entry; its edge arcs are zeroed with its
+    parents' arcs, and its boundary arc keeps capacity 1 with no flow and
+    no arc with spare capacity into it, so no augmenting path reaches it.
+    With y units left on boundary arcs, ss -> T keeps x = min(its flow,
+    interior, k*n_a - y) and T -> S and S -> tt carry x + y.  Each
+    cancelled unit leaves ss through an arc ss -> a, so the flow out of ss
+    is the template's value less the cancelled units, with the flow on
+    ss -> T changed to x.
     """
     cap = tpl.cap[:]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
@@ -751,16 +748,12 @@ def _capacities(tpl: _Template, changes: dict, k: int):
     x0 = x = cap[~tpl.ss_t]
     y = cap[~tpl.t_s] - x
     cancelled = 0
-    beyond = []  # B nodes lost from inside the radius that are not dead
     for u, d in changes.items():
         if d == r:  # only B nodes lie at the radius; u was interior
             f = cap[~(u + to_tt)]
             cap[u + to_tt] = cap[~(u + to_tt)] = 0
             cap[u + to_t], cap[~(u + to_t)] = 1 - f, f
             y += f
-            interior -= 1
-        elif d == -1 and u >= b0:
-            beyond.append(u)
             interior -= 1
         elif d is None or d < 0:
             if u < b0:  # its edge arcs that carry flow
@@ -783,8 +776,6 @@ def _capacities(tpl: _Template, changes: dict, k: int):
                 n_a -= 1
             elif was[u] < r:
                 interior -= 1
-    for u in beyond:
-        cap[u + to_t] = cap[~(u + to_t)] = cap[u + to_tt] = cap[~(u + to_tt)] = 0
     x = min(x, interior, k * n_a - y)
     cap[tpl.ss_t], cap[~tpl.ss_t] = interior - x, x
     cap[tpl.t_s] += cap[~tpl.t_s] - x - y

@@ -731,6 +731,37 @@ def test_ce_view_enumerations():
     assert eq_semidecide(g, 3, 4, Budget(100)) is UNKNOWN
 
 
+@pytest.mark.parametrize("spec", ["zd:1", "zd:2", "free:2", "lamplighter"])
+def test_ce_view_eq_entries_within_equal_the_default_scan(spec):
+    g = CEView(make_group(spec))
+    rng = random.Random(3)
+    for _ in range(40):
+        codes = set(rng.sample(range(60), rng.randint(0, 5)))
+        for limit in (0, 1, 7, 30, 61, 100):
+            want = list(groups.GroupOracle.eq_entries_within(g, codes, limit))
+            assert list(g.eq_entries_within(codes, limit)) == want
+
+
+class _ShortCEView(CEView):
+    """A view whose equal-codes enumeration fails after 10^4 reads."""
+
+    reads = 0
+
+    def eq_enum(self, m):
+        self.reads += 1
+        if self.reads > 10**4:
+            raise RuntimeError("the scan read past 10^4 entries")
+        return super().eq_enum(m)
+
+
+def test_ce_view_eq_scan_skips_the_diagonal_between_the_codes():
+    # the scan would read every diagonal entry up to the budget, so a
+    # budget of 10^12 would never return
+    meter = Budget(10**12).meter()
+    assert eq_semidecide(_ShortCEView(make_group("zd:1")), 1, 2, meter) is UNKNOWN
+    assert meter.consumed == 10**12
+
+
 def test_ce_view_multt_complete_to_50():
     # injective numbering: the only true triples are (i, j, i*j), and the
     # pair schedule places each at its Cantor index, within (50+50+1)^2/2

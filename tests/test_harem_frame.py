@@ -315,11 +315,12 @@ def full_scan_steps(monkeypatch):
     dead nodes removed and the template's distances, less exactly the
     radius nodes that the search finds beyond the radius, each of which
     must have every neighbour in the ball dead or lost; and the network
-    built from it must equal ``full_scan_capacities``'s.  Returns the
-    change-map sizes, one per step, and the numbers of radius nodes left
-    out of the map, one per step."""
+    built from it must equal ``full_scan_capacities``'s.  Returns, one per
+    step, the change-map sizes, the numbers of radius nodes left out of
+    the map and the numbers of B nodes lost from inside the radius that
+    are not dead."""
     frame, capacities = harem._frame, harem._capacities
-    steps, omitted = [], []
+    steps, omitted, lost_b = [], [], []
 
     def checked_frame(st, a_side, c):
         tpl, changes = frame(st, a_side, c)
@@ -344,11 +345,25 @@ def full_scan_steps(monkeypatch):
         got = capacities(tpl, changes, k)
         assert got == full_scan_capacities(tpl, step_distances(tpl, changes), k)
         steps.append(len(changes))
+        lost_b.append(sum(d == -1 and u >= tpl.b0 for u, d in changes.items()))
         return got
 
     monkeypatch.setattr(harem, "_frame", checked_frame)
     monkeypatch.setattr(harem, "_capacities", checked_capacities)
-    return steps, omitted
+    return steps, omitted, lost_b
+
+
+# the B nodes lost from inside the radius that are not dead, over all the
+# steps of each case below, by group, key and radii; each step's network is
+# compared with the full scan's on these nodes too
+LOST_B = {
+    ("free:2", "a,a^-1,b,b^-1", (RADIUS_A, RADIUS_B)): 222,
+    ("free:2", "a,b,b^-1", (RADIUS_A, RADIUS_B)): 23,
+    ("zd:2", "(1,0),(0,1)", (RADIUS_A, RADIUS_B)): 0,
+    ("free:2", "a,b,a^-1", (RADIUS_A, RADIUS_B)): 9,
+    ("zd:2", "(1,0),(0,1)", (5, 6)): 17,
+    ("zd:3", "(1,0,0),(0,1,0),(0,0,1)", (5, 6)): 8,
+}
 
 
 @pytest.mark.parametrize("spec,key,level,codes,steps", [
@@ -357,13 +372,13 @@ def full_scan_steps(monkeypatch):
 ])
 def test_change_map_and_capacities_equal_the_full_scans(
         monkeypatch, spec, key, level, codes, steps):
-    checked, omitted = full_scan_steps(monkeypatch)
+    checked, omitted, lost_b = full_scan_steps(monkeypatch)
     g = make_group(spec)
     d = build_decomposition(g, parse_elements(g, key), level)
     report = verify_decomposition_prefix(d, codes, Budget(10**4))
     assert report["violations"] == []
-    assert d.state.step_count == len(checked) == len(omitted) == steps
-    assert any(omitted)
+    assert d.state.step_count == len(checked) == len(omitted) == len(lost_b) == steps
+    assert any(omitted) and sum(lost_b) == LOST_B[spec, key, (RADIUS_A, RADIUS_B)]
 
 
 @pytest.mark.parametrize("spec,key,radius1,steps,radii", [
@@ -376,7 +391,7 @@ def test_change_map_and_capacities_equal_the_full_scans(
 ])
 def test_change_map_and_capacities_equal_the_full_scans_on_steps(
         monkeypatch, spec, key, radius1, steps, radii):
-    checked, omitted = full_scan_steps(monkeypatch)
+    checked, omitted, lost_b = full_scan_steps(monkeypatch)
     monkeypatch.setattr(harem, "RADIUS_A", radii[0])
     monkeypatch.setattr(harem, "RADIUS_B", radii[1])
     g = make_group(spec)
@@ -384,7 +399,8 @@ def test_change_map_and_capacities_equal_the_full_scans_on_steps(
     st = harem_new(cayley_bipartite(g, ball(g, K, 1) if radius1 else K), 1)
     for _ in range(steps):
         harem_step(st)
-    assert len(checked) == len(omitted) == steps and any(checked) and any(omitted)
+    assert len(checked) == len(omitted) == len(lost_b) == steps
+    assert any(checked) and any(omitted) and sum(lost_b) == LOST_B[spec, key, radii]
 
 
 def test_frame_piece_where_distances_grow_back_inside_the_ball():

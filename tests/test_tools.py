@@ -69,6 +69,11 @@ def test_paradox_split_runs_a_prefix_pass():
     assert all(float(row[1]) >= 0 for row in rows[:len(layers) - 2])
     # the 48-code pass takes 61 steps, 31 on the A side and 30 on the B side
     assert [int(row[1]) for row in rows[-5:-3]] == [31, 30]
+    # the change-map entries by kind: dead, lost A, lost B, pushed to the
+    # radius and moved further in
+    assert rows[-6][-5:] == ["dead", "lost-A", "lost-B", "pushed", "moved"]
+    assert [list(map(int, row[-5:])) for row in rows[-5:-3]] == [
+        [1730, 737, 0, 0, 0], [2422, 4588, 222, 0, 0]]
     # nodes, forward arcs, arc-list entries and tt's arcs of each template:
     # no radius node's arc b -> tt is listed; then the entries each holds,
     # the ball's edges once, as arcs

@@ -8,11 +8,13 @@ the range over the passes.  The layers are the template builds
 builds it starts, ``_capacities``, the steps' ``_maxflow`` less its
 labelling, the labelling of the steps' flow phases (``_label_from_both_ends``
 and ``_label_from_s``) and the rest of the pass; the last row is the whole
-pass.  Then, per side, the steps of a pass and the sizes of their change
-maps, and the side's template: its nodes (S, T, ss and tt included), its
-forward arcs, its arc-list entries (``head``), the arcs that tt heads and
-the entries it holds in all (``held``): the entries of its list and dict
-fields, a list of lists counted by its inner lengths.
+pass.  Then, per side, the steps of a pass, the sizes of their change
+maps and the map entries by kind (dead, lost A and lost B nodes, pushed
+to the radius, moved further in), and the side's template: its nodes (S,
+T, ss and tt included), its forward arcs, its arc-list entries
+(``head``), the arcs that tt heads and the entries it holds in all
+(``held``): the entries of its list and dict fields, a list of lists
+counted by its inner lengths.
 The library is imported from ``src/`` of the checkout that holds this file.
 
     python3 tools/paradox_split.py --passes 6
@@ -27,12 +29,14 @@ import statistics
 import sys
 import tempfile
 import types
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("budget", "groups", "folner", "harem", "paradox", "witness", "cli")
 LAYERS = ("template", "frame", "capacities", "maxflow", "label")
+KINDS = ("dead", "lost-A", "lost-B", "pushed", "moved")
 # the harem functions timed by layer; ``_frame`` is timed by LayerClock.frame
 TIMED = {"_template": "template", "_capacities": "capacities", "_maxflow": "maxflow",
          "_label_from_both_ends": "label", "_label_from_s": "label"}
@@ -47,6 +51,7 @@ class LayerClock:
         self.seconds = dict.fromkeys(LAYERS, 0.0)
         self.inside = None  # the layer of the call being timed
         self.changes: dict[bool, list[int]] = {True: [], False: []}
+        self.kinds = {True: Counter(), False: Counter()}
         self.templates = {}  # side -> its template
 
     def wrap(self, layer, fn):
@@ -67,17 +72,27 @@ class LayerClock:
         return timed
 
     def frame(self, fn):
-        """``_frame`` timed, recording each change map's size and the
-        template by side."""
+        """``_frame`` timed, recording each change map's size, its
+        entries by kind and the template by side."""
         timed = self.wrap("frame", fn)
 
         def counted(st, a_side, c):
             tpl, changes = timed(st, a_side, c)
             self.changes[a_side].append(len(changes))
+            self.kinds[a_side].update(kind(tpl, u, d) for u, d in changes.items())
             self.templates[a_side] = tpl
             return tpl, changes
 
         return counted
+
+
+def kind(tpl, u, d) -> str:
+    """The kind of the change-map entry node u -> d (see ``_frame``)."""
+    if d is None:
+        return "dead"
+    if d == -1:
+        return "lost-A" if u < tpl.b0 else "lost-B"
+    return "pushed" if d == tpl.radius else "moved"
 
 
 def held(tpl) -> int:
@@ -94,8 +109,8 @@ def held(tpl) -> int:
 
 def layer_seconds(workload, lib, state, passes: int):
     """{layer: [seconds in each pass]} with the whole pass under "pass",
-    the last pass's change-map sizes and templates by side, and the list of
-    failed-check counts."""
+    the last pass's change-map sizes, entry kinds and templates by side,
+    and the list of failed-check counts."""
     from workloads import PassClock
 
     seconds: dict[str, list[float]] = {}
@@ -120,7 +135,7 @@ def layer_seconds(workload, lib, state, passes: int):
         split["rest"] = split["pass"] - sum(layers.seconds.values())
         for name, dt in split.items():
             seconds.setdefault(name, []).append(dt)
-    return seconds, layers.changes, layers.templates, failed
+    return seconds, layers.changes, layers.kinds, layers.templates, failed
 
 
 def main(argv=None):
@@ -135,7 +150,7 @@ def main(argv=None):
     workload = WORKLOADS["paradox-prefix"]
     with tempfile.TemporaryDirectory() as out_dir:
         state = workload.setup(lib, 1, Path(out_dir))
-        seconds, changes, templates, failed = layer_seconds(
+        seconds, changes, kinds, templates, failed = layer_seconds(
             workload, lib, state, max(1, args.passes))
     print("%d passes, failed checks per pass: %s" % (len(failed), failed))
     print("%-12s %8s %17s" % ("layer", "median s", "range s"))
@@ -143,12 +158,12 @@ def main(argv=None):
         dts = seconds[name]
         print("%-12s %8.3f %8.3f-%.3f" % (
             name, statistics.median(dts), min(dts), max(dts)))
-    print("%-12s %5s %13s %11s %7s" % (
-        "side", "steps", "map entries", "median map", "max map"))
+    print("%-12s %5s %13s %11s %7s %6s %6s %6s %6s %6s" % (
+        "side", "steps", "map entries", "median map", "max map", *KINDS))
     for a_side, sizes in changes.items():
-        print("%-12s %5d %13d %11g %7d" % (
+        print("%-12s %5d %13d %11g %7d %6d %6d %6d %6d %6d" % (
             "A" if a_side else "B", len(sizes), sum(sizes),
-            statistics.median(sizes), max(sizes)))
+            statistics.median(sizes), max(sizes), *(kinds[a_side][k] for k in KINDS)))
     print("%-12s %7s %7s %8s %7s %8s" % (
         "template", "nodes", "arcs", "entries", "tt arcs", "held"))
     for a_side, tpl in sorted(templates.items(), reverse=True):
