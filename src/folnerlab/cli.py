@@ -15,7 +15,9 @@ before any matching step.  ``_run`` charges the run's
 one meter, made from ``--budget``, and answers a report or ``UNKNOWN``;
 ``main`` alone turns the outcome into an exit code:
 0 definite answer, 2 UNKNOWN (no definite answer within the budget),
-3 precondition violation, 4 malformed input.
+3 precondition violation, 4 malformed input (an ``--out`` path that cannot
+be written included), and 1 when the report cannot be written to stdout,
+as when a reader closes the pipe early; ``--out`` is written first.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .budget import Budget, Meter, UNKNOWN
@@ -58,6 +61,7 @@ from .witness import (
 )
 
 EXIT_OK = 0
+EXIT_STDOUT = 1
 EXIT_UNKNOWN = 2
 EXIT_PRECONDITION = 3
 EXIT_MALFORMED = 4
@@ -239,19 +243,30 @@ def _run(args, g, meter: Meter):
     raise AssertionError("no branch for command %r" % command)
 
 
-def _emit(report: dict, as_json: bool, out_path):
-    """Write the report's canonical JSON to ``out_path`` if given, and print
+def _emit(report: dict, as_json: bool, out_path) -> int:
+    """Write the report's canonical JSON to ``out_path`` if given, then print
     the JSON with ``as_json``, else one ``key: value`` line per key; the JSON
-    is encoded only when one of them uses it."""
+    is encoded only when one of them uses it.  Returns 0, or the exit code
+    of a failed write, after saying on stderr which one failed."""
     text = json.dumps(report, indent=2, sort_keys=True) if as_json or out_path else None
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    if as_json:
-        print(text)
-    else:
-        for key, value in sorted(report.items()):
-            print("%s: %s" % (key, value))
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print("error: cannot write --out: %s" % exc, file=sys.stderr)
+            return EXIT_MALFORMED
+    try:
+        if as_json:
+            print(text)
+        else:
+            for key, value in sorted(report.items()):
+                print("%s: %s" % (key, value))
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, as under `| head`, among others
+        print("error: cannot write stdout: %s" % exc, file=sys.stderr)
+        return EXIT_STDOUT
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -272,16 +287,15 @@ def main(argv=None) -> int:
         report, code = {"result": "UNKNOWN", "budget": args.budget}, EXIT_UNKNOWN
     elif any(v.get("check") == "unresolved" for v in report.get("violations", ())):
         code = EXIT_UNKNOWN  # a paradox --verify prefix the budget left open
-    try:
-        _emit(report, args.json, args.out)
-    except OSError as exc:
-        print("error: cannot write --out: %s" % exc, file=sys.stderr)
-        return EXIT_MALFORMED
-    return code
+    return _emit(report, args.json, args.out) or code
 
 
-def console_main():  # pragma: no cover - thin wrapper for the entry point
-    sys.exit(main())
+def console_main():
+    code = main()
+    if code == EXIT_STDOUT:
+        # Python flushes stdout again at exit: what is left goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -191,6 +191,10 @@ class FreeGroupOracle(GroupOracle):
 
     Letters are numbered 0..2k-1 with letter 2i the i-th generator and
     letter 2i+1 its inverse; the inverse of a letter is its xor with 1.
+    ``mult`` computes a product from the two codes' digits, and
+    ``mult_row`` is the same arithmetic for a row of products a * c with a
+    decoded once, as the doubling graph of a key asks for its neighbours
+    (``mult_rows`` over the key).
     """
 
     mode = COMPUTABLE
@@ -309,6 +313,49 @@ class FreeGroupOracle(GroupOracle):
         if length >= len(offsets):
             self._offset(length)
         return offsets[length] + high * powers[keep_y - 1] + low
+
+    def mult_row(self, a: int, codes) -> list[int]:
+        """The products a * c for c in codes, by ``mult``'s code arithmetic
+        with a decoded once: for each number c of a's letters that may
+        cancel, the code of a's surviving part and its top digits are
+        computed before the row."""
+        if not a:
+            return list(codes)
+        cache, decode = self._decode_cache, self.decode_word
+        wa = cache.get(a) or decode(a)
+        la = len(wa)
+        offsets, powers = self._offsets, self._powers
+        top, m = a - offsets[la], self._alphabet - 1
+        undo = [l ^ 1 for l in reversed(wa)]  # y's letters that cancel a's
+        # per c: a's top la - c digits, shifted one digit up, the letter
+        # that its last surviving letter forbids next, and the product when
+        # all of y cancels
+        high = [top // powers[c] * m for c in range(la)]
+        bad = [wa[la - 1 - c] ^ 1 for c in range(la)]
+        whole = [offsets[la - c] + top // powers[c] for c in range(la)] + [0]
+        out = []
+        for y in codes:
+            if not y:
+                out.append(a)
+                continue
+            wy = cache.get(y) or decode(y)
+            ly = len(wy)
+            c = 0
+            while c < la and c < ly and undo[c] == wy[c]:
+                c += 1
+            keep_y = ly - c
+            if not keep_y:
+                out.append(whole[c])
+                continue
+            letter = wy[c]
+            if c < la:
+                letter = high[c] + (letter if letter < bad[c] else letter - 1)
+            length = la - c + keep_y
+            if length >= len(offsets):
+                self._offset(length)
+            p = powers[keep_y - 1]
+            out.append(offsets[length] + letter * p + (y - offsets[ly]) % p)
+        return out
 
     def inv(self, x: int) -> int:
         return self.encode_word(tuple(l ^ 1 for l in reversed(self.decode_word(x))))

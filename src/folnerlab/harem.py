@@ -26,38 +26,41 @@ therefore solved in the frame of the identity.  With the centre v = o*c,
 for o the identity's vertex of v's side, the residual ball around v is the
 translate by c of the residual ball around o in which the removed vertices
 are moved by c^-1.  The full ball around o, and its flow network, is built
-once per side and per matching state, from one breadth-first search over
-``neighbors``: the template.  It keeps the ball's edges once, as arcs of
-that network: a node's neighbours in the ball are the heads of its arcs,
-less the four terminals S, T, ss and tt, which have distance -1.  A step
-maps only the removed vertices into the frame and describes its residual
-ball by a change map: the nodes whose distance from the origin differs
-from the template's, found by a decremental search that starts at the dead
-nodes and visits only the nodes that leave the ball.  The graph is
-bipartite, so a lost node's distance grows by at least 2 and only lost
-nodes within r - 2 of the origin can come back inside the radius.  The
-search stops at r - 1, so a node at the radius that loses every parent
-gets no entry: its parents, its only neighbours in the ball, are dead or
-lost and have their arcs zeroed, so nothing flows into it, and it can
-never come back.  The template also holds its network's maximum flow and
-that flow's value, and every step starts from that flow: at the nodes of
-the change map it cancels the flow and patches the capacities, counts the
-cancelled units off the value, then augments to a maximum flow and maps
-only the committed star back.  Each phase of the augmenting search
-labels the network from both ends, so its work grows with the step's few
-augmenting paths, not with the template.  For the same reason a B node at
-the radius has no arc b -> tt in the arc lists, at either end: that arc
-has capacity 0 both ways in the template, a step only lengthens
-distances, so a radius node never becomes interior, and
+once per side and per matching state, from one breadth-first search that
+asks ``neighbor_rows`` for a whole frontier at once: the template.  It
+keeps the ball's edges once, as arcs of that network: a node's neighbours
+in the ball are the heads of its arcs, less the four terminals S, T, ss and
+tt, which have distance -1.  A step maps only the removed vertices into the
+frame and describes its residual ball by a change map: the nodes whose
+distance from the origin differs from the template's, found by a
+decremental search that starts at the dead nodes and visits only the nodes
+that leave the ball.  The graph is bipartite, so a lost node's distance
+grows by at least 2 and only lost nodes within r - 2 of the origin can come
+back inside the radius.  The search stops at r - 1, so a node at the radius
+that loses every parent gets no entry: its parents, its only neighbours in
+the ball, are dead or lost and have their arcs zeroed, so nothing flows
+into it, and it can never come back.  The template also holds its network's
+maximum flow and that flow's value, and every step starts from that flow:
+at the nodes of the change map it cancels the flow and patches the
+capacities, counts the cancelled units off the value, then augments to a
+maximum flow and maps only the committed star back.  Each phase of the
+augmenting search labels the network from both ends, so its work grows with
+the step's few augmenting paths, not with the template.  For the same
+reason a B node at the radius has no arc b -> tt in the arc lists, at
+either end: that arc has capacity 0 both ways in the template, a step only
+lengthens distances, so a radius node never becomes interior, and
 ``_capacities`` only reads the arc's flow (0) before it falls back to the
 arc b -> T.  No augmenting path can use it, so the flows and matchings are
 those of the full lists.  A step never starts from the previous step's
 flow, so the state stays a pure function of (graph, k, steps).  Both
 networks, the template's and the one ``finite_harem_match`` builds from
-zero flow, share one flat arc format (``_arcs``) and one flow readout
-(``_flow_partners``).  For the paradoxical decomposition of free:2
-(17-element key, k = 2) the templates have 1,618 vertices (radius 3) and
-14,578 vertices (radius 4), and tt heads 18 and 162 arcs, against 1,458
+zero flow, share one flat arc format and arc numbering and one flow readout
+(``_flow_partners``).  ``finite_harem_match`` numbers its blocks of arcs
+with ``_arcs``; the template writes its lists straight in that numbering,
+so an A node's edge arcs are one run of numbers, and a step reads their
+flows and zeroes them by slices.  For the paradoxical decomposition of
+free:2 (17-element key, k = 2) the templates have 1,618 vertices (radius 3)
+and 14,578 vertices (radius 4), and tt heads 18 and 162 arcs, against 1,458
 and 13,122 with the radius nodes' arcs listed.
 """
 
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .budget import Budget, UNKNOWN
@@ -130,8 +133,10 @@ class BipartiteGraphOracle:
     def neighbors(self, v: int) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+    def neighbor_rows(self, vs) -> list[tuple[int, ...]]:
+        """``neighbors(v)`` for each v in vs, in order; a graph whose
+        neighbours are products overrides it to make them in rows."""
+        return list(map(self.neighbors, vs))
 
     def left_enum(self, i: int) -> int:
         raise NotImplementedError
@@ -171,14 +176,15 @@ def _distances(
     g: BipartiteGraphOracle, v: int, r: int, removed: set | frozenset = frozenset()
 ) -> dict:
     """Vertex -> distance from v, for the vertices within distance r of v
-    in the graph less ``removed``, by one breadth-first search over
-    ``g.neighbors``; v itself is never tested against ``removed``."""
+    in the graph less ``removed``, by one breadth-first search that asks
+    ``g.neighbor_rows`` for each frontier at once; v itself is never tested
+    against ``removed``."""
     dist = {v: 0}
     frontier = [v]
     for d in range(1, r + 1):
         nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
+        for ws in g.neighbor_rows(frontier):
+            for w in ws:
                 if w not in dist and w not in removed:
                     dist[w] = d
                     nxt.append(w)
@@ -555,7 +561,17 @@ class _Template(NamedTuple):
 
 def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template:
     """The template of the radius-r ball around ``origin``, on the
-    distances of :func:`_distances` in the full graph."""
+    distances of :func:`_distances` in the full graph.
+
+    The A nodes' neighbours come from one ``neighbor_rows`` call, and the
+    arc lists are written straight in the numbering that ``_arcs`` gives
+    the blocks of ``finite_harem_match``: the edges, A node by A node in
+    code order and each node's in the order of its neighbours, then b -> T
+    at every B node, T -> S, S -> tt and ss -> T, then ss -> a at every A
+    node and b -> tt at every B node.  So an A node's edge arcs are one
+    run of numbers, followed in ``head`` by the reverse of ss -> a, and a
+    B node lists the reverses of its edge arcs, b -> T and then b -> tt,
+    which a radius node leaves out as its list is made."""
     around = _distances(g, origin, r)  # code -> distance from the origin
     A = sorted(u for u in around if g.is_left(u))
     B = sorted(u for u in around if not g.is_left(u))
@@ -566,40 +582,49 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     index = {c: u for u, c in enumerate(codes[2:], 2)}
     dist = [-1, -1, *map(around.__getitem__, codes[2:]), -1, -1]
     a_nodes, b_nodes = range(2, b0), range(b0, ss)
-    edge_tail, edge_head = [], []
-    for u, a in zip(a_nodes, A):
-        for w in g.neighbors(a):
-            if w in around:
-                edge_tail.append(u)
-                edge_head.append(index[w])
+    # each A node's edges: the nodes of its neighbours in the ball
+    get = index.get
+    rows = [[w for w in map(get, ws) if w is not None] for ws in g.neighbor_rows(A)]
+    edges = sum(map(len, rows))
+    to_t, t_s = edges - b0, edges + n_b
+    # ss -> a and b -> tt number the nodes 2 .. ss - 1 in turn: u + to_tt
+    s_tt, ss_t, to_tt = t_s + 1, t_s + 2, t_s + 1
+    inside = [int(dist[b] < r) for b in b_nodes]
+    interior = sum(inside)
     parents = [0] * (tt + 1)
-    for u, w in zip(edge_tail, edge_head):
-        parents[u if dist[u] > dist[w] else w] += 1
-    on_boundary = [int(dist[b] == r) for b in b_nodes]
-    interior = n_b - sum(on_boundary)
-    # the blocks of finite_harem_match, with both arcs at every B node
-    blocks = (
-        (edge_tail, edge_head, [1] * len(edge_tail)),
-        (b_nodes, [T] * n_b, on_boundary),
-        ((T,), (S,), (1 << 60,)),
-        ((S,), (tt,), (k * n_a,)),
-        ((ss,), (T,), (interior,)),
-        ([ss] * n_a, a_nodes, [k] * n_a),
-        (b_nodes, [tt] * n_b, [1 - x for x in on_boundary]),
-    )
-    head, to, cap, starts = _arcs(blocks, tt + 1)
-    # a radius node's arc b -> tt has capacity 0 both ways for good: it
-    # leaves the arc lists, its number and capacities kept
-    for b in b_nodes:
-        if dist[b] == r:
-            head[b].pop()  # b -> tt, b's last arc
-    head[tt] = [e for e in head[tt] if dist[to[e]] < r]
+    head = [[~t_s, s_tt], [*range(~to_t - b0, ~to_t - ss, -1), t_s, ~ss_t]]
+    b_arcs: list[list[int]] = [[] for _ in b_nodes]  # ~e for each edge e into b
+    e = 0
+    for u, row in enumerate(rows, 2):
+        head.append([*range(e, e + len(row)), ~(u + to_tt)])
+        du = dist[u]
+        for w in row:
+            parents[u if du > dist[w] else w] += 1
+            b_arcs[w - b0].append(~e)
+            e += 1
+    for b, arcs, x in zip(b_nodes, b_arcs, inside):
+        # a radius node's arc b -> tt has capacity 0 both ways for good: it
+        # is left out of the arc lists, its number and capacities kept
+        arcs += (b + to_t, b + to_tt) if x else (b + to_t,)
+        head.append(arcs)
+    head.append([ss_t, *range(2 + to_tt, b0 + to_tt)])
+    head.append([~s_tt, *(~(b + to_tt) for b, x in zip(b_nodes, inside) if x)])
+    # the heads of the forward arcs, then the tails of the reverse arcs,
+    # numbered from the end, in one extension that leaves no spare room
+    to = [*chain(*rows), *[T] * n_b, S, tt, T, *a_nodes, *[tt] * n_b]
+    m = len(to)
+    to += [*reversed(b_nodes), *[ss] * (n_a + 1), S, T, *reversed(b_nodes),
+           *(u for u in reversed(a_nodes) for _ in rows[u - 2])]
+    cap = [1] * edges
+    cap += [1 - x for x in inside]
+    cap += [1 << 60, k * n_a, interior, *[k] * n_a, *inside]
+    cap += [0] * m
     value = _maxflow(head, to, cap, ss, tt)  # cap keeps the flow
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
         parents=parents, head=head, to=to, cap=cap, value=value,
-        b0=b0, to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
-        s_tt=starts[3], ss_t=starts[4], interior=interior,
+        b0=b0, to_t=to_t, to_tt=to_tt, t_s=t_s, s_tt=s_tt, ss_t=ss_t,
+        interior=interior,
     )
 
 
@@ -728,20 +753,25 @@ def _capacities(tpl: _Template, changes: dict, k: int):
     for its boundary arc and moves its unit along.  A node that has left
     the ball (dead, or lost from inside the radius) has the path
     ss -> a -> b -> (tt | T) of each unit through it cancelled and then
-    every arc zeroed, and it leaves the A or interior count.  The result
-    does not depend on the order of the map: a unit already cancelled
-    through a neighbour no longer sits on an arc with flow, and a zeroed
-    arc carries none, so each unit is cancelled once.  A radius node that
-    lost every parent has no entry; its edge arcs are zeroed with its
-    parents' arcs, and its boundary arc keeps capacity 1 with no flow and
-    no arc with spare capacity into it, so no augmenting path reaches it.
-    With y units left on boundary arcs, ss -> T keeps x = min(its flow,
-    interior, k*n_a - y) and T -> S and S -> tt carry x + y.  Each
-    cancelled unit leaves ss through an arc ss -> a, so the flow out of ss
-    is the template's value less the cancelled units, with the flow on
-    ss -> T changed to x.
+    every arc zeroed, and it leaves the A or interior count.  An A node's
+    edge arcs are one run of numbers (see ``_template``): one reverse slice
+    of ``cap`` reads their flows and two slice assignments zero them both
+    ways, and only the arc out of each unit's B node is patched unit by
+    unit, since the rest of the unit's path is zeroed with the node.  A B
+    node cancels its unit arc by arc.  The result does not depend on the
+    order of the map: a unit already cancelled through a neighbour no
+    longer sits on an arc with flow, and a zeroed arc carries none, so each
+    unit is cancelled once.  A radius node that lost every parent has no
+    entry; its edge arcs are zeroed with its parents' arcs, and its
+    boundary arc keeps capacity 1 with no flow and no arc with spare
+    capacity into it, so no augmenting path reaches it.  With y units left
+    on boundary arcs, ss -> T keeps x = min(its flow, interior, k*n_a - y)
+    and T -> S and S -> tt carry x + y.  Each cancelled unit leaves ss
+    through an arc ss -> a, so the flow out of ss is the template's value
+    less the cancelled units, with the flow on ss -> T changed to x.
     """
     cap = tpl.cap[:]
+    top = len(cap) - 1  # cap[~e], the flow on arc e, is cap[top - e]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
     b0, to_t, to_tt = tpl.b0, tpl.to_t, tpl.to_tt
     n_a, interior = b0 - 2, tpl.interior
@@ -756,26 +786,43 @@ def _capacities(tpl: _Template, changes: dict, k: int):
             y += f
             interior -= 1
         elif d is None or d < 0:
-            if u < b0:  # its edge arcs that carry flow
-                edges = [e for e in head[u] if e >= 0 and cap[~e]]
-            else:  # the edge arc into it that carries flow, if any
-                edges = [~e for e in head[u] if e < 0 and cap[e]]
-            cancelled += len(edges)
-            for e in edges:
-                out = to[e] + to_tt
-                if not cap[~out]:
-                    out = to[e] + to_t
-                    y -= 1
-                # a -> b, ss -> a (the last arc at a is its reverse), b's out
-                for f in (e, ~head[to[~e]][-1], out):
-                    cap[f] += 1
-                    cap[~f] -= 1
-            for e in head[u]:
-                cap[e] = cap[~e] = 0
             if u < b0:
+                # its edge arcs are the run e0 .. e1 - 1 of numbers, their
+                # flows a reverse slice; the last arc at u is ~(ss -> u)
+                hu = head[u]
+                e0 = hu[0]
+                e1 = e0 + len(hu) - 1
+                edges = list(compress(range(e0, e1), cap[top - e0 : top - e1 : -1]))
+                cancelled += len(edges)
+                for b in map(to.__getitem__, edges):  # b's out arc has the unit
+                    out = b + to_tt
+                    if not cap[~out]:
+                        out = b + to_t
+                        y -= 1
+                    cap[out] += 1
+                    cap[~out] -= 1
+                zeros = [0] * (e1 - e0)
+                cap[e0:e1] = cap[top + 1 - e1 : top + 1 - e0] = zeros
+                ss_u = ~hu[-1]
+                cap[ss_u] = cap[~ss_u] = 0
                 n_a -= 1
-            elif was[u] < r:
-                interior -= 1
+            else:
+                # the edge arc into it that carries flow, if any
+                edges = [~e for e in head[u] if e < 0 and cap[e]]
+                cancelled += len(edges)
+                for e in edges:
+                    out = u + to_tt
+                    if not cap[~out]:
+                        out = u + to_t
+                        y -= 1
+                    # a -> u, ss -> a (the last arc at a is its reverse), u's out
+                    for f in (e, ~head[to[~e]][-1], out):
+                        cap[f] += 1
+                        cap[~f] -= 1
+                for e in head[u]:
+                    cap[e] = cap[~e] = 0
+                if was[u] < r:
+                    interior -= 1
     x = min(x, interior, k * n_a - y)
     cap[tpl.ss_t], cap[~tpl.ss_t] = interior - x, x
     cap[tpl.t_s] += cap[~tpl.t_s] - x - y

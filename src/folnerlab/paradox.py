@@ -67,11 +67,22 @@ class CayleyBipartite(BipartiteGraphOracle):
         return v % 2 == 0
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if v not in self._cache:
-            keys, side = (self.K, 1) if v % 2 == 0 else (self._K_inv, 0)
-            out = {2 * self.group.mult(k, v // 2) + side for k in keys}
-            self._cache[v] = tuple(sorted(out))
-        return self._cache[v]
+        return self._cache.get(v) or self.neighbor_rows((v,))[0]
+
+    def neighbor_rows(self, vs) -> list[tuple[int, ...]]:
+        """The neighbours of each vertex in vs, in code order: left g has
+        right kg for k in K, and right h has left k^-1 h.  Those not cached
+        are made with one ``mult_rows`` call per side, each column of the
+        rows one vertex's neighbours, once each (two codes of K may name one
+        element of a finite cyclic group)."""
+        cache = self._cache
+        for side, keys in ((0, self.K), (1, self._K_inv)):
+            new = [v for v in vs if v % 2 == side and v not in cache]
+            if new:
+                rows = self.group.mult_rows(keys, [v // 2 for v in new])
+                for v, column in zip(new, zip(*rows)):
+                    cache[v] = tuple(sorted({2 * p + 1 - side for p in column}))
+        return list(map(cache.__getitem__, vs))
 
     def left_enum(self, i: int) -> int:
         return 2 * i

@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, deterministic JSON."""
 
 import argparse
+import io
 import json
 import os
 import re
@@ -254,6 +255,44 @@ def test_module_entry_point_runs_the_cli(capsys):
     assert code == 0 and json.loads(out)["certificate"]["n"] == 2
     bad = module("folner-search", "--group", "nope:3", "--d", "+1", "--n", "2")
     assert bad.returncode == 4 and bad.stdout == ""
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as under ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_1_after_writing_out(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "r.json"
+    argv = ["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2"]
+    for extra in ([], ["--json"]):
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        assert main([*argv, *extra, "--out", str(path)]) == 1
+        assert json.loads(path.read_text())["certificate"]["n"] == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write stdout: [Errno 32] Broken pipe\n")
+    # an UNKNOWN report too: the failed write decides the exit code
+    assert main(["folner-seq", "--group", "lamplighter", "--n", "3",
+                 "--budget", "5"]) == 1
+
+
+def test_entry_point_with_a_closed_pipe_exits_1():
+    src = str(Path(folnerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "folnerlab.cli", "harem-demo", "--group",
+             "free:2", "--k", "a,b", "--steps", "5", "--json"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 MALFORMED_REITER = {

@@ -370,6 +370,44 @@ def test_mult_row_equals_mult(spec):
         assert g.mult_row(a, ()) == []
 
 
+def _free_word(rng, rank, length):
+    """A random reduced word of the given length."""
+    word = []
+    while len(word) < length:
+        letter = rng.randrange(2 * rank)
+        if not word or letter != word[-1] ^ 1:
+            word.append(letter)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_mult_row_equals_mult_on_random_rows(rank):
+    # each row has the identity, a's inverse (everything cancels), words
+    # that cancel part of a or all of it and go on, and words longer than
+    # a; the row runs first on a fresh oracle, so its products are longer
+    # than any word its offsets table was grown for
+    rng = random.Random(rank)
+    grown = 0  # rows that grew their oracle's offsets table
+    for _ in range(150):
+        g, ref = FreeGroupOracle(rank), FreeGroupOracle(rank)
+        wa = _free_word(rng, rank, rng.randint(0, 6))
+        words = [(), tuple(l ^ 1 for l in reversed(wa))]
+        for _ in range(12):
+            cut = rng.randint(0, len(wa))  # y starts by cancelling cut letters
+            head = tuple(l ^ 1 for l in reversed(wa[len(wa) - cut:]))
+            tail = _free_word(rng, rank, rng.randint(0, 8))
+            words.append(FreeGroupOracle.reduce(head + tail))
+        codes = [g.encode_word(w) for w in words]
+        a = g.encode_word(wa)
+        rng.shuffle(codes)
+        short = len(g._offsets)
+        got = g.mult_row(a, codes)
+        assert got == [ref.mult(a, c) for c in codes], (wa, words)
+        assert g.mult_row(0, codes) == codes
+        grown += len(g._offsets) > short
+    assert grown > 100
+
+
 @pytest.mark.parametrize("spec", ["free:2", "zd:2", "zd:3", "cyclic:6", "lamplighter"])
 def test_mult_rows_equal_one_row_per_step(spec):
     g = make_group(spec)

@@ -68,15 +68,29 @@ def step_distances(tpl, changes):
     return dist
 
 
+# id(template) -> (template, its ball adjacency); emptied after each test
+ADJACENCY = {}
+
+
+@pytest.fixture(autouse=True)
+def forget_adjacency():
+    yield
+    ADJACENCY.clear()
+
+
 def ball_adjacency(tpl):
     """Node -> its neighbours in the ball, read off the template's arc
     lists: the heads of its arcs less the terminals S, T, ss and tt, which
-    have distance -1 and no neighbours in the ball."""
-    to, dist = tpl.to, tpl.dist
-    return [
-        [w for w in map(to.__getitem__, arcs) if dist[w] >= 0] if dist[u] >= 0 else []
-        for u, arcs in enumerate(tpl.head)
-    ]
+    have distance -1 and no neighbours in the ball.  Steps never write into
+    a template, so it is read once per template and test."""
+    held = ADJACENCY.get(id(tpl))
+    if held is None or held[0] is not tpl:
+        to, dist = tpl.to, tpl.dist
+        held = ADJACENCY[id(tpl)] = tpl, [
+            [w for w in map(to.__getitem__, arcs) if dist[w] >= 0] if dist[u] >= 0 else []
+            for u, arcs in enumerate(tpl.head)
+        ]
+    return held[1]
 
 
 def full_scan_distances(nbrs, origin, r, dead):

@@ -7,6 +7,7 @@ import pytest
 
 from folnerlab import Budget, UNKNOWN, make_group
 from folnerlab.groups import ball, parse_elements
+from folnerlab.harem import BipartiteGraphOracle
 from folnerlab.paradox import (
     KeyNotInKError,
     build_decomposition,
@@ -55,7 +56,7 @@ def test_expansion_bounds_sampled():
 def test_cayley_bipartite_structure():
     K = expand_key(F2, GENS, 1).K
     gamma = cayley_bipartite(F2, K)
-    assert gamma.degree(0) == len(K)  # left code of identity
+    assert len(gamma.neighbors(0)) == len(K)  # left code of identity
     # adjacency symmetry
     for v in gamma.neighbors(0):
         assert 0 in gamma.neighbors(v)
@@ -64,13 +65,66 @@ def test_cayley_bipartite_structure():
     assert solo.neighbors(2 * g_code) == (2 * g_code + 1,)
 
 
+class PathGraph(BipartiteGraphOracle):
+    """The path 0 - 1 - 2 - ...: even codes on the left, odd on the right;
+    ``neighbor_rows`` is the base class's."""
+
+    def is_left(self, v):
+        return v % 2 == 0
+
+    def neighbors(self, v):
+        return tuple(w for w in (v - 1, v + 1) if w >= 0)
+
+
+@pytest.mark.parametrize("spec,k0,n,size", [
+    ("free:2", "a,a^-1,b,b^-1", 1, 17),
+    ("free:2", "a,b,b^-1", 2, 28),
+    ("zd:2", "(1,0),(0,1)", 1, 6),
+])
+def test_neighbor_rows_equal_neighbors(spec, k0, n, size):
+    g = make_group(spec)
+    K = expand_key(g, parse_elements(g, k0), n).K
+    assert len(K) == size
+    K_inv = [g.inv(k) for k in K]
+
+    def defined(v):  # left g ~ right kg, right h ~ left k^-1 h, by mult
+        if v % 2 == 0:
+            return tuple(sorted({2 * g.mult(k, v // 2) + 1 for k in K}))
+        return tuple(sorted({2 * g.mult(k, v // 2) for k in K_inv}))
+
+    graph, ref = cayley_bipartite(g, K), cayley_bipartite(g, K)
+    rng = random.Random(size)
+    # both sides in one call, repeats, and codes out of order
+    vs = [rng.randrange(4000) for _ in range(300)] + [0, 1, 0, 1]
+    want = list(map(defined, vs))
+    assert graph.neighbor_rows(vs) == want  # cold
+    assert graph.neighbor_rows(vs) == want  # from the cache
+    assert graph.neighbor_rows([]) == []
+    assert list(map(ref.neighbors, vs)) == want  # one vertex at a time
+    assert graph._cache == ref._cache
+
+
+def test_neighbor_rows_list_each_neighbour_once():
+    # on cyclic:6 the codes 1 and 7 of the key are one element
+    graph = cayley_bipartite(make_group("cyclic:6"), (1, 7))
+    assert graph.neighbor_rows([0, 1, 4]) == [(3,), (10,), (7,)]
+
+
+def test_neighbor_rows_default_maps_neighbors():
+    graph = PathGraph()
+    vs = [3, 0, 3, 8, 1]
+    assert graph.neighbor_rows(vs) == list(map(graph.neighbors, vs))
+    assert graph.neighbor_rows(vs) == [(2, 4), (1,), (2, 4), (7, 9), (0, 2)]
+    assert graph.neighbor_rows(()) == []
+
+
 def test_cehhc_identity_sample_slack():
     # |N({left identity})| - 2 = |K| - 2 = 15 >= 1: no violation at k=2, h=2n
     from folnerlab.harem import cehhc_spot_check, linear_witness
 
     key = expand_key(F2, GENS, 1)
     gamma = cayley_bipartite(F2, key.K)
-    assert gamma.degree(0) == 17
+    assert len(gamma.neighbors(0)) == 17
     assert cehhc_spot_check(gamma, linear_witness(2), 2, [(0,)]) == []
 
 
