@@ -34,8 +34,8 @@ print("refuting (K={+1}, n=5) in Z: found F of size %d with max defect %s"
       % (len(cert.F), cert.max_defect()))
 
 gens = parse_elements(free, "a,a^-1,b,b^-1")
-print("\nfree generators: no 4-Folner subset of size <= 6 in the radius-2 ball:",
-      refute_witness_bounded(free, gens, 4, 6, Budget(10**7)))
+print("\nfree generators: a 4-Folner subset of size <= 6 in the radius-2 ball:",
+      refute_witness_bounded(free, gens, 4, 6, Budget(10**7)))  # None: there is none
 
 # subgroup membership engines
 sub = subgroup_membership(free, parse_elements(free, "ab,a^2"))

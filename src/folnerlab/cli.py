@@ -223,7 +223,9 @@ def _run(args, g, meter: Meter):
         report = decide_witness_commutation(g, K).to_json_dict()
         if args.n > 0:
             found = refute_witness_bounded(g, K, args.n, args.size_bound, meter)
-            report["refutation"] = None if found is UNKNOWN else found.to_json_dict()
+            if found is UNKNOWN:  # the budget ran out before the subsets did
+                return UNKNOWN
+            report["refutation"] = None if found is None else found.to_json_dict()
         return report
 
     if command == "restrict-folner":

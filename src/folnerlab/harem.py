@@ -43,9 +43,14 @@ into it, and it can never come back.  The template also holds its network's
 maximum flow and that flow's value, and every step starts from that flow:
 at the nodes of the change map it cancels the flow and patches the
 capacities, counts the cancelled units off the value, then augments to a
-maximum flow and maps only the committed star back.  Each phase of the
+maximum flow and maps only the committed star back.  It does so in the
+template's own residual list, and an undo log takes back exactly the
+entries it wrote when the step ends, commit or error, so a step pays for
+what it changes and not for a copy of the template.  Each phase of the
 augmenting search labels the network from both ends, so its work grows with
-the step's few augmenting paths, not with the template.  For the same
+the step's few augmenting paths, not with the template, and the search
+leaves a node with more unread arcs than the next level holds, such as the
+aggregate node T, by reading that level's arcs back into it.  For the same
 reason a B node at the radius has no arc b -> tt in the arc lists, at
 either end: that arc has capacity 0 both ways in the template, a step only
 lengthens distances, so a radius node never becomes interior, and
@@ -66,9 +71,11 @@ and 13,122 with the radius nodes' arcs listed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
+from operator import invert
 from typing import NamedTuple
 
 from .budget import Budget, UNKNOWN
@@ -280,13 +287,18 @@ def _label_from_s(head: list, to: list, cap: list, s: int, t: int, n: int):
 def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, n: int):
     """Node -> position on the shortest augmenting paths, labelled from
     both ends as ``_maxflow`` describes; -1 for a node with no position.
-    None when there is no augmenting path."""
+    Returned as ``(level, layers, reads)``: ``layers[p]`` lists the nodes
+    labelled at position p, one level of either end, and ``reads[p]`` is
+    the sum of ``len(head[v])`` over them, the count that chose which end
+    grew.  None when there is no augmenting path."""
     # s's labels are ds >= 0, t's are -2 - dt, and -1 is no label
     level = [-1] * n
     level[s], level[t] = 0, -2
-    s_front, t_front, t_seen = [s], [t], [t]
+    s_front, t_front = [s], [t]
     ls, d = 0, -2  # s's last level and t's last label
     s_arcs, t_arcs = len(head[s]), len(head[t])
+    s_layers, s_reads = [s_front], [s_arcs]
+    t_layers, t_reads = [t_front], [t_arcs]
     while True:
         if s_arcs <= t_arcs:
             ls += 1
@@ -310,6 +322,8 @@ def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, n: in
                 if not nxt:
                     return None
                 s_front = nxt
+                s_layers.append(nxt)
+                s_reads.append(s_arcs)
                 continue
             for v in nxt:  # s's last level
                 level[v] = -1
@@ -329,7 +343,8 @@ def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, n: in
                         t_arcs += len(head[v])
                         if x >= 0:
                             meet = True
-        t_seen += nxt
+        t_layers.append(nxt)
+        t_reads.append(t_arcs)
         if meet:
             for v in s_front:  # s's last level, less the meeting nodes
                 if level[v] >= 0:
@@ -339,12 +354,42 @@ def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, n: in
             return None
         t_front = nxt
     shift = ls - d  # a label -2 - dt becomes L - dt, for L = ls - d - 2
-    for v in t_seen:
+    for v in chain(*t_layers):
         level[v] += shift
-    return level
+    # positions 0 .. ls - 1 are s's levels, ls .. L are t's, nearest t last
+    return level, s_layers[:ls] + t_layers[::-1], s_reads[:ls] + t_reads[::-1]
 
 
-def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
+def _arc_number(e: int) -> int:
+    """The number of the forward arc that e is, or is the reverse of."""
+    return e if e >= 0 else ~e
+
+
+def _first_arc_into(head: list, to: list, cap: list, level: list, layer: list,
+                    p: int, u: int, i: int) -> int:
+    """The index of the first arc at or after index i of ``head[u]`` with
+    spare capacity into a node at position p, ``len(head[u])`` for none,
+    read from the other end: ``layer`` lists the nodes labelled at p, and
+    the arcs f back into u of those that keep their label are the reverses
+    of u's arcs into them.  ``head[u]`` lists u's arcs in order of their
+    numbers, so the earliest index is the least number at or above that of
+    ``head[u][i]``, and bisection finds it in the list."""
+    hu = head[u]
+    first = _arc_number(hu[i])
+    best = len(cap)  # above every arc number
+    for v in layer:
+        if level[v] == p:
+            for f in head[v]:
+                if to[f] == u and cap[~f]:
+                    number = f if f >= 0 else ~f
+                    if first <= number < best:
+                        best = number
+    if best == len(cap):
+        return len(hu)
+    return bisect_left(hu, best, i, key=_arc_number)
+
+
+def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None) -> int:
     """Dinic's maximum flow from s to t; leaves the residual capacities in cap.
 
     Each phase labels nodes from both ends, one whole level at a time: from
@@ -386,14 +431,36 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
     unlabelled so it is never entered again.  It takes the first admissible
     path in arc order at every augmentation, so the flow found is the one the
     recursive textbook search finds with the same arc order.
+
+    At a node u at position p, the search reads u's arcs from its pointer
+    on, unless those unread arcs outnumber the arcs of all the nodes
+    labelled at p + 1, the count the labelling kept for that level: then it
+    reads those nodes' arcs back into u instead (``_first_arc_into``), as a
+    layered search needs only the arcs into the next layer.  That finds the
+    same arc, the first admissible one at or after the pointer, provided
+    each list ``head[u]`` holds u's arcs in the order of their numbers, the
+    number of e and of ~e being e; the lists of ``_arcs`` and of
+    ``_template`` do.  So the aggregate node T, with one arc per B node, is
+    left by its arc to S after a read of that level's few arcs.  A network
+    labelled from s alone has no level lists and reads its own arcs.
+
+    With ``paths`` a list, each augmentation appends its arcs and the units
+    it pushed, so a caller can take the flow back (see ``_undo``).
     """
     n = len(head)
-    label = _label_from_s if n < _SMALL_NETWORK else _label_from_both_ends
+    small = n < _SMALL_NETWORK
     flow = 0
+    layers = None
     while True:
-        level = label(head, to, cap, s, t, n)
-        if level is None:
-            return flow
+        if small:
+            level = _label_from_s(head, to, cap, s, t, n)
+            if level is None:
+                return flow
+        else:
+            labels = _label_from_both_ends(head, to, cap, s, t, n)
+            if labels is None:
+                return flow
+            level, layers, reads = labels
         ptr = [0] * n
         nodes = [s]
         arcs: list[int] = []
@@ -402,6 +469,8 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
             if u == t:
                 pushed = min(map(cap.__getitem__, arcs))
                 flow += pushed
+                if paths is not None:
+                    paths.append((arcs[:], pushed))
                 cut = -1
                 for i, e in enumerate(arcs):
                     cap[e] -= pushed
@@ -416,6 +485,10 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
             i = ptr[u]
             end = len(hu)
             nxt = level[u] + 1
+            if layers and end - i > reads[nxt]:
+                # the index of the first admissible arc, or end: the scan
+                # below takes that arc at once
+                i = _first_arc_into(head, to, cap, level, layers[nxt], nxt, u, i)
             while i < end:
                 e = hu[i]
                 if cap[e] and level[to[e]] == nxt:
@@ -537,7 +610,9 @@ class _Template(NamedTuple):
     only the nodes whose distance the removed vertices changed, less the
     radius nodes that lost every parent, and ``_capacities`` patches those
     nodes alone, cancelling the flow through them, so every step starts
-    from this flow and computes its value from ``value``.
+    from this flow and computes its value from ``value``.  A step writes
+    its network into ``cap`` itself and ``_undo`` restores it before the
+    step returns or raises, so between steps ``cap`` holds this flow.
     """
 
     radius: int
@@ -742,11 +817,16 @@ def _frame(st: HaremMatchingState, a_side: bool, c: int):
     return tpl, changes
 
 
-def _capacities(tpl: _Template, changes: dict, k: int):
-    """The template's residual network for the residual ball with change
-    map ``changes`` (see ``_frame``), its demand (the flow value that
-    saturates the lower bounds) and the value of the flow it already
-    carries.
+def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
+    """Write the residual network of the residual ball with change map
+    ``changes`` (see ``_frame``) into the template's own residual list
+    ``tpl.cap``; return its demand (the flow value that saturates the lower
+    bounds) and the value of the flow it already carries.
+
+    ``log`` is the pair ``(keys, old)`` of lists of the undo log: before
+    each write, the arc number or slice of ``cap`` written goes to
+    ``keys`` and the value it held to ``old``, so ``_undo`` restores the
+    template exactly, and only the entries the step wrote.
 
     The flow is the template's, changed only at the nodes of the map, by
     two rules.  A B node pushed out to the radius trades its interior arc
@@ -755,22 +835,26 @@ def _capacities(tpl: _Template, changes: dict, k: int):
     ss -> a -> b -> (tt | T) of each unit through it cancelled and then
     every arc zeroed, and it leaves the A or interior count.  An A node's
     edge arcs are one run of numbers (see ``_template``): one reverse slice
-    of ``cap`` reads their flows and two slice assignments zero them both
-    ways, and only the arc out of each unit's B node is patched unit by
-    unit, since the rest of the unit's path is zeroed with the node.  A B
-    node cancels its unit arc by arc.  The result does not depend on the
-    order of the map: a unit already cancelled through a neighbour no
-    longer sits on an arc with flow, and a zeroed arc carries none, so each
-    unit is cancelled once.  A radius node that lost every parent has no
-    entry; its edge arcs are zeroed with its parents' arcs, and its
-    boundary arc keeps capacity 1 with no flow and no arc with spare
-    capacity into it, so no augmenting path reaches it.  With y units left
-    on boundary arcs, ss -> T keeps x = min(its flow, interior, k*n_a - y)
-    and T -> S and S -> tt carry x + y.  Each cancelled unit leaves ss
-    through an arc ss -> a, so the flow out of ss is the template's value
-    less the cancelled units, with the flow on ss -> T changed to x.
+    of ``cap`` reads their flows, two slice assignments zero them both
+    ways and the log keeps the two slices, and only the arc out of each
+    unit's B node is patched unit by unit, since the rest of the unit's
+    path is zeroed with the node.  A B node cancels its unit arc by arc;
+    its arcs are zeroed after the loop, all B nodes' at once, and as no
+    unit is left on them, zeroing each arc's forward entry zeroes it both
+    ways.  The result does not depend on the order of the map: a unit
+    already cancelled through a neighbour no longer sits on an arc with
+    flow, and a zeroed arc carries none, so each unit is cancelled once.
+    A radius node that lost every parent has no entry; its edge arcs are
+    zeroed with its parents' arcs, and its boundary arc keeps capacity 1
+    with no flow and no arc with spare capacity into it, so no augmenting
+    path reaches it.  With y units left on boundary arcs, ss -> T keeps
+    x = min(its flow, interior, k*n_a - y) and T -> S and S -> tt carry
+    x + y.  Each cancelled unit leaves ss through an arc ss -> a, so the
+    flow out of ss is the template's value less the cancelled units, with
+    the flow on ss -> T changed to x.
     """
-    cap = tpl.cap[:]
+    cap = tpl.cap
+    keys, old = log
     top = len(cap) - 1  # cap[~e], the flow on arc e, is cap[top - e]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
     b0, to_t, to_tt = tpl.b0, tpl.to_t, tpl.to_tt
@@ -778,11 +862,15 @@ def _capacities(tpl: _Template, changes: dict, k: int):
     x0 = x = cap[~tpl.ss_t]
     y = cap[~tpl.t_s] - x
     cancelled = 0
+    zeroed = []  # the B nodes that left the ball
     for u, d in changes.items():
         if d == r:  # only B nodes lie at the radius; u was interior
-            f = cap[~(u + to_tt)]
-            cap[u + to_tt] = cap[~(u + to_tt)] = 0
-            cap[u + to_t], cap[~(u + to_t)] = 1 - f, f
+            into, out = u + to_t, u + to_tt
+            f = cap[~out]
+            keys += (out, ~out, into, ~into)
+            old += (cap[out], f, cap[into], cap[~into])
+            cap[out] = cap[~out] = 0
+            cap[into], cap[~into] = 1 - f, f
             y += f
             interior -= 1
         elif d is None or d < 0:
@@ -792,18 +880,24 @@ def _capacities(tpl: _Template, changes: dict, k: int):
                 hu = head[u]
                 e0 = hu[0]
                 e1 = e0 + len(hu) - 1
-                edges = list(compress(range(e0, e1), cap[top - e0 : top - e1 : -1]))
+                flows = slice(top - e0, top - e1, -1)  # cap[flows][i] is on e0 + i
+                units = cap[flows]
+                edges = list(compress(range(e0, e1), units))
                 cancelled += len(edges)
                 for b in map(to.__getitem__, edges):  # b's out arc has the unit
                     out = b + to_tt
                     if not cap[~out]:
                         out = b + to_t
                         y -= 1
+                    keys += (out, ~out)
+                    old += (cap[out], cap[~out])
                     cap[out] += 1
                     cap[~out] -= 1
-                zeros = [0] * (e1 - e0)
-                cap[e0:e1] = cap[top + 1 - e1 : top + 1 - e0] = zeros
+                run = slice(e0, e1)
                 ss_u = ~hu[-1]
+                keys += (run, flows, ss_u, ~ss_u)
+                old += (cap[run], units, cap[ss_u], cap[~ss_u])
+                cap[run] = cap[flows] = [0] * (e1 - e0)
                 cap[ss_u] = cap[~ss_u] = 0
                 n_a -= 1
             else:
@@ -817,42 +911,79 @@ def _capacities(tpl: _Template, changes: dict, k: int):
                         y -= 1
                     # a -> u, ss -> a (the last arc at a is its reverse), u's out
                     for f in (e, ~head[to[~e]][-1], out):
+                        keys += (f, ~f)
+                        old += (cap[f], cap[~f])
                         cap[f] += 1
                         cap[~f] -= 1
-                for e in head[u]:
-                    cap[e] = cap[~e] = 0
+                zeroed.append(u)
                 if was[u] < r:
                     interior -= 1
+    # no unit is left on those B nodes' arcs, so zeroing an arc's forward
+    # entry zeroes it both ways: for each entry f of u's list, ~f is the
+    # edge a -> u or the reverse of u -> T or u -> tt (already 0), and
+    # u -> T and u -> tt come after them
+    arcs = list(map(invert, chain.from_iterable(map(head.__getitem__, zeroed))))
+    arcs += map(to_t.__add__, zeroed)
+    arcs += map(to_tt.__add__, zeroed)
+    keys += arcs
+    old += map(cap.__getitem__, arcs)
+    for e in arcs:
+        cap[e] = 0
     x = min(x, interior, k * n_a - y)
+    ends = (tpl.ss_t, ~tpl.ss_t, tpl.t_s, ~tpl.t_s, tpl.s_tt, ~tpl.s_tt)
+    keys += ends
+    old += map(cap.__getitem__, ends)
     cap[tpl.ss_t], cap[~tpl.ss_t] = interior - x, x
     cap[tpl.t_s] += cap[~tpl.t_s] - x - y
     cap[~tpl.t_s] = x + y
     cap[tpl.s_tt], cap[~tpl.s_tt] = k * n_a - x - y, x + y
-    return cap, k * n_a + interior, tpl.value - cancelled - x0 + x
+    return k * n_a + interior, tpl.value - cancelled - x0 + x
+
+
+def _undo(cap: list, log: tuple, paths: list):
+    """Restore ``cap`` as it was before ``_capacities`` wrote it with the
+    log ``log`` and ``_maxflow`` pushed the augmenting paths ``paths``:
+    each path's units are taken back along its arcs, then each logged
+    entry or slice gets back the value it held, the latest write first."""
+    for arcs, pushed in paths:
+        for e in arcs:
+            cap[e] += pushed
+            cap[~e] -= pushed
+    keys, old = log
+    for key, value in zip(reversed(keys), reversed(old)):
+        cap[key] = value
 
 
 def harem_step(st: HaremMatchingState) -> HaremMatchingState:
-    """One back-and-forth step: resolve the star of the next vertex."""
+    """One back-and-forth step: resolve the star of the next vertex.
+
+    The step's network is written into the template's own residual list,
+    and restored from the undo log when the step ends, whether it commits
+    or raises."""
     a_side = st.step_count % 2 == 0
     c, v = _next_unremoved(st, left=a_side)
     tpl, changes = _frame(st, a_side, c)
-    head, to = tpl.head, tpl.to
+    head, to, cap = tpl.head, tpl.to, tpl.cap
     translate = st.graph.translate
-    cap, demand, value = _capacities(tpl, changes, st.k)
-    where = "at step %d around code %d" % (st.step_count, v)
-    # past a finite group's last code, v is no vertex: c moves the origin elsewhere
-    if translate(tpl.codes[tpl.origin], c) != v:
-        raise InternalInfeasibleError("finite graph's side has no vertex left " + where)
-    ss = len(head) - 2
-    if value + _maxflow(head, to, cap, ss, ss + 1) != demand:
-        raise InternalInfeasibleError("finite matching infeasible " + where)
-    a = tpl.origin
-    if not a_side:  # the A node whose edge arc into the origin carries flow
-        a = next(to[e] for e in head[a] if e < 0 and cap[e])
-    star_left = translate(tpl.codes[a], c)
-    partners = tuple(
-        sorted(translate(tpl.codes[w], c) for w in _flow_partners(head, to, cap, a))
-    )
+    log, paths = ([], []), []
+    try:
+        demand, value = _capacities(tpl, changes, st.k, log)
+        where = "at step %d around code %d" % (st.step_count, v)
+        # past a finite group's last code, v is no vertex: c moves the origin elsewhere
+        if translate(tpl.codes[tpl.origin], c) != v:
+            raise InternalInfeasibleError("finite graph's side has no vertex left " + where)
+        ss = len(head) - 2
+        if value + _maxflow(head, to, cap, ss, ss + 1, paths) != demand:
+            raise InternalInfeasibleError("finite matching infeasible " + where)
+        a = tpl.origin
+        if not a_side:  # the A node whose edge arc into the origin carries flow
+            a = next(to[e] for e in head[a] if e < 0 and cap[e])
+        star_left = translate(tpl.codes[a], c)
+        partners = tuple(
+            sorted(translate(tpl.codes[w], c) for w in _flow_partners(head, to, cap, a))
+        )
+    finally:
+        _undo(cap, log, paths)
     st.left_pairs[star_left] = partners
     for b in partners:
         st.right_pair[b] = star_left

@@ -82,10 +82,11 @@ def refute_witness_bounded(
     :func:`folnerlab.folner._first_folner`, whose counts give the
     certificate's defects.  Budget counts steps priced as multiplication
     calls, as :func:`folnerlab.folner.search_folner` prices them: the ball
-    layers, then |F| x max(1, |K|) per subset F before its test; UNKNOWN
-    when no such set turns up within the size bound or the budget.  Sizes
-    past the ball's own hold no subset, so the scan stops there.  Raises
-    ValueError for n < 1, before any charge."""
+    layers, then |F| x max(1, |K|) per subset F before its test.  Returns
+    the certificate, None once the subsets within the size bound run out
+    with no such set, or UNKNOWN once the budget runs out first, so the
+    two ends stay apart.  Sizes past the ball's own hold no subset, so the
+    scan stops there.  Raises ValueError for n < 1, before any charge."""
     require_mode(g, COMPUTABLE, "refute_witness_bounded")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -96,7 +97,7 @@ def refute_witness_bounded(
         return UNKNOWN
     subsets = (F for size in range(1, min(size_bound, len(universe)) + 1)
                for F in itertools.combinations(universe, size))
-    return _first_folner(g, subsets, K, n, meter) or UNKNOWN
+    return _first_folner(g, subsets, K, n, meter)
 
 
 # ---------------------------------------------------------------------------

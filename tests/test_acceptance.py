@@ -514,7 +514,7 @@ def test_criterion_09_witness_deciders():
         assert (verdict == "WITNESS") == brute
     K = parse_elements(F2, "a,a^-1,b,b^-1")
     out = refute_witness_bounded(F2, K, 4, 6, Budget(10**7), radius=2)
-    assert out is UNKNOWN
+    assert out is None  # the subsets ran out, not the budget
     _passed("criterion 9: commutation matches brute force on 200 keys; "
             "no 4-Folner subset of size <= 6 in the radius-2 ball")
 

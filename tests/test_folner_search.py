@@ -98,7 +98,7 @@ def _plain_refuter(g, K, n, size_bound, meter, radius=2):
                 return UNKNOWN
             if _passes(g, F, K, n):
                 return certificate(g, F, K, n)
-    return UNKNOWN
+    return None
 
 
 def _count_paid_mult(g, meter):

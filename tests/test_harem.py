@@ -476,6 +476,59 @@ def test_maxflow_with_one_arc_from_s_to_t():
     assert solve_arcs(4, arcs, 0, 1) == 5
 
 
+def hub_network(rng):
+    """A random network of 16 to 300 nodes, s = 0 and t = 1, whose arcs
+    mostly run to or from one hub node, as the template's arcs run to or
+    from its aggregate node T: the hub is s, t or another node, some arcs
+    repeat the arc before them, and some run into s or out of t.  Returns
+    the node count and the (tail, head, capacity) arcs; a hub that is
+    neither s nor t gets one to three arcs into t."""
+    nodes = rng.randint(_SMALL_NETWORK, 300)
+    hub = rng.choice((0, 1, rng.randrange(2, nodes)))
+    arcs = []
+    for _ in range(rng.randint(nodes, 4 * nodes)):
+        u, v = rng.sample(range(nodes), 2)
+        if rng.random() < 0.8:  # the hub at one end, mostly the head
+            u, v = (hub, v) if rng.random() < 0.3 else (u, hub)
+        if rng.random() < 0.05:
+            u, v = v, 0  # into s
+        elif rng.random() < 0.05:
+            u, v = 1, u  # out of t
+        if u != v:
+            arcs.append((u, v, rng.randint(0, 3)))
+            if rng.random() < 0.1:  # a parallel arc
+                arcs.append((u, v, rng.randint(1, 3)))
+    if hub > 1:  # a hub one arc from t, as T is from tt through S
+        arcs += [(hub, 1, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    return nodes, arcs
+
+
+def test_maxflow_equals_the_forward_reference_around_a_hub(monkeypatch):
+    # the search leaves the hub by reading the next level's arcs back into
+    # it; values and whole residual networks equal the search from s alone
+    found = []  # per read from the next level: whether it found an arc
+
+    def counted(head, to, cap, level, layer, p, u, i):
+        i = first_arc_into(head, to, cap, level, layer, p, u, i)
+        found.append(i < len(head[u]))
+        return i
+
+    first_arc_into = harem._first_arc_into
+    monkeypatch.setattr(harem, "_first_arc_into", counted)
+    rng = random.Random(32)
+    flows = 0
+    for _ in range(300):
+        nodes, arcs = hub_network(rng)
+        tails, heads, caps = (list(x) for x in zip(*arcs))
+        head, to, cap, _ = _arcs([(tails, heads, caps)], nodes)
+        ref = cap[:]
+        value = _maxflow(head, to, cap, 0, 1)
+        assert value == forward_maxflow(head, to, ref, 0, 1) and cap == ref
+        flows += value > 0
+    # reads that find an arc and reads that find a dead end both occur
+    assert flows > 150 and sum(found) > 150 and found.count(False) > 50
+
+
 # ---------------------------------------------------------------------------
 # induced balls
 

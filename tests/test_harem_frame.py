@@ -34,12 +34,14 @@ from folnerlab.harem import (
     RADIUS_B,
     FiniteBipartite,
     InternalInfeasibleError,
+    _arc_number,
     _arcs,
     _capacities,
     _flow_partners,
     _frame,
     _maxflow,
     _next_unremoved,
+    _undo,
     _template,
     harem_new,
     harem_step,
@@ -125,12 +127,13 @@ def lost_radius_nodes(tpl, changes):
     }
 
 
-def frame_piece(graph, tpl, changes):
+def frame_piece(graph, tpl, changes, lost):
     """The residual piece of the template in frame codes, with its
     adjacency read from the graph oracle: the nodes inside the radius by
-    the change map, less ``lost_radius_nodes``."""
+    the change map, less the nodes ``lost``, the step's
+    ``lost_radius_nodes``."""
     dist = step_distances(tpl, changes)
-    for u in lost_radius_nodes(tpl, changes):
+    for u in lost:
         dist[u] = -1
     dist = {tpl.codes[u]: d for u, d in enumerate(dist) if d is not None and d >= 0}
     A = tuple(sorted(f for f in dist if graph.is_left(f)))
@@ -239,7 +242,9 @@ def checked_step(st, ref):
     centre's group element, must be ``induced_ball`` around the centre.  The
     warm start and the step's maximum flow must be flows of the piece's
     network, the final one moved back a feasible relaxed (1,k)-matching of
-    the piece, and the committed star its star at the centre."""
+    the piece, and the committed star its star at the centre.  The network
+    is written into the template's residual list, as the step writes it,
+    and the undo must leave that list as it was."""
     graph = st.graph
     a_side = st.step_count % 2 == 0
     cursor = list(st._cursors)
@@ -247,17 +252,26 @@ def checked_step(st, ref):
     st._cursors = cursor
     r = RADIUS_A if a_side else RADIUS_B
     tpl, changes = _frame(st, a_side, c)
-    local = frame_piece(ref, tpl, changes)
-    cap, demand, value = _capacities(tpl, changes, st.k)
-    check_capacities(tpl, cap, demand, local, st.k, lost_radius_nodes(tpl, changes))
-    assert flow_value(tpl, cap) == value
-    ss = len(tpl.head) - 2
-    assert value + _maxflow(tpl.head, tpl.to, cap, ss, ss + 1) == demand
-    assert flow_value(tpl, cap) == demand
+    lost = lost_radius_nodes(tpl, changes)
+    local = frame_piece(ref, tpl, changes, lost)
+    held, cap = tpl.cap[:], tpl.cap
+    log, paths = ([], []), []
+    try:
+        demand, value = _capacities(tpl, changes, st.k, log)
+        check_capacities(tpl, cap, demand, local, st.k, lost)
+        assert flow_value(tpl, cap) == value
+        ss = len(tpl.head) - 2
+        assert value + _maxflow(tpl.head, tpl.to, cap, ss, ss + 1, paths) == demand
+        assert flow_value(tpl, cap) == demand
+        flows = {u: _flow_partners(tpl.head, tpl.to, cap, u) for u in range(2, tpl.b0)}
+    finally:
+        _undo(cap, log, paths)
+    assert cap == held
 
-    def back(f):
-        return graph.translate(f, c)
-
+    # each frame code moved back by c once, in one pass: the template's A
+    # nodes, whose flows are read below, and the piece's B nodes
+    codes = chain(tpl.codes[2 : tpl.b0], local.B)
+    back = {f: graph.translate(f, c) for f in codes}.__getitem__
     want = induced_ball(ref, v, r, {*st.left_pairs, *st.right_pair})
     assert set(map(back, local.A)) == set(want.A)
     assert set(map(back, local.B)) == set(want.B)
@@ -268,10 +282,7 @@ def checked_step(st, ref):
 
     # the whole flow, moved back, is a relaxed (1,k)-matching of the piece
     matching = {
-        back(tpl.codes[u]): [
-            back(tpl.codes[w]) for w in _flow_partners(tpl.head, tpl.to, cap, u)
-        ]
-        for u in range(2, tpl.b0)
+        back(tpl.codes[u]): [back(tpl.codes[w]) for w in ws] for u, ws in flows.items()
     }
     taken = []
     for a, bs in matching.items():
@@ -307,10 +318,10 @@ def test_maxflow_equals_the_forward_reference_at_template_scale(monkeypatch):
     solve = harem._maxflow
     nodes = []
 
-    def checked(head, to, cap, s, t):
+    def checked(head, to, cap, s, t, paths=None):
         ref = cap[:]
         want = forward_maxflow(head, to, ref, s, t)
-        value = solve(head, to, cap, s, t)
+        value = solve(head, to, cap, s, t, paths)
         assert value == want and cap == ref
         nodes.append(len(head))
         return value
@@ -328,16 +339,21 @@ def full_scan_steps(monkeypatch):
     difference between a breadth-first search of the template with the
     dead nodes removed and the template's distances, less exactly the
     radius nodes that the search finds beyond the radius, each of which
-    must have every neighbour in the ball dead or lost; and the network
-    built from it must equal ``full_scan_capacities``'s.  Returns, one per
+    must have every neighbour in the ball dead or lost; the network built
+    from it must equal ``full_scan_capacities``'s; and each step must find
+    its template's residual list as the template was built.  Returns, one per
     step, the change-map sizes, the numbers of radius nodes left out of
     the map and the numbers of B nodes lost from inside the radius that
     are not dead."""
     frame, capacities = harem._frame, harem._capacities
     steps, omitted, lost_b = [], [], []
+    held = {}  # side -> its template's residual list when first seen
 
     def checked_frame(st, a_side, c):
         tpl, changes = frame(st, a_side, c)
+        # every step starts from the template's own flow: the undo of the
+        # steps before restored it entry for entry
+        assert held.setdefault(a_side, tpl.cap[:]) == tpl.cap
         g = st.graph
         c_inv = g.inv(c)
         moved = (g.translate(u, c_inv) for u in chain(st.left_pairs, st.right_pair))
@@ -355,9 +371,10 @@ def full_scan_steps(monkeypatch):
         omitted.append(len(lost))
         return tpl, changes
 
-    def checked_capacities(tpl, changes, k):
-        got = capacities(tpl, changes, k)
-        assert got == full_scan_capacities(tpl, step_distances(tpl, changes), k)
+    def checked_capacities(tpl, changes, k, log):
+        want = full_scan_capacities(tpl, step_distances(tpl, changes), k)
+        got = capacities(tpl, changes, k, log)
+        assert (tpl.cap, *got) == want
         steps.append(len(changes))
         lost_b.append(sum(d == -1 and u >= tpl.b0 for u, d in changes.items()))
         return got
@@ -474,7 +491,7 @@ def test_template_holds_a_maximum_flow_of_the_full_ball(spec, key, k):
     graph, ref = cayley_bipartite(g, K), cayley_bipartite(g, K)
     for origin, r in ((graph.left_enum(0), RADIUS_A), (graph.right_enum(0), RADIUS_B)):
         tpl = _template(graph, origin, r, k)
-        local = frame_piece(ref, tpl, {})
+        local = frame_piece(ref, tpl, {}, lost_radius_nodes(tpl, {}))
         demand = k * len(local.A) + len(local.B) - len(local.boundary_B)
         check_capacities(tpl, tpl.cap, demand, local, k)
         assert flow_value(tpl, tpl.cap) == demand == tpl.value
@@ -581,9 +598,9 @@ def test_arcs_left_out_of_the_template_never_carry_capacity(
             assert cap[e] == cap[~e] == 0, e
         checked.append(head)
 
-    def checked_maxflow(head, to, cap, s, t):
+    def checked_maxflow(head, to, cap, s, t, paths=None):
         zero(head, to, cap)
-        value = solve(head, to, cap, s, t)
+        value = solve(head, to, cap, s, t, paths)
         zero(head, to, cap)
         return value
 
@@ -657,7 +674,8 @@ def test_prefix_on_a_key_with_heavier_regrowth():
 
 def check_arc_numbers(tpl):
     """The template's arc offsets name the arcs they claim: b -> T and
-    b -> tt at every B node, S -> tt and ss -> T."""
+    b -> tt at every B node, S -> tt and ss -> T; and its arc lists are in
+    number order."""
     S, T, ss, tt = 0, 1, len(tpl.head) - 2, len(tpl.head) - 1
     to = tpl.to
     for b in range(tpl.b0, ss):
@@ -665,6 +683,9 @@ def check_arc_numbers(tpl):
         assert (to[~(b + tpl.to_tt)], to[b + tpl.to_tt]) == (b, tt)
     assert (to[~tpl.s_tt], to[tpl.s_tt]) == (S, tt)
     assert (to[~tpl.ss_t], to[tpl.ss_t]) == (ss, T)
+    # each node lists its arcs in the order of their numbers, as the
+    # search's reads from the next level require
+    assert all(arcs == sorted(arcs, key=_arc_number) for arcs in tpl.head)
 
 
 def test_template_arc_numbers():
@@ -704,6 +725,17 @@ def test_translate_is_an_automorphism(spec, key):
     assert graph.translate(graph.right_enum(0), 7) == graph.right_enum(7)
 
 
+def check_templates_hold_their_flow(st):
+    """Every template of the state holds the flow it was built with: its
+    residual list equals that of a fresh build, whatever the steps wrote
+    into it."""
+    graph = st.graph
+    for a_side, tpl in st._templates.items():
+        origin = graph.left_enum(0) if a_side else graph.right_enum(0)
+        fresh = _template(graph, origin, RADIUS_A if a_side else RADIUS_B, st.k)
+        assert tpl.cap == fresh.cap
+
+
 def test_steps_past_a_finite_group_raise():
     # six steps match all of cyclic:6; the next A-step's code 12 is no vertex
     g = make_group("cyclic:6")
@@ -713,6 +745,9 @@ def test_steps_past_a_finite_group_raise():
     assert len(st.left_pairs) == len(st.right_pair) == 6
     with pytest.raises(InternalInfeasibleError, match="step 6 around code 12"):
         harem_step(st)
+    # the raise came after the step wrote its network: the undo ran
+    assert set(st._templates) == {True, False}
+    check_templates_hold_their_flow(st)
 
 
 def test_infeasible_step_raises():
@@ -720,3 +755,6 @@ def test_infeasible_step_raises():
     st = harem_new(cayley_bipartite(g, parse_elements(g, "a")), 2)
     with pytest.raises(InternalInfeasibleError, match="step 0 around code 0"):
         harem_step(st)
+    # the raise came after the step's augmenting paths: the undo ran
+    assert set(st._templates) == {True}
+    check_templates_hold_their_flow(st)

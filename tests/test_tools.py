@@ -65,20 +65,27 @@ def test_paradox_split_runs_a_prefix_pass():
     assert head[-1] == "[0]"  # failed checks in the one pass
     assert header[0] == "layer"
     layers = ["template", "frame", "capacities", "maxflow", "label", "rest", "pass"]
-    assert [row[0] for row in rows] == [*layers, "side", "A", "B", "template", "A", "B"]
+    assert [row[0] for row in rows] == [
+        *layers, "side", "A", "B", "template", "A", "B", "phases", "A", "B"]
     assert all(float(row[1]) >= 0 for row in rows[:len(layers) - 2])
+    sides, templates = rows[-9:-6], rows[-6:-3]
     # the 48-code pass takes 61 steps, 31 on the A side and 30 on the B side
-    assert [int(row[1]) for row in rows[-5:-3]] == [31, 30]
+    assert [int(row[1]) for row in sides[1:]] == [31, 30]
     # the change-map entries by kind: dead, lost A, lost B, pushed to the
     # radius and moved further in
-    assert rows[-6][-5:] == ["dead", "lost-A", "lost-B", "pushed", "moved"]
-    assert [list(map(int, row[-5:])) for row in rows[-5:-3]] == [
+    assert sides[0][-5:] == ["dead", "lost-A", "lost-B", "pushed", "moved"]
+    assert [list(map(int, row[-5:])) for row in sides[1:]] == [
         [1730, 737, 0, 0, 0], [2422, 4588, 222, 0, 0]]
     # nodes, forward arcs, arc-list entries and tt's arcs of each template:
     # no radius node's arc b -> tt is listed; then the entries each holds,
-    # the ball's edges once, as arcs
-    assert [list(map(int, row[1:])) for row in rows[-2:]] == [
+    # the ball's edges once, as arcs, and no second residual list
+    assert [list(map(int, row[1:])) for row in templates[1:]] == [
         [1622, 5815, 8750, 18, 38492], [14582, 52471, 79022, 162, 347228]]
+    # the labelling phases of the steps' flows and of each template's own,
+    # the last, empty, one of each flow included: they depend only on the
+    # flows, so they read the same whichever arcs the search reads
+    assert rows[-3] == ["phases", "steps", "template"]
+    assert [list(map(int, row[1:])) for row in rows[-2:]] == [[83, 3], [75, 3]]
 
 
 def test_solver_split_sorts_a_harem_pass():

@@ -92,7 +92,18 @@ def test_refute_identity_key():
 def test_refute_free_generators_none_found():
     K = parse_elements(F2, "a,a^-1,b,b^-1")
     out = refute_witness_bounded(F2, K, 4, 3, Budget(10**6))
-    assert out is UNKNOWN
+    assert out is None  # the subsets ran out, not the budget
+
+
+def test_refute_keeps_the_two_ends_apart():
+    # UNKNOWN only when the meter runs out; None when the subsets do
+    K = (Z1.encode_vector((1,)),)
+    for steps in (1, 20, 88):
+        assert refute_witness_bounded(Z1, K, 5, 5, Budget(steps)) is UNKNOWN
+    assert len(refute_witness_bounded(Z1, K, 5, 5, Budget(89)).F) == 5
+    meter = Budget(10**6).meter()
+    assert refute_witness_bounded(Z1, K, 100, 10**6, meter) is None
+    assert meter.remaining > 0
 
 
 def test_refute_rejects_n_below_one_before_any_charge():
@@ -174,7 +185,8 @@ def test_witness_refutation_never_coexists():
         K = tuple(sorted(rng.sample(words, rng.randint(1, 4))))
         verdict = decide_witness_commutation(F2, K)
         refutation = refute_witness_bounded(F2, K, 4, 3, Budget(10**6), radius=1)
-        assert not (verdict.verdict == "WITNESS" and refutation is not UNKNOWN), K
+        assert refutation is not UNKNOWN
+        assert not (verdict.verdict == "WITNESS" and refutation is not None), K
 
 
 def test_lattice_membership():

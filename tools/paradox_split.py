@@ -14,7 +14,10 @@ to the radius, moved further in), and the side's template: its nodes (S,
 T, ss and tt included), its forward arcs, its arc-list entries
 (``head``), the arcs that tt heads and the entries it holds in all
 (``held``): the entries of its list and dict fields, a list of lists
-counted by its inner lengths.
+counted by its inner lengths.  Last, per side, the labelling phases of a
+pass, each call of a labelling function, the last one that finds no
+augmenting path included: those of the steps' flows and those of the
+template's own maximum flow.  They depend only on the flows.
 The library is imported from ``src/`` of the checkout that holds this file.
 
     python3 tools/paradox_split.py --passes 6
@@ -30,6 +33,7 @@ import sys
 import tempfile
 import types
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -53,6 +57,8 @@ class LayerClock:
         self.changes: dict[bool, list[int]] = {True: [], False: []}
         self.kinds = {True: Counter(), False: Counter()}
         self.templates = {}  # side -> its template
+        self.side = None  # the side of the step under way
+        self.phases = {True: Counter(), False: Counter()}  # side -> "steps", "template"
 
     def wrap(self, layer, fn):
         def timed(*args):
@@ -77,11 +83,23 @@ class LayerClock:
         timed = self.wrap("frame", fn)
 
         def counted(st, a_side, c):
+            self.side = a_side
             tpl, changes = timed(st, a_side, c)
             self.changes[a_side].append(len(changes))
             self.kinds[a_side].update(kind(tpl, u, d) for u, d in changes.items())
             self.templates[a_side] = tpl
             return tpl, changes
+
+        return counted
+
+    def label(self, fn):
+        """A labelling function timed, counting its calls by side, in the
+        template's maximum flow or in a step's."""
+        timed = self.wrap("label", fn)
+
+        def counted(*args):
+            self.phases[self.side]["template" if self.inside == "template" else "steps"] += 1
+            return timed(*args)
 
         return counted
 
@@ -121,7 +139,8 @@ def layer_seconds(workload, lib, state, passes: int):
         gc.collect()
         layers = LayerClock()
         for name, layer in TIMED.items():
-            setattr(harem, name, layers.wrap(layer, plain[name]))
+            wrap = layers.label if layer == "label" else partial(layers.wrap, layer)
+            setattr(harem, name, wrap(plain[name]))
         harem._frame = layers.frame(plain["_frame"])
         clock = PassClock()
         try:
@@ -135,7 +154,7 @@ def layer_seconds(workload, lib, state, passes: int):
         split["rest"] = split["pass"] - sum(layers.seconds.values())
         for name, dt in split.items():
             seconds.setdefault(name, []).append(dt)
-    return seconds, layers.changes, layers.kinds, layers.templates, failed
+    return seconds, layers.changes, layers.kinds, layers.templates, layers.phases, failed
 
 
 def main(argv=None):
@@ -150,7 +169,7 @@ def main(argv=None):
     workload = WORKLOADS["paradox-prefix"]
     with tempfile.TemporaryDirectory() as out_dir:
         state = workload.setup(lib, 1, Path(out_dir))
-        seconds, changes, kinds, templates, failed = layer_seconds(
+        seconds, changes, kinds, templates, phases, failed = layer_seconds(
             workload, lib, state, max(1, args.passes))
     print("%d passes, failed checks per pass: %s" % (len(failed), failed))
     print("%-12s %8s %17s" % ("layer", "median s", "range s"))
@@ -170,6 +189,9 @@ def main(argv=None):
         print("%-12s %7d %7d %8d %7d %8d" % (
             "A" if a_side else "B", len(tpl.head), len(tpl.to) // 2,
             sum(map(len, tpl.head)), len(tpl.head[-1]), held(tpl)))
+    print("%-12s %7s %8s" % ("phases", "steps", "template"))
+    for a_side, counts in sorted(phases.items(), reverse=True):
+        print("%-12s %7d %8d" % ("A" if a_side else "B", counts["steps"], counts["template"]))
     return 1 if any(failed) else 0
 
 
