@@ -17,7 +17,9 @@ one meter, made from ``--budget``, and answers a report or ``UNKNOWN``;
 0 definite answer, 2 UNKNOWN (no definite answer within the budget),
 3 precondition violation, 4 malformed input (an ``--out`` path that cannot
 be written included), and 1 when the report cannot be written to stdout,
-as when a reader closes the pipe early; ``--out`` is written first.
+as when a reader closes the pipe early (``--out`` is written first), or
+when a pipeline raises ``MemoryError``: ``error: out of memory`` on
+stderr, and no report.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .witness import (
 )
 
 EXIT_OK = 0
-EXIT_STDOUT = 1
+EXIT_FAILED = 1  # no report: stdout could not be written, or memory ran out
 EXIT_UNKNOWN = 2
 EXIT_PRECONDITION = 3
 EXIT_MALFORMED = 4
@@ -267,7 +269,7 @@ def _emit(report: dict, as_json: bool, out_path) -> int:
         sys.stdout.flush()
     except OSError as exc:  # a closed pipe, as under `| head`, among others
         print("error: cannot write stdout: %s" % exc, file=sys.stderr)
-        return EXIT_STDOUT
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -284,6 +286,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_FAILED
     code = EXIT_OK
     if report is UNKNOWN:
         report, code = {"result": "UNKNOWN", "budget": args.budget}, EXIT_UNKNOWN
@@ -294,7 +299,7 @@ def main(argv=None) -> int:
 
 def console_main():
     code = main()
-    if code == EXIT_STDOUT:
+    if code == EXIT_FAILED:
         # Python flushes stdout again at exit: what is left goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

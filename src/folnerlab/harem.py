@@ -47,26 +47,29 @@ maximum flow and maps only the committed star back.  It does so in the
 template's own residual list, and an undo log takes back exactly the
 entries it wrote when the step ends, commit or error, so a step pays for
 what it changes and not for a copy of the template.  Each phase of the
-augmenting search labels the network from both ends, so its work grows with
-the step's few augmenting paths, not with the template, and the search
-leaves a node with more unread arcs than the next level holds, such as the
-aggregate node T, by reading that level's arcs back into it.  For the same
-reason a B node at the radius has no arc b -> tt in the arc lists, at
-either end: that arc has capacity 0 both ways in the template, a step only
-lengthens distances, so a radius node never becomes interior, and
-``_capacities`` only reads the arc's flow (0) before it falls back to the
-arc b -> T.  No augmenting path can use it, so the flows and matchings are
-those of the full lists.  A step never starts from the previous step's
-flow, so the state stays a pure function of (graph, k, steps).  Both
+augmenting search labels the network from both ends, in level and pointer
+lists that the template keeps and each phase puts back where it wrote, so
+its work grows with the step's few augmenting paths, not with the template,
+and the search leaves a node with more unread arcs than the next level
+holds, such as the aggregate node T, by reading that level's arcs back into
+it.  For the same reason a B node at the radius has no arc b -> tt in the
+arc lists, at either end: that arc has capacity 0 both ways in the
+template, a step only lengthens distances, so a radius node never becomes
+interior, and ``_capacities`` only reads the arc's flow (0) before it falls
+back to the arc b -> T, or zeroes it again.  No augmenting path can use it,
+so the flows and matchings are those of the full lists.  A step never
+starts from the previous step's flow, so the state stays a pure function
+of (graph, k, steps).  Both
 networks, the template's and the one ``finite_harem_match`` builds from
 zero flow, share one flat arc format and arc numbering and one flow readout
 (``_flow_partners``).  ``finite_harem_match`` numbers its blocks of arcs
 with ``_arcs``; the template writes its lists straight in that numbering,
-so an A node's edge arcs are one run of numbers, and a step reads their
-flows and zeroes them by slices.  For the paradoxical decomposition of
-free:2 (17-element key, k = 2) the templates have 1,618 vertices (radius 3)
-and 14,578 vertices (radius 4), and tt heads 18 and 162 arcs, against 1,458
-and 13,122 with the radius nodes' arcs listed.
+so an A node's edge arcs are one run of numbers, and a step patches the A
+nodes that leave the ball together, reading their flows and zeroing their
+arcs by slices.  For the paradoxical decomposition of free:2 (17-element
+key, k = 2) the templates have 1,618 vertices (radius 3) and 14,578
+vertices (radius 4), and tt heads 18 and 162 arcs, against 1,458 and
+13,122 with the radius nodes' arcs listed.
 """
 
 from __future__ import annotations
@@ -284,15 +287,16 @@ def _label_from_s(head: list, to: list, cap: list, s: int, t: int, n: int):
     return None
 
 
-def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, n: int):
-    """Node -> position on the shortest augmenting paths, labelled from
-    both ends as ``_maxflow`` describes; -1 for a node with no position.
-    Returned as ``(level, layers, reads)``: ``layers[p]`` lists the nodes
-    labelled at position p, one level of either end, and ``reads[p]`` is
-    the sum of ``len(head[v])`` over them, the count that chose which end
-    grew.  None when there is no augmenting path."""
+def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, level: list):
+    """Label ``level``, -1 at every node on entry, with each node's
+    position on the shortest augmenting paths, from both ends as
+    ``_maxflow`` describes; a node with no position keeps -1.  Returns
+    ``(layers, reads)``: ``layers[p]`` lists the nodes labelled at
+    position p, one level of either end, and every labelled node is in
+    some layer; ``reads[p]`` is the sum of ``len(head[v])`` over them, the
+    count that chose which end grew.  None when there is no augmenting
+    path, with ``level`` -1 again everywhere."""
     # s's labels are ds >= 0, t's are -2 - dt, and -1 is no label
-    level = [-1] * n
     level[s], level[t] = 0, -2
     s_front, t_front = [s], [t]
     ls, d = 0, -2  # s's last level and t's last label
@@ -319,7 +323,9 @@ def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, n: in
                     continue
                 break
             else:
-                if not nxt:
+                if not nxt:  # no augmenting path
+                    for v in chain(*s_layers, *t_layers):
+                        level[v] = -1
                     return None
                 s_front = nxt
                 s_layers.append(nxt)
@@ -350,14 +356,16 @@ def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, n: in
                 if level[v] >= 0:
                     level[v] = -1
             break
-        if not nxt:
+        if not nxt:  # no augmenting path
+            for v in chain(*s_layers, *t_layers):
+                level[v] = -1
             return None
         t_front = nxt
     shift = ls - d  # a label -2 - dt becomes L - dt, for L = ls - d - 2
     for v in chain(*t_layers):
         level[v] += shift
     # positions 0 .. ls - 1 are s's levels, ls .. L are t's, nearest t last
-    return level, s_layers[:ls] + t_layers[::-1], s_reads[:ls] + t_reads[::-1]
+    return s_layers[:ls] + t_layers[::-1], s_reads[:ls] + t_reads[::-1]
 
 
 def _arc_number(e: int) -> int:
@@ -389,7 +397,8 @@ def _first_arc_into(head: list, to: list, cap: list, level: list, layer: list,
     return bisect_left(hu, best, i, key=_arc_number)
 
 
-def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None) -> int:
+def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
+             level=None, ptr=None) -> int:
     """Dinic's maximum flow from s to t; leaves the residual capacities in cap.
 
     Each phase labels nodes from both ends, one whole level at a time: from
@@ -446,9 +455,20 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None) -> int
 
     With ``paths`` a list, each augmentation appends its arcs and the units
     it pushed, so a caller can take the flow back (see ``_undo``).
+
+    A network labelled from both ends keeps one level list, -1 at every
+    node, and one pointer list, 0 at every node, for all its phases: a
+    phase labels and advances only the nodes of its layers and puts -1 and
+    0 back at them when it ends, so it costs what it labels and not the
+    network's size.  A caller that solves the same network many times, as
+    the steps solve their template's, passes its own two lists as
+    ``level`` and ``ptr`` and gets them back as they were; otherwise they
+    are made once per call.
     """
     n = len(head)
     small = n < _SMALL_NETWORK
+    if not small and level is None:
+        level, ptr = [-1] * n, [0] * n
     flow = 0
     layers = None
     while True:
@@ -456,12 +476,12 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None) -> int
             level = _label_from_s(head, to, cap, s, t, n)
             if level is None:
                 return flow
+            ptr = [0] * n
         else:
-            labels = _label_from_both_ends(head, to, cap, s, t, n)
+            labels = _label_from_both_ends(head, to, cap, s, t, level)
             if labels is None:
                 return flow
-            level, layers, reads = labels
-        ptr = [0] * n
+            layers, reads = labels
         nodes = [s]
         arcs: list[int] = []
         u = s
@@ -506,6 +526,10 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None) -> int
                 arcs.pop()
                 u = nodes[-1]
                 ptr[u] += 1
+        if layers:  # the search entered only labelled nodes
+            for v in chain(*layers):
+                level[v] = -1
+                ptr[v] = 0
 
 
 def _refuted_by_counts(fg: FiniteBipartite, k: int, interior: list) -> bool:
@@ -613,6 +637,11 @@ class _Template(NamedTuple):
     from this flow and computes its value from ``value``.  A step writes
     its network into ``cap`` itself and ``_undo`` restores it before the
     step returns or raises, so between steps ``cap`` holds this flow.
+    ``level`` and ``ptr``, -1 and 0 at every node, are the level and
+    pointer lists that every maximum flow on the network uses, the
+    template's own and each step's; each flow phase puts back the entries
+    it wrote (see ``_maxflow``), so a phase costs what it labels, not a
+    list as long as the template.
     """
 
     radius: int
@@ -632,6 +661,8 @@ class _Template(NamedTuple):
     s_tt: int  # the arc S -> tt
     ss_t: int  # the arc ss -> T
     interior: int  # B nodes closer to the origin than the radius
+    level: list  # node -> -1, the level list of every flow on this network
+    ptr: list  # node -> 0, the pointer list of every flow on this network
 
 
 def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template:
@@ -694,12 +725,13 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     cap += [1 - x for x in inside]
     cap += [1 << 60, k * n_a, interior, *[k] * n_a, *inside]
     cap += [0] * m
-    value = _maxflow(head, to, cap, ss, tt)  # cap keeps the flow
+    level, ptr = [-1] * (tt + 1), [0] * (tt + 1)
+    value = _maxflow(head, to, cap, ss, tt, None, level, ptr)  # cap keeps the flow
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
         parents=parents, head=head, to=to, cap=cap, value=value,
         b0=b0, to_t=to_t, to_tt=to_tt, t_s=t_s, s_tt=s_tt, ss_t=ss_t,
-        interior=interior,
+        interior=interior, level=level, ptr=ptr,
     )
 
 
@@ -823,27 +855,34 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     ``tpl.cap``; return its demand (the flow value that saturates the lower
     bounds) and the value of the flow it already carries.
 
-    ``log`` is the pair ``(keys, old)`` of lists of the undo log: before
-    each write, the arc number or slice of ``cap`` written goes to
-    ``keys`` and the value it held to ``old``, so ``_undo`` restores the
-    template exactly, and only the entries the step wrote.
+    ``log`` is the undo log ``(keys, old, units, outs)``, four lists that
+    ``_undo`` reads.  Before most writes, the arc number or slice of
+    ``cap`` written goes to ``keys`` and the value it held to ``old``; the
+    units cancelled at the A nodes that left go to ``units`` (their edge
+    arcs) and ``outs`` (the arcs out of their B nodes), as the template's
+    flow fixes what those arcs held.  So ``_undo`` restores the template
+    exactly, and only the entries the step wrote.
 
     The flow is the template's, changed only at the nodes of the map, by
     two rules.  A B node pushed out to the radius trades its interior arc
     for its boundary arc and moves its unit along.  A node that has left
     the ball (dead, or lost from inside the radius) has the path
     ss -> a -> b -> (tt | T) of each unit through it cancelled and then
-    every arc zeroed, and it leaves the A or interior count.  An A node's
-    edge arcs are one run of numbers (see ``_template``): one reverse slice
-    of ``cap`` reads their flows, two slice assignments zero them both
-    ways and the log keeps the two slices, and only the arc out of each
-    unit's B node is patched unit by unit, since the rest of the unit's
-    path is zeroed with the node.  A B node cancels its unit arc by arc;
-    its arcs are zeroed after the loop, all B nodes' at once, and as no
-    unit is left on them, zeroing each arc's forward entry zeroes it both
-    ways.  The result does not depend on the order of the map: a unit
-    already cancelled through a neighbour no longer sits on an arc with
-    flow, and a zeroed arc carries none, so each unit is cancelled once.
+    every arc zeroed, and it leaves the A or interior count.  The result
+    does not depend on the order of the map: a unit already cancelled
+    through a neighbour no longer sits on an arc with flow, and a zeroed
+    arc carries none, so each unit is cancelled once.  So the nodes that
+    left are patched by kind, the A nodes first, in bulk, while every arc
+    they touch holds the template's flow.  An A node's edge arcs are one
+    run of numbers (see ``_template``): one reverse slice of ``cap`` reads
+    their flows, and a slice assignment zeroes their forward entries.  Its
+    arc ss -> a is zeroed both ways, and each unit's reverse entry too,
+    the rest of the unit's path; the unit's B node b is interior in the
+    template, its unit leaving by b -> tt, or at the radius, leaving by
+    b -> T, and that arc gets its unit of capacity back.  Then the pushed
+    nodes, then the B nodes, which cancel their unit arc by arc; their
+    arcs are zeroed after the loop, all B nodes' at once, and as no unit
+    is left on them, zeroing each arc's forward entry zeroes it both ways.
     A radius node that lost every parent has no entry; its edge arcs are
     zeroed with its parents' arcs, and its boundary arc keeps capacity 1
     with no flow and no arc with spare capacity into it, so no augmenting
@@ -854,15 +893,42 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     the flow on ss -> T changed to x.
     """
     cap = tpl.cap
-    keys, old = log
+    keys, old, units, outs = log
     top = len(cap) - 1  # cap[~e], the flow on arc e, is cap[top - e]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
     b0, to_t, to_tt = tpl.b0, tpl.to_t, tpl.to_tt
-    n_a, interior = b0 - 2, tpl.interior
+    interior = tpl.interior
     x0 = x = cap[~tpl.ss_t]
     y = cap[~tpl.t_s] - x
-    cancelled = 0
-    zeroed = []  # the B nodes that left the ball
+    gone = sorted([u for u, d in changes.items() if d is None or d < 0])
+    i = bisect_left(gone, b0)  # gone[:i] are A nodes, gone[i:] B nodes
+    n_a = b0 - 2 - i
+    for hu in map(head.__getitem__, gone[:i]):
+        # the edge arcs e0 .. e1 - 1, then ~(ss -> u)
+        e0 = hu[0]
+        e1 = e0 + len(hu) - 1
+        units += compress(hu, cap[top - e0 : top - e1 : -1])
+        run = slice(e0, e1)
+        keys.append(run)
+        old.append(cap[run])
+        cap[run] = [0] * (e1 - e0)
+    ss_a = [u + to_tt for u in gone[:i]]
+    ss_a += [~e for e in ss_a]
+    keys += ss_a
+    old += map(cap.__getitem__, ss_a)
+    for e in ss_a:
+        cap[e] = 0
+    for e in units:
+        cap[~e] = 0
+        b = to[e]
+        out = b + to_tt
+        if was[b] == r:
+            out = b + to_t
+            y -= 1
+        outs.append(out)
+        cap[out] = 1
+        cap[~out] = 0
+    cancelled = len(units)
     for u, d in changes.items():
         if d == r:  # only B nodes lie at the radius; u was interior
             into, out = u + to_t, u + to_tt
@@ -873,51 +939,24 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
             cap[into], cap[~into] = 1 - f, f
             y += f
             interior -= 1
-        elif d is None or d < 0:
-            if u < b0:
-                # its edge arcs are the run e0 .. e1 - 1 of numbers, their
-                # flows a reverse slice; the last arc at u is ~(ss -> u)
-                hu = head[u]
-                e0 = hu[0]
-                e1 = e0 + len(hu) - 1
-                flows = slice(top - e0, top - e1, -1)  # cap[flows][i] is on e0 + i
-                units = cap[flows]
-                edges = list(compress(range(e0, e1), units))
-                cancelled += len(edges)
-                for b in map(to.__getitem__, edges):  # b's out arc has the unit
-                    out = b + to_tt
-                    if not cap[~out]:
-                        out = b + to_t
-                        y -= 1
-                    keys += (out, ~out)
-                    old += (cap[out], cap[~out])
-                    cap[out] += 1
-                    cap[~out] -= 1
-                run = slice(e0, e1)
-                ss_u = ~hu[-1]
-                keys += (run, flows, ss_u, ~ss_u)
-                old += (cap[run], units, cap[ss_u], cap[~ss_u])
-                cap[run] = cap[flows] = [0] * (e1 - e0)
-                cap[ss_u] = cap[~ss_u] = 0
-                n_a -= 1
-            else:
-                # the edge arc into it that carries flow, if any
-                edges = [~e for e in head[u] if e < 0 and cap[e]]
-                cancelled += len(edges)
-                for e in edges:
-                    out = u + to_tt
-                    if not cap[~out]:
-                        out = u + to_t
-                        y -= 1
-                    # a -> u, ss -> a (the last arc at a is its reverse), u's out
-                    for f in (e, ~head[to[~e]][-1], out):
-                        keys += (f, ~f)
-                        old += (cap[f], cap[~f])
-                        cap[f] += 1
-                        cap[~f] -= 1
-                zeroed.append(u)
-                if was[u] < r:
-                    interior -= 1
+    zeroed = gone[i:]
+    for u in zeroed:
+        # the edge arc into it that carries flow, if any
+        edges = [~e for e in head[u] if e < 0 and cap[e]]
+        cancelled += len(edges)
+        for e in edges:
+            out = u + to_tt
+            if not cap[~out]:
+                out = u + to_t
+                y -= 1
+            # a -> u, ss -> a (the last arc at a is its reverse), u's out
+            for f in (e, ~head[to[~e]][-1], out):
+                keys += (f, ~f)
+                old += (cap[f], cap[~f])
+                cap[f] += 1
+                cap[~f] -= 1
+        if was[u] < r:
+            interior -= 1
     # no unit is left on those B nodes' arcs, so zeroing an arc's forward
     # entry zeroes it both ways: for each entry f of u's list, ~f is the
     # edge a -> u or the reverse of u -> T or u -> tt (already 0), and
@@ -942,16 +981,26 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
 
 def _undo(cap: list, log: tuple, paths: list):
     """Restore ``cap`` as it was before ``_capacities`` wrote it with the
-    log ``log`` and ``_maxflow`` pushed the augmenting paths ``paths``:
-    each path's units are taken back along its arcs, then each logged
-    entry or slice gets back the value it held, the latest write first."""
+    log ``log`` and ``_maxflow`` pushed the augmenting paths ``paths``, the
+    latest write first: each path's units are taken back along its arcs,
+    then each logged entry or slice gets back the value it held, the latest
+    first, and last the units cancelled at the A nodes that left, which
+    were written first, when every arc held the template's flow: each
+    edge arc in ``units`` carries its unit again (its forward entry, 0,
+    came back with its node's slice), and each arc in ``outs`` carries the
+    unit of its B node, at capacity 1."""
     for arcs, pushed in paths:
         for e in arcs:
             cap[e] += pushed
             cap[~e] -= pushed
-    keys, old = log
+    keys, old, units, outs = log
     for key, value in zip(reversed(keys), reversed(old)):
         cap[key] = value
+    for e in units:
+        cap[~e] = 1
+    for e in outs:
+        cap[e] = 0
+        cap[~e] = 1
 
 
 def harem_step(st: HaremMatchingState) -> HaremMatchingState:
@@ -959,13 +1008,15 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
 
     The step's network is written into the template's own residual list,
     and restored from the undo log when the step ends, whether it commits
-    or raises."""
+    or raises.  An error raised inside the maximum flow, such as a
+    ``MemoryError``, also puts the template's level and pointer lists back
+    whole, so the state can take the step again."""
     a_side = st.step_count % 2 == 0
     c, v = _next_unremoved(st, left=a_side)
     tpl, changes = _frame(st, a_side, c)
     head, to, cap = tpl.head, tpl.to, tpl.cap
     translate = st.graph.translate
-    log, paths = ([], []), []
+    log, paths = ([], [], [], []), []
     try:
         demand, value = _capacities(tpl, changes, st.k, log)
         where = "at step %d around code %d" % (st.step_count, v)
@@ -973,7 +1024,13 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
         if translate(tpl.codes[tpl.origin], c) != v:
             raise InternalInfeasibleError("finite graph's side has no vertex left " + where)
         ss = len(head) - 2
-        if value + _maxflow(head, to, cap, ss, ss + 1, paths) != demand:
+        try:
+            flow = _maxflow(head, to, cap, ss, ss + 1, paths, tpl.level, tpl.ptr)
+        except BaseException:  # raised inside a phase, which left its labels
+            tpl.level[:] = [-1] * len(head)
+            tpl.ptr[:] = [0] * len(head)
+            raise
+        if value + flow != demand:
             raise InternalInfeasibleError("finite matching infeasible " + where)
         a = tpl.origin
         if not a_side:  # the A node whose edge arc into the origin carries flow

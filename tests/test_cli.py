@@ -295,6 +295,19 @@ def test_entry_point_with_a_closed_pipe_exits_1():
     assert done.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
+def test_out_of_memory_exits_1(capsys, monkeypatch):
+    # a pipeline that runs out of memory, as a |K| = 28 paradox run does
+    # under a tight address-space limit, ends with one line and no report
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(folnerlab.cli, "build_decomposition", exhausted)
+    code = main(["paradox", "--group", "free:2", "--k0", "a,b,b^-1", "--n", "2",
+                 "--verify", "3", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: out of memory\n")
+
+
 MALFORMED_REITER = {
     "top_level_list": "[1, 2]",
     "support_not_a_list": '{"support": 5, "values": {"0": "1"}}',

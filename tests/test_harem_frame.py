@@ -255,7 +255,7 @@ def checked_step(st, ref):
     lost = lost_radius_nodes(tpl, changes)
     local = frame_piece(ref, tpl, changes, lost)
     held, cap = tpl.cap[:], tpl.cap
-    log, paths = ([], []), []
+    log, paths = ([], [], [], []), []
     try:
         demand, value = _capacities(tpl, changes, st.k, log)
         check_capacities(tpl, cap, demand, local, st.k, lost)
@@ -318,10 +318,10 @@ def test_maxflow_equals_the_forward_reference_at_template_scale(monkeypatch):
     solve = harem._maxflow
     nodes = []
 
-    def checked(head, to, cap, s, t, paths=None):
+    def checked(head, to, cap, s, t, paths=None, level=None, ptr=None):
         ref = cap[:]
         want = forward_maxflow(head, to, ref, s, t)
-        value = solve(head, to, cap, s, t, paths)
+        value = solve(head, to, cap, s, t, paths, level, ptr)
         assert value == want and cap == ref
         nodes.append(len(head))
         return value
@@ -434,6 +434,97 @@ def test_change_map_and_capacities_equal_the_full_scans_on_steps(
     assert any(checked) and any(omitted) and sum(lost_b) == LOST_B[spec, key, radii]
 
 
+def shuffled_maps_agree(monkeypatch, orders=3):
+    """Check every step's ``_capacities`` against the same change map in
+    ``orders`` seeded random orders: each must write the same residual
+    list and give the same demand and value, and ``_undo`` must put back
+    the list the step found.  Returns, one per step, the change-map
+    sizes."""
+    capacities = harem._capacities
+    rng = random.Random(33)
+    sizes = []
+
+    def checked_capacities(tpl, changes, k, log):
+        held = tpl.cap[:]
+        written = []
+        for _ in range(orders):
+            items = list(changes.items())
+            rng.shuffle(items)
+            trial = ([], [], [], [])
+            got = capacities(tpl, dict(items), k, trial)
+            written.append((tpl.cap[:], *got))
+            _undo(tpl.cap, trial, [])
+            assert tpl.cap == held
+        got = capacities(tpl, changes, k, log)
+        assert all(w == (tpl.cap, *got) for w in written)
+        sizes.append(len(changes))
+        return got
+
+    monkeypatch.setattr(harem, "_capacities", checked_capacities)
+    return sizes
+
+
+def test_capacities_do_not_depend_on_the_order_of_the_change_map(monkeypatch):
+    sizes = shuffled_maps_agree(monkeypatch)
+    d = paradox_free2()
+    report = verify_decomposition_prefix(d, 48, Budget(10**4))
+    assert report["violations"] == [] and d.state.step_count == len(sizes) == 61
+    # at radii 5 and 6 some lost nodes come back nearer than the radius
+    sizes[:] = []
+    monkeypatch.setattr(harem, "RADIUS_A", 5)
+    monkeypatch.setattr(harem, "RADIUS_B", 6)
+    g = make_group("zd:2")
+    st = harem_new(cayley_bipartite(g, ball(g, parse_elements(g, "(1,0),(0,1)"), 1)), 1)
+    for _ in range(40):
+        harem_step(st)
+    assert len(sizes) == 40 and all(sizes[1:])
+
+
+def check_lists_restored(st):
+    """Every template of the state holds its level list at -1 and its
+    pointer list at 0 on every node, as each flow phase leaves them."""
+    for tpl in st._templates.values():
+        assert tpl.level == [-1] * len(tpl.head)
+        assert tpl.ptr == [0] * len(tpl.head)
+
+
+def test_steps_put_back_the_level_and_pointer_lists():
+    st = paradox_free2().state
+    for _ in range(61):
+        harem_step(st)
+        check_lists_restored(st)
+    assert set(st._templates) == {True, False}
+
+
+def test_a_step_that_raises_inside_its_flow_can_be_taken_again(monkeypatch):
+    # an error such as MemoryError after a phase labelled its network: the
+    # step undoes its writes and puts the lists back, so a later retry
+    # finds the matching a state that never failed finds
+    labelled = harem._label_from_both_ends
+
+    def interrupted(*args):
+        labels = labelled(*args)
+        if labels is not None:
+            raise MemoryError
+        return labels
+
+    st, ref = paradox_free2().state, paradox_free2().state
+    for _ in range(3):
+        harem_step(st)
+    monkeypatch.setattr(harem, "_label_from_both_ends", interrupted)
+    with pytest.raises(MemoryError):
+        harem_step(st)
+    monkeypatch.undo()
+    assert st.step_count == 3
+    check_lists_restored(st)
+    check_templates_hold_their_flow(st)
+    for _ in range(20):
+        harem_step(st)
+    while ref.step_count < st.step_count:
+        harem_step(ref)
+    assert matching_dump(st) == matching_dump(ref)
+
+
 def test_frame_piece_where_distances_grow_back_inside_the_ball():
     # on Z^2 some right vertices at distance 2 from a B-step's centre fall
     # to distance 4 and turn from interior into boundary vertices
@@ -538,6 +629,7 @@ def _template_reference(g, origin, r, k):
         parents=parents, head=head, to=to, cap=cap, b0=b0,
         to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
         s_tt=starts[3], ss_t=starts[4], interior=interior,
+        level=[-1] * (tt + 1), ptr=[0] * (tt + 1),
     ), nbrs
 
 
@@ -598,9 +690,9 @@ def test_arcs_left_out_of_the_template_never_carry_capacity(
             assert cap[e] == cap[~e] == 0, e
         checked.append(head)
 
-    def checked_maxflow(head, to, cap, s, t, paths=None):
+    def checked_maxflow(head, to, cap, s, t, paths=None, level=None, ptr=None):
         zero(head, to, cap)
-        value = solve(head, to, cap, s, t, paths)
+        value = solve(head, to, cap, s, t, paths, level, ptr)
         zero(head, to, cap)
         return value
 
@@ -748,6 +840,7 @@ def test_steps_past_a_finite_group_raise():
     # the raise came after the step wrote its network: the undo ran
     assert set(st._templates) == {True, False}
     check_templates_hold_their_flow(st)
+    check_lists_restored(st)
 
 
 def test_infeasible_step_raises():
@@ -755,6 +848,8 @@ def test_infeasible_step_raises():
     st = harem_new(cayley_bipartite(g, parse_elements(g, "a")), 2)
     with pytest.raises(InternalInfeasibleError, match="step 0 around code 0"):
         harem_step(st)
-    # the raise came after the step's augmenting paths: the undo ran
+    # the raise came after the step's augmenting paths: the undo ran, and
+    # the flow's last phase put its lists back
     assert set(st._templates) == {True}
     check_templates_hold_their_flow(st)
+    check_lists_restored(st)

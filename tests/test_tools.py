@@ -64,7 +64,7 @@ def test_paradox_split_runs_a_prefix_pass():
     head, header, *rows = _run("tools/paradox_split.py", "--passes", "1")
     assert head[-1] == "[0]"  # failed checks in the one pass
     assert header[0] == "layer"
-    layers = ["template", "frame", "capacities", "maxflow", "label", "rest", "pass"]
+    layers = ["template", "frame", "capacities", "maxflow", "label", "undo", "rest", "pass"]
     assert [row[0] for row in rows] == [
         *layers, "side", "A", "B", "template", "A", "B", "phases", "A", "B"]
     assert all(float(row[1]) >= 0 for row in rows[:len(layers) - 2])
@@ -78,9 +78,10 @@ def test_paradox_split_runs_a_prefix_pass():
         [1730, 737, 0, 0, 0], [2422, 4588, 222, 0, 0]]
     # nodes, forward arcs, arc-list entries and tt's arcs of each template:
     # no radius node's arc b -> tt is listed; then the entries each holds,
-    # the ball's edges once, as arcs, and no second residual list
+    # the ball's edges once, as arcs, no second residual list, and one
+    # level and one pointer entry per node
     assert [list(map(int, row[1:])) for row in templates[1:]] == [
-        [1622, 5815, 8750, 18, 38492], [14582, 52471, 79022, 162, 347228]]
+        [1622, 5815, 8750, 18, 41736], [14582, 52471, 79022, 162, 376392]]
     # the labelling phases of the steps' flows and of each template's own,
     # the last, empty, one of each flow included: they depend only on the
     # flows, so they read the same whichever arcs the search reads

@@ -5,20 +5,21 @@ Builds the benchmark's ``paradox-prefix`` workload with
 process, and prints the seconds each layer took in a pass: the median and
 the range over the passes.  The layers are the template builds
 (``_template``, its maximum flow included), ``_frame`` less the template
-builds it starts, ``_capacities``, the steps' ``_maxflow`` less its
-labelling, the labelling of the steps' flow phases (``_label_from_both_ends``
-and ``_label_from_s``) and the rest of the pass; the last row is the whole
-pass.  Then, per side, the steps of a pass, the sizes of their change
-maps and the map entries by kind (dead, lost A and lost B nodes, pushed
-to the radius, moved further in), and the side's template: its nodes (S,
-T, ss and tt included), its forward arcs, its arc-list entries
-(``head``), the arcs that tt heads and the entries it holds in all
-(``held``): the entries of its list and dict fields, a list of lists
-counted by its inner lengths.  Last, per side, the labelling phases of a
-pass, each call of a labelling function, the last one that finds no
-augmenting path included: those of the steps' flows and those of the
-template's own maximum flow.  They depend only on the flows.
-The library is imported from ``src/`` of the checkout that holds this file.
+builds it starts, ``_capacities`` with its undo-log writes, the steps'
+``_maxflow`` less its labelling, the labelling of the steps' flow phases
+(``_label_from_both_ends`` and ``_label_from_s``), ``_undo`` and the rest of
+the pass; the last row is the whole pass.  Then, per side, the steps of a
+pass, the sizes of their change maps and the map entries by kind (dead,
+lost A and lost B nodes, pushed to the radius, moved further in), and the
+side's template: its nodes (S, T, ss and tt included), its forward
+arcs, its arc-list entries (``head``), the arcs that tt heads and the
+entries it holds in all (``held``): the entries of its list and dict
+fields, a list of lists counted by its inner lengths.  Last, per side,
+the labelling phases of a pass, each call of a labelling function, the
+last one that finds no augmenting path included: those of the steps'
+flows and those of the template's own maximum flow.  They depend only on
+the flows.  The library is imported from ``src/`` of the checkout that
+holds this file.
 
     python3 tools/paradox_split.py --passes 6
 """
@@ -39,11 +40,11 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("budget", "groups", "folner", "harem", "paradox", "witness", "cli")
-LAYERS = ("template", "frame", "capacities", "maxflow", "label")
+LAYERS = ("template", "frame", "capacities", "maxflow", "label", "undo")
 KINDS = ("dead", "lost-A", "lost-B", "pushed", "moved")
 # the harem functions timed by layer; ``_frame`` is timed by LayerClock.frame
 TIMED = {"_template": "template", "_capacities": "capacities", "_maxflow": "maxflow",
-         "_label_from_both_ends": "label", "_label_from_s": "label"}
+         "_label_from_both_ends": "label", "_label_from_s": "label", "_undo": "undo"}
 
 
 class LayerClock:
