@@ -144,6 +144,13 @@ def within(defect: Fraction, n: int) -> bool:
     return defect * n <= 1
 
 
+def require_level(n: int, name: str = "n") -> None:
+    """Raise ValueError unless the level n is at least 1: below it no
+    defect bound 1/n exists."""
+    if n < 1:
+        raise ValueError(name + " must be >= 1")
+
+
 def translate_defects(g: GroupOracle, F, D) -> dict[int, Fraction]:
     """Exact translate defects |F \\ xF| / |F| for every x in D, as a map."""
     F = set(F)
@@ -153,8 +160,7 @@ def translate_defects(g: GroupOracle, F, D) -> dict[int, Fraction]:
 def is_n_folner(g: GroupOracle, F, D, n: int):
     """Exact check of the defect bound; returns (verdict, defect map)."""
     require_mode(g, COMPUTABLE, "is_n_folner")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_level(n)
     F = canonical_subset(F)
     if not F:
         raise EmptySetError("F must be non-empty")
@@ -249,8 +255,7 @@ def search_folner(g: GroupOracle, D, n: int, b: Budget):
     charge.
     """
     require_mode(g, COMPUTABLE, "search_folner")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_level(n)
     D = canonical_subset(D)
     meter = b.meter()
     cost = max(1, len(D))
@@ -284,8 +289,7 @@ def folner_function(g: GroupOracle, D, n: int, b: Budget):
     before its test makes any product of its own.
     """
     require_mode(g, COMPUTABLE, "folner_function")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_level(n)
     D = canonical_subset(D)
     meter = b.meter()
     D_eff = tuple(x for x in D if g.canon(x) != g.identity)
@@ -313,8 +317,7 @@ def folner_sequence(g: GroupOracle, j: int, b: Budget):
     emptied by that failed charge, as the search would, before D is built.
     """
     require_mode(g, COMPUTABLE, "folner_sequence")
-    if j < 1:
-        raise ValueError("sequence index must be >= 1")
+    require_level(j, "sequence index")
     meter, size = b.meter(), min(j, g.element_count or j)
     if meter.remaining < size:
         meter.charge(meter.remaining + 1)  # fails, and empties the meter
@@ -439,6 +442,7 @@ def verify_invariance_ce(g: GroupOracle, n: int, D, f: ReiterFunction, b: Budget
     is made once.
     """
     require_mode(g, CE, "verify_invariance_ce")
+    require_level(n)
     meter = b.meter()
     D = canonical_subset(D)
     shift = {(x, v): g.mult(x, v) for x in D for v in f.support}
@@ -488,6 +492,7 @@ def extract_folner_from_reiter(g: GroupOracle, h: ReiterFunction, D, n: int):
     each of its defects is at most |D|/(2n).
     """
     require_mode(g, COMPUTABLE, "extract_folner_from_reiter")
+    require_level(n)
     D = canonical_subset(D)
     defects = reiter_defect(g, h, D)
     if not all(within(d, n) for d in defects.values()):
@@ -514,6 +519,7 @@ def box_folner(g: ZdOracle, D, n: int) -> tuple[int, ...]:
     so :func:`within` holds for each."""
     if not isinstance(g, ZdOracle):
         raise PreconditionError("box_folner only applies to zd families")
+    require_level(n)
     vectors = [g.decode_vector(x) for x in D]
     sides = [n * g.dim * max((abs(v[axis]) for v in vectors), default=0) + 1
              for axis in range(g.dim)]

@@ -27,19 +27,21 @@ for o the identity's vertex of v's side, the residual ball around v is the
 translate by c of the residual ball around o in which the removed vertices
 are moved by c^-1.  The full ball around o, and its flow network, is built
 once per side and per matching state, from one breadth-first search that
-asks ``neighbor_rows`` for a whole frontier at once: the template.  It
-keeps the ball's edges once, as arcs of that network: a node's neighbours
-in the ball are the heads of its arcs, less the four terminals S, T, ss and
-tt, which have distance -1.  A step maps only the removed vertices into the
-frame and describes its residual ball by a change map: the nodes whose
-distance from the origin differs from the template's, found by a
-decremental search that starts at the dead nodes and visits only the nodes
-that leave the ball.  The graph is bipartite, so a lost node's distance
-grows by at least 2 and only lost nodes within r - 2 of the origin can come
-back inside the radius.  The search stops at r - 1, so a node at the radius
-that loses every parent gets no entry: its parents, its only neighbours in
-the ball, are dead or lost and have their arcs zeroed, so nothing flows
-into it, and it can never come back.  The template also holds its network's
+asks ``neighbor_rows`` for a whole frontier at once: the template.  The
+graph is bipartite, so the ball's two sides are the vertices at even and
+at odd distance from the origin.  The template keeps the ball's edges
+once, as arcs of that network: a node's neighbours in the ball are the
+heads of its arcs, less the four terminals S, T, ss and tt, which have
+distance -1.  A step maps only the removed vertices into the frame and
+describes its residual ball by a change map: the nodes whose distance
+from the origin differs from the template's, found by a decremental
+search that starts at the dead nodes and visits only the nodes that leave
+the ball.  By parity, a lost node's distance grows by at least 2, and
+only lost nodes within r - 2 of the origin can come back inside the
+radius.  The search stops at r - 1, so a node at the radius that loses
+every parent gets no entry: its parents, its only neighbours in the ball,
+are dead or lost and have their arcs zeroed, so nothing flows into it,
+and it can never come back.  The template also holds its network's
 maximum flow and that flow's value, and every step starts from that flow:
 at the nodes of the change map it cancels the flow and patches the
 capacities, counts the cancelled units off the value, then augments to a
@@ -48,28 +50,29 @@ template's own residual list, and an undo log takes back exactly the
 entries it wrote when the step ends, commit or error, so a step pays for
 what it changes and not for a copy of the template.  Each phase of the
 augmenting search labels the network from both ends, in level and pointer
-lists that the template keeps and each phase puts back where it wrote, so
-its work grows with the step's few augmenting paths, not with the template,
-and the search leaves a node with more unread arcs than the next level
-holds, such as the aggregate node T, by reading that level's arcs back into
-it.  For the same reason a B node at the radius has no arc b -> tt in the
-arc lists, at either end: that arc has capacity 0 both ways in the
-template, a step only lengthens distances, so a radius node never becomes
-interior, and ``_capacities`` only reads the arc's flow (0) before it falls
-back to the arc b -> T, or zeroes it again.  No augmenting path can use it,
-so the flows and matchings are those of the full lists.  A step never
-starts from the previous step's flow, so the state stays a pure function
-of (graph, k, steps).  Both
-networks, the template's and the one ``finite_harem_match`` builds from
-zero flow, share one flat arc format and arc numbering and one flow readout
+lists that the template keeps and ``_maxflow`` hands back unchanged, so
+its work grows with the step's few augmenting paths, not with the
+template, and the search leaves a node with more unread arcs than the
+next level holds, such as the aggregate node T, by reading that level's
+arcs back into it.  For the same reason a B node at the radius has no arc
+b -> tt in the arc lists, at either end: that arc has capacity 0 both
+ways in the template, a step only lengthens distances, so a radius node
+never becomes interior, and ``_capacities`` only reads the arc's flow (0)
+before it falls back to the arc b -> T, or zeroes it again.  No
+augmenting path can use it, so the flows and matchings are those of the
+full lists.  A step never starts from the previous step's flow, so the
+state stays a pure function of (graph, k, steps).  Both networks, the
+template's and the one ``finite_harem_match`` builds from zero flow,
+share one flat arc format and arc numbering and one flow readout
 (``_flow_partners``).  ``finite_harem_match`` numbers its blocks of arcs
 with ``_arcs``; the template writes its lists straight in that numbering,
-so an A node's edge arcs are one run of numbers, and a step patches the A
-nodes that leave the ball together, reading their flows and zeroing their
-arcs by slices.  For the paradoxical decomposition of free:2 (17-element
-key, k = 2) the templates have 1,618 vertices (radius 3) and 14,578
-vertices (radius 4), and tt heads 18 and 162 arcs, against 1,458 and
-13,122 with the radius nodes' arcs listed.
+in which every node below ss has its lower-bound arc at one offset from
+its own number (see ``_Template``) and an A node's edge arcs are one run
+of numbers, so a step patches the A nodes that leave the ball together,
+reading their flows and zeroing their arcs by slices.  For the
+paradoxical decomposition of free:2 (17-element key, k = 2) the
+templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4),
+and tt heads 18 and 162 arcs.
 """
 
 from __future__ import annotations
@@ -166,7 +169,10 @@ class BipartiteGraphOracle:
 
 @dataclass
 class FiniteBipartite:
-    """Finite bipartite chunk with a marked relaxed boundary on the B side."""
+    """Finite bipartite chunk with a marked relaxed boundary on the B side.
+    Each vertex lies in A or in B, once, and ``adj`` lists the partners of
+    exactly the vertices of A; a piece that breaks either rule raises
+    ValueError."""
 
     A: tuple[int, ...]
     B: tuple[int, ...]
@@ -174,10 +180,13 @@ class FiniteBipartite:
     boundary_B: frozenset
 
     def __post_init__(self):
-        b_set = set(self.B)
-        for a, nbs in self.adj.items():
-            if set(nbs) - b_set:
-                raise ValueError("edge leaves the B side of the piece")
+        a_set, b_set = set(self.A), set(self.B)
+        if len(a_set | b_set) < len(self.A) + len(self.B):
+            raise ValueError("a vertex repeats in A or B, or lies in both")
+        if self.adj.keys() != a_set:
+            raise ValueError("the adjacency keys must be exactly A")
+        if not b_set.issuperset(chain.from_iterable(self.adj.values())):
+            raise ValueError("edge leaves the B side of the piece")
         if self.boundary_B - b_set:
             raise ValueError("boundary_B must be a subset of B")
 
@@ -294,8 +303,9 @@ def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, level
     ``(layers, reads)``: ``layers[p]`` lists the nodes labelled at
     position p, one level of either end, and every labelled node is in
     some layer; ``reads[p]`` is the sum of ``len(head[v])`` over them, the
-    count that chose which end grew.  None when there is no augmenting
-    path, with ``level`` -1 again everywhere."""
+    count that chose which end grew.  When there is no augmenting path,
+    ``reads`` is None and ``layers`` lists every node labelled, by end
+    and level.  ``level`` is left labelled: ``_maxflow`` hands it back."""
     # s's labels are ds >= 0, t's are -2 - dt, and -1 is no label
     level[s], level[t] = 0, -2
     s_front, t_front = [s], [t]
@@ -324,9 +334,7 @@ def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, level
                 break
             else:
                 if not nxt:  # no augmenting path
-                    for v in chain(*s_layers, *t_layers):
-                        level[v] = -1
-                    return None
+                    return s_layers + t_layers, None
                 s_front = nxt
                 s_layers.append(nxt)
                 s_reads.append(s_arcs)
@@ -357,9 +365,7 @@ def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, level
                     level[v] = -1
             break
         if not nxt:  # no augmenting path
-            for v in chain(*s_layers, *t_layers):
-                level[v] = -1
-            return None
+            return s_layers + t_layers, None
         t_front = nxt
     shift = ls - d  # a label -2 - dt becomes L - dt, for L = ls - d - 2
     for v in chain(*t_layers):
@@ -456,14 +462,17 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
     With ``paths`` a list, each augmentation appends its arcs and the units
     it pushed, so a caller can take the flow back (see ``_undo``).
 
-    A network labelled from both ends keeps one level list, -1 at every
-    node, and one pointer list, 0 at every node, for all its phases: a
-    phase labels and advances only the nodes of its layers and puts -1 and
-    0 back at them when it ends, so it costs what it labels and not the
-    network's size.  A caller that solves the same network many times, as
-    the steps solve their template's, passes its own two lists as
-    ``level`` and ``ptr`` and gets them back as they were; otherwise they
-    are made once per call.
+    A network labelled from both ends keeps one level list and one pointer
+    list for all its phases, -1 and 0 at every node between phases, so a
+    phase costs what it labels and not the network's size.  A caller that
+    solves the same network many times, as the steps solve their
+    template's, passes its own two lists as ``level`` and ``ptr``;
+    otherwise they are made once per call.  ``_maxflow`` alone hands them
+    back as it got them, after every phase: one that found paths puts -1
+    and 0 back at the nodes of its layers, one that found none puts -1
+    back at the nodes it labelled, and one that raised, say a
+    ``MemoryError`` after its labelling, fills both lists whole before the
+    error goes on.
     """
     n = len(head)
     small = n < _SMALL_NETWORK
@@ -471,65 +480,71 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
         level, ptr = [-1] * n, [0] * n
     flow = 0
     layers = None
-    while True:
-        if small:
-            level = _label_from_s(head, to, cap, s, t, n)
-            if level is None:
-                return flow
-            ptr = [0] * n
-        else:
-            labels = _label_from_both_ends(head, to, cap, s, t, level)
-            if labels is None:
-                return flow
-            layers, reads = labels
-        nodes = [s]
-        arcs: list[int] = []
-        u = s
+    try:
         while True:
-            if u == t:
-                pushed = min(map(cap.__getitem__, arcs))
-                flow += pushed
-                if paths is not None:
-                    paths.append((arcs[:], pushed))
-                cut = -1
-                for i, e in enumerate(arcs):
-                    cap[e] -= pushed
-                    cap[~e] += pushed
-                    if cut < 0 and not cap[e]:
-                        cut = i
-                del arcs[cut:]
-                del nodes[cut + 1 :]
-                u = nodes[-1]
-                continue
-            hu = head[u]
-            i = ptr[u]
-            end = len(hu)
-            nxt = level[u] + 1
-            if layers and end - i > reads[nxt]:
-                # the index of the first admissible arc, or end: the scan
-                # below takes that arc at once
-                i = _first_arc_into(head, to, cap, level, layers[nxt], nxt, u, i)
-            while i < end:
-                e = hu[i]
-                if cap[e] and level[to[e]] == nxt:
-                    ptr[u] = i
-                    arcs.append(e)
-                    u = to[e]
-                    nodes.append(u)
-                    break
-                i += 1
+            if small:
+                level = _label_from_s(head, to, cap, s, t, n)
+                if level is None:
+                    return flow
+                ptr = [0] * n
             else:
-                if u == s:
-                    break
-                level[u] = -1
-                nodes.pop()
-                arcs.pop()
-                u = nodes[-1]
-                ptr[u] += 1
-        if layers:  # the search entered only labelled nodes
-            for v in chain(*layers):
-                level[v] = -1
-                ptr[v] = 0
+                layers, reads = _label_from_both_ends(head, to, cap, s, t, level)
+                if reads is None:  # no augmenting path
+                    for v in chain(*layers):
+                        level[v] = -1
+                    return flow
+            nodes = [s]
+            arcs: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    pushed = min(map(cap.__getitem__, arcs))
+                    flow += pushed
+                    if paths is not None:
+                        paths.append((arcs[:], pushed))
+                    cut = -1
+                    for i, e in enumerate(arcs):
+                        cap[e] -= pushed
+                        cap[~e] += pushed
+                        if cut < 0 and not cap[e]:
+                            cut = i
+                    del arcs[cut:]
+                    del nodes[cut + 1 :]
+                    u = nodes[-1]
+                    continue
+                hu = head[u]
+                i = ptr[u]
+                end = len(hu)
+                nxt = level[u] + 1
+                if layers and end - i > reads[nxt]:
+                    # the index of the first admissible arc, or end: the scan
+                    # below takes that arc at once
+                    i = _first_arc_into(head, to, cap, level, layers[nxt], nxt, u, i)
+                while i < end:
+                    e = hu[i]
+                    if cap[e] and level[to[e]] == nxt:
+                        ptr[u] = i
+                        arcs.append(e)
+                        u = to[e]
+                        nodes.append(u)
+                        break
+                    i += 1
+                else:
+                    if u == s:
+                        break
+                    level[u] = -1
+                    nodes.pop()
+                    arcs.pop()
+                    u = nodes[-1]
+                    ptr[u] += 1
+            if layers:  # the search entered only labelled nodes
+                for v in chain(*layers):
+                    level[v] = -1
+                    ptr[v] = 0
+    except BaseException:  # the phase's lists, whole
+        if not small:
+            level[:], ptr[:] = [-1] * n, [0] * n
+        raise
 
 
 def _refuted_by_counts(fg: FiniteBipartite, k: int, interior: list) -> bool:
@@ -617,14 +632,19 @@ class _Template(NamedTuple):
 
     Nodes and arc blocks are those of ``finite_harem_match``, each side in
     code order, except that every B node has both its boundary arc and its
-    interior arc, with the capacities of the full ball.  The interior arc
-    b -> tt of a node at the radius keeps its number, ``to`` entries and
-    capacity 0 both ways, but ``head`` lists it at neither end: no step
-    brings a radius node inside the radius, so the arc never gets capacity,
-    and every other entry of ``head`` keeps its order.  ``cap`` is the
-    residual network of the ball's maximum flow: the capacity of arc e is
-    ``cap[e] + cap[~e]`` and its flow ``cap[~e]``; ``value`` is the value of
-    that flow, the flow out of ss.
+    interior arc, with the capacities of the full ball.  So every node u
+    below ss has its lower-bound arc at u + ``to_tt``: S -> tt, ss -> T,
+    ss -> a at an A node and b -> tt at a B node.  The arcs b -> T come
+    just before T -> S, which is ``to_tt - 1``, so b -> T is
+    b + ``to_tt`` + 1 - ``len(head)``; and tt heads S -> tt and the arc
+    of each interior B node, so there are ``len(head[tt]) - 1`` of those.
+    The interior arc b -> tt of a node at the radius keeps its number,
+    ``to`` entries and capacity 0 both ways, but ``head`` lists it at
+    neither end: no step brings a radius node inside the radius, so the arc
+    never gets capacity, and every other entry of ``head`` keeps its
+    order.  ``cap`` is the residual network of the ball's maximum flow:
+    the capacity of arc e is ``cap[e] + cap[~e]`` and its flow
+    ``cap[~e]``; ``value`` is the value of that flow, the flow out of ss.
     The arc lists are the ball's adjacency: a node's neighbours in the
     ball are the heads ``to[e]`` of its arcs e in ``head[u]``, in edge
     order, less the four terminals S, T, ss and tt, which have distance -1
@@ -637,11 +657,9 @@ class _Template(NamedTuple):
     from this flow and computes its value from ``value``.  A step writes
     its network into ``cap`` itself and ``_undo`` restores it before the
     step returns or raises, so between steps ``cap`` holds this flow.
-    ``level`` and ``ptr``, -1 and 0 at every node, are the level and
-    pointer lists that every maximum flow on the network uses, the
-    template's own and each step's; each flow phase puts back the entries
-    it wrote (see ``_maxflow``), so a phase costs what it labels, not a
-    list as long as the template.
+    ``level`` and ``ptr`` are the level and pointer lists of every maximum
+    flow on the network, the template's own and each step's, which
+    ``_maxflow`` hands back -1 and 0 at every node.
     """
 
     radius: int
@@ -655,19 +673,17 @@ class _Template(NamedTuple):
     cap: list
     value: int  # the value of the flow that cap carries
     b0: int  # the first B node
-    to_t: int  # the arc b -> T is b + to_t
-    to_tt: int  # the arc b -> tt is b + to_tt
-    t_s: int  # the arc T -> S
-    s_tt: int  # the arc S -> tt
-    ss_t: int  # the arc ss -> T
-    interior: int  # B nodes closer to the origin than the radius
+    to_tt: int  # the lower-bound arc of node u < ss is u + to_tt
     level: list  # node -> -1, the level list of every flow on this network
     ptr: list  # node -> 0, the pointer list of every flow on this network
 
 
 def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template:
     """The template of the radius-r ball around ``origin``, on the
-    distances of :func:`_distances` in the full graph.
+    distances of :func:`_distances` in the full graph.  The graph is
+    bipartite, so a vertex lies on the origin's side exactly when its
+    distance from the origin is even: one ``is_left`` call, on the origin,
+    splits the ball.
 
     The A nodes' neighbours come from one ``neighbor_rows`` call, and the
     arc lists are written straight in the numbering that ``_arcs`` gives
@@ -679,8 +695,9 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     B node lists the reverses of its edge arcs, b -> T and then b -> tt,
     which a radius node leaves out as its list is made."""
     around = _distances(g, origin, r)  # code -> distance from the origin
-    A = sorted(u for u in around if g.is_left(u))
-    B = sorted(u for u in around if not g.is_left(u))
+    odd = not g.is_left(origin)  # the parity of the A nodes' distances
+    A = sorted(u for u, d in around.items() if d % 2 == odd)
+    B = sorted(u for u, d in around.items() if d % 2 != odd)
     S, T = 0, 1
     n_a, n_b = len(A), len(B)
     b0, ss, tt = 2 + n_a, 2 + n_a + n_b, 3 + n_a + n_b
@@ -692,13 +709,12 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     get = index.get
     rows = [[w for w in map(get, ws) if w is not None] for ws in g.neighbor_rows(A)]
     edges = sum(map(len, rows))
-    to_t, t_s = edges - b0, edges + n_b
-    # ss -> a and b -> tt number the nodes 2 .. ss - 1 in turn: u + to_tt
-    s_tt, ss_t, to_tt = t_s + 1, t_s + 2, t_s + 1
+    to_t, t_s = edges - b0, edges + n_b  # b -> T, then T -> S
+    to_tt = t_s + 1  # then S -> tt, ss -> T, ss -> a and b -> tt, by node
     inside = [int(dist[b] < r) for b in b_nodes]
     interior = sum(inside)
     parents = [0] * (tt + 1)
-    head = [[~t_s, s_tt], [*range(~to_t - b0, ~to_t - ss, -1), t_s, ~ss_t]]
+    head = [[~t_s, to_tt], [*range(~edges, ~t_s, -1), t_s, ~(to_tt + 1)]]
     b_arcs: list[list[int]] = [[] for _ in b_nodes]  # ~e for each edge e into b
     e = 0
     for u, row in enumerate(rows, 2):
@@ -713,8 +729,8 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
         # is left out of the arc lists, its number and capacities kept
         arcs += (b + to_t, b + to_tt) if x else (b + to_t,)
         head.append(arcs)
-    head.append([ss_t, *range(2 + to_tt, b0 + to_tt)])
-    head.append([~s_tt, *(~(b + to_tt) for b, x in zip(b_nodes, inside) if x)])
+    head.append([*range(1 + to_tt, b0 + to_tt)])
+    head.append([~to_tt, *(~(b + to_tt) for b in compress(b_nodes, inside))])
     # the heads of the forward arcs, then the tails of the reverse arcs,
     # numbered from the end, in one extension that leaves no spare room
     to = [*chain(*rows), *[T] * n_b, S, tt, T, *a_nodes, *[tt] * n_b]
@@ -730,8 +746,7 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     return _Template(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
         parents=parents, head=head, to=to, cap=cap, value=value,
-        b0=b0, to_t=to_t, to_tt=to_tt, t_s=t_s, s_tt=s_tt, ss_t=ss_t,
-        interior=interior, level=level, ptr=ptr,
+        b0=b0, to_tt=to_tt, level=level, ptr=ptr,
     )
 
 
@@ -853,7 +868,10 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     """Write the residual network of the residual ball with change map
     ``changes`` (see ``_frame``) into the template's own residual list
     ``tpl.cap``; return its demand (the flow value that saturates the lower
-    bounds) and the value of the flow it already carries.
+    bounds) and the value of the flow it already carries.  The arcs
+    b -> T, T -> S, S -> tt and ss -> T and the count of interior B nodes
+    are derived once per step from ``tpl.to_tt`` and ``tpl.head``, by the
+    numbering rule of ``_Template``.
 
     ``log`` is the undo log ``(keys, old, units, outs)``, four lists that
     ``_undo`` reads.  Before most writes, the arc number or slice of
@@ -896,10 +914,12 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     keys, old, units, outs = log
     top = len(cap) - 1  # cap[~e], the flow on arc e, is cap[top - e]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
-    b0, to_t, to_tt = tpl.b0, tpl.to_t, tpl.to_tt
-    interior = tpl.interior
-    x0 = x = cap[~tpl.ss_t]
-    y = cap[~tpl.t_s] - x
+    b0, to_tt = tpl.b0, tpl.to_tt
+    # the arcs b -> T, T -> S, S -> tt and ss -> T (see _Template)
+    to_t, t_s, s_tt, ss_t = to_tt + 1 - len(head), to_tt - 1, to_tt, to_tt + 1
+    interior = len(head[-1]) - 1
+    x0 = x = cap[~ss_t]
+    y = cap[~t_s] - x
     gone = sorted([u for u, d in changes.items() if d is None or d < 0])
     i = bisect_left(gone, b0)  # gone[:i] are A nodes, gone[i:] B nodes
     n_a = b0 - 2 - i
@@ -969,13 +989,13 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     for e in arcs:
         cap[e] = 0
     x = min(x, interior, k * n_a - y)
-    ends = (tpl.ss_t, ~tpl.ss_t, tpl.t_s, ~tpl.t_s, tpl.s_tt, ~tpl.s_tt)
+    ends = (ss_t, ~ss_t, t_s, ~t_s, s_tt, ~s_tt)
     keys += ends
     old += map(cap.__getitem__, ends)
-    cap[tpl.ss_t], cap[~tpl.ss_t] = interior - x, x
-    cap[tpl.t_s] += cap[~tpl.t_s] - x - y
-    cap[~tpl.t_s] = x + y
-    cap[tpl.s_tt], cap[~tpl.s_tt] = k * n_a - x - y, x + y
+    cap[ss_t], cap[~ss_t] = interior - x, x
+    cap[t_s] += cap[~t_s] - x - y
+    cap[~t_s] = x + y
+    cap[s_tt], cap[~s_tt] = k * n_a - x - y, x + y
     return k * n_a + interior, tpl.value - cancelled - x0 + x
 
 
@@ -1008,9 +1028,8 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
 
     The step's network is written into the template's own residual list,
     and restored from the undo log when the step ends, whether it commits
-    or raises.  An error raised inside the maximum flow, such as a
-    ``MemoryError``, also puts the template's level and pointer lists back
-    whole, so the state can take the step again."""
+    or raises; ``_maxflow`` hands back the template's level and pointer
+    lists even when it raises, so the state can take the step again."""
     a_side = st.step_count % 2 == 0
     c, v = _next_unremoved(st, left=a_side)
     tpl, changes = _frame(st, a_side, c)
@@ -1024,12 +1043,7 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
         if translate(tpl.codes[tpl.origin], c) != v:
             raise InternalInfeasibleError("finite graph's side has no vertex left " + where)
         ss = len(head) - 2
-        try:
-            flow = _maxflow(head, to, cap, ss, ss + 1, paths, tpl.level, tpl.ptr)
-        except BaseException:  # raised inside a phase, which left its labels
-            tpl.level[:] = [-1] * len(head)
-            tpl.ptr[:] = [0] * len(head)
-            raise
+        flow = _maxflow(head, to, cap, ss, ss + 1, paths, tpl.level, tpl.ptr)
         if value + flow != demand:
             raise InternalInfeasibleError("finite matching infeasible " + where)
         a = tpl.origin

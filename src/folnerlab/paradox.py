@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget, UNKNOWN
+from .folner import require_level
 from .groups import COMPUTABLE, GroupOracle, canonical_subset, require_mode
 from .harem import BipartiteGraphOracle, HaremMatchingState, harem_new, harem_query
 
@@ -36,6 +37,7 @@ def expand_key(g: GroupOracle, K0, n: int) -> ExpandedKey:
     """Minimal n1 with (1 + 1/n)^n1 >= 3, and the n1-fold product set of
     K0 + identity (deduplicated through the numbering)."""
     require_mode(g, COMPUTABLE, "expand_key")
+    require_level(n)
     K0 = canonical_subset(K0)
     if not K0:
         raise ValueError("K0 must be non-empty")

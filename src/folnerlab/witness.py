@@ -31,7 +31,7 @@ from .groups import (
     canonical_subset,
     require_mode,
 )
-from .folner import UnionFind, _first_folner, is_n_folner
+from .folner import UnionFind, _first_folner, is_n_folner, require_level
 
 
 class UnsupportedFamilyError(PreconditionError):
@@ -88,8 +88,7 @@ def refute_witness_bounded(
     two ends stay apart.  Sizes past the ball's own hold no subset, so the
     scan stops there.  Raises ValueError for n < 1, before any charge."""
     require_mode(g, COMPUTABLE, "refute_witness_bounded")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_level(n)
     K = canonical_subset(K)
     meter = b.meter()
     *_, universe = itertools.islice(ball_layers(g, K, meter), radius + 1)

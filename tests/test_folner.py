@@ -46,6 +46,8 @@ from folnerlab.groups import (
     parse_element,
     parse_elements,
 )
+from folnerlab.paradox import build_decomposition, expand_key
+from folnerlab.witness import refute_witness_bounded
 
 Z1 = make_group("zd:1")
 Z2 = make_group("zd:2")
@@ -167,6 +169,35 @@ def test_search_folner_rejects_n_below_one_before_any_charge():
     with pytest.raises(ValueError, match="n must be >= 1"):
         search_folner(F2, (1, 3), 0, meter)
     assert meter.consumed == 0
+
+
+# each entry point that takes a level n, called at a level below 1; at
+# n = -1 expand_key, and so build_decomposition, looped for ever before
+# they checked it, and the rest answered or failed in other ways
+LEVEL_CALLS = {
+    "is_n_folner": lambda n: is_n_folner(Z1, zcodes(0), zcodes(1), n),
+    "search_folner": lambda n: search_folner(F2, (1, 3), n, Budget(100)),
+    "folner_function": lambda n: folner_function(Z1, zcodes(1), n, Budget(100)),
+    "folner_sequence": lambda n: folner_sequence(Z1, n, Budget(100)),
+    "refute_witness_bounded": lambda n: refute_witness_bounded(
+        F2, (1, 3), n, 2, Budget(100)),
+    "expand_key": lambda n: expand_key(F2, (1, 3), n),
+    "build_decomposition": lambda n: build_decomposition(F2, (1, 3), n),
+    "verify_invariance_ce": lambda n: verify_invariance_ce(
+        make_group("redundant-z"), n, (1,), ReiterFunction.characteristic((0,)),
+        Budget(100)),
+    "extract_folner_from_reiter": lambda n: extract_folner_from_reiter(
+        Z1, ReiterFunction.characteristic(interval(0, 4)), zcodes(1), n),
+    "box_folner": lambda n: box_folner(Z2, parse_elements(Z2, "(1,0)"), n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(LEVEL_CALLS))
+def test_levels_below_one_raise(name, n):
+    level = "sequence index" if name == "folner_sequence" else "n"
+    with pytest.raises(ValueError, match=level + " must be >= 1"):
+        LEVEL_CALLS[name](n)
 
 
 def test_subset_candidates_end_on_a_finite_group():

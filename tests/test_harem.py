@@ -65,6 +65,20 @@ def graph_from_edges(A, B, edges, boundary=frozenset()):
     return FiniteBipartite(tuple(A), tuple(B), adj, frozenset(boundary))
 
 
+@pytest.mark.parametrize("A,B,adj,boundary", [
+    ((0, 2), (1,), {0: (1,)}, ()),  # 2 has no adjacency entry
+    ((0,), (1,), {0: (1,), 2: (1,)}, ()),  # a key outside A
+    ((0, 0), (1,), {0: (1,)}, ()),  # a repeated A vertex
+    ((0,), (1, 1), {0: (1,)}, ()),  # a repeated B vertex
+    ((0, 1), (1,), {0: (1,), 1: ()}, ()),  # a vertex on both sides
+    ((0,), (1,), {0: (1, 3)}, ()),  # an edge out of B
+    ((0,), (1,), {0: (1,)}, (3,)),  # a boundary vertex out of B
+])
+def test_malformed_pieces_are_rejected(A, B, adj, boundary):
+    with pytest.raises(ValueError):
+        FiniteBipartite(A, B, adj, frozenset(boundary))
+
+
 def test_star_graph_matching():
     fg = graph_from_edges([0], [1, 3], [(0, 1), (0, 3)])
     assert finite_harem_match(fg, 2) == {0: (1, 3)}
@@ -527,6 +541,46 @@ def test_maxflow_equals_the_forward_reference_around_a_hub(monkeypatch):
         flows += value > 0
     # reads that find an arc and reads that find a dead end both occur
     assert flows > 150 and sum(found) > 150 and found.count(False) > 50
+
+
+class RaisingPaths(list):
+    """A ``paths`` list that raises at the first augmentation, once the
+    phase has labelled its network and its search has advanced."""
+
+    def append(self, item):
+        raise MemoryError
+
+
+def test_maxflow_hands_back_its_lists_on_every_exit(monkeypatch):
+    # hub networks solved with the caller's level and pointer lists: after
+    # the whole flow, after a labelling that raises and after a search that
+    # raises, the lists are -1 and 0 at every node again
+    labelled = harem._label_from_both_ends
+
+    def raising(*args):
+        layers, reads = labelled(*args)
+        if reads is not None:  # it labelled a path
+            raise MemoryError
+        return layers, reads
+
+    rng = random.Random(34)
+    raised = {"label": 0, "search": 0}
+    for _ in range(60):
+        nodes, arcs = hub_network(rng)
+        tails, heads, caps = (list(x) for x in zip(*arcs))
+        head, to, cap, _ = _arcs([(tails, heads, caps)], nodes)
+        for how in ("none", "label", "search"):
+            level, ptr = [-1] * nodes, [0] * nodes
+            if how == "label":
+                monkeypatch.setattr(harem, "_label_from_both_ends", raising)
+            paths = RaisingPaths() if how == "search" else None
+            try:
+                _maxflow(head, to, cap[:], 0, 1, paths, level, ptr)
+            except MemoryError:
+                raised[how] += 1
+            monkeypatch.undo()
+            assert level == [-1] * nodes and ptr == [0] * nodes, how
+    assert min(raised.values()) > 20
 
 
 # ---------------------------------------------------------------------------

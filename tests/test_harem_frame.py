@@ -49,6 +49,7 @@ from folnerlab.harem import (
     matching_dump,
 )
 from folnerlab.paradox import (
+    CayleyBipartite,
     build_decomposition,
     cayley_bipartite,
     verify_decomposition_prefix,
@@ -160,6 +161,14 @@ def flow_value(tpl, cap):
     return -excess[ss]
 
 
+def fixed_arcs(tpl):
+    """The offset of the arcs b -> T, the arcs T -> S, S -> tt and ss -> T
+    and the number of interior B nodes, derived from ``to_tt`` by the
+    numbering rule of ``_Template``; ``check_arc_numbers`` checks them."""
+    to_tt = tpl.to_tt
+    return to_tt + 1 - len(tpl.head), to_tt - 1, to_tt, to_tt + 1, len(tpl.head[-1]) - 1
+
+
 def check_capacities(tpl, cap, demand, local, k, lost=frozenset()):
     """The step's network carries exactly the bounds of the piece.  The
     radius nodes ``lost`` for good keep their boundary arc, with no flow
@@ -168,22 +177,23 @@ def check_capacities(tpl, cap, demand, local, k, lost=frozenset()):
     def capacity(e):
         return cap[e] + cap[~e]
 
+    to_t, _, s_tt, ss_t, _ = fixed_arcs(tpl)
     live = {tpl.index[f] for f in local.A + local.B}
     boundary = {tpl.index[f] for f in local.boundary_B}
     for u in range(2, tpl.b0):
         # the last arc at an A node is the reverse of its arc ss -> a
         assert capacity(~tpl.head[u][-1]) == (k if u in live else 0)
     for b in range(tpl.b0, len(tpl.head) - 2):
-        assert capacity(b + tpl.to_t) == (b in boundary or b in lost)
+        assert capacity(b + to_t) == (b in boundary or b in lost)
         assert capacity(b + tpl.to_tt) == (b in live and b not in boundary)
     for e, w in enumerate(tpl.to[: len(tpl.to) // 2]):
         u = tpl.to[~e]
         if 2 <= u < tpl.b0 and w >= tpl.b0:  # an edge arc
             assert capacity(e) == (u in live and w in live)
     for b in lost:
-        assert not cap[~(b + tpl.to_t)]
+        assert not cap[~(b + to_t)]
     n_a, interior = len(local.A), len(local.B) - len(local.boundary_B)
-    assert capacity(tpl.s_tt) == k * n_a and capacity(tpl.ss_t) == interior
+    assert capacity(s_tt) == k * n_a and capacity(ss_t) == interior
     assert demand == k * n_a + interior
 
 
@@ -193,17 +203,18 @@ def full_scan_capacities(tpl, dist, k):
     for ``_capacities``, which reads only the change map."""
     cap = tpl.cap[:]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
-    b0 = tpl.b0
-    n_a, interior = b0 - 2, tpl.interior
-    x = cap[~tpl.ss_t]
-    y = cap[~tpl.t_s] - x
+    b0, to_tt = tpl.b0, tpl.to_tt
+    to_t, t_s, s_tt, ss_t, interior = fixed_arcs(tpl)
+    n_a = b0 - 2
+    x = cap[~ss_t]
+    y = cap[~t_s] - x
     for u, d in enumerate(dist):
         if d == was[u]:
             continue
         if d == r:  # only B nodes lie at the radius; u was interior
-            f = cap[~(u + tpl.to_tt)]
-            cap[u + tpl.to_tt] = cap[~(u + tpl.to_tt)] = 0
-            cap[u + tpl.to_t], cap[~(u + tpl.to_t)] = 1 - f, f
+            f = cap[~(u + to_tt)]
+            cap[u + to_tt] = cap[~(u + to_tt)] = 0
+            cap[u + to_t], cap[~(u + to_t)] = 1 - f, f
             y += f
             interior -= 1
         elif d is None or d < 0:
@@ -212,9 +223,9 @@ def full_scan_capacities(tpl, dist, k):
             else:  # the edge arc into it that carries flow, if any
                 edges = [~e for e in head[u] if e < 0 and cap[e]]
             for e in edges:
-                out = to[e] + tpl.to_tt
+                out = to[e] + to_tt
                 if not cap[~out]:
-                    out = to[e] + tpl.to_t
+                    out = to[e] + to_t
                     y -= 1
                 # a -> b, ss -> a (the last arc at a is its reverse), b's out
                 for f in (e, ~head[to[~e]][-1], out):
@@ -227,10 +238,10 @@ def full_scan_capacities(tpl, dist, k):
             elif was[u] < r:
                 interior -= 1
     x = min(x, interior, k * n_a - y)
-    cap[tpl.ss_t], cap[~tpl.ss_t] = interior - x, x
-    cap[tpl.t_s] += cap[~tpl.t_s] - x - y
-    cap[~tpl.t_s] = x + y
-    cap[tpl.s_tt], cap[~tpl.s_tt] = k * n_a - x - y, x + y
+    cap[ss_t], cap[~ss_t] = interior - x, x
+    cap[t_s] += cap[~t_s] - x - y
+    cap[~t_s] = x + y
+    cap[s_tt], cap[~s_tt] = k * n_a - x - y, x + y
     start = sum(cap[~e] for e in head[-2])  # the flow out of ss
     return cap, k * n_a + interior, start
 
@@ -503,10 +514,10 @@ def test_a_step_that_raises_inside_its_flow_can_be_taken_again(monkeypatch):
     labelled = harem._label_from_both_ends
 
     def interrupted(*args):
-        labels = labelled(*args)
-        if labels is not None:
+        layers, reads = labelled(*args)
+        if reads is not None:  # it labelled a path
             raise MemoryError
-        return labels
+        return layers, reads
 
     st, ref = paradox_free2().state, paradox_free2().state
     for _ in range(3):
@@ -582,6 +593,7 @@ def test_template_holds_a_maximum_flow_of_the_full_ball(spec, key, k):
     graph, ref = cayley_bipartite(g, K), cayley_bipartite(g, K)
     for origin, r in ((graph.left_enum(0), RADIUS_A), (graph.right_enum(0), RADIUS_B)):
         tpl = _template(graph, origin, r, k)
+        check_sides(ref, tpl)
         local = frame_piece(ref, tpl, {}, lost_radius_nodes(tpl, {}))
         demand = k * len(local.A) + len(local.B) - len(local.boundary_B)
         check_capacities(tpl, tpl.cap, demand, local, k)
@@ -591,6 +603,7 @@ def test_template_holds_a_maximum_flow_of_the_full_ball(spec, key, k):
 def _template_reference(g, origin, r, k):
     """The fields of the template as built from ``induced_ball`` and a
     second breadth-first search over the ball's nodes, all but ``value``,
+    the values ``fixed_arcs`` derives, read off the arc builder's blocks,
     and the ball's adjacency: the reference for ``_template``.  No B node
     at the radius has its arc b -> tt in ``head``, at either end."""
     ball = induced_ball(g, origin, r)
@@ -624,13 +637,12 @@ def _template_reference(g, origin, r, k):
     head = [[e for e in arcs if e not in radius_tt and ~e not in radius_tt]
             for arcs in head]
     _maxflow(head, to, cap, ss, tt)
+    fixed = starts[1] - b0, starts[2], starts[3], starts[4], interior
     return dict(
         radius=r, origin=index[origin], codes=codes, index=index, dist=dist,
-        parents=parents, head=head, to=to, cap=cap, b0=b0,
-        to_t=starts[1] - b0, to_tt=starts[6] - b0, t_s=starts[2],
-        s_tt=starts[3], ss_t=starts[4], interior=interior,
+        parents=parents, head=head, to=to, cap=cap, b0=b0, to_tt=starts[6] - b0,
         level=[-1] * (tt + 1), ptr=[0] * (tt + 1),
-    ), nbrs
+    ), fixed, nbrs
 
 
 @pytest.mark.parametrize("spec,key,level,k,sides,radii", [
@@ -652,10 +664,12 @@ def test_template_equals_the_induced_ball_build(spec, key, level, k, sides, radi
         origin = graph.left_enum(0) if a_side else graph.right_enum(0)
         r = radii[0] if a_side else radii[1]
         tpl = _template(graph, origin, r, k)
-        want, nbrs = _template_reference(ref, origin, r, k)
+        want, fixed, nbrs = _template_reference(ref, origin, r, k)
         assert set(tpl._fields) == {*want, "value"}
         for name, field in want.items():
             assert getattr(tpl, name) == field, name
+        assert fixed_arcs(tpl) == fixed
+        check_sides(ref, tpl)
         # the arc lists are the ball's adjacency, node for node and in order
         assert ball_adjacency(tpl) == nbrs
         ss = len(tpl.head) - 2
@@ -765,16 +779,23 @@ def test_prefix_on_a_key_with_heavier_regrowth():
 
 
 def check_arc_numbers(tpl):
-    """The template's arc offsets name the arcs they claim: b -> T and
-    b -> tt at every B node, S -> tt and ss -> T; and its arc lists are in
-    number order."""
+    """The numbering rule of ``_Template``: arc u + ``to_tt`` has u as an
+    endpoint for every node u below ss, and the arcs ``fixed_arcs`` derives
+    are the ones it claims: b -> T and b -> tt at every B node, T -> S,
+    S -> tt and ss -> T, and the interior count is that of the B nodes
+    inside the radius; and the arc lists are in number order."""
     S, T, ss, tt = 0, 1, len(tpl.head) - 2, len(tpl.head) - 1
-    to = tpl.to
+    to, to_tt = tpl.to, tpl.to_tt
+    to_t, t_s, s_tt, ss_t, interior = fixed_arcs(tpl)
+    for u in range(ss):
+        assert u in (to[~(u + to_tt)], to[u + to_tt])
     for b in range(tpl.b0, ss):
-        assert (to[~(b + tpl.to_t)], to[b + tpl.to_t]) == (b, T)
-        assert (to[~(b + tpl.to_tt)], to[b + tpl.to_tt]) == (b, tt)
-    assert (to[~tpl.s_tt], to[tpl.s_tt]) == (S, tt)
-    assert (to[~tpl.ss_t], to[tpl.ss_t]) == (ss, T)
+        assert (to[~(b + to_t)], to[b + to_t]) == (b, T)
+        assert (to[~(b + to_tt)], to[b + to_tt]) == (b, tt)
+    assert (to[~t_s], to[t_s]) == (T, S)
+    assert (to[~s_tt], to[s_tt]) == (S, tt)
+    assert (to[~ss_t], to[ss_t]) == (ss, T)
+    assert interior == sum(d < tpl.radius for d in tpl.dist[tpl.b0 : ss])
     # each node lists its arcs in the order of their numbers, as the
     # search's reads from the next level require
     assert all(arcs == sorted(arcs, key=_arc_number) for arcs in tpl.head)
@@ -784,11 +805,39 @@ def test_template_arc_numbers():
     st = paradox_free2().state
     harem_step(st)
     harem_step(st)
-    check_arc_numbers(st._templates[True])
-    check_arc_numbers(st._templates[False])
+    for tpl in st._templates.values():
+        check_arc_numbers(tpl)
+        check_sides(st.graph, tpl)
     g = make_group("zd:2")
     graph = cayley_bipartite(g, ball(g, parse_elements(g, "(1,0),(0,1)"), 1))
-    check_arc_numbers(_template(graph, graph.right_enum(0), RADIUS_B, 1))
+    tpl = _template(graph, graph.right_enum(0), RADIUS_B, 1)
+    check_arc_numbers(tpl)
+    check_sides(graph, tpl)
+
+
+def check_sides(graph, tpl):
+    """The template's A nodes, split from the B nodes by the parity of
+    their distance from the origin, are the ball's left vertices."""
+    ss = len(tpl.head) - 2
+    assert all(map(graph.is_left, tpl.codes[2 : tpl.b0]))
+    assert not any(map(graph.is_left, tpl.codes[tpl.b0 : ss]))
+
+
+def test_templates_ask_the_graph_for_one_side_per_build(monkeypatch):
+    # a 48-code pass: its two template builds ask is_left once each, and
+    # the other 192 calls are its queries' own
+    calls = []
+    is_left = CayleyBipartite.is_left
+
+    def counted(self, v):
+        calls.append(v)
+        return is_left(self, v)
+
+    monkeypatch.setattr(CayleyBipartite, "is_left", counted)
+    d = paradox_free2()
+    report = verify_decomposition_prefix(d, 48, Budget(10**4))
+    assert report["violations"] == [] and d.state.step_count == 61
+    assert len(calls) == 194
 
 
 def test_each_state_builds_its_own_templates():
