@@ -35,6 +35,7 @@ import bisect
 import functools
 import itertools
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,6 +95,9 @@ class FolnerCertificate:
         }
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # a Reiter file's value p or p/q
+
+
 @dataclass
 class ReiterFunction:
     """Finitely supported map from codes to positive rationals."""
@@ -131,8 +135,16 @@ class ReiterFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReiterFunction":
-        values = {int(k): Fraction(v) for k, v in data["values"].items()}
-        return cls(tuple(data["support"]), values)
+        """Read the JSON form of ``to_json_dict``.  ``values`` must map
+        codes to values that are JSON integers or strings p or p/q of
+        decimal integers; anything else, a float or an exponent included,
+        raises ValueError before ``Fraction`` sees it."""
+        values = data["values"]
+        # a JSON integer's str is its digits, and no float's, bool's or null's is
+        if not isinstance(values, dict) or not all(
+                _RATIONAL.fullmatch(str(v)) for v in values.values()):
+            raise ValueError("values must map codes to integers or strings 'p/q'")
+        return cls(tuple(data["support"]), {int(k): Fraction(v) for k, v in values.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -898,9 +898,11 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     the rest of the unit's path; the unit's B node b is interior in the
     template, its unit leaving by b -> tt, or at the radius, leaving by
     b -> T, and that arc gets its unit of capacity back.  Then the pushed
-    nodes, then the B nodes, which cancel their unit arc by arc; their
-    arcs are zeroed after the loop, all B nodes' at once, and as no unit
-    is left on them, zeroing each arc's forward entry zeroes it both ways.
+    nodes, then the B nodes, which cancel their unit at its A end only:
+    the flow on the edge a -> b and the arc ss -> a.  Their arcs are
+    zeroed after the loop, all B nodes' at once, and as no unit is left on
+    them, zeroing each arc's forward entry and each out arc's reverse
+    entry zeroes it both ways.
     A radius node that lost every parent has no entry; its edge arcs are
     zeroed with its parents' arcs, and its boundary arc keeps capacity 1
     with no flow and no arc with spare capacity into it, so no augmenting
@@ -965,22 +967,20 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
         edges = [~e for e in head[u] if e < 0 and cap[e]]
         cancelled += len(edges)
         for e in edges:
-            out = u + to_tt
-            if not cap[~out]:
-                out = u + to_t
+            if not cap[~(u + to_tt)]:  # the unit leaves by u -> T
                 y -= 1
-            # a -> u, ss -> a (the last arc at a is its reverse), u's out
-            for f in (e, ~head[to[~e]][-1], out):
-                keys += (f, ~f)
-                old += (cap[f], cap[~f])
-                cap[f] += 1
-                cap[~f] -= 1
+            # the unit's flow on a -> u, then ss -> a moved one unit back;
+            # the rest of its path is zeroed below
+            f = to[~e] + to_tt
+            keys += (~e, f, ~f)
+            old += (cap[~e], cap[f], cap[~f])
+            cap[~e], cap[f], cap[~f] = 0, cap[f] + 1, cap[~f] - 1
         if was[u] < r:
             interior -= 1
-    # no unit is left on those B nodes' arcs, so zeroing an arc's forward
-    # entry zeroes it both ways: for each entry f of u's list, ~f is the
-    # edge a -> u or the reverse of u -> T or u -> tt (already 0), and
-    # u -> T and u -> tt come after them
+    # no unit is left on those B nodes' edge arcs, so zeroing an edge's
+    # forward entry zeroes it both ways: for each entry f of u's list, ~f
+    # is the edge a -> u or the reverse of u -> T or u -> tt, and the
+    # forward entries of u -> T and u -> tt come after them
     arcs = list(map(invert, chain.from_iterable(map(head.__getitem__, zeroed))))
     arcs += map(to_t.__add__, zeroed)
     arcs += map(to_tt.__add__, zeroed)

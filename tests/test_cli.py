@@ -313,6 +313,10 @@ MALFORMED_REITER = {
     "support_not_a_list": '{"support": 5, "values": {"0": "1"}}',
     "null_value": '{"support": [0], "values": {"0": null}}',
     "zero_denominator": '{"support": [0], "values": {"0": "1/0"}}',
+    "infinite_value": '{"support": [0], "values": {"0": Infinity}}',
+    "exponent_value": '{"support": [0], "values": {"0": "1e999999999"}}',
+    "float_value": '{"support": [0], "values": {"0": 0.5}}',
+    "values_not_an_object": '{"support": [0], "values": [1]}',
 }
 
 

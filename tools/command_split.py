@@ -1,14 +1,13 @@
 """Split the in-process time of an ``amenable`` pass by CLI command.
 
-Builds the benchmark's ``amenable`` corpus for one seed with
-``perfbench/workloads.py`` (imported as it is), runs whole passes in this
-process, and prints for each command the number of queries, the seconds
-it took in a pass (the median and the range over the passes) and the
-median time of one of its queries in ms, over every query of every pass.
+Builds the benchmark's ``amenable`` corpus for one seed, runs the
+benchmark's own passes over it in this process (see ``passes.py``), and
+prints for each command the number of queries, the seconds it took in a
+pass (the median and the range over the passes) and the median time of
+one of its queries in ms, over every query of every pass.
 The last row is the whole pass; its query median is the benchmark's
 ``latency_p50_ms`` before the speed scaling, and a change in it can be
-traced to the commands whose query medians lie near it.  The library is
-imported from ``src/`` of the checkout that holds this file.
+traced to the commands whose query medians lie near it.
 
 One more pass then runs with counters installed, after the timed ones, and
 a second table gives for each command the products made through
@@ -24,42 +23,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
-import importlib
 import io
 import statistics
 import sys
-import tempfile
-import types
-from pathlib import Path
+from collections import Counter
 
-ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("budget", "groups", "folner", "harem", "paradox", "witness", "cli")
-
-
-def command_seconds(workload, lib, state, passes: int):
-    """{command: [seconds in each pass]}, {command: [seconds of each of its
-    queries in every pass]}, and the list of failed-check counts; the whole
-    pass is under the key "pass"."""
-    from workloads import PassClock
-
-    seconds: dict[str, list[float]] = {}
-    latencies: dict[str, list[float]] = {"pass": []}
-    failed = []
-    for _ in range(passes):
-        gc.collect()
-        clock = PassClock()
-        workload.run_pass(lib, state, clock)
-        failed.append(len(workload.check(lib, state, clock.result)))
-        split: dict[str, float] = {}
-        for inv, dt in zip(state["corpus"], clock.result.latencies):
-            split[inv.argv[0]] = split.get(inv.argv[0], 0.0) + dt
-            latencies.setdefault(inv.argv[0], []).append(dt)
-        latencies["pass"] += clock.result.latencies
-        split["pass"] = sum(clock.result.latencies)
-        for name, dt in split.items():
-            seconds.setdefault(name, []).append(dt)
-    return seconds, latencies, failed
+import passes
 
 
 def command_counts(lib, corpus):
@@ -118,20 +87,13 @@ def main(argv=None):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--passes", type=int, default=6)
     args = p.parse_args(argv)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from workloads import WORKLOADS
-
-    lib = types.SimpleNamespace(**{
-        m: importlib.import_module("folnerlab." + m) for m in MODULES})
-    workload = WORKLOADS["amenable"]
-    with tempfile.TemporaryDirectory() as out_dir:
-        state = workload.setup(lib, args.seed, Path(out_dir))
-        seconds, latencies, failed = command_seconds(
-            workload, lib, state, max(1, args.passes))
+    with passes.loaded("amenable", args.seed) as (lib, workload, state):
+        labels = [inv.argv[0] for inv in state["corpus"]]
+        seconds, latencies, failed = passes.split(
+            workload, lib, state, labels, args.passes)
         counts = command_counts(lib, state["corpus"])
-    queries: dict[str, int] = {"pass": len(state["corpus"])}
-    for inv in state["corpus"]:
-        queries[inv.argv[0]] = queries.get(inv.argv[0], 0) + 1
+    queries = Counter(labels)
+    queries["pass"] = len(labels)
     print("seed %d, %d passes, failed checks per pass: %s"
           % (args.seed, len(failed), failed))
     print("%-18s %7s %8s %19s %8s" % (

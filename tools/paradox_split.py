@@ -1,9 +1,8 @@
 """Split the in-process time of a ``paradox-prefix`` pass by harem layer.
 
-Builds the benchmark's ``paradox-prefix`` workload with
-``perfbench/workloads.py`` (imported as it is), runs whole passes in this
-process, and prints the seconds each layer took in a pass: the median and
-the range over the passes.  The layers are the template builds
+Builds the benchmark's ``paradox-prefix`` workload, runs the benchmark's
+own passes in this process (see ``passes.py``), and prints the seconds
+each layer took in a pass: the median and the range over the passes.  The layers are the template builds
 (``_template``, its maximum flow included), ``_frame`` less the template
 builds it starts, ``_capacities`` with its undo-log writes, the steps'
 ``_maxflow`` less its labelling, the labelling of the steps' flow phases
@@ -18,8 +17,7 @@ fields, a list of lists counted by its inner lengths.  Last, per side,
 the labelling phases of a pass, each call of a labelling function, the
 last one that finds no augmenting path included: those of the steps'
 flows and those of the template's own maximum flow.  They depend only on
-the flows.  The library is imported from ``src/`` of the checkout that
-holds this file.
+the flows.
 
     python3 tools/paradox_split.py --passes 6
 """
@@ -27,19 +25,14 @@ holds this file.
 from __future__ import annotations
 
 import argparse
-import gc
-import importlib
 import statistics
 import sys
-import tempfile
-import types
 from collections import Counter
 from functools import partial
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("budget", "groups", "folner", "harem", "paradox", "witness", "cli")
+import passes
+
 LAYERS = ("template", "frame", "capacities", "maxflow", "label", "undo")
 KINDS = ("dead", "lost-A", "lost-B", "pushed", "moved")
 # the harem functions timed by layer; ``_frame`` is timed by LayerClock.frame
@@ -126,32 +119,28 @@ def held(tpl) -> int:
     return n
 
 
-def layer_seconds(workload, lib, state, passes: int):
+def layer_seconds(workload, lib, state, n: int):
     """{layer: [seconds in each pass]} with the whole pass under "pass",
     the last pass's change-map sizes, entry kinds and templates by side,
-    and the list of failed-check counts."""
-    from workloads import PassClock
-
+    and the list of failed-check counts, over n passes, at least one."""
     seconds: dict[str, list[float]] = {}
     failed = []
     harem = lib.harem
     plain = {name: getattr(harem, name) for name in (*TIMED, "_frame")}
-    for _ in range(passes):
-        gc.collect()
+    for _ in range(max(1, n)):
         layers = LayerClock()
         for name, layer in TIMED.items():
             wrap = layers.label if layer == "label" else partial(layers.wrap, layer)
             setattr(harem, name, wrap(plain[name]))
         harem._frame = layers.frame(plain["_frame"])
-        clock = PassClock()
         try:
-            workload.run_pass(lib, state, clock)
+            result, bad = passes.run_pass(workload, lib, state)
         finally:
             for name, fn in plain.items():
                 setattr(harem, name, fn)
-        failed.append(len(workload.check(lib, state, clock.result)))
+        failed.append(bad)
         split = dict(layers.seconds)
-        split["pass"] = sum(clock.result.latencies) + clock.result.other_s
+        split["pass"] = sum(result.latencies) + result.other_s
         split["rest"] = split["pass"] - sum(layers.seconds.values())
         for name, dt in split.items():
             seconds.setdefault(name, []).append(dt)
@@ -162,16 +151,9 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--passes", type=int, default=6)
     args = p.parse_args(argv)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from workloads import WORKLOADS
-
-    lib = types.SimpleNamespace(**{
-        m: importlib.import_module("folnerlab." + m) for m in MODULES})
-    workload = WORKLOADS["paradox-prefix"]
-    with tempfile.TemporaryDirectory() as out_dir:
-        state = workload.setup(lib, 1, Path(out_dir))
+    with passes.loaded("paradox-prefix", 1) as (lib, workload, state):
         seconds, changes, kinds, templates, phases, failed = layer_seconds(
-            workload, lib, state, max(1, args.passes))
+            workload, lib, state, args.passes)
     print("%d passes, failed checks per pass: %s" % (len(failed), failed))
     print("%-12s %8s %17s" % ("layer", "median s", "range s"))
     for name in (*LAYERS, "rest", "pass"):
