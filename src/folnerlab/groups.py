@@ -894,12 +894,19 @@ def ball(g: GroupOracle, gens, radius: int) -> tuple[int, ...]:
 
 _WORD_TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
 
+# the most factors one generator word may expand to, the sum of |k| over its
+# tokens a^k: a free-group word of this many factors parses in well under a
+# second, and a longer one is malformed input before any factor is made
+MAX_WORD_FACTORS = 1000
 
-def _word_factors(g: GroupOracle, text: str):
+
+def _word_factors(g: GroupOracle, text: str) -> list:
     """The factors of a generator word such as "ab^-1", in order: a token
     a^k gives |k| copies of the generator a, or of its inverse for k < 0.
-    ValueError for a token that does not parse and for a letter that is not
-    one of the family's generators."""
+    ValueError for a token that does not parse, for a letter that is not
+    one of the family's generators and for a word of more than
+    ``MAX_WORD_FACTORS`` factors."""
+    tokens = []
     pos = 0
     while pos < len(text):
         m = _WORD_TOKEN.match(text, pos)
@@ -909,8 +916,12 @@ def _word_factors(g: GroupOracle, text: str):
         if name not in g.generator_names:
             raise ValueError("unknown generator %r for %s" % (name, g.spec))
         gen = g.generator_names[name]
-        yield from itertools.repeat(gen if exp >= 0 else g.inv(gen), abs(exp))
+        tokens.append((gen if exp >= 0 else g.inv(gen), abs(exp)))
         pos = m.end()
+    if sum(n for _, n in tokens) > MAX_WORD_FACTORS:
+        raise ValueError("element %r has more than %d factors"
+                         % (text, MAX_WORD_FACTORS))
+    return [f for f, n in tokens for _ in range(n)]
 
 
 def parse_element(g: GroupOracle, text: str) -> int:

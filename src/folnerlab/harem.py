@@ -63,13 +63,17 @@ augmenting path can use it, so the flows and matchings are those of the
 full lists.  A step never starts from the previous step's flow, so the
 state stays a pure function of (graph, k, steps).  Both networks, the
 template's and the one ``finite_harem_match`` builds from zero flow,
-share one flat arc format and arc numbering and one flow readout
-(``_flow_partners``).  ``finite_harem_match`` numbers its blocks of arcs
-with ``_arcs``; the template writes its lists straight in that numbering,
-in which every node below ss has its lower-bound arc at one offset from
-its own number (see ``_Template``) and an A node's edge arcs are one run
-of numbers, so a step patches the A nodes that leave the ball together,
-reading their flows and zeroing their arcs by slices.  For the
+share one flat arc format and arc numbering.  ``finite_harem_match``
+numbers its blocks of arcs with ``_arcs``; the template writes its lists
+straight in that numbering, in which every node below ss has its
+lower-bound arc at one offset from its own number (see ``_Template``) and
+an A node's edge arcs are one run of numbers.  So both read a matching
+off that run, its flows one reverse slice of the residual list
+(``_run_flows``), and a step patches the A nodes that leave the ball
+together, reading their flows and zeroing their arcs by slices.
+``finite_harem_match`` first tries four counts that read only the sizes
+of the piece, its sides, its boundary and the set of A's partners, and
+builds no network for a piece they refute.  For the
 paradoxical decomposition of free:2 (17-element key, k = 2) the
 templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4),
 and tt heads 18 and 162 arcs.
@@ -266,10 +270,14 @@ def _arcs(blocks, nodes: int):
     return head, to, cap, starts
 
 
-def _flow_partners(head: list, to: list, cap: list, u: int) -> list:
-    """The heads of u's forward arcs that carry flow: the flow on arc e is
-    the residual capacity of its reverse ~e."""
-    return [to[e] for e in head[u] if e >= 0 and cap[~e]]
+def _run_flows(cap: list, hu: list) -> list:
+    """The flows on an A node's edge arcs, in the order of ``hu``, the
+    node's arc list: its edge arcs are one run of numbers e0 .. e1 - 1,
+    followed by the reverse of ss -> a, in both networks, and the flow on
+    arc e is ``cap[~e]``, the entry ``len(cap) - 1 - e``, so one reverse
+    slice of ``cap`` reads the whole run."""
+    top = len(cap) - 1 - hu[0]
+    return cap[top : top + 1 - len(hu) : -1]
 
 
 # a network with fewer nodes is labelled from s alone (see _maxflow)
@@ -547,21 +555,24 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
         raise
 
 
-def _refuted_by_counts(fg: FiniteBipartite, k: int, interior: list) -> bool:
+def _refuted_by_counts(fg: FiniteBipartite, k: int) -> bool:
     """True when a count rules out every relaxed (1,k)-matching of the
     piece: more interior B-vertices than the k|A| units A supplies, a
     vertex of A listing fewer than k partners, fewer than k|A| distinct
     neighbours of A, or an interior B-vertex that no vertex of A lists.
-    ``interior`` lists the piece's interior B-vertices."""
+    The counts read sizes alone: a piece's vertices are distinct, its
+    boundary and A's partners lie in B (``FiniteBipartite``), so B has
+    |B| - |boundary_B| interior vertices, and A's partners reach them all
+    exactly when they and the boundary make up |B| vertices."""
     units = k * len(fg.A)
-    if len(interior) > units:
+    if len(fg.B) - len(fg.boundary_B) > units:
         return True
     heads = set()
     for partners in map(fg.adj.__getitem__, fg.A):
         if len(partners) < k:
             return True
         heads.update(partners)
-    return len(heads) < units or not heads.issuperset(interior)
+    return len(heads) < units or len(heads | fg.boundary_B) < len(fg.B)
 
 
 def finite_harem_match(fg: FiniteBipartite, k: int):
@@ -578,17 +589,18 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
     the recursive Dinic finds on the same arc order.
 
     Before any network is built, four counts may return None at once
-    (``_refuted_by_counts``).  Each is a necessary condition, so every
-    output is the flow's.  A supplies exactly k|A| units and a B-vertex
-    takes at most one, so there are at most k|A| interior B-vertices and A
-    has at least k|A| distinct neighbours; a vertex of A listing fewer
-    than k partners cannot take k of them; an interior B-vertex that no
-    vertex of A lists can never be saturated.
+    (``_refuted_by_counts``), read off sizes alone.  Each is a necessary
+    condition, so every output is the flow's.  A supplies exactly k|A|
+    units and a B-vertex takes at most one, so there are at most k|A|
+    interior B-vertices and A has at least k|A| distinct neighbours; a
+    vertex of A listing fewer than k partners cannot take k of them; an
+    interior B-vertex that no vertex of A lists can never be saturated.
+    Each A-vertex's partners are read off the run of its edge arcs
+    (``_run_flows``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    inside = [b for b in fg.B if b not in fg.boundary_B]
-    if _refuted_by_counts(fg, k, inside):
+    if _refuted_by_counts(fg, k):
         return None
     # nodes: source S, sink T, the A side, the B side, then the super
     # source ss and super sink tt that carry the lower bounds
@@ -597,8 +609,8 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
     b0, ss, tt = 2 + n_a, 2 + n_a + n_b, 3 + n_a + n_b
     a_nodes = range(2, b0)
     b_index = {b: v for v, b in enumerate(fg.B, b0)}
-    boundary = [b_index[b] for b in fg.B if b in fg.boundary_B]
-    interior = [b_index[b] for b in inside]
+    boundary = [v for v, b in enumerate(fg.B, b0) if b in fg.boundary_B]
+    interior = [v for v, b in enumerate(fg.B, b0) if b not in fg.boundary_B]
     edge_tail = [u for u, a in zip(a_nodes, fg.A) for _ in fg.adj[a]]
     edge_head = [b_index[b] for a in fg.A for b in fg.adj[a]]
     # S -> tt (no A side) and ss -> T (no interior) may get capacity 0; such
@@ -616,9 +628,10 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
     head, to, cap, _ = _arcs(blocks, tt + 1)
     if _maxflow(head, to, cap, ss, tt) != k * n_a + len(interior):
         return None
+    # a's edge arcs are numbered in the order of its partners
     return {
-        a: tuple(sorted(fg.B[v - b0] for v in _flow_partners(head, to, cap, u)))
-        for u, a in zip(a_nodes, fg.A)
+        a: tuple(sorted(compress(fg.adj[a], _run_flows(cap, hu))))
+        for a, hu in zip(fg.A, head[2:b0])
     }
 
 
@@ -893,16 +906,16 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     left are patched by kind, the A nodes first, in bulk, while every arc
     they touch holds the template's flow.  An A node's edge arcs are one
     run of numbers (see ``_template``): one reverse slice of ``cap`` reads
-    their flows, and a slice assignment zeroes their forward entries.  Its
-    arc ss -> a is zeroed both ways, and each unit's reverse entry too,
-    the rest of the unit's path; the unit's B node b is interior in the
-    template, its unit leaving by b -> tt, or at the radius, leaving by
-    b -> T, and that arc gets its unit of capacity back.  Then the pushed
-    nodes, then the B nodes, which cancel their unit at its A end only:
-    the flow on the edge a -> b and the arc ss -> a.  Their arcs are
-    zeroed after the loop, all B nodes' at once, and as no unit is left on
-    them, zeroing each arc's forward entry and each out arc's reverse
-    entry zeroes it both ways.
+    their flows (``_run_flows``), and a slice assignment zeroes their
+    forward entries.  Its arc ss -> a is zeroed both ways, and each unit's
+    reverse entry too, the rest of the unit's path; the unit's B node b is
+    interior in the template, its unit leaving by b -> tt, or at the
+    radius, leaving by b -> T, and that arc gets its unit of capacity
+    back.  Then the pushed nodes, then the B nodes, which cancel their
+    unit at its A end only: the flow on the edge a -> b and the arc
+    ss -> a.  Their arcs are zeroed after the loop, all B nodes' at once,
+    and as no unit is left on them, zeroing each arc's forward entry and
+    each out arc's reverse entry zeroes it both ways.
     A radius node that lost every parent has no entry; its edge arcs are
     zeroed with its parents' arcs, and its boundary arc keeps capacity 1
     with no flow and no arc with spare capacity into it, so no augmenting
@@ -914,7 +927,6 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     """
     cap = tpl.cap
     keys, old, units, outs = log
-    top = len(cap) - 1  # cap[~e], the flow on arc e, is cap[top - e]
     head, to, r, was = tpl.head, tpl.to, tpl.radius, tpl.dist
     b0, to_tt = tpl.b0, tpl.to_tt
     # the arcs b -> T, T -> S, S -> tt and ss -> T (see _Template)
@@ -926,14 +938,12 @@ def _capacities(tpl: _Template, changes: dict, k: int, log: tuple):
     i = bisect_left(gone, b0)  # gone[:i] are A nodes, gone[i:] B nodes
     n_a = b0 - 2 - i
     for hu in map(head.__getitem__, gone[:i]):
-        # the edge arcs e0 .. e1 - 1, then ~(ss -> u)
-        e0 = hu[0]
-        e1 = e0 + len(hu) - 1
-        units += compress(hu, cap[top - e0 : top - e1 : -1])
-        run = slice(e0, e1)
+        flows = _run_flows(cap, hu)
+        units += compress(hu, flows)
+        run = slice(hu[0], hu[0] + len(flows))
         keys.append(run)
         old.append(cap[run])
-        cap[run] = [0] * (e1 - e0)
+        cap[run] = [0] * len(flows)
     ss_a = [u + to_tt for u in gone[:i]]
     ss_a += [~e for e in ss_a]
     keys += ss_a
@@ -1050,9 +1060,8 @@ def harem_step(st: HaremMatchingState) -> HaremMatchingState:
         if not a_side:  # the A node whose edge arc into the origin carries flow
             a = next(to[e] for e in head[a] if e < 0 and cap[e])
         star_left = translate(tpl.codes[a], c)
-        partners = tuple(
-            sorted(translate(tpl.codes[w], c) for w in _flow_partners(head, to, cap, a))
-        )
+        run = compress(head[a], _run_flows(cap, head[a]))
+        partners = tuple(sorted(translate(tpl.codes[to[e]], c) for e in run))
     finally:
         _undo(cap, log, paths)
     st.left_pairs[star_left] = partners

@@ -14,6 +14,7 @@ import pytest
 
 import folnerlab
 from folnerlab.cli import COMMANDS, FLAGS, _parser, main
+from folnerlab.groups import MAX_WORD_FACTORS
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -23,6 +24,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _cli_env():
+    """The environment of a CLI subprocess: this package first on the path."""
+    src = str(Path(folnerlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run_json(capsys, *argv):
@@ -241,13 +249,10 @@ def test_text_mode_prints_key_lines_without_encoding_json(
 
 def test_module_entry_point_runs_the_cli(capsys):
     argv = ["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2", "--json"]
-    src = str(Path(folnerlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
 
     def module(*args):
         return subprocess.run([sys.executable, "-m", "folnerlab.cli", *args],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_cli_env())
 
     code, out = run(capsys, *argv)
     done = module(*argv)
@@ -279,16 +284,14 @@ def test_closed_stdout_exits_1_after_writing_out(tmp_path, capsys, monkeypatch):
 
 
 def test_entry_point_with_a_closed_pipe_exits_1():
-    src = str(Path(folnerlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read, write = os.pipe()
     os.close(read)  # every write to the pipe now fails
     try:
         done = subprocess.run(
             [sys.executable, "-m", "folnerlab.cli", "harem-demo", "--group",
              "free:2", "--k", "a,b", "--steps", "5", "--json"],
-            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+            stdout=write, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+            timeout=60)
     finally:
         os.close(write)
     assert done.returncode == 1
@@ -334,6 +337,28 @@ def test_wp_literal_that_does_not_parse_exits_4(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err == "error: bad coordinates in '(0,x)'\n"
+
+
+# literal powers of 999,999,999 factors, past the cap on a word's factors,
+# refused before any factor is made
+LONG_LITERALS = {
+    "free2_a_power": ["folner-search", "--group", "free:2", "--d", "a^999999999",
+                      "--n", "1"],
+    "lamplighter_t_power": ["folner-search", "--group", "lamplighter",
+                            "--d", "t^999999999", "--n", "1"],
+    "redundant_z_x_power": ["kappa", "--group", "redundant-z", "--d", "x^999999999",
+                            "--n", "2", "--fn", str(GOLDEN / "fn_rz_powers6.json")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_LITERALS))
+def test_literal_power_past_the_factor_cap_exits_4(case):
+    # in a subprocess, so that a literal expanded factor by factor fails
+    # the test at the timeout instead of stalling the suite
+    done = subprocess.run([sys.executable, "-m", "folnerlab.cli", *LONG_LITERALS[case]],
+                          env=_cli_env(), capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert "more than %d factors" % MAX_WORD_FACTORS in done.stderr
 
 
 # one otherwise valid invocation per command, so that exit 4 below comes
@@ -456,15 +481,11 @@ ROBUSTNESS_GRID = _robustness_grid()
 @pytest.mark.parametrize("case", sorted(ROBUSTNESS_GRID))
 def test_edge_inputs_exit_with_a_documented_code(case):
     # a small budget, 30 s of wall clock and 1 GB of address space per run
-    src = str(Path(folnerlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     argv = ROBUSTNESS_GRID[case] + ["--budget", "1000", "--json"]
-    done = subprocess.run([sys.executable, "-m", "folnerlab.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "folnerlab.cli", *argv], env=_cli_env(),
                           capture_output=True, text=True, timeout=30, preexec_fn=cap)
     assert done.returncode in (0, 2, 3, 4), (argv, done.stderr)
     assert "Traceback" not in done.stderr, argv

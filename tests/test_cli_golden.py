@@ -228,9 +228,10 @@ CASES = {
     "err4_element": ["folner-search", "--group", "zd:1", "--d", "qq", "--n", "2"],
     "err4_missing_k": ["witness", "--group", "zd:1"],
     "err4_wp_arity": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1)"],
-    # paradox-verify was merged into paradox; argparse rejects it
-    "err4_verify_zero": ["paradox-verify", "--group", "free:2", "--k0", "a,b",
-                         "--n", "1"],
+    # a command that does not exist: paradox-verify was merged into
+    # paradox --verify, and argparse rejects the old name
+    "err4_unknown_command": ["paradox-verify", "--group", "free:2", "--k0", "a,b",
+                             "--n", "1"],
     "err4_budget_zero": ["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2",
                          "--budget", "0"],
     "err4_n_zero": ["folner-function", "--group", "zd:1", "--d", "+1", "--n", "0"],

@@ -23,6 +23,7 @@ from folnerlab.folner import (
     verify_invariance_ce,
 )
 from folnerlab.groups import (
+    MAX_WORD_FACTORS,
     CE,
     COMPUTABLE,
     CEView,
@@ -962,3 +963,25 @@ def test_identity_literal_on_word_families(spec):
         assert g.decode_word(word) == g.decode_word(A) + g.decode_word(g.inv(B)) * 2
     else:
         assert word == g.mult(g.mult(A, g.inv(B)), g.inv(B))
+
+
+@pytest.mark.parametrize("spec", ["free:2", "lamplighter", "redundant-z"])
+def test_word_factor_count_is_capped(spec):
+    # the cap counts |k| over every token a^k, whatever its sign, before
+    # any factor is made
+    g = make_group(spec)
+    a, b = WORD_LETTERS[spec]
+    half = MAX_WORD_FACTORS // 2
+    rest = MAX_WORD_FACTORS - half
+    at_cap = "%s^%d%s^-%d" % (a, half, b, rest)
+    word = parse_element(g, at_cap)
+    if spec == "redundant-z":
+        assert len(g.decode_word(word)) == MAX_WORD_FACTORS
+    else:
+        assert word == g.mult(parse_element(g, "%s^%d" % (a, half)),
+                              parse_element(g, "%s^-%d" % (b, rest)))
+    for text in ("%s^%d" % (a, MAX_WORD_FACTORS + 1), at_cap + b,
+                 a * (MAX_WORD_FACTORS + 1), "%s^-999999999" % b):
+        with pytest.raises(ValueError, match="factors"):
+            parse_element(g, text)
+

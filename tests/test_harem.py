@@ -315,9 +315,10 @@ def reference_harem_match(fg: FiniteBipartite, k: int):
     return {a: tuple(sorted(bs)) for a, bs in matching.items()}
 
 
-def test_solver_reproduces_recursive_reference():
+def reference_pieces():
+    """The 5,000 random pieces, each with its k, on which the solver must
+    reproduce the recursive reference."""
     rng = random.Random(20260418)
-    outcomes = {True: 0, False: 0}
     for _ in range(5000):
         A = [2 * i for i in range(rng.randint(0, 6))]
         B = [2 * j + 1 for j in range(rng.randint(0, 14))]
@@ -329,8 +330,12 @@ def test_solver_reproduces_recursive_reference():
             adj[a] = tuple(nbs)
         relaxed = rng.random()
         boundary = frozenset(b for b in B if rng.random() < relaxed)
-        fg = FiniteBipartite(tuple(A), tuple(B), adj, boundary)
-        k = rng.randint(1, 3)
+        yield FiniteBipartite(tuple(A), tuple(B), adj, boundary), rng.randint(1, 3)
+
+
+def test_solver_reproduces_recursive_reference():
+    outcomes = {True: 0, False: 0}
+    for fg, k in reference_pieces():
         want = reference_harem_match(fg, k)
         assert finite_harem_match(fg, k) == want
         outcomes[want is None] += 1
@@ -378,7 +383,7 @@ ONE_COUNT_PIECES = {
 }
 
 
-def no_count_refutes(fg, k, interior):
+def no_count_refutes(fg, k):
     return False
 
 
@@ -388,8 +393,7 @@ def test_each_count_refutes_a_piece_alone(count, monkeypatch):
     fg = graph_from_edges(A, B, edges, boundary)
     fixed = graph_from_edges(A, B, fixed_edges, fixed_boundary)
     assert failed_counts(fg, k) == [count] and failed_counts(fixed, k) == []
-    inside = [b for b in B if b not in boundary]
-    assert harem._refuted_by_counts(fg, k, inside)
+    assert harem._refuted_by_counts(fg, k)
     assert finite_harem_match(fg, k) is None
     matching = finite_harem_match(fixed, k)
     assert matching is not None and all(len(bs) == k for bs in matching.values())
@@ -405,8 +409,45 @@ def test_hall_on_a_pair_is_left_to_the_flow():
     fg = graph_from_edges([0, 2, 4], [1, 3, 5], [(0, 1), (2, 1), (4, 1), (4, 3), (4, 5)],
                           boundary={3, 5})
     assert failed_counts(fg, 1) == []
-    assert not harem._refuted_by_counts(fg, 1, [1])
+    assert not harem._refuted_by_counts(fg, 1)
     assert finite_harem_match(fg, 1) is None
+
+
+def sized_pieces(seed, count, a_sizes, b_sizes, whole_boundary):
+    """``count`` random pieces, each with its k in 1 .. 3, with |A| and |B|
+    drawn from the ranges ``a_sizes`` and ``b_sizes``; every B-vertex is on
+    the boundary when ``whole_boundary``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        A = [2 * i for i in range(rng.randint(*a_sizes))]
+        B = [2 * j + 1 for j in range(rng.randint(*b_sizes))]
+        density = rng.uniform(0.02, 0.5)
+        adj = {a: tuple(b for b in B if rng.random() < density) for a in A}
+        relaxed = 1.0 if whole_boundary else rng.random()
+        boundary = frozenset(b for b in B if rng.random() < relaxed)
+        yield FiniteBipartite(tuple(A), tuple(B), adj, boundary), rng.randint(1, 3)
+
+
+@pytest.mark.parametrize("family,pieces", [
+    ("reference", reference_pieces),
+    ("whole boundary", lambda: sized_pieces(36, 1000, (1, 6), (1, 14), True)),
+    ("|B| > 64", lambda: sized_pieces(64, 300, (1, 40), (65, 100), False)),
+])
+def test_counts_read_off_sizes_equal_each_count_read_alone(family, pieces):
+    # the counts read |B| - |boundary_B| and |heads | boundary_B| for the
+    # interior and the cover; each count read off the piece on its own
+    # must give the same verdict
+    failed = {}
+    for fg, k in pieces():
+        names = failed_counts(fg, k)
+        assert harem._refuted_by_counts(fg, k) == (names != [])
+        failed[tuple(names)] = failed.get(tuple(names), 0) + 1
+    assert failed.get((), 0) > 0 and sum(failed.values()) > failed[()]
+    if family == "whole boundary":  # no interior vertex to count or reach
+        assert all("interior" not in x and "reached" not in x for x in failed)
+    else:
+        names = set(itertools.chain(*failed))
+        assert names == {"interior", "degree", "neighbours", "reached"}
 
 
 def test_flow_alone_reproduces_the_recursive_reference(monkeypatch):
@@ -415,8 +456,8 @@ def test_flow_alone_reproduces_the_recursive_reference(monkeypatch):
     # included, equal the reference's, as the outputs with the counts do
     refuted = []
 
-    def never_refutes(fg, k, interior):
-        refuted.append(plain(fg, k, interior))
+    def never_refutes(fg, k):
+        refuted.append(plain(fg, k))
         return False
 
     plain = harem._refuted_by_counts

@@ -23,7 +23,7 @@ step's network.
 
 import hashlib
 import random
-from itertools import chain
+from itertools import chain, compress
 
 import pytest
 
@@ -37,10 +37,10 @@ from folnerlab.harem import (
     _arc_number,
     _arcs,
     _capacities,
-    _flow_partners,
     _frame,
     _maxflow,
     _next_unremoved,
+    _run_flows,
     _undo,
     _template,
     harem_new,
@@ -161,6 +161,25 @@ def flow_value(tpl, cap):
     return -excess[ss]
 
 
+def flow_heads(head, to, cap, u):
+    """The heads of u's forward arcs that carry flow, by a scan of its whole
+    arc list: the flow on arc e is the residual capacity of its reverse."""
+    return [to[e] for e in head[u] if e >= 0 and cap[~e]]
+
+
+def check_run_readout(head, to, cap, a_nodes):
+    """At each A node, ``_run_flows`` reads the flows of its forward arcs,
+    in order, and the heads of the arcs with flow are the scan's; returns
+    the units read."""
+    units = 0
+    for u in a_nodes:
+        flows = _run_flows(cap, head[u])
+        assert flows == [cap[~e] for e in head[u] if e >= 0]
+        assert [to[e] for e in compress(head[u], flows)] == flow_heads(head, to, cap, u)
+        units += sum(flows)
+    return units
+
+
 def fixed_arcs(tpl):
     """The offset of the arcs b -> T, the arcs T -> S, S -> tt and ss -> T
     and the number of interior B nodes, derived from ``to_tt`` by the
@@ -274,7 +293,7 @@ def checked_step(st, ref):
         ss = len(tpl.head) - 2
         assert value + _maxflow(tpl.head, tpl.to, cap, ss, ss + 1, paths) == demand
         assert flow_value(tpl, cap) == demand
-        flows = {u: _flow_partners(tpl.head, tpl.to, cap, u) for u in range(2, tpl.b0)}
+        flows = {u: flow_heads(tpl.head, tpl.to, cap, u) for u in range(2, tpl.b0)}
     finally:
         _undo(cap, log, paths)
     assert cap == held
@@ -799,6 +818,38 @@ def check_arc_numbers(tpl):
     # each node lists its arcs in the order of their numbers, as the
     # search's reads from the next level require
     assert all(arcs == sorted(arcs, key=_arc_number) for arcs in tpl.head)
+
+
+def test_run_readout_equals_the_scan(monkeypatch):
+    # the two templates of the paradox-prefix bench, then pieces shaped as
+    # harem-small's, each solved by the flow with its network recorded
+    st = paradox_free2().state
+    harem_step(st)
+    harem_step(st)
+    for tpl in st._templates.values():
+        a_nodes = range(2, tpl.b0)
+        assert check_run_readout(tpl.head, tpl.to, tpl.cap, a_nodes) == 2 * len(a_nodes)
+    networks = []
+    solve = harem._maxflow
+
+    def recorded(head, to, cap, *args):
+        networks.append((head, to, cap))
+        return solve(head, to, cap, *args)
+
+    monkeypatch.setattr(harem, "_maxflow", recorded)
+    monkeypatch.setattr(harem, "_refuted_by_counts", lambda fg, k: False)
+    rng = random.Random(36)
+    units = 0
+    for _ in range(200):
+        A = tuple(sorted(2 * c for c in rng.sample(range(512), rng.randint(1, 3))))
+        B = tuple(sorted(2 * c + 1 for c in rng.sample(range(512), 6)))
+        adj = {a: tuple(b for b in B if rng.random() < 0.5) for a in A}
+        boundary = frozenset(b for b in B if rng.random() < 0.5)
+        del networks[:]
+        harem.finite_harem_match(FiniteBipartite(A, B, adj, boundary), rng.choice((1, 2)))
+        (head, to, cap), = networks
+        units += check_run_readout(head, to, cap, range(2, 2 + len(A)))
+    assert units > 200
 
 
 def test_template_arc_numbers():
