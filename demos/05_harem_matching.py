@@ -22,7 +22,7 @@ from folnerlab.harem import (
 )
 from folnerlab.paradox import cayley_bipartite
 
-# -- finite: lower-bounded flow ---------------------------------------------
+# -- finite: two passes of augmenting paths ---------------------------------
 
 fg = FiniteBipartite(
     A=(0, 2), B=(1, 3, 5), adj={0: (1, 3, 5), 2: (1, 3, 5)},

@@ -930,7 +930,9 @@ def parse_element(g: GroupOracle, text: str) -> int:
     Free, lamplighter and redundant-z take generator words ("a", "ab^-1"),
     with "1" and "e" for the identity; free and lamplighter words are the
     product of their factors, and redundant-z words are kept unreduced
-    ("xx^-1" is the two-letter word of code 6).  zd:1 and cyclic take
+    ("xx^-1" is the two-letter word of code 6).  A free or redundant-z
+    word is coded once from its letters, freely reduced on free groups;
+    a lamplighter word is folded factor by factor with ``mult``.  zd:1 and cyclic take
     integers ("+1", "-3", "7"); zd:d with d >= 2 takes coordinate tuples
     ("(1,0)").
     """
@@ -957,9 +959,10 @@ def parse_element(g: GroupOracle, text: str) -> int:
     if text in ("1", "e"):
         return g.identity
     factors = _word_factors(g, text)
-    if isinstance(g, RedundantZOracle):
-        return g.encode_word(tuple(l for f in factors for l in g.decode_word(f)))
-    return functools.reduce(g.mult, factors, g.identity)
+    if isinstance(g, LamplighterOracle):
+        return functools.reduce(g.mult, factors, g.identity)
+    letters = tuple(l for f in factors for l in g.decode_word(f))
+    return g.encode_word(g.reduce(letters) if isinstance(g, FreeGroupOracle) else letters)
 
 
 def split_element_list(text: str) -> list[str]:

@@ -1,5 +1,5 @@
-"""Effective Hall harem machinery: finite (1,k)-matchings by feasible flow,
-expansion witness functions, and the deterministic back-and-forth that
+"""Effective Hall harem machinery: finite (1,k)-matchings by augmenting
+paths, expansion witness functions, and the deterministic back-and-forth that
 extends them to a computable perfect (1,k)-matching on an infinite
 bipartite graph oracle.
 
@@ -61,22 +61,22 @@ never becomes interior, and ``_capacities`` only reads the arc's flow (0)
 before it falls back to the arc b -> T, or zeroes it again.  No
 augmenting path can use it, so the flows and matchings are those of the
 full lists.  A step never starts from the previous step's flow, so the
-state stays a pure function of (graph, k, steps).  Both networks, the
-template's and the one ``finite_harem_match`` builds from zero flow,
-share one flat arc format and arc numbering.  ``finite_harem_match``
-numbers its blocks of arcs with ``_arcs``; the template writes its lists
-straight in that numbering, in which every node below ss has its
-lower-bound arc at one offset from its own number (see ``_Template``) and
-an A node's edge arcs are one run of numbers.  So both read a matching
-off that run, its flows one reverse slice of the residual list
-(``_run_flows``), and a step patches the A nodes that leave the ball
-together, reading their flows and zeroing their arcs by slices.
-``finite_harem_match`` first tries four counts that read only the sizes
-of the piece, its sides, its boundary and the set of A's partners, and
-builds no network for a piece they refute.  For the
-paradoxical decomposition of free:2 (17-element key, k = 2) the
-templates have 1,618 vertices (radius 3) and 14,578 vertices (radius 4),
-and tt heads 18 and 162 arcs.
+state stays a pure function of (graph, k, steps).  Only the templates are
+flow networks.  The template writes its arc lists in one fixed numbering,
+in which every node below ss has its lower-bound arc at one offset from
+its own number (see ``_Template``) and an A node's edge arcs are one run
+of numbers.  So a step reads its matching off that run, its flows one
+reverse slice of the residual list (``_run_flows``), and patches the A
+nodes that leave the ball together, reading their flows and zeroing
+their arcs by slices.
+
+A finite piece needs no network: ``finite_harem_match`` first tries four
+counts that read only the sizes of the piece, its sides, its boundary and
+the set of A's partners, and then matches the piece by two passes of
+augmenting paths (Mendelsohn and Dulmage), one from B's interior and one
+from A's free slots.  For the paradoxical decomposition of free:2
+(17-element key, k = 2) the templates have 1,618 vertices (radius 3) and
+14,578 vertices (radius 4), and tt heads 18 and 162 arcs.
 """
 
 from __future__ import annotations
@@ -241,67 +241,18 @@ def induced_ball(
 
 
 # ---------------------------------------------------------------------------
-# finite solver: feasible flow with lower bounds, by an iterative Dinic over
-# flat arc arrays
-
-
-def _arcs(blocks, nodes: int):
-    """The flat arc arrays of a network on nodes 0 .. nodes-1: ``head``,
-    ``to``, ``cap`` and the first arc number of each block.
-
-    A block is ``(tails, heads, capacities)`` of forward arcs.  Forward arcs
-    are numbered 0, 1, ... in block order, and the reverse of arc e is arc
-    ~e, so ``to[~e]`` and ``cap[~e]`` index the same lists from the end.
-    ``head[u]`` lists u's arcs in the order they were numbered, and that
-    order alone fixes which maximum flow, and so which matching, is found.
-    """
-    tail, to, cap, starts = [], [], [], []
-    for us, vs, cs in blocks:
-        starts.append(len(tail))
-        tail += us
-        to += vs
-        cap += cs
-    head: list[list[int]] = [[] for _ in range(nodes)]
-    for e, (u, v) in enumerate(zip(tail, to)):
-        head[u].append(e)
-        head[v].append(~e)
-    to += reversed(tail)
-    cap += [0] * len(tail)
-    return head, to, cap, starts
+# the templates' flow: feasible flow with lower bounds, by an iterative Dinic
+# over flat arc arrays
 
 
 def _run_flows(cap: list, hu: list) -> list:
     """The flows on an A node's edge arcs, in the order of ``hu``, the
     node's arc list: its edge arcs are one run of numbers e0 .. e1 - 1,
-    followed by the reverse of ss -> a, in both networks, and the flow on
+    followed by the reverse of ss -> a (see ``_template``), and the flow on
     arc e is ``cap[~e]``, the entry ``len(cap) - 1 - e``, so one reverse
     slice of ``cap`` reads the whole run."""
     top = len(cap) - 1 - hu[0]
     return cap[top : top + 1 - len(hu) : -1]
-
-
-# a network with fewer nodes is labelled from s alone (see _maxflow)
-_SMALL_NETWORK = 16
-
-
-def _label_from_s(head: list, to: list, cap: list, s: int, t: int, n: int):
-    """Node -> breadth-first distance from s over arcs with spare capacity,
-    labelled until t is; -1 for a node not labelled.  None when t is not
-    reached."""
-    level = [-1] * n
-    level[s] = 0
-    queue = [s]
-    for u in queue:
-        nxt = level[u] + 1
-        for e in head[u]:
-            if cap[e]:
-                v = to[e]
-                if level[v] < 0:
-                    level[v] = nxt
-                    queue.append(v)
-        if level[t] >= 0:
-            return level
-    return None
 
 
 def _label_from_both_ends(head: list, to: list, cap: list, s: int, t: int, level: list):
@@ -414,6 +365,8 @@ def _first_arc_into(head: list, to: list, cap: list, level: list, layer: list,
 def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
              level=None, ptr=None) -> int:
     """Dinic's maximum flow from s to t; leaves the residual capacities in cap.
+    The templates' networks, and each step's on its template, are the
+    flows it solves; a finite piece is matched without one.
 
     Each phase labels nodes from both ends, one whole level at a time: from
     s by the distance ds from s over arcs with spare capacity, and from t by
@@ -441,12 +394,6 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
     distance since ds <= ls or dt <= lt; the forward-only level graph of the
     textbook Dinic admits the same paths.
 
-    A network of fewer than ``_SMALL_NETWORK`` nodes, such as a piece of a
-    few vertices, is labelled from s alone, by breadth-first search until t
-    is labelled: there the two frontiers soon cover the whole network, and
-    the second frontier costs more than it saves.  Its admissible paths are
-    the same.
-
     The depth-first search keeps a current-arc pointer per node and the path
     as two stacks, its nodes and its arcs.  After an augmentation it resumes
     at the tail of the first arc the augmentation saturated, which is where a
@@ -462,17 +409,16 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
     layered search needs only the arcs into the next layer.  That finds the
     same arc, the first admissible one at or after the pointer, provided
     each list ``head[u]`` holds u's arcs in the order of their numbers, the
-    number of e and of ~e being e; the lists of ``_arcs`` and of
-    ``_template`` do.  So the aggregate node T, with one arc per B node, is
-    left by its arc to S after a read of that level's few arcs.  A network
-    labelled from s alone has no level lists and reads its own arcs.
+    number of e and of ~e being e; the lists of ``_template`` do.  So the
+    aggregate node T, with one arc per B node, is left by its arc to S
+    after a read of that level's few arcs.
 
     With ``paths`` a list, each augmentation appends its arcs and the units
     it pushed, so a caller can take the flow back (see ``_undo``).
 
-    A network labelled from both ends keeps one level list and one pointer
-    list for all its phases, -1 and 0 at every node between phases, so a
-    phase costs what it labels and not the network's size.  A caller that
+    The network keeps one level list and one pointer list for all its
+    phases, -1 and 0 at every node between phases, so a phase costs what
+    it labels and not the network's size.  A caller that
     solves the same network many times, as the steps solve their
     template's, passes its own two lists as ``level`` and ``ptr``;
     otherwise they are made once per call.  ``_maxflow`` alone hands them
@@ -483,24 +429,16 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
     error goes on.
     """
     n = len(head)
-    small = n < _SMALL_NETWORK
-    if not small and level is None:
+    if level is None:
         level, ptr = [-1] * n, [0] * n
     flow = 0
-    layers = None
     try:
         while True:
-            if small:
-                level = _label_from_s(head, to, cap, s, t, n)
-                if level is None:
-                    return flow
-                ptr = [0] * n
-            else:
-                layers, reads = _label_from_both_ends(head, to, cap, s, t, level)
-                if reads is None:  # no augmenting path
-                    for v in chain(*layers):
-                        level[v] = -1
-                    return flow
+            layers, reads = _label_from_both_ends(head, to, cap, s, t, level)
+            if reads is None:  # no augmenting path
+                for v in chain(*layers):
+                    level[v] = -1
+                return flow
             nodes = [s]
             arcs: list[int] = []
             u = s
@@ -524,7 +462,7 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
                 i = ptr[u]
                 end = len(hu)
                 nxt = level[u] + 1
-                if layers and end - i > reads[nxt]:
+                if end - i > reads[nxt]:
                     # the index of the first admissible arc, or end: the scan
                     # below takes that arc at once
                     i = _first_arc_into(head, to, cap, level, layers[nxt], nxt, u, i)
@@ -545,14 +483,16 @@ def _maxflow(head: list, to: list, cap: list, s: int, t: int, paths=None,
                     arcs.pop()
                     u = nodes[-1]
                     ptr[u] += 1
-            if layers:  # the search entered only labelled nodes
-                for v in chain(*layers):
-                    level[v] = -1
-                    ptr[v] = 0
+            for v in chain(*layers):  # the search entered only labelled nodes
+                level[v] = -1
+                ptr[v] = 0
     except BaseException:  # the phase's lists, whole
-        if not small:
-            level[:], ptr[:] = [-1] * n, [0] * n
+        level[:], ptr[:] = [-1] * n, [0] * n
         raise
+
+
+# ---------------------------------------------------------------------------
+# finite pieces: counts, then two passes of augmenting paths
 
 
 def _refuted_by_counts(fg: FiniteBipartite, k: int) -> bool:
@@ -575,64 +515,80 @@ def _refuted_by_counts(fg: FiniteBipartite, k: int) -> bool:
     return len(heads) < units or len(heads | fg.boundary_B) < len(fg.B)
 
 
+def _augment(v, nbrs: dict, mate: dict) -> bool:
+    """Match the unmatched node v along one alternating path, found by a
+    depth-first search that at each node takes its first unmatched
+    neighbour in ``nbrs`` order, if it has one, and otherwise goes on
+    through the mate of each neighbour not yet seen, in order.  ``mate``
+    maps each matched node to its mate, both ways; a path flips every pair
+    along it, so no matched node becomes unmatched.  False, ``mate``
+    unchanged, when no path reaches an unmatched node.  The search keeps
+    the path and an iterator per node on it, so its depth is not bounded
+    by the interpreter's recursion limit."""
+    path, seen = [v], set()
+    todo = [iter(sorted(nbrs[v], key=mate.__contains__))]  # unmatched first
+    while todo:
+        for w in todo[-1]:
+            if w not in mate:
+                path.append(w)
+                for x, y in zip(path[::2], path[1::2]):
+                    mate[x], mate[y] = y, x
+                return True
+            if w not in seen:
+                seen.add(w)
+                u = mate[w]
+                path += (w, u)
+                todo.append(iter(sorted(nbrs[u], key=mate.__contains__)))
+                break
+        else:
+            todo.pop()
+            del path[-2:]
+    return False
+
+
 def finite_harem_match(fg: FiniteBipartite, k: int):
     """Matching giving every A-vertex exactly k partners, every interior
     B-vertex exactly one and every boundary B-vertex at most one, or None
     when no such matching exists.
 
-    Solved as a feasible flow with lower bounds (left supply exactly k,
-    interior-right demand exactly 1) by the iterative Dinic ``_maxflow``.
-    The network is built in one pass, its arcs numbered in a fixed order:
-    the edges (A in the given order, each vertex's partners in adjacency
-    order), the boundary arcs in B order, then the arcs that carry the
-    bounds.  The matching is therefore reproducible, and equal to the one
-    the recursive Dinic finds on the same arc order.
+    Four counts may return None at once (``_refuted_by_counts``), read off
+    sizes alone.  Each is a necessary condition, so every output is the
+    passes'.  A supplies exactly k|A| units and a B-vertex takes at most
+    one, so there are at most k|A| interior B-vertices and A has at least
+    k|A| distinct neighbours; a vertex of A listing fewer than k partners
+    cannot take k of them; an interior B-vertex that no vertex of A lists
+    can never be saturated.
 
-    Before any network is built, four counts may return None at once
-    (``_refuted_by_counts``), read off sizes alone.  Each is a necessary
-    condition, so every output is the flow's.  A supplies exactly k|A|
-    units and a B-vertex takes at most one, so there are at most k|A|
-    interior B-vertices and A has at least k|A| distinct neighbours; a
-    vertex of A listing fewer than k partners cannot take k of them; an
-    interior B-vertex that no vertex of A lists can never be saturated.
-    Each A-vertex's partners are read off the run of its edge arcs
-    (``_run_flows``).
+    Otherwise the piece is matched with no flow network, by two passes of
+    augmenting paths (``_augment``; Mendelsohn and Dulmage, 1958).  Each
+    A-vertex a stands for k slots (a, 0) .. (a, k - 1), each with a's
+    partners, and a B-vertex's neighbours are the slots of the A-vertices
+    that list it, in A order.  First every interior B-vertex, in B order,
+    takes a slot, then every slot still free, in A order, takes a
+    B-vertex.  Augmenting never unmatches a node, so the second pass keeps
+    the interior matched.  A search that fails shows that no matching
+    covers the nodes already matched and its start together (the
+    alternating paths of Berge), so none covers the interior and every
+    slot, and the passes return None at once.  The matching is
+    reproducible, fixed by the order of A, of B and of each vertex's
+    partners.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if _refuted_by_counts(fg, k):
         return None
-    # nodes: source S, sink T, the A side, the B side, then the super
-    # source ss and super sink tt that carry the lower bounds
-    S, T = 0, 1
-    n_a, n_b = len(fg.A), len(fg.B)
-    b0, ss, tt = 2 + n_a, 2 + n_a + n_b, 3 + n_a + n_b
-    a_nodes = range(2, b0)
-    b_index = {b: v for v, b in enumerate(fg.B, b0)}
-    boundary = [v for v, b in enumerate(fg.B, b0) if b in fg.boundary_B]
-    interior = [v for v, b in enumerate(fg.B, b0) if b not in fg.boundary_B]
-    edge_tail = [u for u, a in zip(a_nodes, fg.A) for _ in fg.adj[a]]
-    edge_head = [b_index[b] for a in fg.A for b in fg.adj[a]]
-    # S -> tt (no A side) and ss -> T (no interior) may get capacity 0; such
-    # an arc is never traversed in either direction
-    blocks = (
-        (edge_tail, edge_head, [1] * len(edge_tail)),
-        (boundary, [T] * len(boundary), [1] * len(boundary)),
-        ((T,), (S,), (1 << 60,)),
-        # S -> a has bounds [k, k] and interior b -> T has bounds [1, 1]
-        ((S,), (tt,), (k * n_a,)),
-        ((ss,), (T,), (len(interior),)),
-        ([ss] * n_a, a_nodes, [k] * n_a),
-        (interior, [tt] * len(interior), [1] * len(interior)),
-    )
-    head, to, cap, _ = _arcs(blocks, tt + 1)
-    if _maxflow(head, to, cap, ss, tt) != k * n_a + len(interior):
-        return None
-    # a's edge arcs are numbered in the order of its partners
-    return {
-        a: tuple(sorted(compress(fg.adj[a], _run_flows(cap, hu))))
-        for a, hu in zip(fg.A, head[2:b0])
-    }
+    slots = {a: [(a, j) for j in range(k)] for a in fg.A}
+    nbrs = {b: [] for b in fg.B}  # node -> its neighbours, slots or B-vertices
+    for a, own in slots.items():
+        for b in fg.adj[a]:
+            nbrs[b] += own
+        nbrs.update(dict.fromkeys(own, fg.adj[a]))
+    mate = {}  # node -> its mate, both ways
+    interior = [b for b in fg.B if b not in fg.boundary_B]
+    for v in chain(interior, chain.from_iterable(slots.values())):
+        if v not in mate and not _augment(v, nbrs, mate):
+            return None
+    return {a: tuple(sorted(map(mate.__getitem__, own))) for a, own in slots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +597,23 @@ def finite_harem_match(fg: FiniteBipartite, k: int):
 
 class _Template(NamedTuple):
     """The full radius-r ball around one side's origin, the identity's
-    vertex, with its flow network solved.
+    vertex, with its flow network solved: the only flow network of the
+    package.
 
-    Nodes and arc blocks are those of ``finite_harem_match``, each side in
-    code order, except that every B node has both its boundary arc and its
-    interior arc, with the capacities of the full ball.  So every node u
+    The network carries the ball's relaxed (1,k)-matchings as a feasible
+    flow with lower bounds: the source S, the sink T, the A nodes and the
+    B nodes, each side in code order, then the source ss and the sink tt
+    that carry the bounds, with T -> S closing the circulation.  S -> a
+    has bounds [k, k], carried by ss -> a and S -> tt; the arc b -> T of
+    an interior B node has bounds [1, 1], carried by b -> tt and ss -> T;
+    a boundary B node keeps b -> T with bounds [0, 1].  Every B node has
+    both its boundary arc b -> T and its interior arc b -> tt, with the
+    capacities of the full ball.  Arcs are numbered in blocks (see
+    ``_template``), the reverse of arc e is arc ~e, so ``to[~e]`` and
+    ``cap[~e]`` index the same lists from the end, and ``head[u]`` lists
+    u's arcs in the order of their numbers, the number of e and of ~e
+    being e: that order alone fixes which maximum flow, and so which
+    matching, is found.  Every node u
     below ss has its lower-bound arc at u + ``to_tt``: S -> tt, ss -> T,
     ss -> a at an A node and b -> tt at a B node.  The arcs b -> T come
     just before T -> S, which is ``to_tt - 1``, so b -> T is
@@ -699,10 +667,10 @@ def _template(g: BipartiteGraphOracle, origin: int, r: int, k: int) -> _Template
     splits the ball.
 
     The A nodes' neighbours come from one ``neighbor_rows`` call, and the
-    arc lists are written straight in the numbering that ``_arcs`` gives
-    the blocks of ``finite_harem_match``: the edges, A node by A node in
-    code order and each node's in the order of its neighbours, then b -> T
-    at every B node, T -> S, S -> tt and ss -> T, then ss -> a at every A
+    arc lists are written straight in the network's numbering, forward
+    arcs 0, 1, ... block by block: the edges, A node by A node in code
+    order and each node's in the order of its neighbours, then b -> T at
+    every B node, T -> S, S -> tt and ss -> T, then ss -> a at every A
     node and b -> tt at every B node.  So an A node's edge arcs are one
     run of numbers, followed in ``head`` by the reverse of ss -> a, and a
     B node lists the reverses of its edge arcs, b -> T and then b -> tt,

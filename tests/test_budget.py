@@ -4,12 +4,26 @@ every pipeline of the command charges that meter."""
 import contextlib
 import io
 import json
+import random
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from folnerlab import Budget
+from folnerlab import Budget, CEView, UNKNOWN, make_group
+from folnerlab.budget import Meter
 from folnerlab.cli import COMMANDS, main
+from folnerlab.folner import (
+    ReiterFunction,
+    box_folner,
+    decide_mult_from_folner,
+    verify_invariance_ce,
+)
+from folnerlab.groups import ball, canonical_subset, eq_semidecide, parse_elements
+from folnerlab.harem import harem_new, harem_query
+from folnerlab.paradox import cayley_bipartite
+from test_folner import _RowTable
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = json.loads((GOLDEN / "cli_corpus.json").read_text())
@@ -118,3 +132,63 @@ def test_every_charged_run_sits_on_its_budget_edge(monkeypatch):
             breakers.add(name)
     assert charged == {0: 41, 2: 27}
     assert breakers == STOP_EARLY
+
+
+def _on_its_budget_edge(call):
+    """Whether ``call(budget)`` keeps the law: run on a meter of 10**6
+    steps it answers after consuming c >= 1, and it then gives the same
+    answer at ``Budget(c)`` and UNKNOWN at c - 1 steps, with the meter
+    spent.  None when it consumed nothing or did not answer.  The run
+    below the edge takes a ``Meter`` of c - 1 steps, which is what
+    ``Budget(c - 1).meter()`` makes, as ``Budget(0)`` is malformed."""
+    meter = Budget(10**6).meter()
+    answer = call(meter)
+    c = meter.consumed
+    if answer is UNKNOWN or not c:
+        return None
+    below = Meter(c - 1)
+    return call(Budget(c)) == answer and call(below) is UNKNOWN and not below.remaining
+
+
+def test_every_library_semidecision_sits_on_its_budget_edge():
+    """The budget-edge law in the library, on seeded instances of the c.e.
+    equality, the c.e. invariance verifier, the word problem from a Folner
+    oracle, on a CEView and on a c.e. table that is not one, and harem
+    queries on fresh states."""
+    rng = random.Random(8)
+    rz, z2 = make_group("redundant-z"), make_group("zd:2")
+    by_value = {}
+    for code in range(400):
+        by_value.setdefault(rz.value(code), []).append(code)
+    calls = {"eq": [], "kappa": [], "wp": [], "harem": []}
+    for _ in range(40):
+        x = rng.randrange(400)
+        y = rng.choice(by_value[rz.value(x)])
+        calls["eq"].append(partial(eq_semidecide, rz, x, y))
+    for _ in range(80):
+        support = tuple(sorted(rng.sample(range(40), rng.randint(1, 5))))
+        f = ReiterFunction(support, {v: Fraction(rng.randint(1, 4)) for v in support})
+        D = tuple(sorted(rng.sample(range(12), rng.randint(1, 2))))
+        calls["kappa"].append(partial(verify_invariance_ce, rz, rng.randint(1, 6), D, f))
+    box = lambda n, D: box_folner(z2, D, n)
+    for _ in range(30):
+        a, b = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in "ab"]
+        c = (a[0] + b[0], a[1] + b[1]) if rng.random() < 0.5 else (rng.randint(-3, 3), 0)
+        codes = [z2.encode_vector(v) for v in (a, b, c)]
+        D = canonical_subset(set(codes))
+        order = list(box(4, D))
+        rng.shuffle(order)
+        for g in (CEView(z2), _RowTable(CEView(z2), [*D, *order])):
+            calls["wp"].append(partial(decide_mult_from_folner, g, box, *codes))
+    free = make_group("free:2")
+    graph = cayley_bipartite(free, ball(free, parse_elements(free, "a,b"), 1))
+    for _ in range(16):
+        enum = graph.left_enum if rng.random() < 0.5 else graph.right_enum
+        v = enum(rng.randrange(8))
+        calls["harem"].append(lambda b, v=v: harem_query(harem_new(graph, 1), v, b))
+    held = {}
+    for kind, kind_calls in calls.items():
+        verdicts = [_on_its_budget_edge(call) for call in kind_calls]
+        assert False not in verdicts, kind
+        held[kind] = verdicts.count(True)
+    assert min(held.values()) >= 10, held

@@ -34,6 +34,7 @@ from folnerlab.groups import (
     PreconditionError,
     RedundantZOracle,
     ZdOracle,
+    _word_factors,
     ball_layers,
     cantor_pair,
     cantor_unpair,
@@ -929,6 +930,37 @@ def test_parse_free_words():
     for text in ("q", "a^", "ab^"):
         with pytest.raises(ValueError):
             parse_element(g, text)
+
+
+@pytest.mark.parametrize("spec", ["free:1", "free:2", "free:3"])
+def test_free_literals_equal_the_fold_of_their_factors(spec):
+    # a free word is coded once from its freely reduced letters; the fold
+    # of its factors by ``mult`` is the reference
+    g = make_group(spec)
+    names = sorted(g.generator_names)
+    rng = random.Random(spec)
+    for _ in range(300):
+        text = "".join("%s^%d" % (rng.choice(names), rng.randint(-3, 3))
+                       if rng.random() < 0.5 else rng.choice(names)
+                       for _ in range(rng.randint(1, 12)))
+        fold = functools.reduce(g.mult, _word_factors(g, text), g.identity)
+        assert parse_element(g, text) == fold, text
+
+
+def test_free_literal_makes_no_product(monkeypatch):
+    g = make_group("free:2")
+    words = {"a" * 1000: ("a",) * 1000, "ab" * 500: ("a", "b") * 500,
+             "a^500b^-250a^-250": ("a",) * 500 + ("b^-1",) * 250 + ("a^-1",) * 250}
+    want = {text: functools.reduce(g.mult, map(functools.partial(parse_element, g), w))
+            for text, w in words.items()}
+
+    def no_mult(x, y):
+        raise AssertionError("a literal folded its factors")
+
+    monkeypatch.setattr(g, "mult", no_mult)
+    for text, code in want.items():
+        assert len(_word_factors(g, text)) == 1000
+        assert parse_element(g, text) == code
 
 
 def test_parse_redundant_z_words_stay_unreduced():

@@ -3,6 +3,7 @@ spot checks of the expansion condition."""
 
 import itertools
 import random
+from itertools import compress
 
 import pytest
 
@@ -11,9 +12,8 @@ from folnerlab.groups import ball, parse_elements
 from folnerlab.harem import (
     FiniteBipartite,
     HallWitness,
-    _SMALL_NETWORK,
-    _arcs,
     _maxflow,
+    _run_flows,
     cehhc_spot_check,
     finite_harem_match,
     harem_new,
@@ -276,6 +276,112 @@ def forward_maxflow(head: list, to: list, cap: list, s: int, t: int) -> int:
                 ptr[u] += 1
 
 
+def _arcs(blocks, nodes: int):
+    """The flat arc arrays of a network on nodes 0 .. nodes-1: ``head``,
+    ``to``, ``cap`` and the first arc number of each block, in the format
+    of the templates' networks.
+
+    A block is ``(tails, heads, capacities)`` of forward arcs.  Forward arcs
+    are numbered 0, 1, ... in block order, and the reverse of arc e is arc
+    ~e, so ``to[~e]`` and ``cap[~e]`` index the same lists from the end.
+    ``head[u]`` lists u's arcs in the order they were numbered, and that
+    order alone fixes which maximum flow, and so which matching, is found.
+    """
+    tail, to, cap, starts = [], [], [], []
+    for us, vs, cs in blocks:
+        starts.append(len(tail))
+        tail += us
+        to += vs
+        cap += cs
+    head: list[list[int]] = [[] for _ in range(nodes)]
+    for e, (u, v) in enumerate(zip(tail, to)):
+        head[u].append(e)
+        head[v].append(~e)
+    to += reversed(tail)
+    cap += [0] * len(tail)
+    return head, to, cap, starts
+
+
+def piece_network(fg: FiniteBipartite, k: int):
+    """The lower-bounded flow network of a piece, in the templates' node
+    order and arc format: ``(head, to, cap, ss, tt, demand)``, the piece
+    feasible exactly when the maximum flow from ss to tt is ``demand``.
+
+    Nodes are S, T, the A side, the B side, then ss and tt, which carry the
+    bounds (S -> a has bounds [k, k], interior b -> T has [1, 1]).  Arcs
+    are numbered the edges first (A in the given order, each vertex's
+    partners in adjacency order), then the boundary arcs in B order, then
+    the arcs that carry the bounds, so an A node's edge arcs are one run of
+    numbers, followed in its list by the reverse of ss -> a."""
+    S, T = 0, 1
+    n_a, n_b = len(fg.A), len(fg.B)
+    b0, ss, tt = 2 + n_a, 2 + n_a + n_b, 3 + n_a + n_b
+    a_nodes = range(2, b0)
+    b_index = {b: v for v, b in enumerate(fg.B, b0)}
+    boundary = [v for v, b in enumerate(fg.B, b0) if b in fg.boundary_B]
+    interior = [v for v, b in enumerate(fg.B, b0) if b not in fg.boundary_B]
+    edge_tail = [u for u, a in zip(a_nodes, fg.A) for _ in fg.adj[a]]
+    edge_head = [b_index[b] for a in fg.A for b in fg.adj[a]]
+    # S -> tt (no A side) and ss -> T (no interior) may get capacity 0; such
+    # an arc is never traversed in either direction
+    blocks = (
+        (edge_tail, edge_head, [1] * len(edge_tail)),
+        (boundary, [T] * len(boundary), [1] * len(boundary)),
+        ((T,), (S,), (1 << 60,)),
+        ((S,), (tt,), (k * n_a,)),
+        ((ss,), (T,), (len(interior),)),
+        ([ss] * n_a, a_nodes, [k] * n_a),
+        (interior, [tt] * len(interior), [1] * len(interior)),
+    )
+    head, to, cap, _ = _arcs(blocks, tt + 1)
+    return head, to, cap, ss, tt, k * n_a + len(interior)
+
+
+def flow_harem_match(fg: FiniteBipartite, k: int):
+    """The piece's matching read off ``_maxflow`` on ``piece_network``,
+    each A node's partners off the run of its edge arcs (``_run_flows``),
+    or None when the flow falls short of the demand."""
+    head, to, cap, ss, tt, demand = piece_network(fg, k)
+    if _maxflow(head, to, cap, ss, tt) != demand:
+        return None
+    return {a: tuple(sorted(compress(fg.adj[a], _run_flows(cap, hu))))
+            for a, hu in zip(fg.A, head[2:])}
+
+
+def two_pass_reference(fg: FiniteBipartite, k: int):
+    """The two passes of ``finite_harem_match`` with a recursive search and
+    no counts: the reference its iterative search must reproduce, slot for
+    slot.  A-vertex a stands for the slots (a, 0) .. (a, k - 1); interior
+    B-vertices in B order take a slot, then free slots in A order take a
+    B-vertex, each by one alternating path that takes a free neighbour
+    before going through a matched one."""
+    slots = {a: [(a, j) for j in range(k)] for a in fg.A}
+    nbrs = {b: [s for a in fg.A if b in fg.adj[a] for s in slots[a]] for b in fg.B}
+    for a in fg.A:
+        for s in slots[a]:
+            nbrs[s] = fg.adj[a]
+    mate = {}
+
+    def augment(v, seen):
+        for w in nbrs[v]:
+            if w not in mate:
+                mate[v], mate[w] = w, v
+                return True
+        for w in nbrs[v]:
+            if w not in seen:
+                seen.add(w)
+                if augment(mate[w], seen):
+                    mate[v], mate[w] = w, v
+                    return True
+        return False
+
+    interior = [b for b in fg.B if b not in fg.boundary_B]
+    for v in interior + [s for a in fg.A for s in slots[a]]:
+        if v not in mate and not augment(v, set()):
+            return None
+    return {a: tuple(sorted(mate[s] for s in slots[a])) for a in fg.A}
+
+
 def reference_harem_match(fg: FiniteBipartite, k: int):
     """The lower-bound flow network built arc by arc, solved recursively."""
     a_index = {a: 2 + i for i, a in enumerate(fg.A)}
@@ -334,10 +440,16 @@ def reference_pieces():
 
 
 def test_solver_reproduces_recursive_reference():
+    # the passes' matching equals the recursive passes', and their verdict
+    # the recursive Dinic's; ``_maxflow`` on each piece's network finds
+    # the recursive Dinic's flow, matching and all
     outcomes = {True: 0, False: 0}
     for fg, k in reference_pieces():
         want = reference_harem_match(fg, k)
-        assert finite_harem_match(fg, k) == want
+        got = finite_harem_match(fg, k)
+        assert got == two_pass_reference(fg, k)
+        assert (got is None) == (want is None)
+        assert flow_harem_match(fg, k) == want
         outcomes[want is None] += 1
     assert min(outcomes.values()) > 500  # both verdicts are exercised
 
@@ -397,7 +509,7 @@ def test_each_count_refutes_a_piece_alone(count, monkeypatch):
     assert finite_harem_match(fg, k) is None
     matching = finite_harem_match(fixed, k)
     assert matching is not None and all(len(bs) == k for bs in matching.values())
-    # the count is a necessary condition: the flow alone agrees
+    # the count is a necessary condition: the passes alone agree
     monkeypatch.setattr(harem, "_refuted_by_counts", no_count_refutes)
     assert finite_harem_match(fg, k) is None
     assert finite_harem_match(fixed, k) == matching
@@ -405,7 +517,7 @@ def test_each_count_refutes_a_piece_alone(count, monkeypatch):
 
 def test_hall_on_a_pair_is_left_to_the_flow():
     # 0 and 2 list only right 1: every count passes, Hall's condition fails
-    # on {0, 2}, and the flow returns None
+    # on {0, 2}, and the passes return None
     fg = graph_from_edges([0, 2, 4], [1, 3, 5], [(0, 1), (2, 1), (4, 1), (4, 3), (4, 5)],
                           boundary={3, 5})
     assert failed_counts(fg, 1) == []
@@ -452,8 +564,9 @@ def test_counts_read_off_sizes_equal_each_count_read_alone(family, pieces):
 
 def test_flow_alone_reproduces_the_recursive_reference(monkeypatch):
     # the 5,000 pieces of test_solver_reproduces_recursive_reference, every
-    # one solved by the flow: its outputs, the None of each infeasible piece
-    # included, equal the reference's, as the outputs with the counts do
+    # one solved by the two passes: their outputs, the None of each
+    # infeasible piece included, equal the references', as the outputs with
+    # the counts do
     refuted = []
 
     def never_refutes(fg, k):
@@ -464,7 +577,7 @@ def test_flow_alone_reproduces_the_recursive_reference(monkeypatch):
     monkeypatch.setattr(harem, "_refuted_by_counts", never_refutes)
     test_solver_reproduces_recursive_reference()
     # with the counts, 3,933 of the 3,952 infeasible pieces get None
-    # before any network is built
+    # before any search
     assert (len(refuted), sum(refuted)) == (5000, 3933)
 
 
@@ -473,27 +586,20 @@ def solve_arcs(nodes, arcs, s, t):
     arcs, checked against ``forward_maxflow``: the value, after checking
     that the residual capacities left are those of a flow of that value
     (0 <= flow <= capacity on every arc, conservation at every node but s
-    and t).  The network is solved as drawn, small enough to be labelled
-    from s alone, and again with isolated nodes added up to
-    ``_SMALL_NETWORK``, so that it is labelled from both ends."""
-    assert nodes < _SMALL_NETWORK
+    and t)."""
     tails, heads, caps = (list(x) for x in zip(*arcs))
-    values = []
-    for size in (nodes, _SMALL_NETWORK):
-        head, to, cap, _ = _arcs([(tails, heads, caps)], size)
-        ref = cap[:]
-        value = _maxflow(head, to, cap, s, t)
-        assert forward_maxflow(head, to, ref, s, t) == value and ref == cap
-        excess = [0] * size
-        for e, (u, w, c) in enumerate(arcs):
-            flow = cap[~e]
-            assert 0 <= flow <= c and cap[e] == c - flow
-            excess[u] -= flow
-            excess[w] += flow
-        assert all(x == 0 for v, x in enumerate(excess) if v not in (s, t))
-        assert excess[t] == -excess[s] == value
-        values.append(value)
-    assert values[0] == values[1]
+    head, to, cap, _ = _arcs([(tails, heads, caps)], nodes)
+    ref = cap[:]
+    value = _maxflow(head, to, cap, s, t)
+    assert forward_maxflow(head, to, ref, s, t) == value and ref == cap
+    excess = [0] * nodes
+    for e, (u, w, c) in enumerate(arcs):
+        flow = cap[~e]
+        assert 0 <= flow <= c and cap[e] == c - flow
+        excess[u] -= flow
+        excess[w] += flow
+    assert all(x == 0 for v, x in enumerate(excess) if v not in (s, t))
+    assert excess[t] == -excess[s] == value
     return value
 
 
@@ -538,7 +644,7 @@ def hub_network(rng):
     repeat the arc before them, and some run into s or out of t.  Returns
     the node count and the (tail, head, capacity) arcs; a hub that is
     neither s nor t gets one to three arcs into t."""
-    nodes = rng.randint(_SMALL_NETWORK, 300)
+    nodes = rng.randint(16, 300)
     hub = rng.choice((0, 1, rng.randrange(2, nodes)))
     arcs = []
     for _ in range(rng.randint(nodes, 4 * nodes)):

@@ -35,7 +35,6 @@ from folnerlab.harem import (
     FiniteBipartite,
     InternalInfeasibleError,
     _arc_number,
-    _arcs,
     _capacities,
     _frame,
     _maxflow,
@@ -54,7 +53,7 @@ from folnerlab.paradox import (
     cayley_bipartite,
     verify_decomposition_prefix,
 )
-from test_harem import forward_maxflow
+from test_harem import _arcs, forward_maxflow, piece_network
 
 
 def paradox_free2():
@@ -820,24 +819,16 @@ def check_arc_numbers(tpl):
     assert all(arcs == sorted(arcs, key=_arc_number) for arcs in tpl.head)
 
 
-def test_run_readout_equals_the_scan(monkeypatch):
+def test_run_readout_equals_the_scan():
     # the two templates of the paradox-prefix bench, then pieces shaped as
-    # harem-small's, each solved by the flow with its network recorded
+    # harem-small's, each built as a network in the templates' format and
+    # solved by ``_maxflow``
     st = paradox_free2().state
     harem_step(st)
     harem_step(st)
     for tpl in st._templates.values():
         a_nodes = range(2, tpl.b0)
         assert check_run_readout(tpl.head, tpl.to, tpl.cap, a_nodes) == 2 * len(a_nodes)
-    networks = []
-    solve = harem._maxflow
-
-    def recorded(head, to, cap, *args):
-        networks.append((head, to, cap))
-        return solve(head, to, cap, *args)
-
-    monkeypatch.setattr(harem, "_maxflow", recorded)
-    monkeypatch.setattr(harem, "_refuted_by_counts", lambda fg, k: False)
     rng = random.Random(36)
     units = 0
     for _ in range(200):
@@ -845,9 +836,9 @@ def test_run_readout_equals_the_scan(monkeypatch):
         B = tuple(sorted(2 * c + 1 for c in rng.sample(range(512), 6)))
         adj = {a: tuple(b for b in B if rng.random() < 0.5) for a in A}
         boundary = frozenset(b for b in B if rng.random() < 0.5)
-        del networks[:]
-        harem.finite_harem_match(FiniteBipartite(A, B, adj, boundary), rng.choice((1, 2)))
-        (head, to, cap), = networks
+        fg = FiniteBipartite(A, B, adj, boundary)
+        head, to, cap, ss, tt, _ = piece_network(fg, rng.choice((1, 2)))
+        _maxflow(head, to, cap, ss, tt)
         units += check_run_readout(head, to, cap, range(2, 2 + len(A)))
     assert units > 200
 

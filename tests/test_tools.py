@@ -98,7 +98,7 @@ def test_solver_split_sorts_a_harem_pass():
     assert head[-1] == "[0]"  # failed checks in the one pass
     assert header[0] == "group"
     # of seed 1's 2,048 pieces, 519 are feasible and the counts refute
-    # 1,476 of the 1,529 infeasible ones before any network is built
+    # 1,476 of the 1,529 infeasible ones before any search
     assert {row[0]: int(row[1]) for row in rows} == {
-        "counts": 1476, "flow-feasible": 519, "flow-infeasible": 53, "pass": 2048}
+        "counts": 1476, "matched": 519, "unmatched": 53, "pass": 2048}
     assert all(float(row[2]) > 0 for row in rows)

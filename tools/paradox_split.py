@@ -6,8 +6,8 @@ each layer took in a pass: the median and the range over the passes.  The layers
 (``_template``, its maximum flow included), ``_frame`` less the template
 builds it starts, ``_capacities`` with its undo-log writes, the steps'
 ``_maxflow`` less its labelling, the labelling of the steps' flow phases
-(``_label_from_both_ends`` and ``_label_from_s``), ``_undo`` and the rest of
-the pass; the last row is the whole pass.  Then, per side, the steps of a
+(``_label_from_both_ends``), ``_undo`` and the rest of the pass; the last
+row is the whole pass.  Then, per side, the steps of a
 pass, the sizes of their change maps and the map entries by kind (dead,
 lost A and lost B nodes, pushed to the radius, moved further in), and the
 side's template: its nodes (S, T, ss and tt included), its forward
@@ -37,7 +37,7 @@ LAYERS = ("template", "frame", "capacities", "maxflow", "label", "undo")
 KINDS = ("dead", "lost-A", "lost-B", "pushed", "moved")
 # the harem functions timed by layer; ``_frame`` is timed by LayerClock.frame
 TIMED = {"_template": "template", "_capacities": "capacities", "_maxflow": "maxflow",
-         "_label_from_both_ends": "label", "_label_from_s": "label", "_undo": "undo"}
+         "_label_from_both_ends": "label", "_undo": "undo"}
 
 
 class LayerClock:

@@ -4,11 +4,11 @@ decided.
 Builds the benchmark's ``harem-small`` pieces for one seed, sorts them
 into three groups and runs the benchmark's own passes over them in this
 process (see ``passes.py``).  The groups are the pieces that
-``finite_harem_match`` refutes by its counts before any network is built
-(``counts``), and the rest by the flow's verdict: a matching
-(``flow-feasible``) or None (``flow-infeasible``).  One untimed pass with
-``_refuted_by_counts`` wrapped sorts the pieces; the timed passes run the
-library as it is.  For each group it prints the number of pieces, the
+``finite_harem_match`` refutes by its counts before any search
+(``counts``), and the rest by the verdict of its two passes of augmenting
+paths: a matching (``matched``) or None (``unmatched``).  One untimed
+pass with ``_refuted_by_counts`` wrapped sorts the pieces; the timed
+passes run the library as it is.  For each group it prints the number of pieces, the
 seconds they took in a pass (the median and the range over the passes)
 and the median time of one of its pieces in microseconds, over every piece
 of every pass.  The last row is the whole pass; its piece median is the
@@ -25,7 +25,7 @@ import sys
 
 import passes
 
-GROUPS = ("counts", "flow-feasible", "flow-infeasible")
+GROUPS = ("counts", "matched", "unmatched")
 
 
 def piece_groups(harem, items) -> list[str]:
