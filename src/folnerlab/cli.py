@@ -6,8 +6,12 @@ internally.  Reports go to stdout as human text, or as canonical JSON with
 ``--json`` (identical invocations produce byte-identical output).
 
 ``COMMANDS`` lists every command with its help text and flags, and
-``FLAGS`` gives each flag's ``add_argument`` arguments; argparse rejects
-``--n``, ``--budget`` or ``--steps`` below 1, ``paradox --verify``,
+``FLAGS`` gives each flag's arguments in ``argparse``'s ``add_argument``
+form.  ``_read`` reads argv off these two tables, with one dict lookup per
+token, into the namespace that argparse would build from them (its
+docstring has the grammar); a ``-h`` or ``--help`` anywhere in argv prints
+every command with its flags instead.  The reader rejects ``--n``,
+``--budget`` or ``--steps`` below 1, ``paradox --verify``,
 ``witness --size-bound`` or ``witness --n`` below 0, and every count above
 ``sys.maxsize``.
 ``paradox`` refuses a key that ``decide_witness_commutation`` refutes,
@@ -24,11 +28,11 @@ stderr, and no report.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .budget import Budget, Meter, UNKNOWN
 from .folner import (
@@ -78,8 +82,7 @@ class _MalformedInput(Exception):
 def _count(text: str, low: int = 0) -> int:
     value = int(text)
     if not low <= value <= sys.maxsize:
-        raise argparse.ArgumentTypeError(
-            "must be %d to %d, got %d" % (low, sys.maxsize, value))
+        raise ValueError("must be %d to %d, got %d" % (low, sys.maxsize, value))
     return value
 
 
@@ -88,6 +91,10 @@ def _positive(text: str) -> int:
 
 
 FLAGS = {
+    "--group": dict(required=True, help="group spec, e.g. zd:1"),
+    "--budget": dict(type=_positive, default=DEFAULT_BUDGET),
+    "--json": dict(action="store_true", default=False),
+    "--out": dict(help="write the report JSON to this path"),
     "--d": dict(help="comma-separated element words"),
     "--k": dict(help="comma-separated key words"),
     "--k0": dict(help="comma-separated key seed words"),
@@ -97,6 +104,9 @@ FLAGS = {
     "--fn": dict(help="path to a Reiter function JSON"),
     "--steps": dict(type=_positive, default=10),
 }
+
+# the flags of every command
+COMMON = ("--group", "--budget", "--json", "--out")
 
 # witness --n is optional: the default 0 runs no refutation search
 _REFUTE_N = ("--n", dict(
@@ -122,29 +132,74 @@ COMMANDS = {
                         ("--k", "--n")),
 }
 
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once at first use."""
-    top = argparse.ArgumentParser(prog="folnerlab", add_help=True)
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--group", required=True, help="group spec, e.g. zd:1")
-        p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", help="write the report JSON to this path")
-        for flag in flags:
-            flag, kwargs = flag if isinstance(flag, tuple) else (flag, FLAGS[flag])
-            p.add_argument(flag, **kwargs)
-    return top
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, though it starts with "-"
+_HELP = {"-h", "--h", "--he", "--hel", "--help"}  # any of them in argv prints the usage
 
 
-def _elements(g, text, what):
+def _specs(flags) -> dict:
+    """{flag: its ``FLAGS`` arguments} for ``COMMON`` and a command's flags."""
+    return dict(f if isinstance(f, tuple) else (f, FLAGS[f]) for f in (*COMMON, *flags))
+
+
+def _reader(name: str, specs: dict) -> tuple:
+    """A command's spellings and its arguments before any flag is read.
+
+    Each flag is spelled by its name, by each of its unique prefixes of
+    three characters or more, and by each of those with "=" and a value
+    after it, unless it is --json, which takes no value.  A spelling gives
+    (dest, type), with type None for --json.  A required flag's argument
+    is ``...`` until the flag is read.
+    """
+    dest = {f: f[2:].replace("-", "_") for f in specs}
+    names = {f[:end]: (dest[f], None if "action" in kw else kw.get("type", str))
+             for f, kw in specs.items() for end in range(3, len(f) + 1)
+             if f[:end] == f or [g for g in specs if g.startswith(f[:end])] == [f]}
+    return ({**names, **{f + "=": e for f, e in names.items() if e[1]}},
+            {"command": name, **{dest[f]: ... if kw.get("required") else kw.get("default")
+                                 for f, kw in specs.items()}})
+
+
+_READERS = {name: _reader(name, _specs(flags)) for name, (_, flags) in COMMANDS.items()}
+
+
+def _read(argv: list) -> SimpleNamespace:
+    """The arguments of ``argv``, the namespace argparse would build.
+
+    argv is a command, then its flags in any order, each as often as
+    wanted (the last one counts): ``--flag value`` or ``--flag=value``, or
+    ``--json`` alone, where ``--flag`` may be any unique prefix of three
+    characters or more.  A value after a space may not start with "-"
+    unless it is "-" or reads as a negative number ("-1", "-.5").  Raises
+    ``_MalformedInput`` for any other argv.  (``main`` answers -h and
+    --help before it reads argv.)
+    """
+    if not argv or argv[0] not in _READERS:
+        raise _MalformedInput("expected a command: %s" % ", ".join(COMMANDS))
+    spellings, defaults = _READERS[argv[0]]
+    args, tokens = dict(defaults), iter(argv[1:])
+    try:
+        for token in tokens:
+            name, eq, value = token.partition("=")
+            if (entry := spellings.get(name + eq)) is None:
+                raise _MalformedInput("unrecognized argument %s" % token)
+            dest, convert = entry
+            if convert and not eq:
+                value = next(tokens, None)
+                if value is None or value[:1] == "-" != value and not _NUMBER.match(value):
+                    raise _MalformedInput("%s expects a value" % name)
+            args[dest] = convert(value) if convert else True
+    except ValueError as exc:
+        raise _MalformedInput("%s: %s" % (name, exc))
+    if missing := [key for key, value in args.items() if value is ...]:
+        raise _MalformedInput("missing required --%s" % ", --".join(missing))
+    return SimpleNamespace(**args)
+
+
+def _elements(g, text, what, parse=parse_elements):
     if not text:
         raise _MalformedInput("missing required element list --%s" % what)
     try:
-        return parse_elements(g, text)
+        return parse(g, text)
     except ValueError as exc:
         raise _MalformedInput(str(exc))
 
@@ -193,13 +248,10 @@ def _run(args, g, meter: Meter):
 
     if command == "wp-from-folner":
         # the three words keep their order; parse without sorting
-        parts = split_element_list(args.d or "")
-        if len(parts) != 3:
+        codes = _elements(g, args.d, "d", lambda g, text: [
+            parse_element(g, p) for p in split_element_list(text)])
+        if len(codes) != 3:
             raise _MalformedInput("wp-from-folner needs exactly 3 elements")
-        try:
-            codes = [parse_element(g, p) for p in parts]
-        except ValueError as exc:
-            raise _MalformedInput(str(exc))
         ce = g if g.mode == CE else CEView(g)
         equal = decide_mult_from_folner(ce, folner_oracle(ce, meter), *codes, meter)
         return equal if equal is UNKNOWN else {"equal": equal, "triple": codes}
@@ -274,11 +326,12 @@ def _emit(report: dict, as_json: bool, out_path) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if not _HELP.isdisjoint(argv):  # the usage: each command, its flags and what it does
+        return _emit({"folnerlab " + name: "%s (%s)" % (" ".join(_specs(flags)), help_text)
+                      for name, (help_text, flags) in COMMANDS.items()}, False, None)
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_MALFORMED
-    try:
+        args = _read(argv)
         report = _run(args, make_group(args.group), Budget(args.budget).meter())
     except (MalformedSpecError, _MalformedInput) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -23,7 +23,6 @@ Codings are fixed so that certificates are reproducible:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -364,14 +363,21 @@ class FreeGroupOracle(GroupOracle):
         return len(self.decode_word(x))
 
 
+# the largest zd dimension: a product decodes all d coordinates before any
+# charge, so a larger d would make each step cost time in proportion to d
+MAX_ZD_DIM = 64
+
+
 class ZdOracle(GroupOracle):
-    """Free abelian group Z^d with the zig-zag/Cantor coding."""
+    """Free abelian group Z^d with the zig-zag/Cantor coding, 1 <= d <=
+    ``MAX_ZD_DIM``."""
 
     mode = COMPUTABLE
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise MalformedSpecError("zd dimension must be >= 1")
+        if not 1 <= dim <= MAX_ZD_DIM:
+            raise MalformedSpecError("zd dimension must be 1 to %d, got %d"
+                                     % (MAX_ZD_DIM, dim))
         self.dim = dim
         self.spec = "zd:%d" % dim
         self._decode_cache: dict[int, tuple[int, ...]] = {}
@@ -781,7 +787,10 @@ def make_group(spec: str) -> GroupOracle:
     m = _SPEC_RE.match(s)
     if not m:
         raise MalformedSpecError("unrecognised group spec %r" % spec)
-    kind, num = m.group(1), int(m.group(2))
+    try:
+        kind, num = m.group(1), int(m.group(2))
+    except ValueError:  # more digits than int() reads
+        raise MalformedSpecError("group spec %r... has too many digits" % spec[:20])
     if kind == "free":
         return FreeGroupOracle(num)
     if kind == "zd":
@@ -900,12 +909,11 @@ _WORD_TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
 MAX_WORD_FACTORS = 1000
 
 
-def _word_factors(g: GroupOracle, text: str) -> list:
-    """The factors of a generator word such as "ab^-1", in order: a token
-    a^k gives |k| copies of the generator a, or of its inverse for k < 0.
-    ValueError for a token that does not parse, for a letter that is not
-    one of the family's generators and for a word of more than
-    ``MAX_WORD_FACTORS`` factors."""
+def _word_tokens(g: GroupOracle, text: str) -> list[tuple[str, int]]:
+    """The tokens a^k of a generator word such as "ab^-1", in order, as
+    (a, k).  ValueError for a token that does not parse, for a letter that
+    is not one of the family's generators and for a word of more than
+    ``MAX_WORD_FACTORS`` factors, the sum of |k| over its tokens."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -915,13 +923,22 @@ def _word_factors(g: GroupOracle, text: str) -> list:
         name, exp = m.group(1), int(m.group(2) or 1)
         if name not in g.generator_names:
             raise ValueError("unknown generator %r for %s" % (name, g.spec))
-        gen = g.generator_names[name]
-        tokens.append((gen if exp >= 0 else g.inv(gen), abs(exp)))
+        tokens.append((name, exp))
         pos = m.end()
-    if sum(n for _, n in tokens) > MAX_WORD_FACTORS:
+    if sum(abs(exp) for _, exp in tokens) > MAX_WORD_FACTORS:
         raise ValueError("element %r has more than %d factors"
                          % (text, MAX_WORD_FACTORS))
-    return [f for f, n in tokens for _ in range(n)]
+    return tokens
+
+
+def _word_factors(g: GroupOracle, text: str) -> list:
+    """The factors of a generator word, in order: a token a^k gives |k|
+    copies of the generator a, or of its inverse for k < 0."""
+    factors = []
+    for name, exp in _word_tokens(g, text):
+        gen = g.generator_names[name]
+        factors += [gen if exp >= 0 else g.inv(gen)] * abs(exp)
+    return factors
 
 
 def parse_element(g: GroupOracle, text: str) -> int:
@@ -932,9 +949,9 @@ def parse_element(g: GroupOracle, text: str) -> int:
     product of their factors, and redundant-z words are kept unreduced
     ("xx^-1" is the two-letter word of code 6).  A free or redundant-z
     word is coded once from its letters, freely reduced on free groups;
-    a lamplighter word is folded factor by factor with ``mult``.  zd:1 and cyclic take
-    integers ("+1", "-3", "7"); zd:d with d >= 2 takes coordinate tuples
-    ("(1,0)").
+    a lamplighter word is walked token by token, with no product.  zd:1
+    and cyclic take integers ("+1", "-3", "7"); zd:d with d >= 2 takes
+    coordinate tuples ("(1,0)").
     """
     text = text.strip()
     g = g.base if isinstance(g, CEView) else g  # a view's literals are its base's
@@ -958,10 +975,17 @@ def parse_element(g: GroupOracle, text: str) -> int:
             raise ValueError("cyclic elements are integers, got %r" % text)
     if text in ("1", "e"):
         return g.identity
-    factors = _word_factors(g, text)
     if isinstance(g, LamplighterOracle):
-        return functools.reduce(g.mult, factors, g.identity)
-    letters = tuple(l for f in factors for l in g.decode_word(f))
+        # one walk: s^k toggles the lamp under the cursor for odd k, t^k
+        # moves the cursor by k
+        mask = cursor = 0
+        for name, exp in _word_tokens(g, text):
+            if name == "t":
+                cursor += exp
+            elif exp & 1:
+                mask ^= 1 << zigzag(cursor)
+        return cantor_pair(mask, zigzag(cursor))
+    letters = tuple(l for f in _word_factors(g, text) for l in g.decode_word(f))
     return g.encode_word(g.reduce(letters) if isinstance(g, FreeGroupOracle) else letters)
 
 

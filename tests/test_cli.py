@@ -1,6 +1,8 @@
 """CLI surface: commands, exit codes, deterministic JSON."""
 
 import argparse
+import collections
+import contextlib
 import io
 import json
 import os
@@ -12,9 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import folnerlab
-from folnerlab.cli import COMMANDS, FLAGS, _parser, main
-from folnerlab.groups import MAX_WORD_FACTORS
+from folnerlab import cli
+from folnerlab.cli import COMMANDS, COMMON, FLAGS, main
+from folnerlab.groups import MAX_WORD_FACTORS, MAX_ZD_DIM
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -472,7 +478,19 @@ def _robustness_grid():
                                              "--n", "2", "--size-bound", "-1"]
     grid["witness --n negative"] = ["witness", "--group", "zd:1", "--k", "+1",
                                     "--n", "-3"]
+    grid.update(ZD_PAST_THE_CAP)
     return grid
+
+
+# zd dimensions past MAX_ZD_DIM, refused before any product (at zd:100000000
+# one product decoded 10^8 coordinates before its first charge), and one
+# with more digits than int() reads
+ZD_PAST_THE_CAP = {
+    "folner-seq zd:100000000": ["folner-seq", "--group", "zd:100000000", "--n", "2"],
+    "folner-search zd:%d" % (MAX_ZD_DIM + 1): [
+        "folner-search", "--group", "zd:%d" % (MAX_ZD_DIM + 1), "--d", "(1)", "--n", "2"],
+    "folner-seq zd digits": ["folner-seq", "--group", "zd:" + "9" * 5000, "--n", "1"],
+}
 
 
 ROBUSTNESS_GRID = _robustness_grid()
@@ -501,9 +519,178 @@ def test_paradox_refuses_a_key_that_is_not_a_witness(capsys):
         assert "not a witness" in captured.err
 
 
+@pytest.mark.parametrize("case", sorted(ZD_PAST_THE_CAP))
+def test_zd_dimension_past_the_cap_exits_4(case):
+    done = subprocess.run([sys.executable, "-m", "folnerlab.cli", *ZD_PAST_THE_CAP[case],
+                           "--budget", "10"], env=_cli_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+def test_zd_dimension_at_the_cap_runs(capsys):
+    spec = "zd:%d" % MAX_ZD_DIM
+    code, report = run_json(capsys, "folner-seq", "--group", spec, "--n", "1")
+    assert code == 0 and report["certificate"]["spec"] == spec
+
+
 def test_readme_examples_name_exactly_the_parser_commands():
     readme = (ROOT / "README.md").read_text()
     named = set(re.findall(r"^folnerlab ([a-z-]+)", readme, re.MULTILINE))
-    sub = next(a for a in _parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert named == set(sub.choices) == set(COMMANDS)
+    assert named == set(cli._READERS) == set(COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# the reader against argparse
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli.main`` used before the reader, built
+    from the same tables."""
+    top = argparse.ArgumentParser(prog="folnerlab", add_help=True)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*COMMON, *flags):
+            flag, kwargs = flag if isinstance(flag, tuple) else (flag, FLAGS[flag])
+            p.add_argument(flag, **kwargs)
+    return top
+
+
+REFERENCE = reference_parser()
+
+
+def reference_read(argv):
+    """argparse's namespace for argv as a dict, "help" when it exits 0 and
+    "error" when it exits otherwise."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(REFERENCE.parse_args(argv))
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "error"
+
+
+def reader_read(argv):
+    """The same from ``cli.main``'s help check and ``cli._read``."""
+    if not cli._HELP.isdisjoint(argv):
+        return "help"
+    try:
+        return vars(cli._read(argv))
+    except cli._MalformedInput:
+        return "error"
+
+
+def golden_argv():
+    """Every argv of the golden corpus and of the tests above, with and
+    without --json."""
+    corpus = json.loads((GOLDEN / "cli_corpus.json").read_text())
+    argvs = [[a.replace("{golden}", str(GOLDEN)) for a in case["argv"]]
+             for case in corpus.values()]
+    argvs += [[name, *argv] for name, argv in VALID_ARGV.items()]
+    argvs += [*ROBUSTNESS_GRID.values(), *LONG_LITERALS.values()]
+    argvs += [argv for argv, _, _ in TEXT_REPORTS]
+    return [v for argv in argvs for v in (argv, argv + ["--json"])]
+
+
+def test_reader_matches_argparse_on_every_golden_argv():
+    argvs = golden_argv()
+    outcomes = [reference_read(argv) for argv in argvs]
+    assert [reader_read(argv) for argv in argvs] == outcomes
+    assert sum(isinstance(out, dict) for out in outcomes) > 300
+    assert outcomes.count("error") > 20
+
+
+# tokens that a value may be: numbers in many spellings, words, lists, and
+# tokens that look like options or negative numbers.  Left out on purpose:
+# "--" (argparse's end of options), tokens that start with "-h" (argparse's
+# -h with an attached value), and tokens that start with "-" and hold a space
+# (argparse takes them as values, the reader as flags that do not exist)
+VALUES = ["0", "1", "2", "7", "-1", "-3", "-0", "-.5", "-1.5", "1.5", "+2", " 3",
+          "3 ", "1_0", "0x10", "\u0663", "9" * 20, str(sys.maxsize),
+          str(sys.maxsize + 1), "", "-", "x", "zd:1", "free:2", "a,b", "(1,0)",
+          "+1,-1", "a=b", "--json", "--d", "--n=2", "--gr", "--gr=zd:1", "-x", "-1x",
+          "---n", "--nope", "--d=", "-1e3"]
+# tokens in a flag's place that are no command's flag, and every flag of
+# the table, some of which the drawn command lacks
+UNKNOWN_FLAGS = ["--x", "--gruop", "--jsonx", "--nn", "--dd", "-x", "-n", "-1x",
+                 "--k1", "--verify-all", "---n", "=x", "x", "-1", "-", ""]
+OTHER_FLAGS = sorted(FLAGS)
+
+
+@st.composite
+def argv_over_the_table(draw):
+    """An argv over the command table: most often a command with its
+    required flags and some others, in any order, repeated, abbreviated,
+    with "=" or without, and some tokens that do not fit."""
+    kind = draw(st.sampled_from(["command"] * 8 + ["empty", "unknown command"]))
+    if kind == "empty":
+        return []
+    if kind == "unknown command":
+        return [draw(st.sampled_from(["paradox-verify", "kapa", "-x", "--group", "",
+                                      "folner", "1"]))] + draw(
+            st.lists(st.sampled_from(VALUES), max_size=3))
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    specs = dict(f if isinstance(f, tuple) else (f, FLAGS[f])
+                 for f in (*COMMON, *COMMANDS[name][1]))
+    required = [f for f, kw in specs.items() if kw.get("required")]
+    flags = draw(st.lists(st.sampled_from(sorted(specs)), max_size=6))
+    if draw(st.integers(0, 3)):  # mostly every required flag
+        flags = required + flags
+    flags = draw(st.permutations(flags))
+    noisy = draw(st.booleans())  # else every token fits, and only counts may not
+    argv = [name]
+    for flag in flags:
+        spelling = flag[:draw(st.integers(3, len(flag)))] if len(flag) > 3 else flag
+        if noisy and draw(st.integers(0, 4)) == 0:  # a flag that does not fit here
+            spelling = draw(st.sampled_from(UNKNOWN_FLAGS + OTHER_FLAGS))
+        if noisy:
+            value = draw(st.sampled_from(VALUES) | st.text("az01(),+:^= ", max_size=5))
+        elif "type" in specs[flag]:
+            value = str(draw(st.integers(-1, 12)))
+        else:
+            value = draw(st.sampled_from(["zd:1", "a,b", "x", "", "-7", "-.5", "-"]))
+        style = draw(st.sampled_from(["apart"] * 4 + ["="] + ["alone"] * noisy))
+        if specs[flag].get("action") and (style != "=" or not noisy):
+            style = "alone"
+        argv += {"apart": [spelling, value], "=": [spelling + "=" + value],
+                 "alone": [spelling]}[style]
+    return argv
+
+
+def test_reader_matches_argparse_on_generated_argv():
+    outcomes = collections.Counter()
+
+    @settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+    @given(argv_over_the_table())
+    def check(argv):
+        want = reference_read(argv)
+        assert reader_read(argv) == want, argv
+        outcomes["accepted" if isinstance(want, dict) else want] += 1
+
+    check()
+    assert outcomes["accepted"] > 300 and outcomes["error"] > 300, outcomes
+    assert outcomes["help"] == 0
+
+
+def test_help_prints_every_command_and_flag(capsys):
+    code, text = run(capsys, "--help")
+    lines = text.splitlines()
+    assert code == 0 and len(lines) == len(COMMANDS)
+    for name, (help_text, flags) in COMMANDS.items():
+        line = next(l for l in lines if l.startswith("folnerlab %s: " % name))
+        named = line.split(": ", 1)[1].split(" (")[0].split()
+        assert named == [*COMMON, *(f if isinstance(f, str) else f[0] for f in flags)]
+        assert line.endswith("(%s)" % help_text)
+    assert {f for line in lines for f in line.split() if f.startswith("--")} == set(FLAGS)
+    # every spelling of help, alone or among a command's flags, as argparse
+    # has it
+    for spelling in sorted(cli._HELP):
+        for argv in ([spelling], ["kappa", spelling], ["kappa", "--n", "2", spelling],
+                     ["witness", spelling, "--nope"]):
+            assert reference_read(argv) == "help", argv
+            assert run(capsys, *argv) == (0, text)
+    # a help token anywhere prints the usage, also where argparse would first
+    # have refused the flag before it
+    assert reference_read(["witness", "--group", "-h"]) == "error"
+    assert run(capsys, "witness", "--group", "-h") == (0, text)

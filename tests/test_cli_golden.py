@@ -26,7 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "cli_corpus.json"
 
 Z2_D = "(1,0),(0,1)"
-MAXSIZE = str(sys.maxsize)  # the parser's bound on counts
+MAXSIZE = str(sys.maxsize)  # the reader's bound on counts
 
 CASES = {
     # folner-search: ball phase, certificates and the exact UNKNOWN edge
@@ -229,7 +229,7 @@ CASES = {
     "err4_missing_k": ["witness", "--group", "zd:1"],
     "err4_wp_arity": ["wp-from-folner", "--group", "zd:2", "--d", "(1,0),(0,1)"],
     # a command that does not exist: paradox-verify was merged into
-    # paradox --verify, and argparse rejects the old name
+    # paradox --verify, and the reader rejects the old name
     "err4_unknown_command": ["paradox-verify", "--group", "free:2", "--k0", "a,b",
                              "--n", "1"],
     "err4_budget_zero": ["folner-search", "--group", "zd:1", "--d", "+1", "--n", "2",
@@ -242,7 +242,7 @@ CASES = {
                            "--fn", "{golden}/fn_float.json"],
     "err4_out_unwritable": ["folner-search", "--group", "zd:1", "--d", "+1",
                             "--n", "2", "--out", "{golden}/no-such-dir/r.json"],
-    # argparse rejects counts below 1 on every command
+    # the reader rejects counts below 1 on every command
     "err4_reiter_n_zero": ["reiter-check", "--group", "zd:1", "--d", "+1",
                            "--n", "0", "--fn", "{golden}/fn_z_tent.json"],
     "err4_kappa_n_zero": ["kappa", "--group", "redundant-z", "--d", "x", "--n", "0",

@@ -24,6 +24,7 @@ from folnerlab.folner import (
 )
 from folnerlab.groups import (
     MAX_WORD_FACTORS,
+    MAX_ZD_DIM,
     CE,
     COMPUTABLE,
     CEView,
@@ -186,6 +187,14 @@ def test_free_mult_is_reduced_concatenation(data):
     for u, v in ((x, y), (y, x), (x, z), (0, x), (x, 0), (x, g.inv(x))):
         assert g.mult(u, v) == reference(u, v)
     assert g.mult(x, g.inv(x)) == 0
+
+
+def test_zd_dimension_is_capped():
+    assert make_group("zd:%d" % MAX_ZD_DIM).dim == MAX_ZD_DIM
+    for spec in ("zd:0", "zd:%d" % (MAX_ZD_DIM + 1), "zd:100000000", "zd:" + "9" * 5000,
+                 "cyclic:" + "9" * 5000):
+        with pytest.raises(MalformedSpecError):
+            make_group(spec)
 
 
 def test_zd_examples():
@@ -878,7 +887,7 @@ BAD_INPUT_CALLS = [
     ("box_folner", PreconditionError,
      lambda m, ok: box_folner(_ZD1 if ok else make_group("free:2"), (1,), 2)),
     ("cli wp-from-folner", cli._MalformedInput,
-     lambda m, ok: cli._run(cli._parser().parse_args(
+     lambda m, ok: cli._run(cli._read(
          ["wp-from-folner", "--group", "zd:2",
           "--d", "(1,0),(0,%s),(1,1)" % ("1" if ok else "x")]), _ZD2, m)),
 ]
@@ -961,6 +970,38 @@ def test_free_literal_makes_no_product(monkeypatch):
     for text, code in want.items():
         assert len(_word_factors(g, text)) == 1000
         assert parse_element(g, text) == code
+
+
+def test_lamplighter_literals_equal_the_fold_of_their_factors():
+    # a lamplighter word is walked token by token; the fold of its factors
+    # by ``mult`` is the reference
+    g = make_group("lamplighter")
+    rng = random.Random("lamplighter")
+    for _ in range(600):
+        text = "".join("%s^%d" % (rng.choice("st"), rng.randint(-5, 5))
+                       if rng.random() < 0.5 else rng.choice("st")
+                       for _ in range(rng.randint(1, 14)))
+        fold = functools.reduce(g.mult, _word_factors(g, text), g.identity)
+        assert parse_element(g, text) == fold, text
+
+
+def test_lamplighter_literal_makes_no_product(monkeypatch):
+    g = make_group("lamplighter")
+    words = ["t" * 1000, "st" * 500, "s^499t^-250st^-250", "t^-500s^500"]
+    want = {text: functools.reduce(g.mult, _word_factors(g, text), g.identity)
+            for text in words}
+
+    def no_product(*args):
+        raise AssertionError("a literal folded its factors")
+
+    for name in ("mult", "mult_row", "mult_rows"):
+        monkeypatch.setattr(g, name, no_product)
+    for text, code in want.items():
+        assert parse_element(g, text) == code, text[:12]
+    # the cursor ends 1,000 to the right, and "st" * 500 lights every lamp
+    # from 0 to 499
+    assert g.decode_element(want["t" * 1000]) == (frozenset(), 1000)
+    assert g.decode_element(want["st" * 500]) == (frozenset(range(500)), 500)
 
 
 def test_parse_redundant_z_words_stay_unreduced():

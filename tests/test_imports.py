@@ -1,6 +1,7 @@
 """The package runs on the standard library alone, only the CLI makes a
 budget, and the names the benchmark tracer hooks stay importable."""
 
+import ast
 import importlib.util
 import os
 import pkgutil
@@ -14,7 +15,9 @@ from folnerlab.groups import parse_elements
 from folnerlab.paradox import build_decomposition
 
 
-def test_no_module_imports_numpy():
+def _import_every_module_without(module: str):
+    """Import every folnerlab module in a fresh interpreter and check that
+    ``module`` was not loaded."""
     names = ["folnerlab"] + [
         "folnerlab." + m.name for m in pkgutil.iter_modules(folnerlab.__path__)
     ]
@@ -23,12 +26,27 @@ def test_no_module_imports_numpy():
         "import importlib, sys\n"
         "for name in %r:\n"
         "    importlib.import_module(name)\n"
-        "assert 'numpy' not in sys.modules\n" % names
+        "assert %r not in sys.modules\n" % (names, module)
     )
     src = str(Path(folnerlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+def test_no_module_imports_numpy():
+    _import_every_module_without("numpy")
+
+
+def test_no_module_imports_argparse():
+    """The CLI reads argv off its command table (``cli._read``); argparse
+    stays in the tests, as the reference the reader is checked against."""
+    for path in sorted(Path(folnerlab.__file__).resolve().parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.module}
+        assert not {m for m in imported if m.split(".")[0] == "argparse"}, path.name
+    _import_every_module_without("argparse")
 
 
 def test_only_the_cli_makes_a_budget():

@@ -40,6 +40,7 @@ def test_command_split_runs_an_amenable_pass():
     assert head[-1] == "[0]"  # failed checks in the one pass
     assert header == ["command", "queries", "median", "s", "range", "s", "p50", "ms"]
     split = rows.index(["command", "queries", "row", "products", "steps"])
+    layers = rows.index(["command", "queries", "argv", "ms", "run", "ms", "report", "ms"])
     assert {row[0]: int(row[1]) for row in rows[2:split]} == {
         "folner-seq": 4, "folner-function": 7, "folner-search": 8,
         "restrict-folner": 4, "witness": 4, "wp-from-folner": 80, "kappa": 100,
@@ -49,7 +50,7 @@ def test_command_split_runs_an_amenable_pass():
     p50 = {row[0]: float(row[4]) for row in rows[2:split]}
     assert all(ms > 0 for ms in p50.values())
     assert min(p50.values()) <= p50["pass"] <= max(p50.values())
-    counts = {row[0]: (int(row[2]), int(row[3])) for row in rows[split + 1:]}
+    counts = {row[0]: (int(row[2]), int(row[3])) for row in rows[split + 1:layers]}
     assert list(counts) == [row[0] for row in rows[2:split]]
     # kappa reads the value buckets and makes no row; every query charges
     # its meter, and the pass is the sum of its commands
@@ -62,6 +63,16 @@ def test_command_split_runs_an_amenable_pass():
     # product counts once
     assert counts["folner-seq"] == (67002, 238561)
     assert counts["pass"] == (180320, 1000748)
+    # every command reads argv, runs and writes a report in each pass; in
+    # one pass the pass is the sum of its commands, to the printed digits
+    queries = {row[0]: int(row[1]) for row in rows[2:split]}
+    by_layer = {row[0]: (int(row[1]), *map(float, row[2:])) for row in rows[layers + 1:]}
+    assert list(by_layer) == list(queries)
+    for name, (q, *ms) in by_layer.items():
+        assert q == queries[name] and all(t > 0 for t in ms), name
+    for i in (1, 2, 3):
+        total = sum(row[i] for name, row in by_layer.items() if name != "pass")
+        assert abs(by_layer["pass"][i] - total) <= 0.0005 * len(by_layer)
 
 
 def test_paradox_split_runs_a_prefix_pass():

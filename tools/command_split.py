@@ -16,6 +16,13 @@ a second table gives for each command the products made through
 and the meter steps consumed: machine-independent work to set beside the
 seconds.
 
+Last, as many passes again run with ``cli._read``, ``cli._run`` and
+``cli._emit`` timed, and a third table splits each command's ms in a pass
+(the median over those passes) into reading argv, running the command
+and writing the report; the rest of a query is ``make_group``, the
+budget and ``main``'s own code.  Each timer adds under a microsecond to
+its call, so the split is for comparing layers, not for the totals.
+
     python3 tools/command_split.py --seed 1 --passes 6
 """
 
@@ -27,6 +34,7 @@ import io
 import statistics
 import sys
 from collections import Counter
+from time import perf_counter
 
 import passes
 
@@ -82,6 +90,44 @@ def command_counts(lib, corpus):
     return totals
 
 
+LAYERS = {"_read": "argv", "_run": "run", "_emit": "report"}
+
+
+def layer_seconds(workload, lib, state, n: int) -> dict:
+    """{command: {layer: [seconds in each pass]}}, the whole pass under
+    "pass", for the layers of ``LAYERS``, over n benchmark passes with each
+    layer's ``cli`` function timed; the timers are removed afterwards."""
+    cli, totals, current = lib.cli, Counter(), [None]
+    real = {name: getattr(cli, name) for name in LAYERS}
+
+    def timed(name):
+        def call(*args):
+            if name == "_read":
+                current[0] = args[0][0]
+            t0 = perf_counter()
+            try:
+                return real[name](*args)
+            finally:
+                dt = perf_counter() - t0
+                totals[current[0], LAYERS[name]] += dt
+                totals["pass", LAYERS[name]] += dt
+        return call
+
+    out: dict = {}
+    try:
+        for name in LAYERS:
+            setattr(cli, name, timed(name))
+        for _ in range(max(1, n)):
+            totals.clear()
+            passes.run_pass(workload, lib, state)
+            for (command, layer), dt in list(totals.items()):
+                out.setdefault(command, {}).setdefault(layer, []).append(dt)
+    finally:
+        for name, fn in real.items():
+            setattr(cli, name, fn)
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, required=True)
@@ -91,6 +137,7 @@ def main(argv=None):
         labels = [inv.argv[0] for inv in state["corpus"]]
         seconds, latencies, failed = passes.split(
             workload, lib, state, labels, args.passes)
+        layers = layer_seconds(workload, lib, state, args.passes)
         counts = command_counts(lib, state["corpus"])
     queries = Counter(labels)
     queries["pass"] = len(labels)
@@ -105,6 +152,11 @@ def main(argv=None):
     print("%-18s %7s %12s %12s" % ("command", "queries", "row products", "steps"))
     for name in seconds:
         print("%-18s %7d %12d %12d" % (name, queries[name], *counts[name]))
+    print("%-18s %7s %8s %8s %9s" % (
+        "command", "queries", "argv ms", "run ms", "report ms"))
+    for name in seconds:
+        print("%-18s %7d %8.3f %8.3f %9.3f" % (name, queries[name], *(
+            1000 * statistics.median(layers[name][layer]) for layer in LAYERS.values())))
     return 1 if any(failed) else 0
 
 
